@@ -1,8 +1,9 @@
 """Command-line interface: problem-file ingestion, analysis reports, corpus.
 
 ``singforms analyze FILE`` runs the full pipeline on one problem file and
-prints a structured-text report (exit 0 iff all checks pass, 2 on solver or
-limit failures, 3 on non-isolated input).  ``singforms verify-corpus`` runs
+prints a structured-text report (exit 0 iff all checks pass, 1 on bad input,
+2 on solver or limit failures, including a module dimension that does not
+stabilize, 3 on non-isolated input).  ``singforms verify-corpus`` runs
 the built-in instances against their expected values and the property checks.
 
 Problem file format (keys may repeat; '#' starts a comment):
@@ -13,7 +14,8 @@ Problem file format (keys may repeat; '#' starts a comment):
     omega: x1, 2*x2
 
 Polynomials follow the expression grammar of the parser (explicit '*', '^'
-powers, rational coefficients like 3/2).
+powers, rational coefficients like 3/2).  ``--threads`` is accepted and has
+no effect: the solver runs in one thread.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .corpus import CORPUS
 from .critpts import CountMismatchError
-from .icis import ProblemInstance
+from .icis import OmegaDimInconclusive, ProblemInstance
 from .pipeline import AnalysisConfig, AnalysisResult, NonIsolatedError, analyze
 from .polyring import Poly, PolyParseError, parse, to_string
 from .residuefn import LimitConfig, NonConvergentError
@@ -190,12 +192,7 @@ def _config_from_args(args) -> AnalysisConfig:
         tol_match=args.tol_match,
         max_denominator=args.max_den,
     )
-    return AnalysisConfig(
-        limit=limit,
-        seed=args.seed,
-        threads=args.threads,
-        exact=args.exact,
-    )
+    return AnalysisConfig(limit=limit, seed=args.seed, exact=args.exact)
 
 
 def cmd_analyze(args) -> int:
@@ -214,6 +211,10 @@ def cmd_analyze(args) -> int:
     except NonIsolatedError as exc:
         print(f"non-isolated input: {exc}", file=sys.stderr)
         return EXIT_NON_ISOLATED
+    except OmegaDimInconclusive as exc:
+        print(f"solver/limit failure: {exc}", file=sys.stderr)
+        print("diag omega_dim: inconclusive", file=sys.stderr)
+        return EXIT_SOLVER
     except (CountMismatchError, NonConvergentError) as exc:
         print(f"solver/limit failure: {exc}", file=sys.stderr)
         if isinstance(exc, CountMismatchError) and exc.diagnostics:
@@ -254,7 +255,12 @@ def cmd_verify_corpus(args) -> int:
                 mode=ci.mode,
                 variables=ci.variables,
             )
-        except (NonIsolatedError, CountMismatchError, NonConvergentError) as exc:
+        except (
+            NonIsolatedError,
+            CountMismatchError,
+            NonConvergentError,
+            OmegaDimInconclusive,
+        ) as exc:
             print(f"{name}: pipeline failure: {exc}")
             all_ok = False
             continue
@@ -316,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--exact", dest="exact", action="store_true", default=True
         )
         p.add_argument("--no-exact", dest="exact", action="store_false")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads", type=int, default=1, help="accepted; has no effect"
+        )
 
     pa = sub.add_parser("analyze", help="analyze one problem file")
     pa.add_argument("file")

@@ -28,7 +28,6 @@ once per family as pairs (P0, P1) meaning P0 + t*P1.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,30 +70,6 @@ class Deformation:
         )
 
 
-class CompiledPoly:
-    """Numpy-evaluable copy of a polynomial: coefficient and exponent arrays."""
-
-    __slots__ = ("E", "c", "nvars")
-
-    def __init__(self, poly: Poly, nvars: int | None = None):
-        nv = poly.nvars if nvars is None else nvars
-        self.nvars = nv
-        if poly.is_zero():
-            self.E = np.zeros((0, nv), dtype=np.int64)
-            self.c = np.zeros(0, dtype=np.complex128)
-            return
-        monos = sorted(poly.terms)
-        self.E = np.array(monos, dtype=np.int64)
-        self.c = np.array([complex(poly.terms[m]) for m in monos], dtype=np.complex128)
-
-    def eval_many(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate at points given as rows of X (shape (m, nvars))."""
-        if self.c.size == 0:
-            return np.zeros(X.shape[0], dtype=np.complex128)
-        powers = X[:, None, :] ** self.E[None, :, :]
-        return powers.prod(axis=2) @ self.c
-
-
 class TPoly:
     """Pair (p0, p1) standing for p0 + t * p1, t the deformation parameter."""
 
@@ -110,35 +85,22 @@ class TPoly:
     def degree(self) -> int:
         return max(self.p0.degree(), self.p1.degree())
 
-    def compile(self, nvars: int) -> "CompiledTPoly":
-        return CompiledTPoly(CompiledPoly(self.p0, nvars), CompiledPoly(self.p1, nvars))
-
-
-class CompiledTPoly:
-    __slots__ = ("c0", "c1")
-
-    def __init__(self, c0: CompiledPoly, c1: CompiledPoly):
-        self.c0 = c0
-        self.c1 = c1
-
-    def eval_many(self, t: complex, X: np.ndarray) -> np.ndarray:
-        out = self.c0.eval_many(X)
-        if self.c1.c.size:
-            out = out + t * self.c1.eval_many(X)
-        return out
-
 
 class StackedTPolys:
     """Evaluate a list of affine-in-t polynomials with one matmul per part.
 
     All terms of all polynomials share one exponent matrix; a weight matrix
     scatters the term values into per-polynomial sums.  This keeps the hot
-    Newton loop at a handful of numpy calls regardless of system size.
+    Newton loop at a handful of numpy calls regardless of system size.  A
+    plain ``Poly`` in the list stands for a polynomial constant in t.
     """
 
     __slots__ = ("E0", "W0", "E1", "W1", "npolys", "nvars")
 
     def __init__(self, tpolys, nvars: int):
+        tpolys = [
+            tp if isinstance(tp, TPoly) else TPoly(tp, Poly.zero(nvars)) for tp in tpolys
+        ]
         self.npolys = len(tpolys)
         self.nvars = nvars
         self.E0, self.W0 = self._stack([tp.p0 for tp in tpolys], nvars)
@@ -225,7 +187,6 @@ class DeformationFamily:
             raise ValueError("direction must have k + n entries")
         self.direction = direction
 
-        zero = Poly.zero(n)
         self.F = [TPoly(inst.f[i], Poly.const(-direction[i], n)) for i in range(k)]
         self.df = [[inst.f[i].diff(j) for j in range(n)] for i in range(k)]
         if twist is None:
@@ -258,20 +219,18 @@ class DeformationFamily:
         self._cjac = StackedTPolys(
             [e.diff(v) for e in eqs for v in range(self.nunk)], self.nunk
         )
-        self._cdf = [[CompiledPoly(self.df[i][j], n) for j in range(n)] for i in range(k)]
+        self._cdf = StackedTPolys([p for row in self.df for p in row], n)
 
-        # chart data: per block K, the minors m_j (j in complement) and their
-        # x-gradients, all affine in t
+        # chart data: per block K, the x-gradients of the minors m_j (j in the
+        # complement), affine in t, stacked row-major as an (n-k) x n matrix
         self.blocks = list(itertools.combinations(range(n), k))
-        self._minors = {}
-        self._minor_grads = {}
+        self._minor_grads = []
         for K in self.blocks:
             L = tuple(j for j in range(n) if j not in K)
             ms = [_minor_tpoly(self.df, self.A, K + (j,)) for j in L]
-            self._minors[K] = [m.compile(n) for m in ms]
-            self._minor_grads[K] = [
-                [m.diff(c).compile(n) for c in range(n)] for m in ms
-            ]
+            self._minor_grads.append(
+                StackedTPolys([m.diff(c) for m in ms for c in range(n)], n)
+            )
 
     # -- system evaluation -------------------------------------------------
 
@@ -288,91 +247,84 @@ class DeformationFamily:
 
     def df_values(self, X: np.ndarray) -> np.ndarray:
         """Jacobian of f at the x-part of the points: shape (m, k, n)."""
-        m = X.shape[0]
-        out = np.empty((m, self.k, self.n), dtype=np.complex128)
-        Xn = X[:, : self.n]
-        for i in range(self.k):
-            for j in range(self.n):
-                out[:, i, j] = self._cdf[i][j].eval_many(Xn)
-        return out
+        return self._cdf.eval(0.0, X[:, : self.n]).reshape(X.shape[0], self.k, self.n)
 
     # -- chart-free Jacobian value ------------------------------------------
 
-    def jacobian_data(self, t: complex, x: np.ndarray):
-        """(Delta, Jtilde, block K, J) at a single point x (length n)."""
-        n, k = self.n, self.k
-        X = np.asarray(x, dtype=np.complex128).reshape(1, n)
-        if k == 0:
-            K = ()
-            delta = 1.0 + 0j
-        else:
-            dfx = self.df_values(X)[0]
-            best, best_abs = None, -1.0
-            for Kc in self.blocks:
-                d = np.linalg.det(dfx[:, list(Kc)])
-                if abs(d) > best_abs:
-                    best, best_abs, delta_best = Kc, abs(d), d
-            scale = 1.0 + np.max(np.abs(dfx))
-            if best_abs <= _CHART_TOL * scale:
+    def jacobian_data(self, t: complex, X: np.ndarray):
+        """(delta, jtilde, block, S) at the rows of X (x-parts, shape (m, n)).
+
+        Per row: ``block`` indexes the block K of ``blocks`` maximizing
+        |Delta_K|, and ``delta``, ``jtilde`` and the fiber chart ``S`` are
+        taken on it as in ``jacobian_on_block``.
+        """
+        X = np.asarray(X, dtype=np.complex128)
+        m = X.shape[0]
+        dfx = self.df_values(X)
+        dets = np.stack([np.linalg.det(dfx[:, :, list(K)]) for K in self.blocks], axis=1)
+        block = np.argmax(np.abs(dets), axis=1)
+        if self.k:
+            scale = 1.0 + np.abs(dfx).max(axis=(1, 2))
+            if np.any(np.abs(dets[np.arange(m), block]) <= _CHART_TOL * scale):
                 raise DegenerateChartError(
                     "all k x k Jacobian blocks are singular at a critical point"
                 )
-            K, delta = best, delta_best
-        return self._jacobian_on_block(t, x, K, delta)
+        delta = np.empty(m, dtype=np.complex128)
+        jtilde = np.empty(m, dtype=np.complex128)
+        S = np.empty((m, self.k, self.n - self.k), dtype=np.complex128)
+        for b in np.unique(block):
+            rows = block == b
+            delta[rows], jtilde[rows], S[rows] = self.jacobian_on_block(
+                t, X[rows], b, dfx[rows]
+            )
+        return delta, jtilde, block, S
 
-    def _jacobian_on_block(self, t: complex, x, K, delta):
+    def jacobian_on_block(self, t: complex, X: np.ndarray, b: int, dfx=None):
+        """(delta, jtilde, S) at the rows of X on the block K = blocks[b].
+
+        ``delta`` is Delta_K, ``jtilde`` the chart-free Jacobian value and S
+        (shape (m, k, n-k)) the fiber chart dx_K = S dx_L, i.e. the solution
+        of dfK @ S = -dfL.  ``dfx`` is the Jacobian of f at X when known.
+        """
         n, k = self.n, self.k
-        X = np.asarray(x, dtype=np.complex128).reshape(1, n)
-        L = tuple(j for j in range(n) if j not in K)
-        M = np.empty((n, n), dtype=np.complex128)
-        if k:
-            M[:k, :] = self.df_values(X)[0]
-        grads = self._minor_grads[K]
-        for a in range(len(L)):
-            for c in range(n):
-                M[k + a, c] = grads[a][c].eval_many(t, X)[0]
-        jac_x = np.linalg.det(M)
-        sgn = shuffle_sign(K, L)
-        jt = sgn * delta ** (1 - (n - k)) * jac_x
-        return delta, jt, K, jt / delta**2
-
-    def jacobian_on_block(self, t: complex, x, K):
-        """Jacobian data on an explicitly chosen block (for block-independence)."""
-        n, k = self.n, self.k
-        if k == 0:
-            return self.jacobian_data(t, x)
-        X = np.asarray(x, dtype=np.complex128).reshape(1, n)
-        dfx = self.df_values(X)[0]
-        delta = np.linalg.det(dfx[:, list(K)])
-        return self._jacobian_on_block(t, x, tuple(K), delta)
-
-
-@dataclass
-class CriticalPoint:
-    x: tuple
-    lam: tuple
-    residual: float
-    Delta: complex
-    Jtilde: complex
-    block: tuple
+        X = np.asarray(X, dtype=np.complex128)
+        if dfx is None:
+            dfx = self.df_values(X)
+        K = self.blocks[b]
+        L = [j for j in range(n) if j not in K]
+        dfK, dfL = dfx[:, :, list(K)], dfx[:, :, L]
+        delta = np.linalg.det(dfK)
+        grads = self._minor_grads[b].eval(t, X).reshape(X.shape[0], n - k, n)
+        jac_x = np.linalg.det(np.concatenate([dfx, grads], axis=1))
+        jtilde = shuffle_sign(K, L) * delta ** (1 - (n - k)) * jac_x
+        return delta, jtilde, -np.linalg.solve(dfK, dfL)
 
 
 @dataclass
 class CriticalPointSet:
+    """The critical points at one parameter value, one row per point.
+
+    ``X`` holds the x-part and then the multipliers of each point, ``block``
+    indexes the family's ``blocks`` and ``S`` (shape (m, k, n-k)) is the fiber
+    chart dx_K = S dx_L on that block.
+    """
+
     t: complex
-    points: list
+    X: np.ndarray
+    residual: np.ndarray
+    delta: np.ndarray
+    jtilde: np.ndarray
+    block: np.ndarray
+    S: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points], dtype=np.complex128)
+    def __len__(self) -> int:
+        return self.X.shape[0]
 
-    def full(self) -> np.ndarray:
-        return np.array(
-            [tuple(p.x) + tuple(p.lam) for p in self.points], dtype=np.complex128
-        )
-
-    def jtildes(self) -> np.ndarray:
-        return np.array([p.Jtilde for p in self.points], dtype=np.complex128)
+    @property
+    def x(self) -> np.ndarray:
+        """The x-parts of the points, shape (m, n)."""
+        return self.X[:, : self.X.shape[1] - self.S.shape[1]]
 
 
 @dataclass
@@ -381,7 +333,6 @@ class SolveOptions:
     merge_tol: float | None = None  # default: 1e-8 * deformation radius
     max_retries: int = 3
     multistart: int = 60
-    threads: int = 1
 
     def merge_tolerance(self, radius: float) -> float:
         if self.merge_tol is not None:
@@ -536,23 +487,13 @@ def _canonical_sort(points):
     return sorted(points, key=key)
 
 
-def _make_point_set(family, t, xs, opts) -> CriticalPointSet:
-    pts = []
-    X = np.array(xs, dtype=np.complex128)
-    res = family.residuals(t, X)
-    for row, r in zip(X, res):
-        x = tuple(row[: family.n])
-        lam = tuple(row[family.n :])
-        delta, jt, K, _ = family.jacobian_data(t, np.array(x))
-        pts.append(
-            CriticalPoint(
-                x=x, lam=lam, residual=float(r), Delta=delta, Jtilde=jt, block=K
-            )
-        )
-    jts = np.array([abs(p.Jtilde) for p in pts])
+def _make_point_set(family, t, xs) -> CriticalPointSet:
+    X = np.asarray(xs, dtype=np.complex128).reshape(-1, family.nunk)
+    delta, jtilde, block, S = family.jacobian_data(t, X[:, : family.n])
+    jts = np.abs(jtilde)
     if len(jts) and jts.max() > 0 and jts.min() < 1e-10 * jts.max():
         raise DegenerateChartError("near-degenerate critical point (Jtilde ~ 0)")
-    return CriticalPointSet(t=t, points=pts)
+    return CriticalPointSet(t, X, family.residuals(t, X), delta, jtilde, block, S)
 
 
 def solve_family_at(
@@ -576,7 +517,9 @@ def solve_family_at(
         "multistart_recoveries": 0,
     }
     if expected == 0:
-        return CriticalPointSet(t=t, points=[], diagnostics=diagnostics)
+        ps = _make_point_set(family, t, [])
+        ps.diagnostics = diagnostics
+        return ps
     mtol = opts.merge_tolerance(abs(t))
     last_found = []
     for attempt in range(opts.max_retries + 1):
@@ -587,13 +530,9 @@ def solve_family_at(
         h = _Homotopy(family, t, gamma, b)
         starts = h.start_points()
         diagnostics["paths_tracked"] += len(starts)
-        if opts.threads > 1:
-            with ThreadPoolExecutor(max_workers=opts.threads) as ex:
-                results = list(ex.map(lambda x0: _track_path(h, x0), starts))
-        else:
-            results = [_track_path(h, x0) for x0 in starts]
         endpoints = []
-        for end, status in results:
+        for x0 in starts:
+            end, status = _track_path(h, x0)
             if status == "converged":
                 endpoints.append(end)
             elif status == "diverged":
@@ -609,7 +548,7 @@ def solve_family_at(
         last_found = found
         if len(found) == expected:
             try:
-                ps = _make_point_set(family, t, _canonical_sort(found), opts)
+                ps = _make_point_set(family, t, _canonical_sort(found))
             except DegenerateChartError:
                 diagnostics["retries"] += 1
                 continue
@@ -634,7 +573,7 @@ def solve_family_at(
             if len(found) == expected:
                 break
         if len(found) == expected:
-            ps = _make_point_set(family, t, _canonical_sort(found), opts)
+            ps = _make_point_set(family, t, _canonical_sort(found))
             ps.diagnostics = diagnostics
             return ps
     raise CountMismatchError(
@@ -658,7 +597,7 @@ def solve_warm(
     if len(found) != expected:
         return None
     try:
-        return _make_point_set(family, t, _canonical_sort(found), opts)
+        return _make_point_set(family, t, _canonical_sort(found))
     except DegenerateChartError:
         return None
 
@@ -672,12 +611,13 @@ def track_circle(
     opts: SolveOptions | None = None,
     warm_starts=None,
 ):
-    """Point sets at samples points on the circle |t| = radius.
+    """(point sets, stats) for samples points on the circle |t| = radius.
 
     The first angle is solved from scratch (or by Newton from ``warm_starts``
     when given); later angles continue the previous solutions by Newton,
     bisecting the angle step on failure and falling back to a fresh homotopy
-    solve as a last resort.
+    solve as a last resort.  ``stats`` counts the fresh solves and sums their
+    solver counters over the grid.
     """
     opts = opts or SolveOptions()
     angles = [2 * np.pi * j / samples for j in range(samples)]
@@ -698,16 +638,15 @@ def track_circle(
             got = solve_family_at(family, t, expected, rng, opts)
             fresh_solves += 1
         sets.append(got)
-    agg = {"fresh_solves": fresh_solves}
+    stats = {"fresh_solves": fresh_solves}
     for s in sets:
-        for k, v in s.diagnostics.items():
-            agg[k] = agg.get(k, 0) + v
-    sets[0].diagnostics = {**sets[0].diagnostics, **agg}
-    return sets
+        for key, v in s.diagnostics.items():
+            stats[key] = stats.get(key, 0) + v
+    return sets, stats
 
 
 def _continue_to(family, prev_set, t, expected, opts, depth):
-    got = solve_warm(family, t, prev_set.full(), expected, opts)
+    got = solve_warm(family, t, prev_set.X, expected, opts)
     if got is not None:
         return got
     if depth >= 8:
@@ -762,6 +701,6 @@ def solve_all(
 def jacobian_value(inst, d: Deformation, P):
     """(Delta, Jtilde, block K) of the deformed 1-form at a solved point P."""
     family, t = _family_for(inst, d)
-    x = np.asarray(P, dtype=np.complex128)
-    delta, jt, K, _ = family.jacobian_data(t, x)
-    return delta, jt, K
+    X = np.asarray(P, dtype=np.complex128).reshape(1, -1)
+    delta, jt, block, _ = family.jacobian_data(t, X)
+    return delta[0], jt[0], family.blocks[block[0]]

@@ -360,19 +360,3 @@ class QuotientAlgebra:
         # transpose into row-major matrix
         n = len(self.basis)
         return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def quotient_algebra(gens, nvars: int, order: LocalOrder = DEFAULT_ORDER):
-    return QuotientAlgebra(gens, nvars, order)
-
-
-def colength(q: QuotientAlgebra):
-    return q.colength
-
-
-def truncation_order(q: QuotientAlgebra) -> int:
-    return q.truncation_order()
-
-
-def normal_form(p: Poly, q: QuotientAlgebra):
-    return q.normal_form(p)

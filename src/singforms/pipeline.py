@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import icis, quadforms, residuefn
-from .critpts import CountMismatchError, DeformationFamily, SolveOptions, solve_family_at
+from .critpts import CountMismatchError, DeformationFamily, solve_family_at
 from .icis import ProblemInstance
 from .localalg import INFINITE
 from .polyring import Poly
@@ -30,14 +30,10 @@ class NonIsolatedError(RuntimeError):
 class AnalysisConfig:
     limit: LimitConfig = field(default_factory=LimitConfig)
     seed: int = 42
-    threads: int = 1
     exact: bool = True
     count_runs: int = 5
     prop1_multipliers: int = 10
     prop2_variants: int = 5
-
-    def solve_options(self) -> SolveOptions:
-        return SolveOptions(threads=self.threads)
 
 
 @dataclass
@@ -105,9 +101,7 @@ def analyze(
     tau = icis.tau_prime(inst)
     omega_dim = icis.omega_module_dim(inst)
 
-    sampler = residuefn.make_sampler(
-        inst, cfg, config.seed, opts=config.solve_options(), expected=nu
-    )
+    sampler = residuefn.make_sampler(inst, cfg, config.seed, expected=nu)
     qa = quadforms.gram_qa(
         inst, cfg, config.seed, alg=alg, sampler=sampler, want_exact=config.exact
     )
@@ -211,10 +205,8 @@ def analyze(
         u = u / np.linalg.norm(u)
         fam = DeformationFamily(inst, tuple(u))
         try:
-            ps = solve_family_at(
-                fam, cfg.radii[0], nu, rng, config.solve_options()
-            )
-            worst_res = max(worst_res, max((p.residual for p in ps.points), default=0.0))
+            ps = solve_family_at(fam, cfg.radii[0], nu, rng)
+            worst_res = max(worst_res, float(ps.residual.max(initial=0.0)))
         except CountMismatchError:
             count_ok = False
     checks.append(

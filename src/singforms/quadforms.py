@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlinalg
-from .critpts import CompiledPoly, shuffle_sign
+from .critpts import StackedTPolys, shuffle_sign
 from .icis import ProblemInstance, algebra as icis_algebra, jacobian_rows
 from .localalg import QuotientAlgebra
 from .polyring import Poly, det
@@ -79,10 +79,6 @@ class GramForm:
     @property
     def signature(self):
         return self.rank_signature()[1]
-
-
-def rank_signature(g: GramForm):
-    return g.rank_signature()
 
 
 def _assemble_gram(labels, entries, want_exact=True):
@@ -273,51 +269,30 @@ def qomega_numeric(
     """Independent evaluation of the module pairing on the deformed fibers.
 
     At each critical point the two generators are restricted to the fiber in
-    the chart of the point's block (solve the k x k system df = 0 for dx_K in
-    terms of dx_L and read off the single top coefficient), and the product of
-    the two chart coefficients is divided by the chart Hessian J.
+    the chart of the point's block: with dx = T dx_L on the fiber (the rows
+    of T are unit rows on L and the point's chart S on K), h dx_G restricts
+    to h det(T[G]) dx_L.  The product of the two chart coefficients is
+    divided by the chart Hessian J = Jtilde / Delta^2.
     """
     if sampler is None:
         sampler = make_sampler(inst, cfg, seed)
     fam = sampler.family
     n, k = fam.n, fam.k
-    c1 = CompiledPoly(g1.coeff, n)
-    c2 = CompiledPoly(g2.coeff, n)
-
-    def chart_coeff(S, chart_L, h_val, dfx):
-        """Coefficient of dx_chart in the restriction of h dx_S."""
-        K = tuple(j for j in range(n) if j not in chart_L)
-        if k:
-            dfK = dfx[:, list(K)]
-            dfL = dfx[:, list(chart_L)]
-            sub = -np.linalg.solve(dfK, dfL)  # dx_K = sub @ dx_L on the fiber
-        m = len(chart_L)
-        C = np.zeros((m, m), dtype=np.complex128)
-        pos_in_chart = {j: c for c, j in enumerate(chart_L)}
-        pos_in_K = {j: i for i, j in enumerate(K)}
-        for r, j in enumerate(S):
-            if j in pos_in_chart:
-                C[r, pos_in_chart[j]] = 1.0
-            else:
-                C[r, :] = sub[pos_in_K[j], :]
-        return h_val * np.linalg.det(C)
+    coeffs = StackedTPolys([g1.coeff, g2.coeff], n)
+    G1, G2 = list(g1.index_set), list(g2.index_set)
+    charts = [(list(K), [j for j in range(n) if j not in K]) for K in fam.blocks]
 
     def fn(ps):
-        total = 0j
-        if not ps.points:
-            return total
-        X = ps.xs()
-        v1 = c1.eval_many(X)
-        v2 = c2.eval_many(X)
-        dfall = fam.df_values(X) if k else None
-        for i, p in enumerate(ps.points):
-            chart_L = tuple(j for j in range(n) if j not in p.block)
-            dfx = dfall[i] if k else None
-            a1 = chart_coeff(g1.index_set, chart_L, v1[i], dfx)
-            a2 = chart_coeff(g2.index_set, chart_L, v2[i], dfx)
-            J = p.Jtilde / p.Delta**2
-            total += a1 * a2 / J
-        return total
+        T = np.zeros((len(ps), n, n - k), dtype=np.complex128)
+        for b, (K, L) in enumerate(charts):
+            rows = ps.block == b
+            T[np.ix_(rows, L)] = np.eye(n - k)
+            T[np.ix_(rows, K)] = ps.S[rows]
+        h = coeffs.eval(ps.t, ps.x)
+        a1 = h[:, 0] * np.linalg.det(T[:, G1, :])
+        a2 = h[:, 1] * np.linalg.det(T[:, G2, :])
+        J = ps.jtilde / ps.delta**2
+        return complex(np.sum(a1 * a2 / J))
 
     return sampler.limit(fn, label=f"qomega[{g1.label()},{g2.label()}]")
 

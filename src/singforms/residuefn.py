@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import critpts
-from .critpts import CompiledPoly, DeformationFamily, SolveOptions, TPoly
+from .critpts import DeformationFamily, SolveOptions, StackedTPolys, TPoly
 from .polyring import Poly
 from .ratlinalg import reconstruct_rational
 
@@ -82,8 +82,9 @@ class ResidueSampler:
             else np.random.default_rng(seed_or_rng)
         )
         self.grids = {}
+        self.grid_stats = {}
         for r in cfg.radii:
-            self.grids[r] = critpts.track_circle(
+            self.grids[r], self.grid_stats[r] = critpts.track_circle(
                 family,
                 r,
                 cfg.samples,
@@ -97,15 +98,15 @@ class ResidueSampler:
 
     # -- generic circle means ------------------------------------------------
 
-    def mean_over_circle(self, radius: float, fn) -> complex:
-        """Average of fn(point_set) over the circle samples, fixed order."""
-        total = 0j
-        for ps in self.grids[radius]:
-            total += fn(ps)
-        return total / self.cfg.samples
-
     def means(self, fn):
-        return [self.mean_over_circle(r, fn) for r in self.cfg.radii]
+        """Average of fn(point_set) over each circle's samples, fixed order."""
+        out = []
+        for r in self.cfg.radii:
+            total = 0j
+            for ps in self.grids[r]:
+                total += fn(ps)
+            out.append(total / self.cfg.samples)
+        return out
 
     def limit(self, fn, label: str = "") -> RValue:
         ms = self.means(fn)
@@ -130,25 +131,10 @@ class ResidueSampler:
 
     def _probe_sum(self, probe):
         """fn(point_set) computing sum phi(P)/Jtilde(P) for one sample."""
-        if isinstance(probe, Poly):
-            c0 = CompiledPoly(probe, self.family.n)
-            c1 = None
-        elif isinstance(probe, TPoly):
-            c0 = CompiledPoly(probe.p0, self.family.n)
-            c1 = CompiledPoly(probe.p1, self.family.n)
-        else:
+        if not isinstance(probe, (Poly, TPoly)):
             raise TypeError("probe must be Poly or TPoly")
-
-        def fn(ps):
-            if not ps.points:
-                return 0j
-            X = ps.xs()
-            vals = c0.eval_many(X)
-            if c1 is not None:
-                vals = vals + ps.t * c1.eval_many(X)
-            return complex(np.sum(vals / ps.jtildes()))
-
-        return fn
+        sp = StackedTPolys([probe], self.family.n)
+        return lambda ps: complex(np.sum(sp.eval(ps.t, ps.x)[:, 0] / ps.jtilde))
 
     def r_of(self, probe, label: str = "") -> RValue:
         """R(probe) with the circle-mean limit and rational reconstruction."""
@@ -156,13 +142,10 @@ class ResidueSampler:
             label = repr(probe)
         return self.limit(self._probe_sum(probe), label)
 
-    def r_at_sample(self, radius: float, angle_index: int, probe) -> complex:
-        return self._probe_sum(probe)(self.grids[radius][angle_index])
-
     def solver_diagnostics(self) -> dict:
         agg = {}
-        for r in self.cfg.radii:
-            for k, v in self.grids[r][0].diagnostics.items():
+        for stats in self.grid_stats.values():
+            for k, v in stats.items():
                 agg[k] = agg.get(k, 0) + v
         return agg
 
@@ -189,10 +172,8 @@ def make_sampler(inst, cfg, seed, twist=None, opts=None, expected=None):
 def r_at(inst, d: critpts.Deformation, phi: Poly, expected: int, seed=0) -> complex:
     """Formula-style evaluation at one concrete deformation (no limit)."""
     ps = critpts.solve_all(inst, d, expected, seed=seed)
-    c = CompiledPoly(phi, inst.n)
-    if not ps.points:
-        return 0j
-    return complex(np.sum(c.eval_many(ps.xs()) / ps.jtildes()))
+    vals = StackedTPolys([phi], inst.n).eval(ps.t, ps.x)[:, 0]
+    return complex(np.sum(vals / ps.jtilde))
 
 
 def r_limit(inst, phi: Poly, cfg: LimitConfig, seed=0, sampler=None) -> RValue:
@@ -281,12 +262,12 @@ def verify_class_invariance(
         h = _random_small_poly(rng, inst.n, 1)
         # on the fiber the twisted form has the same zeros with the first
         # multiplier shifted by h(x); Newton from there replaces the homotopy
-        ch = CompiledPoly(h, inst.n)
+        sh = StackedTPolys([h], inst.n)
         warm = {}
         for r in cfg.radii:
-            base_pts = sampler.grids[r][0].full()
-            shifted = base_pts.copy()
-            shifted[:, inst.n] += ch.eval_many(base_pts[:, : inst.n])
+            first = sampler.grids[r][0]
+            shifted = first.X.copy()
+            shifted[:, inst.n] += sh.eval(first.t, first.x)[:, 0]
             warm[r] = shifted
         twisted = ResidueSampler(
             DeformationFamily(inst, sampler.family.direction, twist=(eta, h)),

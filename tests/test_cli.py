@@ -40,6 +40,14 @@ f: x1^2
 omega: 1, 0
 """
 
+# Brieskorn-Pham (2, 5, 9): nu = 64 is finite, but the module dimension does
+# not stabilize below the truncation cap
+OMEGA_DIM_INCONCLUSIVE = """
+variables: x, y, z
+f: x^2 + y^5 + z^9
+omega: 1, 0, 0
+"""
+
 
 def run_cli(args):
     out, err = io.StringIO(), io.StringIO()
@@ -108,6 +116,17 @@ def test_analyze_exit_codes(tmp_path):
 
     missing = tmp_path / "missing.txt"
     assert run_cli(["analyze", str(missing)])[0] == EXIT_INPUT
+
+
+def test_analyze_omega_dim_inconclusive(tmp_path):
+    """A module dimension that does not stabilize is a solver failure."""
+    path = tmp_path / "bp259.txt"
+    path.write_text(OMEGA_DIM_INCONCLUSIVE)
+    code, out, err = run_cli(["analyze", str(path)])
+    assert code == EXIT_SOLVER
+    assert out == ""
+    assert "did not stabilize" in err
+    assert "diag omega_dim: inconclusive" in err
 
 
 def test_analyze_non_convergent_radii(tmp_path):

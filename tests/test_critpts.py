@@ -80,8 +80,8 @@ def test_solve_matches_closed_form(n, a):
     eps = 0.01
     d = Deformation(eps=(eps,), alpha=(0.0,) * n)
     ps = solve_all(inst, d, 2 * n, seed=3)
-    assert len(ps.points) == 2 * n
-    remaining = [(p.x, p.lam[0], p.Jtilde) for p in ps.points]
+    assert len(ps) == 2 * n
+    remaining = list(zip(ps.x, ps.X[:, n], ps.jtilde))
     for wx, wl, wj in ex1_closed_form(n, a, eps):
         dist, idx = min(
             (max(abs(u - v) for u, v in zip(g[0], wx)), i)
@@ -91,18 +91,18 @@ def test_solve_matches_closed_form(n, a):
         assert dist < 1e-9
         assert abs(gl - wl) < 1e-9
         assert abs(gj - wj) < 1e-9 * max(1.0, abs(wj))
-    for p in ps.points:
-        assert p.residual < 1e-10
+    for r in ps.residual:
+        assert r < 1e-10
 
 
 def test_k0_single_point():
     inst = ProblemInstance(2, 0, [], [Poly.variable(0, 2), Poly.variable(1, 2)])
     d = Deformation(eps=(), alpha=(0.3, -0.2))
     ps = solve_all(inst, d, 1, seed=5)
-    assert len(ps.points) == 1
-    p = ps.points[0]
-    assert abs(p.x[0] - 0.3) < 1e-12 and abs(p.x[1] + 0.2) < 1e-12
-    assert abs(p.Jtilde - 1.0) < 1e-12  # identity Jacobian
+    assert len(ps) == 1
+    x = ps.x[0]
+    assert abs(x[0] - 0.3) < 1e-12 and abs(x[1] + 0.2) < 1e-12
+    assert abs(ps.jtilde[0] - 1.0) < 1e-12  # identity Jacobian
 
 
 # ---- count certification ----------------------------------------------------
@@ -121,8 +121,8 @@ def test_count_certification(inst_builder, expected):
         u = rng.standard_normal(inst.n + 1) + 1j * rng.standard_normal(inst.n + 1)
         fam = DeformationFamily(inst, tuple(u / np.linalg.norm(u)))
         ps = solve_family_at(fam, 1e-2, expected, rng)
-        assert len(ps.points) == expected
-        assert all(p.residual < 1e-10 for p in ps.points)
+        assert len(ps) == expected
+        assert all(r < 1e-10 for r in ps.residual)
 
 
 def test_count_mismatch_raises():
@@ -152,17 +152,42 @@ def test_block_independence_cusp():
     rng = np.random.default_rng(0)
     ps = solve_family_at(fam, 1e-2, 4, rng)
     checked = 0
-    for p in ps.points:
-        X = np.array(p.x)
-        dfx = fam.df_values(X.reshape(1, -1))[0]
+    for x in ps.x:
+        X = x.reshape(1, -1)
+        dfx = fam.df_values(X)[0]
         d0 = abs(np.linalg.det(dfx[:, [0]]))
         d1 = abs(np.linalg.det(dfx[:, [1]]))
         if min(d0, d1) > 1e-6:
-            _, j0, _, _ = fam.jacobian_on_block(ps.t, X, (0,))
-            _, j1, _, _ = fam.jacobian_on_block(ps.t, X, (1,))
-            assert abs(j0 - j1) <= 1e-8 * abs(j0)
+            _, j0, _ = fam.jacobian_on_block(ps.t, X, fam.blocks.index((0,)))
+            _, j1, _ = fam.jacobian_on_block(ps.t, X, fam.blocks.index((1,)))
+            assert abs(j0[0] - j1[0]) <= 1e-8 * abs(j0[0])
             checked += 1
     assert checked >= 2
+
+
+def test_batched_chart_data_matches_rowwise():
+    """jacobian_data on all rows agrees with jacobian_on_block row by row on
+    each row's chosen block, and S is the fiber chart: dfK @ S = -dfL.
+
+    On the cusp with omega = dx every point picks the same block (the ratio
+    of the two partials is fixed by the constant form); the quadric points
+    sit in pairs on the coordinate axes, one block per pair.
+    """
+    inst = ex1(3, (1, 2, 4))
+    fam = DeformationFamily(inst, generic_direction(inst, 42))
+    ps = solve_family_at(fam, 1e-2, 6, np.random.default_rng(0))
+    assert set(ps.block.tolist()) == {0, 1, 2}  # every block is chosen
+    delta, jt, block, S = fam.jacobian_data(ps.t, ps.x)
+    assert np.array_equal(block, ps.block)
+    for i, b in enumerate(block):
+        d1, j1, S1 = fam.jacobian_on_block(ps.t, ps.x[i : i + 1], b)
+        assert abs(d1[0] - delta[i]) <= 1e-12 * abs(delta[i])
+        assert abs(j1[0] - jt[i]) <= 1e-12 * abs(jt[i])
+        assert np.allclose(S1[0], S[i], rtol=1e-12, atol=0)
+        K = list(fam.blocks[b])
+        L = [j for j in range(inst.n) if j not in K]
+        dfx = fam.df_values(ps.x[i : i + 1])[0]
+        assert np.allclose(dfx[:, K] @ ps.S[i], -dfx[:, L], rtol=1e-10, atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -176,9 +201,9 @@ def test_jtilde_against_finite_differences(inst_builder, expected):
     rng = np.random.default_rng(1)
     t = 1e-2
     ps = solve_family_at(fam, t, expected, rng)
-    for p in ps.points[:3]:
-        fd = fd_restricted_jacobian(inst, u, t, p.x, p.block)
-        assert abs(fd - p.Jtilde) < 1e-4 * max(abs(p.Jtilde), 1e-12)
+    for x, b, jt in list(zip(ps.x, ps.block, ps.jtilde))[:3]:
+        fd = fd_restricted_jacobian(inst, u, t, tuple(x), fam.blocks[b])
+        assert abs(fd - jt) < 1e-4 * max(abs(jt), 1e-12)
 
 
 def test_jacobian_value_spec_surface():
@@ -205,20 +230,8 @@ def test_determinism_same_seed():
     d = Deformation(eps=(0.01,), alpha=(0.002, 0.001))
     a = solve_all(inst, d, 4, seed=9)
     b = solve_all(inst, d, 4, seed=9)
-    assert [p.x for p in a.points] == [p.x for p in b.points]
-    assert [p.Jtilde for p in a.points] == [p.Jtilde for p in b.points]
-
-
-def test_determinism_across_threads():
-    inst = cusp()
-    u = generic_direction(inst, 21)
-    res = []
-    for threads in (1, 2):
-        fam = DeformationFamily(inst, u)
-        rng = np.random.default_rng(33)
-        ps = solve_family_at(fam, 1e-2, 4, rng, SolveOptions(threads=threads))
-        res.append([p.x for p in ps.points])
-    assert res[0] == res[1]
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.jtilde, b.jtilde)
 
 
 def test_track_circle_counts():
@@ -226,8 +239,9 @@ def test_track_circle_counts():
     u = generic_direction(inst, 5)
     fam = DeformationFamily(inst, u)
     rng = np.random.default_rng(2)
-    sets = track_circle(fam, 1e-2, 16, 4, rng)
+    sets, stats = track_circle(fam, 1e-2, 16, 4, rng)
     assert len(sets) == 16
-    assert all(len(s.points) == 4 for s in sets)
+    assert all(len(s) == 4 for s in sets)
     # nondegeneracy of every point on the whole circle
-    assert all(abs(p.Jtilde) > 1e-12 for s in sets for p in s.points)
+    assert all(np.all(np.abs(s.jtilde) > 1e-12) for s in sets)
+    assert stats["fresh_solves"] >= 1

@@ -175,15 +175,12 @@ def test_colength_matches_macaulay_oracle(gens_builder, nvars):
     assert q.colength == macaulay_quotient_dim(gens, nvars, q.N + 1)
 
 
-def test_module_level_functions():
-    from singforms.localalg import colength, normal_form, truncation_order
-
+def test_algebra_accessors():
     q = QuotientAlgebra(ex1_gens(2), 2)
-    assert colength(q) == 4
-    assert truncation_order(q) == 3
-    assert normal_form(P("x1^2", ["x1", "x2"]), q) == q.normal_form(
-        P("x1^2", ["x1", "x2"])
-    )
+    assert q.colength == 4
+    assert q.truncation_order() == 3
+    vs = ["x1", "x2"]
+    assert q.nf_poly(P("x1^2", vs)) == P("-x2^2", vs)
 
 
 def test_mora_normal_form_membership():

@@ -19,7 +19,6 @@ from singforms.quadforms import (
     lambda_poly,
     mult_operator_rank,
     qomega_numeric,
-    rank_signature,
 )
 from singforms.residuefn import LimitConfig, make_sampler
 
@@ -148,7 +147,7 @@ def test_seed_independence_of_exact_results():
 
 def test_rank_signature_numeric_fallback():
     g = GramForm(labels=["a", "b"], numeric=np.diag([1.0, 0.0]), exact=None)
-    rank, sig = rank_signature(g)
+    rank, sig = g.rank_signature()
     assert rank == 1 and sig is None
 
 
