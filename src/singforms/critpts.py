@@ -555,6 +555,7 @@ def solve_family_at(
             ps.diagnostics = diagnostics
             return ps
         diagnostics["retries"] += 1
+    message = f"found {len(last_found)} critical points, expected {expected}"
     # multistart Newton recovery around the scale of what was found
     found = list(last_found)
     if found and len(found) < expected and opts.multistart > 0:
@@ -573,13 +574,14 @@ def solve_family_at(
             if len(found) == expected:
                 break
         if len(found) == expected:
-            ps = _make_point_set(family, t, _canonical_sort(found))
-            ps.diagnostics = diagnostics
-            return ps
-    raise CountMismatchError(
-        f"found {len(last_found)} critical points, expected {expected}",
-        diagnostics,
-    )
+            try:
+                ps = _make_point_set(family, t, _canonical_sort(found))
+            except DegenerateChartError as exc:
+                message += f"; multistart recovered {expected}, but the chart is degenerate: {exc}"
+            else:
+                ps.diagnostics = diagnostics
+                return ps
+    raise CountMismatchError(message, diagnostics)
 
 
 def solve_warm(

@@ -58,7 +58,7 @@ class AnalysisResult:
     rank_qa: object
     signature_qa: object
     qomega: quadforms.QOmegaResult | None
-    qomega_numeric_entries: dict
+    qomega_numeric_entries: np.ndarray
     generators: list
     checks: list
     diagnostics: dict
@@ -116,21 +116,11 @@ def analyze(
     checks = []
 
     # two-route agreement on all generator pairs
-    max_two_route = 0.0
-    qomega_numeric_entries = {}
-    for a in range(len(generators)):
-        for b in range(a, len(generators)):
-            rv = quadforms.qomega_numeric(
-                inst, generators[a], generators[b], cfg, config.seed, sampler=sampler
-            )
-            qomega_numeric_entries[(a, b)] = rv.numeric
-            lam_val = (
-                float(qo.gram.exact[a][b])
-                if qo.gram.exact is not None
-                else qo.gram.numeric[a][b]
-            )
-            dev = abs(rv.numeric - lam_val) / max(1.0, abs(rv.numeric), abs(lam_val))
-            max_two_route = max(max_two_route, dev)
+    table = quadforms.qomega_numeric(inst, generators, cfg, config.seed, sampler=sampler)
+    qomega_numeric_entries = np.array([[rv.numeric for rv in row] for row in table])
+    lam = qo.gram.numeric  # the float values of the exact Gram when there is one
+    scale = np.maximum(1.0, np.maximum(abs(qomega_numeric_entries), abs(lam)))
+    max_two_route = float(np.max(abs(qomega_numeric_entries - lam) / scale))
     checks.append(
         CheckResult(
             name="two_route_qomega",

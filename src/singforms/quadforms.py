@@ -1,15 +1,17 @@
 """Quadratic forms on the local algebra and on the module of forms.
 
 ``gram_qa`` assembles Q(phi, psi) = R(phi psi) over the monomial basis of the
-quotient algebra; entries are rationalized when possible and exact mode is
-authoritative for ranks and signatures.  ``lambda_map`` sends an (n-k)-form
-h dx_L to sgn(K, L) h Delta_K where K is the complementary column block of
-the Jacobian of f, realizing (df_1 ^ .. ^ df_k ^ eta) / (dx_1 ^ .. ^ dx_n);
-the form on the module is the pullback of Q^A along this map, its rank is
-computed intrinsically on the image subspace.  ``qomega_numeric`` evaluates
-the same pairing directly on the deformed fibers: restrict both generators to
-the fiber in the chart of the selected block, divide the product of the two
-chart coefficients by the chart Hessian J = Jtilde / Delta^2, and take the
+quotient algebra from one batched limit over all product monomials; entries
+are rationalized when possible and exact mode is authoritative for ranks and
+signatures.  ``lambda_map`` sends an (n-k)-form h dx_L to sgn(K, L) h Delta_K
+where K is the complementary column block of the Jacobian of f, realizing
+(df_1 ^ .. ^ df_k ^ eta) / (dx_1 ^ .. ^ dx_n); the form on the module is the
+pullback of Q^A along this map (the congruence C Q^A C^T over the generators'
+coordinates), its rank is computed intrinsically on the image subspace.
+``qomega_numeric`` evaluates the same pairing directly on the deformed fibers
+for all generator pairs in one batched limit: restrict every generator to the
+fiber in the chart of the selected block, divide each product of two chart
+coefficients by the chart Hessian J = Jtilde / Delta^2, and take the
 circle-mean limit.  The agreement of the two routes is a test target, not an
 assumption.
 """
@@ -27,7 +29,7 @@ from .critpts import StackedTPolys, shuffle_sign
 from .icis import ProblemInstance, algebra as icis_algebra, jacobian_rows
 from .localalg import QuotientAlgebra
 from .polyring import Poly, det
-from .residuefn import LimitConfig, ResidueSampler, RValue, make_sampler
+from .residuefn import LimitConfig, ResidueSampler, make_sampler
 
 
 @dataclass(frozen=True)
@@ -81,34 +83,6 @@ class GramForm:
         return self.rank_signature()[1]
 
 
-def _assemble_gram(labels, entries, want_exact=True):
-    """Build a GramForm from a dict {(i, j): RValue} on i <= j."""
-    dim = len(labels)
-    numeric = np.zeros((dim, dim))
-    exact = [[Fraction(0)] * dim for _ in range(dim)]
-    failed = []
-    max_imag = 0.0
-    max_dev = 0.0
-    all_exact = want_exact
-    for (i, j), rv in entries.items():
-        max_imag = max(max_imag, abs(rv.numeric.imag))
-        numeric[i][j] = numeric[j][i] = rv.numeric.real
-        if rv.exact is None:
-            failed.append((i, j))
-            all_exact = False
-        else:
-            exact[i][j] = exact[j][i] = rv.exact
-            max_dev = max(max_dev, abs(rv.numeric - float(rv.exact)))
-    return GramForm(
-        labels=list(labels),
-        numeric=numeric,
-        exact=exact if all_exact else None,
-        failed_entries=failed,
-        max_imag=max_imag,
-        max_numeric_exact_dev=max_dev,
-    )
-
-
 def gram_qa(
     inst: ProblemInstance,
     cfg: LimitConfig,
@@ -119,22 +93,43 @@ def gram_qa(
 ) -> GramForm:
     """Gram matrix [R(e_a e_b)] over the monomial basis of the algebra.
 
-    Entries come from the raw product monomials; reduction-independence
-    (evaluating the normal form instead) is checked in the test suite.
+    Entries come from the raw product monomials, all in one batched limit;
+    reduction-independence (evaluating the normal form instead) is checked in
+    the test suite.
     """
     if alg is None:
         alg = icis_algebra(inst)
     if sampler is None:
         sampler = make_sampler(inst, cfg, seed, expected=alg.colength)
+    dim = len(alg.basis)
     labels = [Poly.monomial(m).to_string([f"x{i+1}" for i in range(inst.n)]) for m in alg.basis]
-    entries = {}
-    for a in range(len(alg.basis)):
-        for b in range(a, len(alg.basis)):
-            mono = tuple(x + y for x, y in zip(alg.basis[a], alg.basis[b]))
-            entries[(a, b)] = sampler.r_of(
-                Poly.monomial(mono), label=f"gram[{a},{b}]"
-            )
-    return _assemble_gram(labels, entries, want_exact)
+    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
+    values = sampler.r_of(
+        [
+            Poly.monomial(tuple(x + y for x, y in zip(alg.basis[a], alg.basis[b])))
+            for a, b in pairs
+        ],
+        [f"gram[{a},{b}]" for a, b in pairs],
+    )
+    numeric = np.zeros((dim, dim))
+    exact = [[Fraction(0)] * dim for _ in range(dim)]
+    failed = []
+    max_dev = 0.0
+    for (i, j), rv in zip(pairs, values):
+        numeric[i][j] = numeric[j][i] = rv.numeric.real
+        if rv.exact is None:
+            failed.append((i, j))
+        else:
+            exact[i][j] = exact[j][i] = rv.exact
+            max_dev = max(max_dev, abs(rv.numeric - float(rv.exact)))
+    return GramForm(
+        labels=labels,
+        numeric=numeric,
+        exact=exact if want_exact and not failed else None,
+        failed_entries=failed,
+        max_imag=max((abs(rv.numeric.imag) for rv in values), default=0.0),
+        max_numeric_exact_dev=max_dev,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +179,17 @@ def im_lambda_basis(inst: ProblemInstance, alg: QuotientAlgebra):
     return ech
 
 
+def _congruence(B, G):
+    """B G B^T in exact arithmetic, as (B G) B^T; B and G are lists of rows."""
+    BG = [[sum(b * g for b, g in zip(row, col)) for col in zip(*G)] for row in B]
+    return [[sum(x * y for x, y in zip(row, b)) for b in B] for row in BG]
+
+
 def restricted_rank(gram_exact, subspace_rows):
     """Exact rank of a symmetric matrix restricted to a row-spanned subspace."""
     if not subspace_rows:
         return 0
-    b = subspace_rows
-    m = len(b)
-    n = len(b[0])
-    g = gram_exact
-    restricted = [
-        [
-            sum(b[r][i] * g[i][j] * b[s][j] for i in range(n) for j in range(n))
-            for s in range(m)
-        ]
-        for r in range(m)
-    ]
-    return ratlinalg.rank(restricted)
+    return ratlinalg.rank(_congruence(subspace_rows, gram_exact))
 
 
 @dataclass
@@ -207,7 +197,6 @@ class QOmegaResult:
     gram: GramForm
     rank: int
     im_lambda_dim: int
-    lambda_coords: list
 
 
 def gram_qomega(
@@ -226,75 +215,63 @@ def gram_qomega(
     if qa is None:
         qa = gram_qa(inst, cfg, seed, alg=alg, sampler=sampler)
     coords = [lambda_map(inst, g, alg) for g in generators]
-    dim = len(generators)
-    labels = [g.label() for g in generators]
-    numeric = np.zeros((dim, dim))
-    exact = None
-    if qa.exact is not None:
-        exact = [[Fraction(0)] * dim for _ in range(dim)]
-        for a in range(dim):
-            for b in range(a, dim):
-                v = sum(
-                    coords[a][i] * qa.exact[i][j] * coords[b][j]
-                    for i in range(alg.colength)
-                    for j in range(alg.colength)
-                )
-                exact[a][b] = exact[b][a] = v
-                numeric[a][b] = numeric[b][a] = float(v)
+    if qa.exact is None:
+        exact = None
+        C = np.array(coords, dtype=float).reshape(len(coords), alg.colength)
+        numeric = C @ qa.numeric @ C.T
     else:
-        ca = [np.array([float(c) for c in v]) for v in coords]
-        for a in range(dim):
-            for b in range(a, dim):
-                v = float(ca[a] @ qa.numeric @ ca[b])
-                numeric[a][b] = numeric[b][a] = v
-    gram = GramForm(labels=labels, numeric=numeric, exact=exact)
+        exact = _congruence(coords, qa.exact)
+        numeric = np.array(exact, dtype=float).reshape(len(coords), len(coords))
+    gram = GramForm(labels=[g.label() for g in generators], numeric=numeric, exact=exact)
     im = im_lambda_basis(inst, alg)
-    if qa.exact is not None:
-        rk = restricted_rank(qa.exact, im)
-    else:
-        rk = None
-    return QOmegaResult(
-        gram=gram, rank=rk, im_lambda_dim=len(im), lambda_coords=coords
-    )
+    rk = None if exact is None else restricted_rank(qa.exact, im)
+    return QOmegaResult(gram=gram, rank=rk, im_lambda_dim=len(im))
 
 
 def qomega_numeric(
     inst: ProblemInstance,
-    g1: FormGenerator,
-    g2: FormGenerator,
+    generators,
     cfg: LimitConfig,
     seed=0,
     sampler: ResidueSampler | None = None,
-) -> RValue:
+) -> list:
     """Independent evaluation of the module pairing on the deformed fibers.
 
-    At each critical point the two generators are restricted to the fiber in
-    the chart of the point's block: with dx = T dx_L on the fiber (the rows
-    of T are unit rows on L and the point's chart S on K), h dx_G restricts
-    to h det(T[G]) dx_L.  The product of the two chart coefficients is
-    divided by the chart Hessian J = Jtilde / Delta^2.
+    Returns the symmetric table of RValues over all generator pairs, from one
+    batched limit.  At each critical point every generator is restricted to
+    the fiber in the chart of the point's block: with dx = T dx_L on the
+    fiber (the rows of T are unit rows on L and the point's chart S on K),
+    h dx_G restricts to h det(T[G]) dx_L.  The product of two chart
+    coefficients is divided by the chart Hessian J = Jtilde / Delta^2, so the
+    pair table of one point set is (a Delta^2 / Jtilde)^T a.
     """
     if sampler is None:
         sampler = make_sampler(inst, cfg, seed)
     fam = sampler.family
     n, k = fam.n, fam.k
-    coeffs = StackedTPolys([g1.coeff, g2.coeff], n)
-    G1, G2 = list(g1.index_set), list(g2.index_set)
+    coeffs = StackedTPolys([g.coeff for g in generators], n)
+    index_sets = list(dict.fromkeys(g.index_set for g in generators))
+    which = [index_sets.index(g.index_set) for g in generators]
     charts = [(list(K), [j for j in range(n) if j not in K]) for K in fam.blocks]
+    pairs = np.triu_indices(len(generators))
 
-    def fn(ps):
+    def values(ps):
         T = np.zeros((len(ps), n, n - k), dtype=np.complex128)
         for b, (K, L) in enumerate(charts):
             rows = ps.block == b
             T[np.ix_(rows, L)] = np.eye(n - k)
             T[np.ix_(rows, K)] = ps.S[rows]
-        h = coeffs.eval(ps.t, ps.x)
-        a1 = h[:, 0] * np.linalg.det(T[:, G1, :])
-        a2 = h[:, 1] * np.linalg.det(T[:, G2, :])
-        J = ps.jtilde / ps.delta**2
-        return complex(np.sum(a1 * a2 / J))
+        dets = np.stack([np.linalg.det(T[:, list(G)]) for G in index_sets], axis=-1)
+        a = coeffs.eval(ps.t, ps.x) * dets[:, which]
+        return ((a * (ps.delta**2 / ps.jtilde)[:, None]).T @ a)[pairs]
 
-    return sampler.limit(fn, label=f"qomega[{g1.label()},{g2.label()}]")
+    labels = [
+        f"qomega[{generators[i].label()},{generators[j].label()}]" for i, j in zip(*pairs)
+    ]
+    table = [[None] * len(generators) for _ in generators]
+    for i, j, rv in zip(*pairs, sampler.limit(values, labels)):
+        table[i][j] = table[j][i] = rv
+    return table
 
 
 # ---------------------------------------------------------------------------

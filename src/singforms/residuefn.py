@@ -5,9 +5,11 @@ generic complex ray, of sum_P phi(P)/Jtilde(P) over the critical points of the
 deformed 1-form on the deformed fiber.  The limit function is holomorphic
 through the origin, so its value there equals its mean over a small circle;
 the trapezoid rule over S equidistant angles computes that mean with error
-O(r^S), far below solver noise.  Acceptance requires the means at the two
-smallest radii to agree, after which a continued-fraction rational
-reconstruction is attempted.
+O(r^S), far below solver noise.  Limits are batched: one pass over the solved
+point sets accumulates the circle means of a whole probe set at once (all
+probes stacked into one ``StackedTPolys``), and each probe's column is then
+accepted on its own when the means at the two smallest radii agree, after
+which a continued-fraction rational reconstruction is attempted.
 """
 
 from __future__ import annotations
@@ -94,53 +96,58 @@ class ResidueSampler:
                 warm_starts=None if warm_starts is None else warm_starts.get(r),
             )
         self.max_probe_deviation = 0.0
-        self.probe_deviations = []
 
     # -- generic circle means ------------------------------------------------
 
-    def means(self, fn):
-        """Average of fn(point_set) over each circle's samples, fixed order."""
+    def means(self, values):
+        """Average of values(point_set) over each circle's samples, fixed
+        order; one row per radius, accumulated one point set at a time."""
         out = []
         for r in self.cfg.radii:
             total = 0j
             for ps in self.grids[r]:
-                total += fn(ps)
+                total += values(ps)
             out.append(total / self.cfg.samples)
-        return out
+        return np.array(out)
 
-    def limit(self, fn, label: str = "") -> RValue:
-        ms = self.means(fn)
-        dev = _rel_dev(ms[-1], ms[-2]) if len(ms) >= 2 else 0.0
-        self.probe_deviations.append((label, dev))
-        self.max_probe_deviation = max(self.max_probe_deviation, dev)
-        if dev > self.cfg.tol_match:
-            raise NonConvergentError(
-                f"circle means disagree for {label or 'probe'}: "
-                f"{ms[-2]} vs {ms[-1]} (dev {dev:.3e})",
-                deviations=[(r, m) for r, m in zip(self.cfg.radii, ms)],
-            )
-        numeric = ms[-1]
-        exact = None
-        if abs(numeric.imag) < self.cfg.tol_match:
-            exact = reconstruct_rational(
-                numeric.real, self.cfg.max_denominator, self.cfg.tol_match
-            )
-        return RValue(numeric=numeric, exact=exact, certainty=dev)
+    def limit(self, values, labels) -> list:
+        """One RValue per label, values(point_set) giving one entry per label.
+
+        Each column is checked and reconstructed on its own, in label order.
+        """
+        out = []
+        for label, ms in zip(labels, self.means(values).T):
+            ms = [complex(m) for m in ms]
+            dev = _rel_dev(ms[-1], ms[-2]) if len(ms) >= 2 else 0.0
+            self.max_probe_deviation = max(self.max_probe_deviation, dev)
+            if dev > self.cfg.tol_match:
+                raise NonConvergentError(
+                    f"circle means disagree for {label}: "
+                    f"{ms[-2]} vs {ms[-1]} (dev {dev:.3e})",
+                    deviations=[(r, m) for r, m in zip(self.cfg.radii, ms)],
+                )
+            numeric = ms[-1]
+            exact = None
+            if abs(numeric.imag) < self.cfg.tol_match:
+                exact = reconstruct_rational(
+                    numeric.real, self.cfg.max_denominator, self.cfg.tol_match
+                )
+            out.append(RValue(numeric=numeric, exact=exact, certainty=dev))
+        return out
 
     # -- the functional -------------------------------------------------------
 
-    def _probe_sum(self, probe):
-        """fn(point_set) computing sum phi(P)/Jtilde(P) for one sample."""
-        if not isinstance(probe, (Poly, TPoly)):
+    def r_of(self, probes, labels=None) -> list:
+        """R of each probe (Poly or TPoly) from one batched limit."""
+        if not all(isinstance(p, (Poly, TPoly)) for p in probes):
             raise TypeError("probe must be Poly or TPoly")
-        sp = StackedTPolys([probe], self.family.n)
-        return lambda ps: complex(np.sum(sp.eval(ps.t, ps.x)[:, 0] / ps.jtilde))
-
-    def r_of(self, probe, label: str = "") -> RValue:
-        """R(probe) with the circle-mean limit and rational reconstruction."""
-        if not label and isinstance(probe, Poly):
-            label = repr(probe)
-        return self.limit(self._probe_sum(probe), label)
+        if labels is None:
+            labels = [repr(p) if isinstance(p, Poly) else "probe" for p in probes]
+        sp = StackedTPolys(probes, self.family.n)
+        return self.limit(
+            lambda ps: np.sum(sp.eval(ps.t, ps.x) / ps.jtilde[:, None], axis=0),
+            labels,
+        )
 
     def solver_diagnostics(self) -> dict:
         agg = {}
@@ -176,12 +183,6 @@ def r_at(inst, d: critpts.Deformation, phi: Poly, expected: int, seed=0) -> comp
     return complex(np.sum(vals / ps.jtilde))
 
 
-def r_limit(inst, phi: Poly, cfg: LimitConfig, seed=0, sampler=None) -> RValue:
-    if sampler is None:
-        sampler = make_sampler(inst, cfg, seed)
-    return sampler.r_of(phi)
-
-
 @dataclass
 class ProbeReport:
     """Outcome of a verification suite: per-probe deviations and the worst."""
@@ -204,16 +205,16 @@ def verify_ideal_vanishing(
         sampler = make_sampler(inst, cfg, seed)
     rng = np.random.default_rng(seed + 101)
     monos = monomials_below(inst.n, 3)
-    entries = []
-    worst = 0.0
+    probes, labels, names = [], [], []
     for gi, g in enumerate(build_ideal(inst)):
-        picks = rng.integers(0, len(monos), size=multipliers)
-        for pi in picks:
-            h = Poly.monomial(monos[int(pi)])
-            val = sampler.r_of(h * g, label=f"prop1 g{gi} h{monos[int(pi)]}")
-            dev = abs(val.numeric)
-            worst = max(worst, dev)
-            entries.append((f"g{gi}*x^{monos[int(pi)]}", dev))
+        for pi in rng.integers(0, len(monos), size=multipliers):
+            h = monos[int(pi)]
+            probes.append(Poly.monomial(h) * g)
+            labels.append(f"prop1 g{gi} h{h}")
+            names.append(f"g{gi}*x^{h}")
+    vals = sampler.r_of(probes, labels)
+    entries = [(name, abs(v.numeric)) for name, v in zip(names, vals)]
+    worst = max((dev for _, dev in entries), default=0.0)
     return ProbeReport(
         ok=worst < cfg.tol_match,
         max_deviation=worst,
@@ -253,7 +254,7 @@ def verify_class_invariance(
         sampler = make_sampler(inst, cfg, seed)
     alg = algebra(inst)
     probes = [Poly.monomial(m) for m in alg.basis]
-    base = [sampler.r_of(p).numeric for p in probes]
+    base = [v.numeric for v in sampler.r_of(probes)]
     rng = np.random.default_rng(seed + 202)
     entries = []
     worst = 0.0
@@ -277,9 +278,8 @@ def verify_class_invariance(
             sampler.opts,
             warm_starts=warm,
         )
-        for p, b in zip(probes, base):
-            val = twisted.r_of(p).numeric
-            dev = abs(val - b)
+        for p, b, val in zip(probes, base, twisted.r_of(probes)):
+            dev = abs(val.numeric - b)
             worst = max(worst, dev)
             entries.append((f"variant{v} {p!r}", dev))
     return ProbeReport(

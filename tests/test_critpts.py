@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from singforms import critpts
 from singforms.critpts import (
     CountMismatchError,
+    DegenerateChartError,
     Deformation,
     DeformationFamily,
     SolveOptions,
@@ -132,6 +134,32 @@ def test_count_mismatch_raises():
         solve_all(inst, d, 5, seed=1, opts=SolveOptions(max_retries=1, multistart=5))
     assert "expected 5" in str(exc.value)
     assert "paths_tracked" in exc.value.diagnostics
+
+
+def test_multistart_degenerate_chart_is_count_mismatch(monkeypatch):
+    """A degenerate chart after a multistart recovery is a count failure."""
+    inst = ex1(2, (1, 2))
+    fam = DeformationFamily(inst, generic_direction(inst, 0))
+    dedup = critpts._dedup
+    calls = []
+
+    def drop_one_from_homotopy(points, tol):
+        calls.append(1)
+        kept = dedup(points, tol)
+        return kept[:-1] if len(calls) == 1 else kept
+
+    def degenerate(family, t, xs):
+        raise DegenerateChartError("near-degenerate critical point (Jtilde ~ 0)")
+
+    monkeypatch.setattr(critpts, "_dedup", drop_one_from_homotopy)
+    monkeypatch.setattr(critpts, "_make_point_set", degenerate)
+    with pytest.raises(CountMismatchError) as exc:
+        solve_family_at(
+            fam, 1e-2, 4, np.random.default_rng(0), SolveOptions(max_retries=0)
+        )
+    assert "found 3 critical points, expected 4" in str(exc.value)
+    assert "degenerate" in str(exc.value)
+    assert exc.value.diagnostics["multistart_recoveries"] == 1
 
 
 # ---- Jacobian value ---------------------------------------------------------

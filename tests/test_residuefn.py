@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from singforms.critpts import Deformation, TPoly
+from singforms.critpts import Deformation, StackedTPolys, TPoly
 from singforms.icis import ProblemInstance, build_ideal
 from singforms.polyring import Poly, parse
 from singforms.residuefn import (
@@ -12,7 +12,6 @@ from singforms.residuefn import (
     ResidueSampler,
     make_sampler,
     r_at,
-    r_limit,
     verify_class_invariance,
     verify_ideal_vanishing,
 )
@@ -68,34 +67,34 @@ def test_r_at_k0():
 
 def test_r_limit_ex1_n2(ex1_n2_sampler):
     s = ex1_n2_sampler
-    assert s.r_of(parse("x1^2", VS2)).exact == Fraction(1, 2)
-    assert s.r_of(parse("x2^2", VS2)).exact == Fraction(-1, 2)
-    assert s.r_of(Poly.one(2)).exact == 0
-    assert s.r_of(parse("x1", VS2)).exact == 0
+    assert s.r_of([parse("x1^2", VS2)])[0].exact == Fraction(1, 2)
+    assert s.r_of([parse("x2^2", VS2)])[0].exact == Fraction(-1, 2)
+    assert s.r_of([Poly.one(2)])[0].exact == 0
+    assert s.r_of([parse("x1", VS2)])[0].exact == 0
 
 
 def test_r_limit_ex1_n3(ex1_n3_sampler):
     s = ex1_n3_sampler
-    assert s.r_of(Poly.one(3)).exact == 0
+    assert s.r_of([Poly.one(3)])[0].exact == 0
     for i in range(3):
-        assert s.r_of(Poly.variable(i, 3)).exact == 0
+        assert s.r_of([Poly.variable(i, 3)])[0].exact == 0
     # 2 / prod(a_j - a_i) in the Delta^2 J normalization carries the unit 1/4
-    assert s.r_of(parse("x1^2", VS3)).exact == Fraction(1, 6)
-    assert s.r_of(parse("x2^2", VS3)).exact == Fraction(-1, 4)
-    assert s.r_of(parse("x3^2", VS3)).exact == Fraction(1, 12)
+    assert s.r_of([parse("x1^2", VS3)])[0].exact == Fraction(1, 6)
+    assert s.r_of([parse("x2^2", VS3)])[0].exact == Fraction(-1, 4)
+    assert s.r_of([parse("x3^2", VS3)])[0].exact == Fraction(1, 12)
 
 
 def test_linearity(ex1_n2_sampler):
     s = ex1_n2_sampler
     p, q = parse("x1^2", VS2), parse("x2^2 + x1", VS2)
-    lhs = s.r_of(3 * p - 2 * q).numeric
-    rhs = 3 * s.r_of(p).numeric - 2 * s.r_of(q).numeric
+    lhs = s.r_of([3 * p - 2 * q])[0].numeric
+    rhs = 3 * s.r_of([p])[0].numeric - 2 * s.r_of([q])[0].numeric
     assert abs(lhs - rhs) < 2e-8
 
 
 def test_realness(ex1_n3_sampler):
     for probe in ["x1^2", "x2^2", "x1*x2", "x3^2"]:
-        v = ex1_n3_sampler.r_of(parse(probe, VS3))
+        v = ex1_n3_sampler.r_of([parse(probe, VS3)])[0]
         assert abs(v.numeric.imag) < 1e-8
         assert v.exact is not None
 
@@ -103,7 +102,10 @@ def test_realness(ex1_n3_sampler):
 def test_circle_mean_stability_halved_radius():
     cfg = LimitConfig(radii=(1e-2, 5e-3, 2.5e-3))
     s = make_sampler(ex1(2, (1, 2)), cfg, 42)
-    means = s.means(s._probe_sum(parse("x1^2", VS2)))
+    sp = StackedTPolys([parse("x1^2", VS2)], 2)
+    means = s.means(
+        lambda ps: np.sum(sp.eval(ps.t, ps.x) / ps.jtilde[:, None], axis=0)
+    )[:, 0]
     assert abs(means[1] - means[2]) < 1e-8
     assert abs(means[0] - means[1]) < 1e-8
 
@@ -115,7 +117,7 @@ def test_parameter_dependent_probe(ex1_n2_sampler):
     phi = parse("x1^2", VS2)
     psi = parse("x2^2 - 3*x1", VS2)
     moving = TPoly(phi, 7 * psi)  # phi + 7 t psi
-    v = s.r_of(moving)
+    v = s.r_of([moving])[0]
     assert v.exact == Fraction(1, 2)
 
 
@@ -123,15 +125,36 @@ def test_non_convergent_reports():
     cfg = LimitConfig(tol_match=1e-18)
     s = make_sampler(ex1(2, (1, 2)), cfg, 42)
     with pytest.raises(NonConvergentError) as exc:
-        s.r_of(parse("x1^2", VS2))
+        s.r_of([parse("x1^2", VS2)])
     assert len(exc.value.deviations) == 2
+
+
+def test_batch_independence(ex1_n2_sampler):
+    """A batched limit gives each probe the value it has on its own."""
+    s = ex1_n2_sampler
+    p, q = parse("x1^2", VS2), parse("x2^2 + 3*x1^2 + x1*x2", VS2)
+    batch = s.r_of([p, q, p + q])
+    assert [v.exact for v in batch] == [
+        s.r_of([r])[0].exact for r in (p, q, p + q)
+    ]
+    assert batch[2].exact == batch[0].exact + batch[1].exact
+
+
+def test_non_convergent_names_probe_in_batch():
+    cfg = LimitConfig(tol_match=1e-18)
+    s = make_sampler(ex1(2, (1, 2)), cfg, 42)
+    # the zero probe has identical means at both radii and passes
+    with pytest.raises(NonConvergentError) as exc:
+        s.r_of([Poly.zero(2), parse("x1^2", VS2)], ["zero probe", "square probe"])
+    assert "square probe" in str(exc.value)
+    assert "zero probe" not in str(exc.value)
 
 
 def test_r_limit_surface_and_seed_independence():
     """Different seeds use different generic rays; exact limits agree."""
     inst = ex1(2, (1, 2))
     for seed in (7, 123):
-        v = r_limit(inst, parse("x1^2", VS2), LimitConfig(), seed=seed)
+        v = make_sampler(inst, LimitConfig(), seed).r_of([parse("x1^2", VS2)])[0]
         assert v.exact == Fraction(1, 2)
         assert v.certainty < 1e-8
 
@@ -164,7 +187,7 @@ def test_class_invariance_explicit():
     from singforms.polyring import Poly as P_
 
     probes = [parse(s, VS2) for s in ["1", "x1", "x2", "x1^2"]]
-    base_vals = [base.r_of(p).numeric for p in probes]
+    base_vals = [base.r_of([p])[0].numeric for p in probes]
     # eta = dx1 (coefficients (1, 0)), then eta = 0 with h = x2
     for eta, h in [
         ([P_.one(2), P_.zero(2)], P_.zero(2)),
@@ -173,7 +196,7 @@ def test_class_invariance_explicit():
         fam = DeformationFamily(inst, base.family.direction, twist=(eta, h))
         tw = ResidueSampler(fam, 4, cfg, np.random.default_rng(1))
         for p, b in zip(probes, base_vals):
-            assert abs(tw.r_of(p).numeric - b) < 1e-8
+            assert abs(tw.r_of([p])[0].numeric - b) < 1e-8
 
 
 def test_class_invariance_suite():
@@ -196,6 +219,6 @@ def test_class_invariance_cusp_cold_start():
     fam = DeformationFamily(inst, base.family.direction, twist=(eta, h))
     cold = ResidueSampler(fam, 4, cfg, np.random.default_rng(3))
     for m in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        b = base.r_of(Poly.monomial(m)).numeric
-        t = cold.r_of(Poly.monomial(m)).numeric
+        b = base.r_of([Poly.monomial(m)])[0].numeric
+        t = cold.r_of([Poly.monomial(m)])[0].numeric
         assert abs(b - t) < 1e-8
