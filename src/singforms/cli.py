@@ -1,10 +1,11 @@
 """Command-line interface: problem-file ingestion, analysis reports, corpus.
 
 ``singforms analyze FILE`` runs the full pipeline on one problem file and
-prints a structured-text report (exit 0 iff all checks pass, 1 on bad input,
-2 on solver or limit failures, including a module dimension that does not
-stabilize, 3 on non-isolated input).  ``singforms verify-corpus`` runs
-the built-in instances against their expected values and the property checks.
+prints a structured-text report (exit 0 iff all checks pass, 1 on bad input
+or bad limit flags, 2 on solver or limit failures, including a module
+dimension that does not stabilize, 3 on non-isolated input).
+``singforms verify-corpus`` runs the built-in instances against their
+expected values and the property checks.
 
 Problem file format (keys may repeat; '#' starts a comment):
 
@@ -200,10 +201,10 @@ def cmd_analyze(args) -> int:
         text = open(args.file).read()
         pf = parse_problem_file(text)
         inst = problem_to_instance(pf)
+        config = _config_from_args(args)
     except (OSError, ValueError, PolyParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    config = _config_from_args(args)
     try:
         res = analyze(
             inst, config, mode=pf.mode, variables=tuple(pf.variables)
@@ -240,7 +241,11 @@ def _check_claim(name, expected, computed, rows):
 
 
 def cmd_verify_corpus(args) -> int:
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     names = [args.only] if args.only else list(CORPUS)
     all_ok = True
     for name in names:

@@ -6,9 +6,10 @@ For a deformed instance (f - eps, omega - alpha) the zeros of the restricted
     f_i(x) - eps_i = 0                                 (i = 1..k)
     A_j(x) - alpha_j - sum_i lambda_i df_i/dx_j(x) = 0 (j = 1..n)
 
-by total-degree homotopy continuation with the gamma trick (Euler predictor,
-Newton corrector, plain Newton polish at the end), plus warm-started Newton
-when good starting points are available (neighbouring samples on a circle).
+by total-degree homotopy continuation with the gamma trick: all start points
+are tracked at once, each path with its own step, one batched Euler predictor
+and Newton corrector per round and a Newton polish at the end.  Warm starts
+(neighbouring samples on a circle) use the same batched Newton, ``_newton``.
 
 At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
 is selected; with L the complement and m_j the (k+1)-minor on columns K then j,
@@ -130,13 +131,10 @@ class StackedTPolys:
 
     def eval(self, t: complex, X: np.ndarray) -> np.ndarray:
         """Values at rows of X; shape (m, npolys)."""
-        m = X.shape[0]
-        if self.E0 is None and self.E1 is None:
-            return np.zeros((m, self.npolys), dtype=np.complex128)
         if self.E0 is not None:
             out = self._part(X, self.E0, self.W0)
         else:
-            out = np.zeros((m, self.npolys), dtype=np.complex128)
+            out = np.zeros((X.shape[0], self.npolys), dtype=np.complex128)
         if self.E1 is not None:
             out = out + t * self._part(X, self.E1, self.W1)
         return out
@@ -329,7 +327,6 @@ class CriticalPointSet:
 
 @dataclass
 class SolveOptions:
-    tol_residual: float = 1e-12
     merge_tol: float | None = None  # default: 1e-8 * deformation radius
     max_retries: int = 3
     multistart: int = 60
@@ -346,7 +343,8 @@ class SolveOptions:
 
 
 class _Homotopy:
-    """H(x, s) = gamma (1-s) G(x) + s F(x), G the total-degree start system."""
+    """H(x, s) = gamma (1-s) G(x) + s F(x), G the total-degree start system;
+    ``s`` is a scalar or one value per row of X."""
 
     def __init__(self, family: DeformationFamily, t: complex, gamma: complex, b):
         self.family = family
@@ -356,119 +354,130 @@ class _Homotopy:
         self.d = np.array(family.degrees, dtype=np.int64)
         self.nv = family.nunk
 
-    def start_points(self):
+    def start_points(self) -> np.ndarray:
         roots = []
         for i in range(self.nv):
             d = int(self.d[i])
             base = self.b[i] ** (1.0 / d)
-            roots.append(
-                [base * np.exp(2j * np.pi * k / d) for k in range(d)]
-            )
-        return [np.array(c, dtype=np.complex128) for c in itertools.product(*roots)]
+            roots.append([base * np.exp(2j * np.pi * k / d) for k in range(d)])
+        return np.array(list(itertools.product(*roots)), dtype=np.complex128)
 
     def g_values(self, X):
         return X**self.d[None, :] - self.b[None, :]
 
-    def g_jac(self, X):
-        m = X.shape[0]
-        out = np.zeros((m, self.nv, self.nv), dtype=np.complex128)
-        idx = np.arange(self.nv)
-        out[:, idx, idx] = self.d[None, :] * X ** (self.d[None, :] - 1)
-        return out
-
-    def values(self, X, s: float):
+    def values(self, X, s):
+        s = np.asarray(s)[..., None]
         f = self.family.system_values(self.t, X)
-        g = self.g_values(X)
-        return self.gamma * (1.0 - s) * g + s * f
+        return self.gamma * (1.0 - s) * self.g_values(X) + s * f
 
-    def jac(self, X, s: float):
+    def jac(self, X, s):
+        s = np.asarray(s)[..., None, None]
         jf = self.family.system_jacobian(self.t, X)
-        jg = self.g_jac(X)
+        jg = np.zeros_like(jf)
+        idx = np.arange(self.nv)
+        jg[:, idx, idx] = self.d[None, :] * X ** (self.d[None, :] - 1)
         return self.gamma * (1.0 - s) * jg + s * jf
 
-    def ds_values(self, X, s: float):
-        f = self.family.system_values(self.t, X)
-        g = self.g_values(X)
-        return f - self.gamma * g
+    def ds_values(self, X):
+        return self.family.system_values(self.t, X) - self.gamma * self.g_values(X)
 
 
-def _newton_h(h: _Homotopy, x, s, iters=8, tol=1e-13):
-    X = x.reshape(1, -1)
+def _solve(J, b):
+    """Solve J[i] dx[i] = b[i] for every row; returns (dx, singular)."""
+    singular = np.zeros(len(b), dtype=bool)
+    try:
+        return np.linalg.solve(J, b[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        dx = np.zeros_like(b)
+        for i in range(len(b)):
+            try:
+                dx[i] = np.linalg.solve(J[i], b[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return dx, singular
+
+
+def _newton(F, J, X, iters, tol):
+    """Newton on every row of X (F, J give all rows' residuals and
+    Jacobians); returns (X, ok) per row.  A row freezes once max |F| < tol
+    (ok), or at a singular Jacobian or non-finite iterate (not ok).  A row
+    still moving after ``iters`` steps is ok when max |F| < 100 * tol.
+    Frozen rows stay in the batch and are masked, cheaper than gathering."""
+    X = np.array(X, dtype=np.complex128)
+    live = np.ones(len(X), dtype=bool)
+    ok = np.zeros(len(X), dtype=bool)
     for _ in range(iters):
-        val = h.values(X, s)[0]
-        if np.max(np.abs(val)) < tol:
-            return X[0], True
-        J = h.jac(X, s)[0]
-        try:
-            dx = np.linalg.solve(J, val)
-        except np.linalg.LinAlgError:
-            return X[0], False
-        X = X - dx.reshape(1, -1)
-        if not np.all(np.isfinite(X)):
-            return X[0], False
-    val = h.values(X, s)[0]
-    return X[0], bool(np.max(np.abs(val)) < tol * 100)
+        vals = F(X)
+        small = np.abs(vals).max(axis=1) < tol
+        ok |= live & small
+        live &= ~small
+        if not live.any():
+            return X, ok
+        dx, singular = _solve(J(X), vals)
+        step = X - dx
+        live &= ~singular & np.isfinite(step).all(axis=1)
+        X = np.where(live[:, None], step, X)
+    ok |= live & (np.abs(F(X)).max(axis=1) < 100 * tol)
+    return X, ok
 
 
-def _track_path(h: _Homotopy, x0: np.ndarray):
-    """Track one start point from s=0 to s=1; returns (endpoint | None, status)."""
-    x = x0.copy()
-    s = 0.0
-    ds = 0.05
-    while s < 1.0:
-        step = min(ds, 1.0 - s)
-        X = x.reshape(1, -1)
+def _track(h: _Homotopy, starts: np.ndarray):
+    """Track all start points from s = 0 to s = 1 at once; returns the
+    endpoints and a status per path ("converged", "diverged", "stalled",
+    "polish_failed") in start order.  Each path keeps its own s and step ds:
+    an accepted step grows ds by 1.7 up to 0.1, a failed corrector shrinks
+    it by 0.4, a singular predictor halves it.  Below ds = 1e-12 a path
+    stalls, or diverged if |x| is large (paths to infinity shrink the step
+    against a blowing-up |x|).  Endpoints are polished on the target system.
+    """
+    X = np.array(starts, dtype=np.complex128)
+    s, ds = np.zeros(len(X)), np.full(len(X), 0.05)
+    status = np.full(len(X), "tracking", dtype="<U13")
+    act = np.arange(len(X))
+    while len(act):
+        step = np.minimum(ds[act], 1.0 - s[act])
         # Euler predictor
-        try:
-            J = h.jac(X, s)[0]
-            rhs = h.ds_values(X, s)[0]
-            dx = np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError:
-            ds *= 0.5
-            if ds < 1e-12:
-                return None, "stalled"
-            continue
-        x_pred = x - step * dx
-        s_new = s + step
-        x_corr, ok = _newton_h(h, x_pred, s_new, iters=4, tol=1e-11)
-        if ok and np.all(np.isfinite(x_corr)):
-            x, s = x_corr, s_new
-            if np.max(np.abs(x)) > _DIVERGENCE:
-                return None, "diverged"
-            ds = min(ds * 1.7, 0.1)
-        else:
-            ds *= 0.4
-            if ds < 1e-12:
-                # paths to infinity shrink the step against a blowing-up |x|
-                if np.max(np.abs(x)) > 1e3 and s > 0.99:
-                    return None, "diverged"
-                if np.max(np.abs(x)) > 1e4:
-                    return None, "diverged"
-                return None, "stalled"
+        dx, singular = _solve(h.jac(X[act], s[act]), h.ds_values(X[act]))
+        if singular.any():
+            cut = act[singular]
+            ds[cut] *= 0.5
+            status[cut[ds[cut] < 1e-12]] = "stalled"
+            act, dx, step = act[~singular], dx[~singular], step[~singular]
+        s_new = s[act] + step
+        X_corr, ok = _newton(
+            lambda Y: h.values(Y, s_new), lambda Y: h.jac(Y, s_new),
+            X[act] - step[:, None] * dx, iters=4, tol=1e-11,
+        )
+        acc = act[ok]
+        X[acc], s[acc] = X_corr[ok], s_new[ok]
+        ds[acc] = np.minimum(ds[acc] * 1.7, 0.1)
+        status[acc[np.abs(X[acc]).max(axis=1) > _DIVERGENCE]] = "diverged"
+        if not ok.all():
+            rej = act[~ok]
+            ds[rej] *= 0.4
+            rej = rej[ds[rej] < 1e-12]
+            big = np.abs(X[rej]).max(axis=1)
+            status[rej] = np.where(
+                ((big > 1e3) & (s[rej] > 0.99)) | (big > 1e4), "diverged", "stalled"
+            )
+        act = np.flatnonzero((status == "tracking") & (s < 1.0))
     # polish on the target system
-    x_fin, ok = _newton_h(h, x, 1.0, iters=12, tol=1e-14)
-    if ok and np.all(np.isfinite(x_fin)) and np.max(np.abs(x_fin)) < _DIVERGENCE:
-        return x_fin, "converged"
-    return None, "polish_failed"
+    fin = np.flatnonzero(status == "tracking")
+    X_fin, ok = _newton(
+        lambda Y: h.values(Y, 1.0), lambda Y: h.jac(Y, 1.0), X[fin], iters=12, tol=1e-14
+    )
+    ok &= np.abs(X_fin).max(axis=1) < _DIVERGENCE
+    X[fin] = X_fin
+    status[fin] = np.where(ok, "converged", "polish_failed")
+    return X, status
 
 
-def _newton_family(family, t, X0, iters=14, tol=1e-14):
-    """Vectorized Newton on the family system for a batch of points."""
-    X = np.array(X0, dtype=np.complex128)
-    for _ in range(iters):
-        vals = family.system_values(t, X)
-        if np.max(np.abs(vals)) < tol:
-            break
-        J = family.system_jacobian(t, X)
-        try:
-            dx = np.linalg.solve(J, vals[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            return X, np.full(X.shape[0], np.inf)
-        X = X - dx
-        if not np.all(np.isfinite(X)):
-            return X, np.full(X.shape[0], np.inf)
-    res = family.residuals(t, X)
-    return X, res
+def _newton_family(family, t, X0):
+    """Newton on the family system at t for a batch of points; (X, ok)."""
+    return _newton(
+        lambda X: family.system_values(t, X), lambda X: family.system_jacobian(t, X),
+        X0, iters=14, tol=1e-14,
+    )
 
 
 def _dedup(points: np.ndarray, tol: float):
@@ -480,14 +489,9 @@ def _dedup(points: np.ndarray, tol: float):
     return kept
 
 
-def _canonical_sort(points):
-    def key(p):
-        return tuple(v for z in p for v in (z.real, z.imag))
-
-    return sorted(points, key=key)
-
-
 def _make_point_set(family, t, xs) -> CriticalPointSet:
+    """The point set of the rows xs, sorted by (re, im) of their entries."""
+    xs = sorted(xs, key=lambda p: tuple(v for z in p for v in (z.real, z.imag)))
     X = np.asarray(xs, dtype=np.complex128).reshape(-1, family.nunk)
     delta, jtilde, block, S = family.jacobian_data(t, X[:, : family.n])
     jts = np.abs(jtilde)
@@ -509,55 +513,38 @@ def solve_family_at(
     falls back to extra Newton multistarts before giving up.
     """
     opts = opts or SolveOptions()
-    diagnostics = {
-        "paths_tracked": 0,
-        "paths_diverged": 0,
-        "path_failures": 0,
-        "retries": 0,
-        "multistart_recoveries": 0,
-    }
+    diagnostics = dict.fromkeys(
+        ("paths_tracked", "paths_diverged", "path_failures", "retries", "multistart_recoveries"), 0
+    )
     if expected == 0:
         ps = _make_point_set(family, t, [])
         ps.diagnostics = diagnostics
         return ps
     mtol = opts.merge_tolerance(abs(t))
-    last_found = []
-    for attempt in range(opts.max_retries + 1):
+    for _ in range(opts.max_retries + 1):
         gamma = np.exp(2j * np.pi * rng.random())
         b = (0.5 + rng.random(family.nunk)) * np.exp(
             2j * np.pi * rng.random(family.nunk)
         )
         h = _Homotopy(family, t, gamma, b)
-        starts = h.start_points()
-        diagnostics["paths_tracked"] += len(starts)
-        endpoints = []
-        for x0 in starts:
-            end, status = _track_path(h, x0)
-            if status == "converged":
-                endpoints.append(end)
-            elif status == "diverged":
-                diagnostics["paths_diverged"] += 1
-            else:
-                diagnostics["path_failures"] += 1
-        if endpoints:
-            X, res = _newton_family(family, t, np.array(endpoints))
-            good = [x for x, r in zip(X, res) if r < opts.tol_residual]
-        else:
-            good = []
-        found = _dedup(np.array(good), mtol) if good else []
-        last_found = found
+        ends, status = _track(h, h.start_points())
+        converged = status == "converged"
+        diverged = status == "diverged"
+        diagnostics["paths_tracked"] += len(status)
+        diagnostics["paths_diverged"] += int(diverged.sum())
+        diagnostics["path_failures"] += int((~converged & ~diverged).sum())
+        X, ok = _newton_family(family, t, ends[converged])
+        found = _dedup(X[ok], mtol)
         if len(found) == expected:
             try:
-                ps = _make_point_set(family, t, _canonical_sort(found))
+                ps = _make_point_set(family, t, found)
+                ps.diagnostics = diagnostics
+                return ps
             except DegenerateChartError:
-                diagnostics["retries"] += 1
-                continue
-            ps.diagnostics = diagnostics
-            return ps
+                pass
         diagnostics["retries"] += 1
-    message = f"found {len(last_found)} critical points, expected {expected}"
+    message = f"found {len(found)} critical points, expected {expected}"
     # multistart Newton recovery around the scale of what was found
-    found = list(last_found)
     if found and len(found) < expected and opts.multistart > 0:
         scale = float(np.median([np.max(np.abs(p)) for p in found])) or 1.0
         for _ in range(opts.multistart):
@@ -565,8 +552,8 @@ def solve_family_at(
                 rng.standard_normal(family.nunk)
                 + 1j * rng.standard_normal(family.nunk)
             )
-            X, res = _newton_family(family, t, x0.reshape(1, -1))
-            if res[0] < opts.tol_residual:
+            X, ok = _newton_family(family, t, x0.reshape(1, -1))
+            if ok[0]:
                 merged = _dedup(np.array(found + [X[0]]), mtol)
                 if len(merged) > len(found):
                     found = merged
@@ -575,7 +562,7 @@ def solve_family_at(
                 break
         if len(found) == expected:
             try:
-                ps = _make_point_set(family, t, _canonical_sort(found))
+                ps = _make_point_set(family, t, found)
             except DegenerateChartError as exc:
                 message += f"; multistart recovered {expected}, but the chart is degenerate: {exc}"
             else:
@@ -592,14 +579,14 @@ def solve_warm(
     opts: SolveOptions,
 ):
     """Newton continuation from known nearby solutions; None on failure."""
-    X, res = _newton_family(family, t, starts)
-    if np.any(res > opts.tol_residual) or not np.all(np.isfinite(X)):
+    X, ok = _newton_family(family, t, starts)
+    if not ok.all():
         return None
     found = _dedup(X, opts.merge_tolerance(abs(t)))
     if len(found) != expected:
         return None
     try:
-        return _make_point_set(family, t, _canonical_sort(found))
+        return _make_point_set(family, t, found)
     except DegenerateChartError:
         return None
 

@@ -116,8 +116,9 @@ def analyze(
     checks = []
 
     # two-route agreement on all generator pairs
-    table = quadforms.qomega_numeric(inst, generators, cfg, config.seed, sampler=sampler)
-    qomega_numeric_entries = np.array([[rv.numeric for rv in row] for row in table])
+    qomega_numeric_entries = quadforms.qomega_numeric(
+        inst, generators, cfg, config.seed, sampler=sampler
+    )
     lam = qo.gram.numeric  # the float values of the exact Gram when there is one
     scale = np.maximum(1.0, np.maximum(abs(qomega_numeric_entries), abs(lam)))
     max_two_route = float(np.max(abs(qomega_numeric_entries - lam) / scale))

@@ -234,11 +234,11 @@ def qomega_numeric(
     cfg: LimitConfig,
     seed=0,
     sampler: ResidueSampler | None = None,
-) -> list:
+) -> np.ndarray:
     """Independent evaluation of the module pairing on the deformed fibers.
 
-    Returns the symmetric table of RValues over all generator pairs, from one
-    batched limit.  At each critical point every generator is restricted to
+    Returns the symmetric complex G x G table over all generator pairs, from
+    one batched limit.  At each critical point every generator is restricted to
     the fiber in the chart of the point's block: with dx = T dx_L on the
     fiber (the rows of T are unit rows on L and the point's chart S on K),
     h dx_G restricts to h det(T[G]) dx_L.  The product of two chart
@@ -268,9 +268,8 @@ def qomega_numeric(
     labels = [
         f"qomega[{generators[i].label()},{generators[j].label()}]" for i, j in zip(*pairs)
     ]
-    table = [[None] * len(generators) for _ in generators]
-    for i, j, rv in zip(*pairs, sampler.limit(values, labels)):
-        table[i][j] = table[j][i] = rv
+    table = np.zeros((len(generators), len(generators)), dtype=np.complex128)
+    table[pairs] = table[pairs[::-1]] = sampler.limit(values, labels)
     return table
 
 

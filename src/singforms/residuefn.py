@@ -41,8 +41,9 @@ class LimitConfig:
     max_denominator: int = 10**6
 
     def __post_init__(self):
-        if list(self.radii) != sorted(self.radii, reverse=True):
-            raise ValueError("radii must be strictly decreasing")
+        r = list(self.radii)
+        if len(r) < 2 or any(a <= b for a, b in zip(r, r[1:])):
+            raise ValueError("radii must be at least two, strictly decreasing")
         if self.samples < 16 or self.samples % 2:
             raise ValueError("samples must be an even integer >= 16")
 
@@ -51,7 +52,6 @@ class LimitConfig:
 class RValue:
     numeric: complex
     exact: Fraction | None
-    certainty: float
 
 
 def _rel_dev(a: complex, b: complex) -> float:
@@ -110,44 +110,45 @@ class ResidueSampler:
             out.append(total / self.cfg.samples)
         return np.array(out)
 
-    def limit(self, values, labels) -> list:
-        """One RValue per label, values(point_set) giving one entry per label.
+    def limit(self, values, labels) -> np.ndarray:
+        """The limits of values(point_set), one entry per label.
 
-        Each column is checked and reconstructed on its own, in label order.
+        Each column is checked on its own, in label order: the circle means
+        at the two smallest radii must agree.  Returns the means at the
+        smallest radius.
         """
-        out = []
-        for label, ms in zip(labels, self.means(values).T):
-            ms = [complex(m) for m in ms]
-            dev = _rel_dev(ms[-1], ms[-2]) if len(ms) >= 2 else 0.0
+        ms = self.means(values)
+        for label, col in zip(labels, ms.T):
+            col = [complex(m) for m in col]
+            dev = _rel_dev(col[-1], col[-2])
             self.max_probe_deviation = max(self.max_probe_deviation, dev)
             if dev > self.cfg.tol_match:
                 raise NonConvergentError(
                     f"circle means disagree for {label}: "
-                    f"{ms[-2]} vs {ms[-1]} (dev {dev:.3e})",
-                    deviations=[(r, m) for r, m in zip(self.cfg.radii, ms)],
+                    f"{col[-2]} vs {col[-1]} (dev {dev:.3e})",
+                    deviations=[(r, m) for r, m in zip(self.cfg.radii, col)],
                 )
-            numeric = ms[-1]
-            exact = None
-            if abs(numeric.imag) < self.cfg.tol_match:
-                exact = reconstruct_rational(
-                    numeric.real, self.cfg.max_denominator, self.cfg.tol_match
-                )
-            out.append(RValue(numeric=numeric, exact=exact, certainty=dev))
-        return out
+        return ms[-1]
 
     # -- the functional -------------------------------------------------------
 
     def r_of(self, probes, labels=None) -> list:
-        """R of each probe (Poly or TPoly) from one batched limit."""
+        """R of each probe (Poly or TPoly) from one batched limit, as RValues
+        rationalized when the limit is real to within ``tol_match``."""
         if not all(isinstance(p, (Poly, TPoly)) for p in probes):
             raise TypeError("probe must be Poly or TPoly")
         if labels is None:
             labels = [repr(p) if isinstance(p, Poly) else "probe" for p in probes]
         sp = StackedTPolys(probes, self.family.n)
-        return self.limit(
+        vals = self.limit(
             lambda ps: np.sum(sp.eval(ps.t, ps.x) / ps.jtilde[:, None], axis=0),
             labels,
         )
+        tol, den = self.cfg.tol_match, self.cfg.max_denominator
+        return [
+            RValue(v, reconstruct_rational(v.real, den, tol) if abs(v.imag) < tol else None)
+            for v in map(complex, vals)
+        ]
 
     def solver_diagnostics(self) -> dict:
         agg = {}

@@ -117,6 +117,17 @@ def test_analyze_exit_codes(tmp_path):
     missing = tmp_path / "missing.txt"
     assert run_cli(["analyze", str(missing)])[0] == EXIT_INPUT
 
+    # bad limit flags are input errors in both commands, not tracebacks
+    good = tmp_path / "ex1.txt"
+    good.write_text(EX1_N2)
+    for flags in (["--radii", "1e-2,1e-1"], ["--samples", "15"], ["--radii", "1e-2"]):
+        code, out, err = run_cli(["analyze", str(good), *flags])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("input error: ")
+        code, _, err = run_cli(["verify-corpus", "--only", "smooth_line", *flags])
+        assert code == EXIT_INPUT
+        assert err.startswith("input error: ")
+
 
 def test_analyze_omega_dim_inconclusive(tmp_path):
     """A module dimension that does not stabilize is a solver failure."""

@@ -162,6 +162,40 @@ def test_multistart_degenerate_chart_is_count_mismatch(monkeypatch):
     assert exc.value.diagnostics["multistart_recoveries"] == 1
 
 
+# ---- batched tracking and Newton ----------------------------------------------
+
+def test_batched_track_matches_single_paths():
+    """Tracking all start points at once gives each path the status and
+    endpoint it gets when tracked alone; ex2_n3 has diverging paths."""
+    inst = ProblemInstance(
+        3, 1, [parse("x1^2 + x2^2 + x3^3", ["x1", "x2", "x3"])],
+        [Poly.one(3), Poly.zero(3), Poly.zero(3)],
+    )
+    fam = DeformationFamily(inst, generic_direction(inst, 42))
+    rng = np.random.default_rng(0)
+    gamma = np.exp(2j * np.pi * rng.random())
+    b = (0.5 + rng.random(fam.nunk)) * np.exp(2j * np.pi * rng.random(fam.nunk))
+    h = critpts._Homotopy(fam, 1e-2, gamma, b)
+    starts = h.start_points()
+    X, status = critpts._track(h, starts)
+    assert "diverged" in status and "converged" in status
+    for i, x0 in enumerate(starts):
+        Xi, si = critpts._track(h, x0.reshape(1, -1))
+        assert si[0] == status[i]
+        if si[0] == "converged":
+            assert np.max(np.abs(Xi[0] - X[i])) < 1e-12
+
+
+def test_newton_freezes_rows_independently():
+    """A singular Jacobian fails its own row and leaves the others."""
+    X, ok = critpts._newton(
+        lambda X: X**2 - 1, lambda X: (2 * X)[:, :, None],
+        np.array([[0.0], [2.0]]), iters=14, tol=1e-14,
+    )
+    assert ok.tolist() == [False, True]
+    assert abs(X[1, 0] - 1) < 1e-14
+
+
 # ---- Jacobian value ---------------------------------------------------------
 
 def test_shuffle_sign():

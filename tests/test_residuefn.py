@@ -42,6 +42,11 @@ def test_limit_config_validation():
         LimitConfig(radii=(1e-3, 1e-2))
     with pytest.raises(ValueError):
         LimitConfig(samples=15)
+    # one radius or a repeated radius leaves nothing to compare
+    with pytest.raises(ValueError):
+        LimitConfig(radii=(1e-2,))
+    with pytest.raises(ValueError):
+        LimitConfig(radii=(1e-2, 1e-2))
 
 
 # ---- r_at: Formula at a fixed deformation ------------------------------------
@@ -154,9 +159,10 @@ def test_r_limit_surface_and_seed_independence():
     """Different seeds use different generic rays; exact limits agree."""
     inst = ex1(2, (1, 2))
     for seed in (7, 123):
-        v = make_sampler(inst, LimitConfig(), seed).r_of([parse("x1^2", VS2)])[0]
+        s = make_sampler(inst, LimitConfig(), seed)
+        v = s.r_of([parse("x1^2", VS2)])[0]
         assert v.exact == Fraction(1, 2)
-        assert v.certainty < 1e-8
+        assert s.max_probe_deviation < 1e-8
 
 
 # ---- verification suites -------------------------------------------------------
