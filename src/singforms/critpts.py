@@ -131,10 +131,13 @@ class StackedTPolys:
 
     def eval(self, t: complex, X: np.ndarray) -> np.ndarray:
         """Values at rows of X; shape (m, npolys)."""
+        m = X.shape[0]
+        if self.E0 is None and self.E1 is None:
+            return np.zeros((m, self.npolys), dtype=np.complex128)
         if self.E0 is not None:
             out = self._part(X, self.E0, self.W0)
         else:
-            out = np.zeros((X.shape[0], self.npolys), dtype=np.complex128)
+            out = np.zeros((m, self.npolys), dtype=np.complex128)
         if self.E1 is not None:
             out = out + t * self._part(X, self.E1, self.W1)
         return out
@@ -352,14 +355,14 @@ class _Homotopy:
         self.gamma = gamma
         self.b = np.asarray(b, dtype=np.complex128)
         self.d = np.array(family.degrees, dtype=np.int64)
-        self.nv = family.nunk
 
     def start_points(self) -> np.ndarray:
         roots = []
-        for i in range(self.nv):
-            d = int(self.d[i])
-            base = self.b[i] ** (1.0 / d)
-            roots.append([base * np.exp(2j * np.pi * k / d) for k in range(d)])
+        for d, b in zip(self.family.degrees, self.b):
+            base = b ** (1.0 / d)
+            roots.append(
+                [base * np.exp(2j * np.pi * k / d) for k in range(d)]
+            )
         return np.array(list(itertools.product(*roots)), dtype=np.complex128)
 
     def g_values(self, X):
@@ -368,18 +371,20 @@ class _Homotopy:
     def values(self, X, s):
         s = np.asarray(s)[..., None]
         f = self.family.system_values(self.t, X)
-        return self.gamma * (1.0 - s) * self.g_values(X) + s * f
+        g = self.g_values(X)
+        return self.gamma * (1.0 - s) * g + s * f
 
     def jac(self, X, s):
-        s = np.asarray(s)[..., None, None]
-        jf = self.family.system_jacobian(self.t, X)
-        jg = np.zeros_like(jf)
-        idx = np.arange(self.nv)
-        jg[:, idx, idx] = self.d[None, :] * X ** (self.d[None, :] - 1)
-        return self.gamma * (1.0 - s) * jg + s * jf
+        s = np.asarray(s)[..., None]
+        J = s[..., None] * self.family.system_jacobian(self.t, X)
+        idx = np.arange(X.shape[1])
+        J[:, idx, idx] += self.gamma * (1.0 - s) * (self.d * X ** (self.d - 1))
+        return J
 
     def ds_values(self, X):
-        return self.family.system_values(self.t, X) - self.gamma * self.g_values(X)
+        f = self.family.system_values(self.t, X)
+        g = self.g_values(X)
+        return f - self.gamma * g
 
 
 def _solve(J, b):
@@ -489,7 +494,7 @@ def _dedup(points: np.ndarray, tol: float):
     return kept
 
 
-def _make_point_set(family, t, xs) -> CriticalPointSet:
+def _make_point_set(family, t, xs, diagnostics=None) -> CriticalPointSet:
     """The point set of the rows xs, sorted by (re, im) of their entries."""
     xs = sorted(xs, key=lambda p: tuple(v for z in p for v in (z.real, z.imag)))
     X = np.asarray(xs, dtype=np.complex128).reshape(-1, family.nunk)
@@ -497,7 +502,9 @@ def _make_point_set(family, t, xs) -> CriticalPointSet:
     jts = np.abs(jtilde)
     if len(jts) and jts.max() > 0 and jts.min() < 1e-10 * jts.max():
         raise DegenerateChartError("near-degenerate critical point (Jtilde ~ 0)")
-    return CriticalPointSet(t, X, family.residuals(t, X), delta, jtilde, block, S)
+    return CriticalPointSet(
+        t, X, family.residuals(t, X), delta, jtilde, block, S, diagnostics or {}
+    )
 
 
 def solve_family_at(
@@ -513,13 +520,15 @@ def solve_family_at(
     falls back to extra Newton multistarts before giving up.
     """
     opts = opts or SolveOptions()
-    diagnostics = dict.fromkeys(
-        ("paths_tracked", "paths_diverged", "path_failures", "retries", "multistart_recoveries"), 0
-    )
+    diagnostics = {
+        "paths_tracked": 0,
+        "paths_diverged": 0,
+        "path_failures": 0,
+        "retries": 0,
+        "multistart_recoveries": 0,
+    }
     if expected == 0:
-        ps = _make_point_set(family, t, [])
-        ps.diagnostics = diagnostics
-        return ps
+        return _make_point_set(family, t, [], diagnostics)
     mtol = opts.merge_tolerance(abs(t))
     for _ in range(opts.max_retries + 1):
         gamma = np.exp(2j * np.pi * rng.random())
@@ -537,9 +546,7 @@ def solve_family_at(
         found = _dedup(X[ok], mtol)
         if len(found) == expected:
             try:
-                ps = _make_point_set(family, t, found)
-                ps.diagnostics = diagnostics
-                return ps
+                return _make_point_set(family, t, found, diagnostics)
             except DegenerateChartError:
                 pass
         diagnostics["retries"] += 1
@@ -562,12 +569,9 @@ def solve_family_at(
                 break
         if len(found) == expected:
             try:
-                ps = _make_point_set(family, t, found)
+                return _make_point_set(family, t, found, diagnostics)
             except DegenerateChartError as exc:
                 message += f"; multistart recovered {expected}, but the chart is degenerate: {exc}"
-            else:
-                ps.diagnostics = diagnostics
-                return ps
     raise CountMismatchError(message, diagnostics)
 
 

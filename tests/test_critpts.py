@@ -148,7 +148,7 @@ def test_multistart_degenerate_chart_is_count_mismatch(monkeypatch):
         kept = dedup(points, tol)
         return kept[:-1] if len(calls) == 1 else kept
 
-    def degenerate(family, t, xs):
+    def degenerate(family, t, xs, diagnostics=None):
         raise DegenerateChartError("near-degenerate critical point (Jtilde ~ 0)")
 
     monkeypatch.setattr(critpts, "_dedup", drop_one_from_homotopy)
