@@ -9,7 +9,9 @@ For a deformed instance (f - eps, omega - alpha) the zeros of the restricted
 by total-degree homotopy continuation with the gamma trick: all start points
 are tracked at once, each path with its own step, one batched Euler predictor
 and Newton corrector per round and a Newton polish at the end.  Warm starts
-(neighbouring samples on a circle) use the same batched Newton, ``_newton``.
+(neighbouring samples on a circle) and ``solve_anchored`` (every sample of a
+grid from its own nearby solutions, in one batch) use the same batched
+Newton, ``_newton``.
 
 At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
 is selected; with L the complement and m_j the (k+1)-minor on columns K then j,
@@ -23,12 +25,15 @@ k = 0 this degenerates to det(dA_i/dx_j)(P).
 
 Deformations are affine in a single complex parameter t along a fixed
 direction, so all symbolic work (minors, gradients, system equations) is done
-once per family as pairs (P0, P1) meaning P0 + t*P1.
+once per family as pairs (P0, P1) meaning P0 + t*P1.  The system with its
+Jacobian, and the minor gradients of all blocks, are each one ``StackedTPolys``
+table, evaluated at a scalar t or at one t per row.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,59 +93,51 @@ class TPoly:
 
 
 class StackedTPolys:
-    """Evaluate a list of affine-in-t polynomials with one matmul per part.
+    """Evaluate a list of affine-in-t polynomials from one power table.
 
-    All terms of all polynomials share one exponent matrix; a weight matrix
-    scatters the term values into per-polynomial sums.  This keeps the hot
+    All terms of all polynomials share one exponent matrix, with one row per
+    (t power, x monomial) and the t^1 rows last; the monomials at the rows
+    of X are products of entries of the power table X^0..X^d, built by
+    repeated products, the t^1 columns are scaled by t, and one weight
+    matrix scatters them into per-polynomial sums.  This keeps the hot
     Newton loop at a handful of numpy calls regardless of system size.  A
     plain ``Poly`` in the list stands for a polynomial constant in t.
     """
 
-    __slots__ = ("E0", "W0", "E1", "W1", "npolys", "nvars")
+    __slots__ = ("cols", "deg", "W", "t_from", "npolys", "nvars")
 
     def __init__(self, tpolys, nvars: int):
-        tpolys = [
-            tp if isinstance(tp, TPoly) else TPoly(tp, Poly.zero(nvars)) for tp in tpolys
-        ]
-        self.npolys = len(tpolys)
-        self.nvars = nvars
-        self.E0, self.W0 = self._stack([tp.p0 for tp in tpolys], nvars)
-        self.E1, self.W1 = self._stack([tp.p1 for tp in tpolys], nvars)
+        tps = [tp if isinstance(tp, TPoly) else TPoly(tp, Poly.zero(nvars)) for tp in tpolys]
+        parts = [list(enumerate((tp.p0, tp.p1))) for tp in tps]  # (t power, part)
+        terms = sorted({(side, m) for pair in parts for side, p in pair for m in p.terms})
+        index = {term: i for i, term in enumerate(terms)}
+        self.W = np.zeros((len(terms), len(tps)), dtype=np.complex128)
+        for i, pair in enumerate(parts):
+            for side, p in pair:
+                for m, c in p.terms.items():
+                    self.W[index[side, m], i] = complex(c)
+        E = np.array([m for _, m in terms], dtype=np.int64).reshape(len(terms), nvars)
+        self.t_from = sum(1 for side, _ in terms if side == 0)  # the first t^1 row
+        self.deg = int(E.max(initial=0))
+        # per variable, the column of x_v^e in the flattened power table
+        self.cols = list(E.T + (self.deg + 1) * np.arange(nvars)[:, None])
+        self.npolys, self.nvars = len(tps), nvars
 
-    @staticmethod
-    def _stack(polys, nvars):
-        rows = []
-        cols = []
-        coeffs = []
-        for i, p in enumerate(polys):
-            for mono, c in sorted(p.terms.items()):
-                rows.append(mono)
-                cols.append(i)
-                coeffs.append(complex(c))
-        if not rows:
-            return None, None
-        E = np.array(rows, dtype=np.int64)
-        W = np.zeros((len(rows), len(polys)), dtype=np.complex128)
-        W[np.arange(len(rows)), cols] = coeffs
-        return E, W
-
-    @staticmethod
-    def _part(X, E, W):
-        powers = (X[:, None, :] ** E[None, :, :]).prod(axis=2)
-        return powers @ W
-
-    def eval(self, t: complex, X: np.ndarray) -> np.ndarray:
-        """Values at rows of X; shape (m, npolys)."""
-        m = X.shape[0]
-        if self.E0 is None and self.E1 is None:
-            return np.zeros((m, self.npolys), dtype=np.complex128)
-        if self.E0 is not None:
-            out = self._part(X, self.E0, self.W0)
-        else:
-            out = np.zeros((m, self.npolys), dtype=np.complex128)
-        if self.E1 is not None:
-            out = out + t * self._part(X, self.E1, self.W1)
-        return out
+    def eval(self, t, X: np.ndarray) -> np.ndarray:
+        """Values at rows of X, shape (m, npolys); t is a scalar or one
+        value per row."""
+        X = np.asarray(X, dtype=np.complex128)
+        m = len(X)
+        pw = np.empty((m, self.nvars, self.deg + 1), dtype=np.complex128)
+        pw[:, :, 0] = 1.0
+        for e in range(1, self.deg + 1):
+            np.multiply(pw[:, :, e - 1], X, out=pw[:, :, e])
+        pw = pw.reshape(m, self.nvars * (self.deg + 1))
+        M = pw.take(self.cols[0], axis=1)
+        for c in self.cols[1:]:
+            M *= pw.take(c, axis=1)
+        M[:, self.t_from :] *= np.asarray(t)[..., None]
+        return M @ self.W
 
 
 def shuffle_sign(K, L) -> int:
@@ -214,37 +211,35 @@ class DeformationFamily:
                 lam = Poly.variable(n + i, self.nunk)
                 p0 = p0 - lam * self.df[i][j].lift(self.nunk)
             eqs.append(TPoly(p0, self.A[j].p1.lift(self.nunk)))
-        self.equations = eqs
         self.degrees = [max(e.degree(), 1) for e in eqs]
-        self._ceqs = StackedTPolys(eqs, self.nunk)
-        self._cjac = StackedTPolys(
-            [e.diff(v) for e in eqs for v in range(self.nunk)], self.nunk
+        # values, then the Jacobian row-major, from one table
+        self._csys = StackedTPolys(
+            eqs + [e.diff(v) for e in eqs for v in range(self.nunk)], self.nunk
         )
         self._cdf = StackedTPolys([p for row in self.df for p in row], n)
 
-        # chart data: per block K, the x-gradients of the minors m_j (j in the
-        # complement), affine in t, stacked row-major as an (n-k) x n matrix
+        # chart data: per block K (index sets in _K, complements in _L), the
+        # x-gradients of the minors m_j (j in L), affine in t, all blocks in
+        # one table, each block's (n-k) x n matrix row-major
         self.blocks = list(itertools.combinations(range(n), k))
-        self._minor_grads = []
-        for K in self.blocks:
-            L = tuple(j for j in range(n) if j not in K)
-            ms = [_minor_tpoly(self.df, self.A, K + (j,)) for j in L]
-            self._minor_grads.append(
-                StackedTPolys([m.diff(c) for m in ms for c in range(n)], n)
-            )
+        self._K = np.array(self.blocks, dtype=np.int64)
+        self._L = np.array([[j for j in range(n) if j not in K] for K in self.blocks])
+        self._signs = np.array([shuffle_sign(K, L) for K, L in zip(self.blocks, self._L)])
+        minors = [
+            _minor_tpoly(self.df, self.A, K + (j,))
+            for K, L in zip(self.blocks, self._L.tolist())
+            for j in L
+        ]
+        self._cgrads = StackedTPolys([mi.diff(c) for mi in minors for c in range(n)], n)
 
     # -- system evaluation -------------------------------------------------
 
-    def system_values(self, t: complex, X: np.ndarray) -> np.ndarray:
-        """Residual vector of the multiplier system at rows of X ((m, n+k))."""
-        return self._ceqs.eval(t, X)
-
-    def system_jacobian(self, t: complex, X: np.ndarray) -> np.ndarray:
-        m = X.shape[0]
-        return self._cjac.eval(t, X).reshape(m, self.nunk, self.nunk)
-
-    def residuals(self, t: complex, X: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(self.system_values(t, X)), axis=1)
+    def system(self, t, X: np.ndarray):
+        """Values (m, n+k) and Jacobian (m, n+k, n+k) of the multiplier
+        system at the rows of X; t is a scalar or one value per row."""
+        nu = self.nunk
+        out = self._csys.eval(t, X)
+        return out[:, :nu], out[:, nu:].reshape(len(X), nu, nu)
 
     def df_values(self, X: np.ndarray) -> np.ndarray:
         """Jacobian of f at the x-part of the points: shape (m, k, n)."""
@@ -252,7 +247,7 @@ class DeformationFamily:
 
     # -- chart-free Jacobian value ------------------------------------------
 
-    def jacobian_data(self, t: complex, X: np.ndarray):
+    def jacobian_data(self, t, X: np.ndarray):
         """(delta, jtilde, block, S) at the rows of X (x-parts, shape (m, n)).
 
         Per row: ``block`` indexes the block K of ``blocks`` maximizing
@@ -260,28 +255,20 @@ class DeformationFamily:
         taken on it as in ``jacobian_on_block``.
         """
         X = np.asarray(X, dtype=np.complex128)
-        m = X.shape[0]
         dfx = self.df_values(X)
-        dets = np.stack([np.linalg.det(dfx[:, :, list(K)]) for K in self.blocks], axis=1)
+        dets = np.linalg.det(dfx[:, :, self._K].transpose(0, 2, 1, 3))
         block = np.argmax(np.abs(dets), axis=1)
         if self.k:
             scale = 1.0 + np.abs(dfx).max(axis=(1, 2))
-            if np.any(np.abs(dets[np.arange(m), block]) <= _CHART_TOL * scale):
+            if np.any(np.abs(dets[np.arange(len(X)), block]) <= _CHART_TOL * scale):
                 raise DegenerateChartError(
                     "all k x k Jacobian blocks are singular at a critical point"
                 )
-        delta = np.empty(m, dtype=np.complex128)
-        jtilde = np.empty(m, dtype=np.complex128)
-        S = np.empty((m, self.k, self.n - self.k), dtype=np.complex128)
-        for b in np.unique(block):
-            rows = block == b
-            delta[rows], jtilde[rows], S[rows] = self.jacobian_on_block(
-                t, X[rows], b, dfx[rows]
-            )
+        delta, jtilde, S = self.jacobian_on_block(t, X, block, dfx)
         return delta, jtilde, block, S
 
-    def jacobian_on_block(self, t: complex, X: np.ndarray, b: int, dfx=None):
-        """(delta, jtilde, S) at the rows of X on the block K = blocks[b].
+    def jacobian_on_block(self, t, X: np.ndarray, b, dfx=None):
+        """(delta, jtilde, S) at the rows of X on K = blocks[b] (b an index or one per row).
 
         ``delta`` is Delta_K, ``jtilde`` the chart-free Jacobian value and S
         (shape (m, k, n-k)) the fiber chart dx_K = S dx_L, i.e. the solution
@@ -291,13 +278,13 @@ class DeformationFamily:
         X = np.asarray(X, dtype=np.complex128)
         if dfx is None:
             dfx = self.df_values(X)
-        K = self.blocks[b]
-        L = [j for j in range(n) if j not in K]
-        dfK, dfL = dfx[:, :, list(K)], dfx[:, :, L]
+        r, b = np.arange(len(X))[:, None], np.full(len(X), b)
+        dfK = dfx[r, :, self._K[b]].transpose(0, 2, 1)
+        dfL = dfx[r, :, self._L[b]].transpose(0, 2, 1)
         delta = np.linalg.det(dfK)
-        grads = self._minor_grads[b].eval(t, X).reshape(X.shape[0], n - k, n)
-        jac_x = np.linalg.det(np.concatenate([dfx, grads], axis=1))
-        jtilde = shuffle_sign(K, L) * delta ** (1 - (n - k)) * jac_x
+        grads = self._cgrads.eval(t, X).reshape(len(X), len(self.blocks), n - k, n)
+        jac_x = np.linalg.det(np.concatenate([dfx, grads[r[:, 0], b]], axis=1))
+        jtilde = self._signs[b] * delta ** (1 - (n - k)) * jac_x
         return delta, jtilde, -np.linalg.solve(dfK, dfL)
 
 
@@ -352,9 +339,10 @@ class _Homotopy:
     def __init__(self, family: DeformationFamily, t: complex, gamma: complex, b):
         self.family = family
         self.t = t
-        self.gamma = gamma
+        self.gamma = complex(gamma)
         self.b = np.asarray(b, dtype=np.complex128)
         self.d = np.array(family.degrees, dtype=np.int64)
+        self.gd = self.gamma * self.d  # the start system's Jacobian is diag(gd * x^(d-1))
 
     def start_points(self) -> np.ndarray:
         roots = []
@@ -365,26 +353,17 @@ class _Homotopy:
             )
         return np.array(list(itertools.product(*roots)), dtype=np.complex128)
 
-    def g_values(self, X):
-        return X**self.d[None, :] - self.b[None, :]
-
-    def values(self, X, s):
-        s = np.asarray(s)[..., None]
-        f = self.family.system_values(self.t, X)
-        g = self.g_values(X)
-        return self.gamma * (1.0 - s) * g + s * f
-
-    def jac(self, X, s):
-        s = np.asarray(s)[..., None]
-        J = s[..., None] * self.family.system_jacobian(self.t, X)
-        idx = np.arange(X.shape[1])
-        J[:, idx, idx] += self.gamma * (1.0 - s) * (self.d * X ** (self.d - 1))
-        return J
-
-    def ds_values(self, X):
-        f = self.family.system_values(self.t, X)
-        g = self.g_values(X)
-        return f - self.gamma * g
+    def eval(self, X, s):
+        """(H, dH/dx, dH/ds) at the rows of X."""
+        s = np.asarray(s, dtype=np.complex128)[..., None]
+        f, J = self.family.system(self.t, X)
+        xd = X ** (self.d - 1)
+        gG = self.gamma * (xd * X - self.b)
+        c = 1.0 - s
+        J = s[..., None] * J
+        nu = X.shape[1]
+        J.reshape(len(X), nu * nu)[:, :: nu + 1] += c * (self.gd * xd)  # diagonal
+        return c * gG + s * f, J, f - gG
 
 
 def _solve(J, b):
@@ -402,8 +381,8 @@ def _solve(J, b):
         return dx, singular
 
 
-def _newton(F, J, X, iters, tol):
-    """Newton on every row of X (F, J give all rows' residuals and
+def _newton(FJ, X, iters, tol):
+    """Newton on every row of X (FJ gives all rows' residuals and
     Jacobians); returns (X, ok) per row.  A row freezes once max |F| < tol
     (ok), or at a singular Jacobian or non-finite iterate (not ok).  A row
     still moving after ``iters`` steps is ok when max |F| < 100 * tol.
@@ -412,17 +391,17 @@ def _newton(F, J, X, iters, tol):
     live = np.ones(len(X), dtype=bool)
     ok = np.zeros(len(X), dtype=bool)
     for _ in range(iters):
-        vals = F(X)
+        vals, J = FJ(X)
         small = np.abs(vals).max(axis=1) < tol
         ok |= live & small
         live &= ~small
         if not live.any():
             return X, ok
-        dx, singular = _solve(J(X), vals)
+        dx, singular = _solve(J, vals)
         step = X - dx
         live &= ~singular & np.isfinite(step).all(axis=1)
         X = np.where(live[:, None], step, X)
-    ok |= live & (np.abs(F(X)).max(axis=1) < 100 * tol)
+    ok |= live & (np.abs(FJ(X)[0]).max(axis=1) < 100 * tol)
     return X, ok
 
 
@@ -442,7 +421,8 @@ def _track(h: _Homotopy, starts: np.ndarray):
     while len(act):
         step = np.minimum(ds[act], 1.0 - s[act])
         # Euler predictor
-        dx, singular = _solve(h.jac(X[act], s[act]), h.ds_values(X[act]))
+        _, J, Hs = h.eval(X[act], s[act])
+        dx, singular = _solve(J, Hs)
         if singular.any():
             cut = act[singular]
             ds[cut] *= 0.5
@@ -450,8 +430,7 @@ def _track(h: _Homotopy, starts: np.ndarray):
             act, dx, step = act[~singular], dx[~singular], step[~singular]
         s_new = s[act] + step
         X_corr, ok = _newton(
-            lambda Y: h.values(Y, s_new), lambda Y: h.jac(Y, s_new),
-            X[act] - step[:, None] * dx, iters=4, tol=1e-11,
+            lambda Y: h.eval(Y, s_new)[:2], X[act] - step[:, None] * dx, iters=4, tol=1e-11
         )
         acc = act[ok]
         X[acc], s[acc] = X_corr[ok], s_new[ok]
@@ -468,9 +447,7 @@ def _track(h: _Homotopy, starts: np.ndarray):
         act = np.flatnonzero((status == "tracking") & (s < 1.0))
     # polish on the target system
     fin = np.flatnonzero(status == "tracking")
-    X_fin, ok = _newton(
-        lambda Y: h.values(Y, 1.0), lambda Y: h.jac(Y, 1.0), X[fin], iters=12, tol=1e-14
-    )
+    X_fin, ok = _newton(lambda Y: h.eval(Y, 1.0)[:2], X[fin], iters=12, tol=1e-14)
     ok &= np.abs(X_fin).max(axis=1) < _DIVERGENCE
     X[fin] = X_fin
     status[fin] = np.where(ok, "converged", "polish_failed")
@@ -478,33 +455,44 @@ def _track(h: _Homotopy, starts: np.ndarray):
 
 
 def _newton_family(family, t, X0):
-    """Newton on the family system at t for a batch of points; (X, ok)."""
-    return _newton(
-        lambda X: family.system_values(t, X), lambda X: family.system_jacobian(t, X),
-        X0, iters=14, tol=1e-14,
-    )
+    """Newton on the family system at t (scalar or one per row) for a batch; (X, ok)."""
+    return _newton(lambda X: family.system(t, X), X0, iters=14, tol=1e-14)
 
 
-def _dedup(points: np.ndarray, tol: float):
-    """Merge points closer than tol in max-norm; keeps first representative."""
-    kept = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) < tol for q in kept):
-            kept.append(p)
-    return kept
+def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
+    """Drop rows within tol (max-norm) of an earlier kept row; a cluster keeps its first."""
+    points = np.asarray(points)
+    close = np.abs(points[:, None] - points[None]).max(axis=2) < tol
+    keep = np.ones(len(points), dtype=bool)
+    for j in np.flatnonzero(close.sum(axis=0) > 1):  # close to some other row
+        keep[j] = not (close[:j, j] & keep[:j]).any()
+    return points[keep]
+
+
+def _point_sets(family, ts, Xs) -> list:
+    """The point set at each ts[i] of the rows Xs[i] (all of one size), sorted by (re, im) of
+    their entries, with one ``jacobian_data`` call for all rows; DegenerateChartError if any
+    set's chart is degenerate."""
+    ts = np.asarray(ts, dtype=np.complex128)
+    X = np.asarray(Xs, dtype=np.complex128).reshape(-1, family.nunk)
+    m = len(X) // len(ts)
+    keys = [p for z in X.T[::-1] for p in (z.imag, z.real)]
+    X = X[np.lexsort(keys + [np.repeat(np.arange(len(ts)), m)])]
+    tr = np.repeat(ts, m)
+    delta, jtilde, block, S = family.jacobian_data(tr, X[:, : family.n])
+    jts = np.abs(jtilde).reshape(len(ts), m)
+    if np.any(jts.min(axis=1, initial=np.inf) < 1e-10 * jts.max(axis=1, initial=0.0)):
+        raise DegenerateChartError("near-degenerate critical point (Jtilde ~ 0)")
+    residual = np.abs(family.system(tr, X)[0]).max(axis=1)
+    cols = (X, residual, delta, jtilde, block, S)
+    return [CriticalPointSet(t, *(c[i * m : i * m + m] for c in cols)) for i, t in enumerate(ts)]
 
 
 def _make_point_set(family, t, xs, diagnostics=None) -> CriticalPointSet:
-    """The point set of the rows xs, sorted by (re, im) of their entries."""
-    xs = sorted(xs, key=lambda p: tuple(v for z in p for v in (z.real, z.imag)))
-    X = np.asarray(xs, dtype=np.complex128).reshape(-1, family.nunk)
-    delta, jtilde, block, S = family.jacobian_data(t, X[:, : family.n])
-    jts = np.abs(jtilde)
-    if len(jts) and jts.max() > 0 and jts.min() < 1e-10 * jts.max():
-        raise DegenerateChartError("near-degenerate critical point (Jtilde ~ 0)")
-    return CriticalPointSet(
-        t, X, family.residuals(t, X), delta, jtilde, block, S, diagnostics or {}
-    )
+    """The point set of the rows xs at t, carrying the solver diagnostics."""
+    (ps,) = _point_sets(family, [t], [xs])
+    ps.diagnostics = diagnostics or {}
+    return ps
 
 
 def solve_family_at(
@@ -552,8 +540,8 @@ def solve_family_at(
         diagnostics["retries"] += 1
     message = f"found {len(found)} critical points, expected {expected}"
     # multistart Newton recovery around the scale of what was found
-    if found and len(found) < expected and opts.multistart > 0:
-        scale = float(np.median([np.max(np.abs(p)) for p in found])) or 1.0
+    if 0 < len(found) < expected and opts.multistart > 0:
+        scale = float(np.median(np.abs(found).max(axis=1))) or 1.0
         for _ in range(opts.multistart):
             x0 = scale * (
                 rng.standard_normal(family.nunk)
@@ -561,7 +549,7 @@ def solve_family_at(
             )
             X, ok = _newton_family(family, t, x0.reshape(1, -1))
             if ok[0]:
-                merged = _dedup(np.array(found + [X[0]]), mtol)
+                merged = _dedup(np.vstack([found, X[:1]]), mtol)
                 if len(merged) > len(found):
                     found = merged
                     diagnostics["multistart_recoveries"] += 1
@@ -575,6 +563,29 @@ def solve_family_at(
     raise CountMismatchError(message, diagnostics)
 
 
+def _solve_warm_batch(family, ts, starts, expected, opts) -> list:
+    """Newton from the rows starts[i] at ts[i] for every i in one batch; per
+    i the point set, or None unless every row converges, ``_dedup`` leaves
+    ``expected`` points and the chart is not degenerate."""
+    ts = np.asarray(ts, dtype=np.complex128)
+    starts = np.asarray(starts, dtype=np.complex128)
+    m = starts.shape[1]
+    X, ok = _newton_family(family, np.repeat(ts, m), starts.reshape(-1, family.nunk))
+    X, ok = X.reshape(starts.shape), ok.reshape(len(ts), m).all(axis=1)
+    found = {i: _dedup(X[i], opts.merge_tolerance(abs(ts[i]))) for i in np.flatnonzero(ok)}
+    good = [i for i, pts in found.items() if len(pts) == expected]
+    out = [None] * len(ts)
+    try:
+        sets = _point_sets(family, ts[good], [found[i] for i in good]) if good else []
+    except DegenerateChartError:  # find the degenerate ones one at a time
+        if len(ts) == 1:
+            return out
+        return [_solve_warm_batch(family, [t], [x], expected, opts)[0] for t, x in zip(ts, starts)]
+    for i, ps in zip(good, sets):
+        out[i] = ps
+    return out
+
+
 def solve_warm(
     family: DeformationFamily,
     t: complex,
@@ -583,16 +594,33 @@ def solve_warm(
     opts: SolveOptions,
 ):
     """Newton continuation from known nearby solutions; None on failure."""
-    X, ok = _newton_family(family, t, starts)
-    if not ok.all():
-        return None
-    found = _dedup(X, opts.merge_tolerance(abs(t)))
-    if len(found) != expected:
-        return None
-    try:
-        return _make_point_set(family, t, found)
-    except DegenerateChartError:
-        return None
+    return _solve_warm_batch(family, [t], [starts], expected, opts)[0]
+
+
+def solve_anchored(
+    family: DeformationFamily, ts, starts, expected: int, rng, opts: SolveOptions | None = None
+) -> list:
+    """Point sets at the parameters ts, each by Newton from its own nearby
+    solutions starts[i], all in one batch.  A sample failing the tests of
+    ``solve_warm`` is solved fresh by ``solve_family_at`` with rng."""
+    sets = _solve_warm_batch(family, ts, starts, expected, opts or SolveOptions())
+    for i, ps in enumerate(sets):
+        if ps is None:
+            sets[i] = solve_family_at(family, ts[i], expected, rng, opts)
+    return sets
+
+
+def circle_ts(radius: float, samples: int) -> np.ndarray:
+    """The parameters radius * exp(2 pi i j / samples), j = 0..samples-1."""
+    return np.array([radius * np.exp(1j * (2 * np.pi * j / samples)) for j in range(samples)])
+
+
+def solve_stats(sets) -> dict:
+    """Fresh solves among the sets (those with solver counters) and the counters summed."""
+    stats = Counter(fresh_solves=sum(1 for s in sets if s.diagnostics))
+    for s in sets:
+        stats.update(s.diagnostics)
+    return dict(stats)
 
 
 def track_circle(
@@ -602,40 +630,22 @@ def track_circle(
     expected: int,
     rng: np.random.Generator,
     opts: SolveOptions | None = None,
-    warm_starts=None,
 ):
-    """(point sets, stats) for samples points on the circle |t| = radius.
+    """(point sets, ``solve_stats``) at ``circle_ts(radius, samples)``.
 
-    The first angle is solved from scratch (or by Newton from ``warm_starts``
-    when given); later angles continue the previous solutions by Newton,
-    bisecting the angle step on failure and falling back to a fresh homotopy
-    solve as a last resort.  ``stats`` counts the fresh solves and sums their
-    solver counters over the grid.
+    The first angle is solved from scratch; later angles continue the
+    previous solutions by Newton, bisecting the angle step on failure and
+    falling back to a fresh homotopy solve as a last resort.
     """
     opts = opts or SolveOptions()
-    angles = [2 * np.pi * j / samples for j in range(samples)]
-    t0 = radius * np.exp(1j * angles[0])
-    first = None
-    fresh_solves = 0
-    if warm_starts is not None:
-        first = solve_warm(family, t0, warm_starts, expected, opts)
-    if first is None:
-        first = solve_family_at(family, t0, expected, rng, opts)
-        fresh_solves = 1
-    sets = [first]
-    for j in range(1, samples):
-        t = radius * np.exp(1j * angles[j])
-        prev = sets[-1]
-        got = _continue_to(family, prev, t, expected, opts, depth=0)
+    ts = circle_ts(radius, samples)
+    sets = [solve_family_at(family, ts[0], expected, rng, opts)]
+    for t in ts[1:]:
+        got = _continue_to(family, sets[-1], t, expected, opts, depth=0)
         if got is None:
             got = solve_family_at(family, t, expected, rng, opts)
-            fresh_solves += 1
         sets.append(got)
-    stats = {"fresh_solves": fresh_solves}
-    for s in sets:
-        for key, v in s.diagnostics.items():
-            stats[key] = stats.get(key, 0) + v
-    return sets, stats
+    return sets, solve_stats(sets)
 
 
 def _continue_to(family, prev_set, t, expected, opts, depth):

@@ -339,9 +339,6 @@ class QuotientAlgebra:
             {m: c for m, c in zip(self.basis, coords) if c != 0}, self.nvars
         )
 
-    def contains(self, p: Poly) -> bool:
-        return all(c == 0 for c in self.normal_form(p))
-
     def basis_product(self, i: int, j: int):
         """Coordinates of the product of basis classes i and j (cached)."""
         key = (i, j) if i <= j else (j, i)

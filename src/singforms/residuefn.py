@@ -9,7 +9,9 @@ O(r^S), far below solver noise.  Limits are batched: one pass over the solved
 point sets accumulates the circle means of a whole probe set at once (all
 probes stacked into one ``StackedTPolys``), and each probe's column is then
 accepted on its own when the means at the two smallest radii agree, after
-which a continued-fraction rational reconstruction is attempted.
+which a continued-fraction rational reconstruction is attempted.  Class
+invariance solves each twisted family at all samples in one anchored Newton
+batch, from the base points with the first multiplier shifted.
 """
 
 from __future__ import annotations
@@ -72,8 +74,11 @@ class ResidueSampler:
         cfg: LimitConfig,
         seed_or_rng,
         opts: SolveOptions | None = None,
-        warm_starts: dict | None = None,
+        anchors=None,
     ):
+        """Circles are tracked by continuation, or with ``anchors``, nearby
+        solutions of shape (radii * samples, expected, n + k) with the radii
+        in order, solved in one batch by ``critpts.solve_anchored``."""
         self.family = family
         self.expected = expected
         self.cfg = cfg
@@ -83,18 +88,15 @@ class ResidueSampler:
             if isinstance(seed_or_rng, np.random.Generator)
             else np.random.default_rng(seed_or_rng)
         )
-        self.grids = {}
-        self.grid_stats = {}
-        for r in cfg.radii:
-            self.grids[r], self.grid_stats[r] = critpts.track_circle(
-                family,
-                r,
-                cfg.samples,
-                expected,
-                rng,
-                self.opts,
-                warm_starts=None if warm_starts is None else warm_starts.get(r),
-            )
+        if anchors is None:
+            self.grids = {
+                r: critpts.track_circle(family, r, cfg.samples, expected, rng, self.opts)[0]
+                for r in cfg.radii
+            }
+        else:
+            ts = np.concatenate([critpts.circle_ts(r, cfg.samples) for r in cfg.radii])
+            sets = iter(critpts.solve_anchored(family, ts, anchors, expected, rng, self.opts))
+            self.grids = {r: [next(sets) for _ in range(cfg.samples)] for r in cfg.radii}
         self.max_probe_deviation = 0.0
 
     # -- generic circle means ------------------------------------------------
@@ -151,11 +153,7 @@ class ResidueSampler:
         ]
 
     def solver_diagnostics(self) -> dict:
-        agg = {}
-        for stats in self.grid_stats.values():
-            for k, v in stats.items():
-                agg[k] = agg.get(k, 0) + v
-        return agg
+        return critpts.solve_stats([ps for g in self.grids.values() for ps in g])
 
 
 def make_sampler(inst, cfg, seed, twist=None, opts=None, expected=None):
@@ -257,27 +255,24 @@ def verify_class_invariance(
     probes = [Poly.monomial(m) for m in alg.basis]
     base = [v.numeric for v in sampler.r_of(probes)]
     rng = np.random.default_rng(seed + 202)
+    X = np.array([ps.X for r in cfg.radii for ps in sampler.grids[r]])
+    x = X[:, :, : inst.n].reshape(-1, inst.n)
     entries = []
     worst = 0.0
     for v in range(variants):
         eta = [_random_small_poly(rng, inst.n, 1) for _ in range(inst.n)]
         h = _random_small_poly(rng, inst.n, 1)
-        # on the fiber the twisted form has the same zeros with the first
-        # multiplier shifted by h(x); Newton from there replaces the homotopy
-        sh = StackedTPolys([h], inst.n)
-        warm = {}
-        for r in cfg.radii:
-            first = sampler.grids[r][0]
-            shifted = first.X.copy()
-            shifted[:, inst.n] += sh.eval(first.t, first.x)[:, 0]
-            warm[r] = shifted
+        # on the fiber the twisted form has the same zeros with the first multiplier
+        # shifted by h(x): Newton from there replaces homotopy and continuation
+        anchors = X.copy()
+        anchors[:, :, inst.n] += StackedTPolys([h], inst.n).eval(0, x).reshape(X.shape[:2])
         twisted = ResidueSampler(
             DeformationFamily(inst, sampler.family.direction, twist=(eta, h)),
             sampler.expected,
             cfg,
             np.random.default_rng(seed + 300 + v),
             sampler.opts,
-            warm_starts=warm,
+            anchors=anchors,
         )
         for p, b, val in zip(probes, base, twisted.r_of(probes)):
             dev = abs(val.numeric - b)

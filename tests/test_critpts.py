@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,14 @@ from singforms.critpts import (
     Deformation,
     DeformationFamily,
     SolveOptions,
+    StackedTPolys,
+    TPoly,
+    circle_ts,
     critical_system,
     jacobian_value,
     shuffle_sign,
     solve_all,
+    solve_anchored,
     solve_family_at,
     track_circle,
 )
@@ -189,11 +195,121 @@ def test_batched_track_matches_single_paths():
 def test_newton_freezes_rows_independently():
     """A singular Jacobian fails its own row and leaves the others."""
     X, ok = critpts._newton(
-        lambda X: X**2 - 1, lambda X: (2 * X)[:, :, None],
+        lambda X: (X**2 - 1, (2 * X)[:, :, None]),
         np.array([[0.0], [2.0]]), iters=14, tol=1e-14,
     )
     assert ok.tolist() == [False, True]
     assert abs(X[1, 0] - 1) < 1e-14
+
+
+# ---- one-table evaluator ------------------------------------------------------
+
+def _random_poly(rng, nvars, deg, terms):
+    coeffs = {}
+    for _ in range(terms):
+        mono = tuple(int(e) for e in rng.integers(0, deg + 1, nvars))
+        coeffs[mono] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 4)))
+    return Poly(coeffs, nvars)
+
+
+def test_stacked_eval_matches_exact_evaluation():
+    """TPoly items with random p0/p1 parts, plain Poly items (constant in t)
+    and zero items agree with exact evaluation of p0 + t*p1 at dyadic
+    points, and one t per row gives row by row what a scalar t gives."""
+    rng = np.random.default_rng(0)
+    nv = 3
+    items = [TPoly(_random_poly(rng, nv, 4, 6), _random_poly(rng, nv, 3, 3)) for _ in range(4)]
+    items += [_random_poly(rng, nv, 4, 6), Poly.zero(nv)]
+    items += [TPoly(Poly.zero(nv), _random_poly(rng, nv, 2, 3))]
+    pts = [[Fraction(int(v), 8) for v in rng.integers(-12, 13, nv)] for _ in range(7)]
+    ts = [Fraction(int(v), 16) for v in rng.integers(-16, 17, len(pts))]
+    X = np.array(pts, dtype=float).astype(complex)
+    sp = StackedTPolys(items, nv)
+    got = sp.eval(np.array([float(t) for t in ts]), X)
+    assert got.shape == (len(pts), len(items))
+    for i, (p, t) in enumerate(zip(pts, ts)):
+        assert np.allclose(sp.eval(float(t), X[i : i + 1])[0], got[i], rtol=1e-14, atol=1e-12)
+        for j, item in enumerate(items):
+            tp = item if isinstance(item, TPoly) else TPoly(item, Poly.zero(nv))
+            want = tp.p0.eval_at(p) + t * tp.p1.eval_at(p)
+            assert abs(got[i, j] - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+    # complex points against the term-by-term evaluation of Poly.eval_at
+    Z = X + 1j * np.array(pts[::-1], dtype=float)
+    got = sp.eval(0.25 - 0.5j, Z)
+    for i, z in enumerate(Z):
+        for j, item in enumerate(items):
+            tp = item if isinstance(item, TPoly) else TPoly(item, Poly.zero(nv))
+            want = tp.p0.eval_at(list(z)) + (0.25 - 0.5j) * tp.p1.eval_at(list(z))
+            assert abs(got[i, j] - want) <= 1e-12 * max(1.0, abs(want))
+    zero = StackedTPolys([Poly.zero(nv), TPoly(Poly.zero(nv), Poly.zero(nv))], nv)
+    assert np.array_equal(zero.eval(0.5, X), np.zeros((len(pts), 2)))
+
+
+def test_dedup_keeps_first_of_chain():
+    """a ~ b and b ~ c but not a ~ c: b is dropped as close to the kept a,
+    and c stays because b was not kept."""
+    a, b, c = [0.0, 1.0], [0.6, 1.0], [1.2, 1.0]
+    kept = critpts._dedup(np.array([a, b, c], dtype=complex), 1.0)
+    assert np.array_equal(kept, np.array([a, c], dtype=complex))
+    assert len(critpts._dedup(np.array([a, a, b], dtype=complex), 0.1)) == 2
+
+
+# ---- anchored solves --------------------------------------------------------
+
+def _twisted_cusp_grid(samples):
+    """A twisted cusp family and, per circle sample, the base points with
+    the first multiplier shifted by h(x): the twisted zeros."""
+    inst = cusp()
+    base = DeformationFamily(inst, generic_direction(inst, 42))
+    eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
+    h = parse("2*x", ["x", "y"])
+    twisted = DeformationFamily(inst, base.direction, twist=(eta, h))
+    sets, _ = track_circle(base, 1e-2, samples, 4, np.random.default_rng(0))
+    anchors = np.array([ps.X for ps in sets])
+    shift = StackedTPolys([h], 2).eval(0, anchors[:, :, :2].reshape(-1, 2))
+    anchors[:, :, 2] += shift.reshape(samples, 4)
+    return twisted, anchors
+
+
+def test_solve_anchored_matches_continuation():
+    """One anchored Newton batch gives the point sets of a circle
+    continuation of the twisted family."""
+    twisted, anchors = _twisted_cusp_grid(16)
+    ts = circle_ts(1e-2, 16)
+    got = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
+    want, stats = track_circle(twisted, 1e-2, 16, 4, np.random.default_rng(3))
+    assert stats["fresh_solves"] == 1
+    assert len(got) == len(want) == 16
+    for g, w in zip(got, want):
+        assert g.t == w.t and len(g) == len(w) == 4
+        assert not g.diagnostics  # no fresh solve
+        assert np.max(np.abs(g.X - w.X)) < 1e-12
+        assert np.allclose(g.jtilde, w.jtilde, rtol=1e-10, atol=0)
+
+
+def test_solve_anchored_falls_back_per_sample(monkeypatch):
+    """A sample failing the warm tests, and only that one, is solved fresh."""
+    twisted, anchors = _twisted_cusp_grid(8)
+    ts = circle_ts(1e-2, 8)
+    dedup, solve = critpts._dedup, critpts.solve_family_at
+    calls, fresh = [], []
+
+    def drop_at_third_sample(points, tol):
+        calls.append(1)
+        kept = dedup(points, tol)
+        return kept[:-1] if len(calls) == 3 else kept
+
+    def recording(family, t, expected, rng, opts=None):
+        fresh.append(t)
+        return solve(family, t, expected, rng, opts)
+
+    monkeypatch.setattr(critpts, "_dedup", drop_at_third_sample)
+    monkeypatch.setattr(critpts, "solve_family_at", recording)
+    sets = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
+    assert fresh == [ts[2]]
+    assert [bool(ps.diagnostics) for ps in sets] == [i == 2 for i in range(8)]
+    assert all(len(ps) == 4 for ps in sets)
+    assert np.max(np.abs(sets[2].X - solve(twisted, ts[2], 4, np.random.default_rng(5)).X)) < 1e-12
 
 
 # ---- Jacobian value ---------------------------------------------------------
@@ -250,6 +366,28 @@ def test_batched_chart_data_matches_rowwise():
         L = [j for j in range(inst.n) if j not in K]
         dfx = fam.df_values(ps.x[i : i + 1])[0]
         assert np.allclose(dfx[:, K] @ ps.S[i], -dfx[:, L], rtol=1e-10, atol=1e-14)
+
+
+def test_chart_data_with_per_row_t():
+    """jacobian_data with one t per row, over the points of two parameters
+    and several blocks, equals jacobian_on_block at each row's own t."""
+    inst = ex1(3, (1, 2, 4))
+    fam = DeformationFamily(inst, generic_direction(inst, 42))
+    a = solve_family_at(fam, 1e-2, 6, np.random.default_rng(0))
+    b = solve_family_at(fam, 2e-2j, 6, np.random.default_rng(1))
+    X = np.concatenate([a.x, b.x])
+    tr = np.repeat([a.t, b.t], 6)
+    delta, jt, block, S = fam.jacobian_data(tr, X)
+    assert len(set(block.tolist())) > 1
+    assert np.array_equal(block, np.concatenate([a.block, b.block]))
+    for i in range(len(X)):
+        d1, j1, S1 = fam.jacobian_on_block(tr[i], X[i : i + 1], block[i])
+        assert abs(d1[0] - delta[i]) <= 1e-12 * abs(delta[i])
+        assert abs(j1[0] - jt[i]) <= 1e-12 * abs(jt[i])
+        assert np.allclose(S1[0], S[i], rtol=1e-12, atol=0)
+    # the t-part matters: the other parameter gives other chart values
+    _, j_other, _ = fam.jacobian_on_block(b.t, X[:1], block[0])
+    assert abs(j_other[0] - jt[0]) > 1e-6 * abs(jt[0])
 
 
 @pytest.mark.parametrize(
