@@ -3,7 +3,10 @@
 ``singforms analyze FILE`` runs the full pipeline on one problem file and
 prints a structured-text report (exit 0 iff all checks pass, 1 on bad input
 or bad limit flags, 2 on solver or limit failures, including a module
-dimension that does not stabilize, 3 on non-isolated input).
+dimension that does not stabilize, 3 on non-isolated input).  Bad limit flags
+are radii that are not finite, positive and strictly decreasing (at least
+two), an odd ``--samples`` or one below 16, a ``--tol-match`` that is not
+finite and positive, and a ``--max-den`` below 1.
 ``singforms verify-corpus`` runs the built-in instances against their
 expected values and the property checks.
 

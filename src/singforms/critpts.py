@@ -11,7 +11,9 @@ are tracked at once, each path with its own step, one batched Euler predictor
 and Newton corrector per round and a Newton polish at the end.  Warm starts
 (neighbouring samples on a circle) and ``solve_anchored`` (every sample of a
 grid from its own nearby solutions, in one batch) use the same batched
-Newton, ``_newton``.
+Newton, ``_newton``.  Points closer than ``_merge_tolerance(t)`` are one point;
+a fresh solve retries ``_MAX_RETRIES`` times with a new gamma and start
+system, then tries ``_MULTISTART`` random Newton starts.
 
 At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
 is selected; with L the complement and m_j the (k+1)-minor on columns K then j,
@@ -42,6 +44,8 @@ from .polyring import Poly
 
 _CHART_TOL = 1e-12
 _DIVERGENCE = 1e8
+_MAX_RETRIES = 3
+_MULTISTART = 60
 
 
 class CountMismatchError(RuntimeError):
@@ -54,26 +58,6 @@ class CountMismatchError(RuntimeError):
 
 class DegenerateChartError(RuntimeError):
     """Every k x k block of the Jacobian is numerically singular at a point."""
-
-
-@dataclass(frozen=True)
-class Deformation:
-    """A concrete deformation value (eps, alpha), optionally with its ray."""
-
-    eps: tuple
-    alpha: tuple
-    direction: tuple | None = None
-    radius: float | None = None
-
-    @classmethod
-    def along(cls, direction, t, k: int):
-        d = tuple(complex(v) for v in direction)
-        return cls(
-            eps=tuple(t * v for v in d[:k]),
-            alpha=tuple(t * v for v in d[k:]),
-            direction=d,
-            radius=abs(t),
-        )
 
 
 class TPoly:
@@ -315,16 +299,15 @@ class CriticalPointSet:
         return self.X[:, : self.X.shape[1] - self.S.shape[1]]
 
 
-@dataclass
-class SolveOptions:
-    merge_tol: float | None = None  # default: 1e-8 * deformation radius
-    max_retries: int = 3
-    multistart: int = 60
+def _merge_tolerance(t) -> float:
+    """Max-norm distance below which two solutions at t are one point."""
+    return 1e-8 * max(abs(t), 1e-4)
 
-    def merge_tolerance(self, radius: float) -> float:
-        if self.merge_tol is not None:
-            return self.merge_tol
-        return 1e-8 * max(radius, 1e-4)
+
+def generic_direction(rng: np.random.Generator, m: int) -> tuple:
+    """A seeded generic unit direction in C^m: real parts, then imaginary parts."""
+    u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return tuple(u / np.linalg.norm(u))
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +483,12 @@ def solve_family_at(
     t: complex,
     expected: int,
     rng: np.random.Generator,
-    opts: SolveOptions | None = None,
 ) -> CriticalPointSet:
     """All critical points at parameter t via total-degree homotopy.
 
     Retries with a fresh gamma and start system on a count mismatch, then
     falls back to extra Newton multistarts before giving up.
     """
-    opts = opts or SolveOptions()
     diagnostics = {
         "paths_tracked": 0,
         "paths_diverged": 0,
@@ -517,8 +498,8 @@ def solve_family_at(
     }
     if expected == 0:
         return _make_point_set(family, t, [], diagnostics)
-    mtol = opts.merge_tolerance(abs(t))
-    for _ in range(opts.max_retries + 1):
+    mtol = _merge_tolerance(t)
+    for _ in range(_MAX_RETRIES + 1):
         gamma = np.exp(2j * np.pi * rng.random())
         b = (0.5 + rng.random(family.nunk)) * np.exp(
             2j * np.pi * rng.random(family.nunk)
@@ -540,9 +521,9 @@ def solve_family_at(
         diagnostics["retries"] += 1
     message = f"found {len(found)} critical points, expected {expected}"
     # multistart Newton recovery around the scale of what was found
-    if 0 < len(found) < expected and opts.multistart > 0:
+    if 0 < len(found) < expected:
         scale = float(np.median(np.abs(found).max(axis=1))) or 1.0
-        for _ in range(opts.multistart):
+        for _ in range(_MULTISTART):
             x0 = scale * (
                 rng.standard_normal(family.nunk)
                 + 1j * rng.standard_normal(family.nunk)
@@ -563,7 +544,7 @@ def solve_family_at(
     raise CountMismatchError(message, diagnostics)
 
 
-def _solve_warm_batch(family, ts, starts, expected, opts) -> list:
+def _solve_warm_batch(family, ts, starts, expected) -> list:
     """Newton from the rows starts[i] at ts[i] for every i in one batch; per
     i the point set, or None unless every row converges, ``_dedup`` leaves
     ``expected`` points and the chart is not degenerate."""
@@ -572,7 +553,7 @@ def _solve_warm_batch(family, ts, starts, expected, opts) -> list:
     m = starts.shape[1]
     X, ok = _newton_family(family, np.repeat(ts, m), starts.reshape(-1, family.nunk))
     X, ok = X.reshape(starts.shape), ok.reshape(len(ts), m).all(axis=1)
-    found = {i: _dedup(X[i], opts.merge_tolerance(abs(ts[i]))) for i in np.flatnonzero(ok)}
+    found = {i: _dedup(X[i], _merge_tolerance(ts[i])) for i in np.flatnonzero(ok)}
     good = [i for i, pts in found.items() if len(pts) == expected]
     out = [None] * len(ts)
     try:
@@ -580,33 +561,25 @@ def _solve_warm_batch(family, ts, starts, expected, opts) -> list:
     except DegenerateChartError:  # find the degenerate ones one at a time
         if len(ts) == 1:
             return out
-        return [_solve_warm_batch(family, [t], [x], expected, opts)[0] for t, x in zip(ts, starts)]
+        return [_solve_warm_batch(family, [t], [x], expected)[0] for t, x in zip(ts, starts)]
     for i, ps in zip(good, sets):
         out[i] = ps
     return out
 
 
-def solve_warm(
-    family: DeformationFamily,
-    t: complex,
-    starts: np.ndarray,
-    expected: int,
-    opts: SolveOptions,
-):
+def solve_warm(family: DeformationFamily, t: complex, starts: np.ndarray, expected: int):
     """Newton continuation from known nearby solutions; None on failure."""
-    return _solve_warm_batch(family, [t], [starts], expected, opts)[0]
+    return _solve_warm_batch(family, [t], [starts], expected)[0]
 
 
-def solve_anchored(
-    family: DeformationFamily, ts, starts, expected: int, rng, opts: SolveOptions | None = None
-) -> list:
+def solve_anchored(family: DeformationFamily, ts, starts, expected: int, rng) -> list:
     """Point sets at the parameters ts, each by Newton from its own nearby
     solutions starts[i], all in one batch.  A sample failing the tests of
     ``solve_warm`` is solved fresh by ``solve_family_at`` with rng."""
-    sets = _solve_warm_batch(family, ts, starts, expected, opts or SolveOptions())
+    sets = _solve_warm_batch(family, ts, starts, expected)
     for i, ps in enumerate(sets):
         if ps is None:
-            sets[i] = solve_family_at(family, ts[i], expected, rng, opts)
+            sets[i] = solve_family_at(family, ts[i], expected, rng)
     return sets
 
 
@@ -629,7 +602,6 @@ def track_circle(
     samples: int,
     expected: int,
     rng: np.random.Generator,
-    opts: SolveOptions | None = None,
 ):
     """(point sets, ``solve_stats``) at ``circle_ts(radius, samples)``.
 
@@ -637,73 +609,25 @@ def track_circle(
     previous solutions by Newton, bisecting the angle step on failure and
     falling back to a fresh homotopy solve as a last resort.
     """
-    opts = opts or SolveOptions()
     ts = circle_ts(radius, samples)
-    sets = [solve_family_at(family, ts[0], expected, rng, opts)]
+    sets = [solve_family_at(family, ts[0], expected, rng)]
     for t in ts[1:]:
-        got = _continue_to(family, sets[-1], t, expected, opts, depth=0)
+        got = _continue_to(family, sets[-1], t, expected, depth=0)
         if got is None:
-            got = solve_family_at(family, t, expected, rng, opts)
+            got = solve_family_at(family, t, expected, rng)
         sets.append(got)
     return sets, solve_stats(sets)
 
 
-def _continue_to(family, prev_set, t, expected, opts, depth):
-    got = solve_warm(family, t, prev_set.X, expected, opts)
+def _continue_to(family, prev_set, t, expected, depth):
+    got = solve_warm(family, t, prev_set.X, expected)
     if got is not None:
         return got
     if depth >= 8:
         return None
     t_mid = prev_set.t + 0.5 * (t - prev_set.t)
-    mid = _continue_to(family, prev_set, t_mid, expected, opts, depth + 1)
+    mid = _continue_to(family, prev_set, t_mid, expected, depth + 1)
     if mid is None:
         return None
-    return _continue_to(family, mid, t, expected, opts, depth + 1)
+    return _continue_to(family, mid, t, expected, depth + 1)
 
-
-# ---------------------------------------------------------------------------
-# convenience surfaces over concrete deformation values
-# ---------------------------------------------------------------------------
-
-
-def critical_system(inst, d: Deformation):
-    """The multiplier system as polynomials in (x_1..x_n, lambda_1..lambda_k)."""
-    n, k = inst.n, inst.k
-    nv = n + k
-    eqs = []
-    for i in range(k):
-        eqs.append(inst.f[i].lift(nv) - complex(d.eps[i]))
-    for j in range(n):
-        p = inst.A[j].lift(nv) - complex(d.alpha[j])
-        for i in range(k):
-            p = p - Poly.variable(n + i, nv) * inst.f[i].diff(j).lift(nv)
-        eqs.append(p)
-    return eqs
-
-
-def _family_for(inst, d: Deformation) -> tuple:
-    """Family along the ray through (eps, alpha), hit at t = 1."""
-    direction = tuple(complex(v) for v in d.eps) + tuple(
-        complex(v) for v in d.alpha
-    )
-    return DeformationFamily(inst, direction), 1.0 + 0j
-
-
-def solve_all(
-    inst,
-    d: Deformation,
-    expected_count: int,
-    seed=0,
-    opts: SolveOptions | None = None,
-) -> CriticalPointSet:
-    family, t = _family_for(inst, d)
-    rng = np.random.default_rng(seed)
-    return solve_family_at(family, t, expected_count, rng, opts)
-
-
-def jacobian_value(inst, d: Deformation, P):
-    """(Delta, Jtilde, block K) of the deformed 1-form at a solved point P."""
-    family, t = _family_for(inst, d)
-    X = np.asarray(P, dtype=np.complex128).reshape(1, -1)
-    delta, jt, block, _ = family.jacobian_data(t, X)
-    return delta[0], jt[0], family.blocks[block[0]]

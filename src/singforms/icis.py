@@ -57,6 +57,17 @@ def jacobian_rows(inst: ProblemInstance):
     return [[inst.f[i].diff(j) for j in range(inst.n)] for i in range(inst.k)]
 
 
+def block_minor(inst: ProblemInstance, K) -> Poly:
+    """det (df_i/dx_j)_{j in K} with rows in equation order, columns ascending."""
+    K = tuple(K)
+    if len(K) != inst.k:
+        raise ValueError("block size must equal k")
+    if inst.k == 0:
+        return Poly.one(inst.n)
+    jac = jacobian_rows(inst)
+    return det([[jac[i][c] for c in K] for i in range(inst.k)])
+
+
 def extended_matrix(inst: ProblemInstance):
     """The (k+1) x n matrix with the A row appended."""
     return jacobian_rows(inst) + [list(inst.A)]
@@ -99,10 +110,8 @@ def tau_prime(inst: ProblemInstance) -> int:
     if inst.k == 0:
         return 0
     gens = list(inst.f)
-    jac = jacobian_rows(inst)
-    for cols in itertools.combinations(range(inst.n), inst.k):
-        sub = [[jac[i][c] for c in cols] for i in range(inst.k)]
-        gens.append(det(sub))
+    for K in itertools.combinations(range(inst.n), inst.k):
+        gens.append(block_minor(inst, K))
     q = QuotientAlgebra(gens, inst.n)
     if q.colength == INFINITE:
         raise ValueError("tau' is infinite: input is not an ICIS")

@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import icis, quadforms, residuefn
-from .critpts import CountMismatchError, DeformationFamily, solve_family_at
+from .critpts import CountMismatchError, DeformationFamily, generic_direction, solve_family_at
 from .icis import ProblemInstance
 from .localalg import INFINITE
 from .polyring import Poly
 from .quadforms import FormGenerator, GramForm
 from .residuefn import LimitConfig
+
+
+_COUNT_RUNS = 5  # fresh generic deformations solved by count certification
 
 
 class NonIsolatedError(RuntimeError):
@@ -31,9 +34,6 @@ class AnalysisConfig:
     limit: LimitConfig = field(default_factory=LimitConfig)
     seed: int = 42
     exact: bool = True
-    count_runs: int = 5
-    prop1_multipliers: int = 10
-    prop2_variants: int = 5
 
 
 @dataclass
@@ -102,23 +102,17 @@ def analyze(
     omega_dim = icis.omega_module_dim(inst)
 
     sampler = residuefn.make_sampler(inst, cfg, config.seed, expected=nu)
-    qa = quadforms.gram_qa(
-        inst, cfg, config.seed, alg=alg, sampler=sampler, want_exact=config.exact
-    )
+    qa = quadforms.gram_qa(inst, alg, sampler, want_exact=config.exact)
     rank_qa, signature_qa = qa.rank_signature()
 
     if generators is None:
         generators = default_generators(inst)
-    qo = quadforms.gram_qomega(
-        inst, generators, cfg, config.seed, alg=alg, qa=qa, sampler=sampler
-    )
+    qo = quadforms.gram_qomega(inst, generators, alg, qa)
 
     checks = []
 
     # two-route agreement on all generator pairs
-    qomega_numeric_entries = quadforms.qomega_numeric(
-        inst, generators, cfg, config.seed, sampler=sampler
-    )
+    qomega_numeric_entries = quadforms.qomega_numeric(generators, sampler)
     lam = qo.gram.numeric  # the float values of the exact Gram when there is one
     scale = np.maximum(1.0, np.maximum(abs(qomega_numeric_entries), abs(lam)))
     max_two_route = float(np.max(abs(qomega_numeric_entries - lam) / scale))
@@ -132,9 +126,7 @@ def analyze(
     )
 
     # the functional vanishes on the ideal
-    p1 = residuefn.verify_ideal_vanishing(
-        inst, cfg, config.seed, sampler=sampler, multipliers=config.prop1_multipliers
-    )
+    p1 = residuefn.verify_ideal_vanishing(inst, sampler, config.seed)
     checks.append(
         CheckResult(
             name="ideal_vanishing",
@@ -146,9 +138,7 @@ def analyze(
 
     # the functional depends only on the class of the 1-form, k >= 1 only
     if inst.k >= 1:
-        p2 = residuefn.verify_class_invariance(
-            inst, cfg, config.seed, sampler=sampler, variants=config.prop2_variants
-        )
+        p2 = residuefn.verify_class_invariance(inst, alg, sampler, config.seed)
         checks.append(
             CheckResult(
                 name="class_invariance",
@@ -189,12 +179,8 @@ def analyze(
     rng = np.random.default_rng(config.seed + 77)
     worst_res = 0.0
     count_ok = True
-    for _ in range(config.count_runs):
-        u = rng.standard_normal(inst.n + inst.k) + 1j * rng.standard_normal(
-            inst.n + inst.k
-        )
-        u = u / np.linalg.norm(u)
-        fam = DeformationFamily(inst, tuple(u))
+    for _ in range(_COUNT_RUNS):
+        fam = DeformationFamily(inst, generic_direction(rng, inst.n + inst.k))
         try:
             ps = solve_family_at(fam, cfg.radii[0], nu, rng)
             worst_res = max(worst_res, float(ps.residual.max(initial=0.0)))
@@ -204,7 +190,7 @@ def analyze(
         CheckResult(
             name="count_certification",
             ok=count_ok and worst_res < 1e-10,
-            detail=f"runs={config.count_runs} expected={nu} max_residual={worst_res:.3e}",
+            detail=f"runs={_COUNT_RUNS} expected={nu} max_residual={worst_res:.3e}",
             tolerance="1e-10",
         )
     )

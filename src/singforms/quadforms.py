@@ -13,7 +13,8 @@ for all generator pairs in one batched limit: restrict every generator to the
 fiber in the chart of the selected block, divide each product of two chart
 coefficients by the chart Hessian J = Jtilde / Delta^2, and take the
 circle-mean limit.  The agreement of the two routes is a test target, not an
-assumption.
+assumption.  The numeric stages take the algebra, the ``ResidueSampler`` and
+``Q^A`` from their caller (``pipeline.analyze``, or ``elkh`` for k = 0).
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 
 from . import ratlinalg
 from .critpts import StackedTPolys, shuffle_sign
-from .icis import ProblemInstance, algebra as icis_algebra, jacobian_rows
+from .icis import ProblemInstance, algebra as icis_algebra, block_minor
 from .localalg import QuotientAlgebra
-from .polyring import Poly, det
+from .polyring import Poly
 from .residuefn import LimitConfig, ResidueSampler, make_sampler
 
 
@@ -74,21 +75,11 @@ class GramForm:
         lo, hi = ratlinalg.numeric_rank_bounds(self.numeric)
         return (lo, None) if lo == hi else ((lo, hi), None)
 
-    @property
-    def rank(self):
-        return self.rank_signature()[0]
-
-    @property
-    def signature(self):
-        return self.rank_signature()[1]
-
 
 def gram_qa(
     inst: ProblemInstance,
-    cfg: LimitConfig,
-    seed=0,
-    alg: QuotientAlgebra | None = None,
-    sampler: ResidueSampler | None = None,
+    alg: QuotientAlgebra,
+    sampler: ResidueSampler,
     want_exact: bool = True,
 ) -> GramForm:
     """Gram matrix [R(e_a e_b)] over the monomial basis of the algebra.
@@ -97,10 +88,6 @@ def gram_qa(
     reduction-independence (evaluating the normal form instead) is checked in
     the test suite.
     """
-    if alg is None:
-        alg = icis_algebra(inst)
-    if sampler is None:
-        sampler = make_sampler(inst, cfg, seed, expected=alg.colength)
     dim = len(alg.basis)
     labels = [Poly.monomial(m).to_string([f"x{i+1}" for i in range(inst.n)]) for m in alg.basis]
     pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
@@ -135,17 +122,6 @@ def gram_qa(
 # ---------------------------------------------------------------------------
 # the comparison map and the form on the module
 # ---------------------------------------------------------------------------
-
-
-def block_minor(inst: ProblemInstance, K) -> Poly:
-    """det (df_i/dx_j)_{j in K} with rows in equation order, columns ascending."""
-    K = tuple(K)
-    if len(K) != inst.k:
-        raise ValueError("block size must equal k")
-    if inst.k == 0:
-        return Poly.one(inst.n)
-    jac = jacobian_rows(inst)
-    return det([[jac[i][c] for c in K] for i in range(inst.k)])
 
 
 def lambda_poly(inst: ProblemInstance, gen: FormGenerator) -> Poly:
@@ -200,20 +176,10 @@ class QOmegaResult:
 
 
 def gram_qomega(
-    inst: ProblemInstance,
-    generators,
-    cfg: LimitConfig,
-    seed=0,
-    alg: QuotientAlgebra | None = None,
-    qa: GramForm | None = None,
-    sampler: ResidueSampler | None = None,
+    inst: ProblemInstance, generators, alg: QuotientAlgebra, qa: GramForm
 ) -> QOmegaResult:
     """Gram of the module form over the given generators via the map route,
     plus the intrinsic rank on the image subspace."""
-    if alg is None:
-        alg = icis_algebra(inst)
-    if qa is None:
-        qa = gram_qa(inst, cfg, seed, alg=alg, sampler=sampler)
     coords = [lambda_map(inst, g, alg) for g in generators]
     if qa.exact is None:
         exact = None
@@ -228,13 +194,7 @@ def gram_qomega(
     return QOmegaResult(gram=gram, rank=rk, im_lambda_dim=len(im))
 
 
-def qomega_numeric(
-    inst: ProblemInstance,
-    generators,
-    cfg: LimitConfig,
-    seed=0,
-    sampler: ResidueSampler | None = None,
-) -> np.ndarray:
+def qomega_numeric(generators, sampler: ResidueSampler) -> np.ndarray:
     """Independent evaluation of the module pairing on the deformed fibers.
 
     Returns the symmetric complex G x G table over all generator pairs, from
@@ -245,8 +205,6 @@ def qomega_numeric(
     coefficients is divided by the chart Hessian J = Jtilde / Delta^2, so the
     pair table of one point set is (a Delta^2 / Jtilde)^T a.
     """
-    if sampler is None:
-        sampler = make_sampler(inst, cfg, seed)
     fam = sampler.family
     n, k = fam.n, fam.k
     coeffs = StackedTPolys([g.coeff for g in generators], n)
@@ -321,7 +279,7 @@ def mult_operator_rank(alg: QuotientAlgebra, p: Poly) -> int:
     return ratlinalg.rank(alg.multiplication_matrix(p))
 
 
-def elkh(maps, cfg: LimitConfig, seed=0, opts=None):
+def elkh(maps, cfg: LimitConfig, seed=0):
     """The classical nondegenerate form of a finite map germ (the k = 0 case).
 
     Returns (GramForm, algebra, sampler); the Gram is [R(e_a e_b)] for the
@@ -333,8 +291,8 @@ def elkh(maps, cfg: LimitConfig, seed=0, opts=None):
     alg = icis_algebra(inst)
     if alg.colength == float("inf"):
         raise ValueError("map is not finite")
-    sampler = make_sampler(inst, cfg, seed, opts=opts, expected=alg.colength)
-    gram = gram_qa(inst, cfg, seed, alg=alg, sampler=sampler)
+    sampler = make_sampler(inst, cfg, seed, expected=alg.colength)
+    gram = gram_qa(inst, alg, sampler)
     return gram, alg, sampler
 
 

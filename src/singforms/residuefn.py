@@ -12,17 +12,21 @@ accepted on its own when the means at the two smallest radii agree, after
 which a continued-fraction rational reconstruction is attempted.  Class
 invariance solves each twisted family at all samples in one anchored Newton
 batch, from the base points with the first multiplier shifted.
+
+``make_sampler`` builds the one sampler of an analysis; the verification
+suites take it, and read the limit settings from ``sampler.cfg``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import critpts
-from .critpts import DeformationFamily, SolveOptions, StackedTPolys, TPoly
+from .critpts import DeformationFamily, StackedTPolys, TPoly
 from .polyring import Poly
 from .ratlinalg import reconstruct_rational
 
@@ -44,10 +48,16 @@ class LimitConfig:
 
     def __post_init__(self):
         r = list(self.radii)
+        if not all(math.isfinite(a) and a > 0 for a in r):
+            raise ValueError("radii must be finite and positive")
         if len(r) < 2 or any(a <= b for a, b in zip(r, r[1:])):
             raise ValueError("radii must be at least two, strictly decreasing")
         if self.samples < 16 or self.samples % 2:
             raise ValueError("samples must be an even integer >= 16")
+        if not (math.isfinite(self.tol_match) and self.tol_match > 0):
+            raise ValueError("tol_match must be finite and positive")
+        if self.max_denominator < 1:
+            raise ValueError("max_denominator must be at least 1")
 
 
 @dataclass
@@ -72,8 +82,7 @@ class ResidueSampler:
         family: DeformationFamily,
         expected: int,
         cfg: LimitConfig,
-        seed_or_rng,
-        opts: SolveOptions | None = None,
+        rng: np.random.Generator,
         anchors=None,
     ):
         """Circles are tracked by continuation, or with ``anchors``, nearby
@@ -82,20 +91,14 @@ class ResidueSampler:
         self.family = family
         self.expected = expected
         self.cfg = cfg
-        self.opts = opts or SolveOptions()
-        rng = (
-            seed_or_rng
-            if isinstance(seed_or_rng, np.random.Generator)
-            else np.random.default_rng(seed_or_rng)
-        )
         if anchors is None:
             self.grids = {
-                r: critpts.track_circle(family, r, cfg.samples, expected, rng, self.opts)[0]
+                r: critpts.track_circle(family, r, cfg.samples, expected, rng)[0]
                 for r in cfg.radii
             }
         else:
             ts = np.concatenate([critpts.circle_ts(r, cfg.samples) for r in cfg.radii])
-            sets = iter(critpts.solve_anchored(family, ts, anchors, expected, rng, self.opts))
+            sets = iter(critpts.solve_anchored(family, ts, anchors, expected, rng))
             self.grids = {r: [next(sets) for _ in range(cfg.samples)] for r in cfg.radii}
         self.max_probe_deviation = 0.0
 
@@ -156,30 +159,20 @@ class ResidueSampler:
         return critpts.solve_stats([ps for g in self.grids.values() for ps in g])
 
 
-def make_sampler(inst, cfg, seed, twist=None, opts=None, expected=None):
+def make_sampler(inst, cfg, seed, expected=None):
     """Standard sampler for an instance: seeded generic direction, solved grids."""
     rng = np.random.default_rng(seed)
-    m = inst.n + inst.k
-    u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    u = u / np.linalg.norm(u)
-    family = DeformationFamily(inst, tuple(u), twist=twist)
+    family = DeformationFamily(inst, critpts.generic_direction(rng, inst.n + inst.k))
     if expected is None:
         from .icis import index_nu
 
         expected = index_nu(inst)
-    return ResidueSampler(family, expected, cfg, rng, opts)
+    return ResidueSampler(family, expected, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
-# one-shot operations
+# verification suites
 # ---------------------------------------------------------------------------
-
-
-def r_at(inst, d: critpts.Deformation, phi: Poly, expected: int, seed=0) -> complex:
-    """Formula-style evaluation at one concrete deformation (no limit)."""
-    ps = critpts.solve_all(inst, d, expected, seed=seed)
-    vals = StackedTPolys([phi], inst.n).eval(ps.t, ps.x)[:, 0]
-    return complex(np.sum(vals / ps.jtilde))
 
 
 @dataclass
@@ -193,15 +186,13 @@ class ProbeReport:
 
 
 def verify_ideal_vanishing(
-    inst, cfg: LimitConfig, seed=0, sampler=None, multipliers: int = 10
+    inst, sampler: ResidueSampler, seed=0, multipliers: int = 10
 ) -> ProbeReport:
     """|R(h g)| below tolerance for every ideal generator g and random
     monomial multipliers h of degree <= 2."""
     from .icis import build_ideal
     from .localalg import monomials_below
 
-    if sampler is None:
-        sampler = make_sampler(inst, cfg, seed)
     rng = np.random.default_rng(seed + 101)
     monos = monomials_below(inst.n, 3)
     probes, labels, names = [], [], []
@@ -215,9 +206,9 @@ def verify_ideal_vanishing(
     entries = [(name, abs(v.numeric)) for name, v in zip(names, vals)]
     worst = max((dev for _, dev in entries), default=0.0)
     return ProbeReport(
-        ok=worst < cfg.tol_match,
+        ok=worst < sampler.cfg.tol_match,
         max_deviation=worst,
-        tolerance=cfg.tol_match,
+        tolerance=sampler.cfg.tol_match,
         entries=entries,
     )
 
@@ -237,21 +228,18 @@ def _random_small_poly(rng, nvars: int, deg: int) -> Poly:
 
 
 def verify_class_invariance(
-    inst, cfg: LimitConfig, seed=0, sampler=None, variants: int = 5
+    inst, alg, sampler: ResidueSampler, seed=0, variants: int = 5
 ) -> ProbeReport:
     """R is unchanged under omega -> omega + f_1 eta + h df_1.
 
     The twisted 1-form is deformed with f_1 - eps_1 in place of f_1 (the
     deformation pattern under which the two restrictions to the fiber agree),
-    and R of every basis monomial is compared against the base value.
+    and R of every basis monomial of the algebra ``alg`` is compared against
+    the base value.
     """
-    from .icis import algebra
-
     if inst.k < 1:
         raise ValueError("class invariance needs k >= 1")
-    if sampler is None:
-        sampler = make_sampler(inst, cfg, seed)
-    alg = algebra(inst)
+    cfg = sampler.cfg
     probes = [Poly.monomial(m) for m in alg.basis]
     base = [v.numeric for v in sampler.r_of(probes)]
     rng = np.random.default_rng(seed + 202)
@@ -271,7 +259,6 @@ def verify_class_invariance(
             sampler.expected,
             cfg,
             np.random.default_rng(seed + 300 + v),
-            sampler.opts,
             anchors=anchors,
         )
         for p, b, val in zip(probes, base, twisted.r_of(probes)):

@@ -120,7 +120,12 @@ def test_analyze_exit_codes(tmp_path):
     # bad limit flags are input errors in both commands, not tracebacks
     good = tmp_path / "ex1.txt"
     good.write_text(EX1_N2)
-    for flags in (["--radii", "1e-2,1e-1"], ["--samples", "15"], ["--radii", "1e-2"]):
+    for flags in (
+        ["--radii", "1e-2,1e-1"], ["--samples", "15"], ["--radii", "1e-2"],
+        ["--radii", "1e-2,nan"], ["--radii", "1e-2,0"], ["--radii", "inf,1e-2"],
+        ["--radii", "1e-2,-5e-3"], ["--tol-match", "0"], ["--tol-match", "-1"],
+        ["--max-den", "0"],
+    ):
         code, out, err = run_cli(["analyze", str(good), *flags])
         assert (code, out) == (EXIT_INPUT, "")
         assert err.startswith("input error: ")

@@ -7,16 +7,12 @@ from singforms import critpts
 from singforms.critpts import (
     CountMismatchError,
     DegenerateChartError,
-    Deformation,
     DeformationFamily,
-    SolveOptions,
     StackedTPolys,
     TPoly,
     circle_ts,
-    critical_system,
-    jacobian_value,
+    generic_direction,
     shuffle_sign,
-    solve_all,
     solve_anchored,
     solve_family_at,
     track_circle,
@@ -42,42 +38,76 @@ def cusp():
     )
 
 
-def generic_direction(inst, seed):
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(inst.n + inst.k) + 1j * rng.standard_normal(
-        inst.n + inst.k
-    )
-    return tuple(u / np.linalg.norm(u))
+def direction_of(inst, seed):
+    return generic_direction(np.random.default_rng(seed), inst.n + inst.k)
 
 
 # ---- the multiplier system --------------------------------------------------
 
+def _check_system(fam, equations, seed):
+    """Values and Jacobian of ``fam.system`` at seeded complex points and two
+    parameters against ``equations(t)``, the multiplier system written out
+    by hand, evaluated with ``Poly.eval_at`` and differentiated with
+    ``Poly.diff``."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((4, fam.nunk)) + 1j * rng.standard_normal((4, fam.nunk))
+    for t in (1e-2, 0.7 - 0.4j):
+        eqs = equations(t)
+        assert len(eqs) == fam.nunk
+        vals, J = fam.system(t, X)
+        for x, v, Jx in zip(X, vals, J):
+            p = list(x)
+            want = np.array([e.eval_at(p) for e in eqs])
+            want_J = np.array([[e.diff(c).eval_at(p) for c in range(fam.nunk)] for e in eqs])
+            assert np.allclose(v, want, rtol=1e-12, atol=1e-12)
+            assert np.allclose(Jx, want_J, rtol=1e-12, atol=1e-12)
+
+
 def test_critical_system_ex1():
-    inst = ex1(2, (1, 2))
-    d = Deformation(eps=(0.04,), alpha=(0.0, 0.0))
-    eqs = critical_system(inst, d)
-    assert len(eqs) == 3
-    # f - eps, then a_j x_j - lambda * 2 x_j
-    assert eqs[0] == parse("x1^2 + x2^2", ["x1", "x2", "l"]) - 0.04
-    assert eqs[1] == parse("x1 - 2*l*x1", ["x1", "x2", "l"])
-    assert eqs[2] == parse("2*x2 - 2*l*x2", ["x1", "x2", "l"])
+    """f - t u_1, then a_j x_j - t u_{1+j} - lambda * 2 x_j."""
+    fam = DeformationFamily(ex1(2, (1, 2)), (0.6, 0.3 - 0.2j, -0.5j))
+    u, vs = fam.direction, ["x1", "x2", "l"]
+    _check_system(fam, lambda t: [
+        parse("x1^2 + x2^2", vs) - t * u[0],
+        parse("x1 - 2*l*x1", vs) - t * u[1],
+        parse("2*x2 - 2*l*x2", vs) - t * u[2],
+    ], seed=1)
 
 
 def test_critical_system_k0():
     inst = ProblemInstance(2, 0, [], [Poly.variable(0, 2), Poly.variable(1, 2)])
-    d = Deformation(eps=(), alpha=(0.3, -0.2))
-    eqs = critical_system(inst, d)
-    assert eqs[0] == Poly.variable(0, 2) - 0.3
-    assert eqs[1] == Poly.variable(1, 2) + 0.2
+    fam = DeformationFamily(inst, (0.3, -0.2 + 0.1j))
+    u, vs = fam.direction, ["x1", "x2"]
+    _check_system(fam, lambda t: [parse("x1", vs) - t * u[0], parse("x2", vs) - t * u[1]], seed=2)
 
 
 def test_critical_system_cusp():
-    inst = cusp()
-    d = Deformation(eps=(0.01,), alpha=(0.001, 0.002))
-    eqs = critical_system(inst, d)
-    vs = ["x", "y", "l"]
-    assert eqs[1] == parse("1 - 2*l*x", vs) - 0.001
-    assert eqs[2] == parse("3*l*y^2", vs) - 0.002
+    fam = DeformationFamily(cusp(), (0.01, 0.001 + 0.3j, 0.002))
+    u, vs = fam.direction, ["x", "y", "l"]
+    _check_system(fam, lambda t: [
+        parse("x^2 - y^3", vs) - t * u[0],
+        parse("1 - 2*l*x", vs) - t * u[1],
+        parse("3*l*y^2", vs) - t * u[2],
+    ], seed=3)
+
+
+def test_critical_system_twisted_cusp():
+    """The twist (eta, h) = ((y, 1 - x), 2x) gives
+    A_j + (f - t u_1) eta_j + h df/dx_j - t u_{1+j} - lambda df/dx_j."""
+    eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
+    h = parse("2*x", ["x", "y"])
+    fam = DeformationFamily(cusp(), (0.4 - 0.1j, 0.2j, -0.7), twist=(eta, h))
+    u, vs = fam.direction, ["x", "y", "l"]
+
+    def equations(t):
+        ft = parse("x^2 - y^3", vs) - t * u[0]
+        return [
+            ft,
+            parse("1 + 4*x^2 - 2*l*x", vs) + ft * parse("y", vs) - t * u[1],
+            parse("-6*x*y^2 + 3*l*y^2", vs) + ft * parse("1 - x", vs) - t * u[2],
+        ]
+
+    _check_system(fam, equations, seed=4)
 
 
 # ---- closed-form oracle -----------------------------------------------------
@@ -86,8 +116,8 @@ def test_critical_system_cusp():
 def test_solve_matches_closed_form(n, a):
     inst = ex1(n, a)
     eps = 0.01
-    d = Deformation(eps=(eps,), alpha=(0.0,) * n)
-    ps = solve_all(inst, d, 2 * n, seed=3)
+    fam = DeformationFamily(inst, (eps,) + (0.0,) * n)
+    ps = solve_family_at(fam, 1.0, 2 * n, np.random.default_rng(3))
     assert len(ps) == 2 * n
     remaining = list(zip(ps.x, ps.X[:, n], ps.jtilde))
     for wx, wl, wj in ex1_closed_form(n, a, eps):
@@ -105,8 +135,8 @@ def test_solve_matches_closed_form(n, a):
 
 def test_k0_single_point():
     inst = ProblemInstance(2, 0, [], [Poly.variable(0, 2), Poly.variable(1, 2)])
-    d = Deformation(eps=(), alpha=(0.3, -0.2))
-    ps = solve_all(inst, d, 1, seed=5)
+    fam = DeformationFamily(inst, (0.3, -0.2))
+    ps = solve_family_at(fam, 1.0, 1, np.random.default_rng(5))
     assert len(ps) == 1
     x = ps.x[0]
     assert abs(x[0] - 0.3) < 1e-12 and abs(x[1] + 0.2) < 1e-12
@@ -126,18 +156,16 @@ def test_count_certification(inst_builder, expected):
     inst = inst_builder()
     rng = np.random.default_rng(11)
     for _ in range(5):
-        u = rng.standard_normal(inst.n + 1) + 1j * rng.standard_normal(inst.n + 1)
-        fam = DeformationFamily(inst, tuple(u / np.linalg.norm(u)))
+        fam = DeformationFamily(inst, generic_direction(rng, inst.n + 1))
         ps = solve_family_at(fam, 1e-2, expected, rng)
         assert len(ps) == expected
         assert all(r < 1e-10 for r in ps.residual)
 
 
 def test_count_mismatch_raises():
-    inst = ex1(2, (1, 2))
-    d = Deformation(eps=(0.01,), alpha=(0.0, 0.0))
+    fam = DeformationFamily(ex1(2, (1, 2)), (0.01, 0.0, 0.0))
     with pytest.raises(CountMismatchError) as exc:
-        solve_all(inst, d, 5, seed=1, opts=SolveOptions(max_retries=1, multistart=5))
+        solve_family_at(fam, 1.0, 5, np.random.default_rng(1))
     assert "expected 5" in str(exc.value)
     assert "paths_tracked" in exc.value.diagnostics
 
@@ -145,14 +173,14 @@ def test_count_mismatch_raises():
 def test_multistart_degenerate_chart_is_count_mismatch(monkeypatch):
     """A degenerate chart after a multistart recovery is a count failure."""
     inst = ex1(2, (1, 2))
-    fam = DeformationFamily(inst, generic_direction(inst, 0))
+    fam = DeformationFamily(inst, direction_of(inst, 0))
     dedup = critpts._dedup
     calls = []
 
-    def drop_one_from_homotopy(points, tol):
+    def drop_one_from_homotopy(points, tol):  # every homotopy attempt, no multistart merge
         calls.append(1)
         kept = dedup(points, tol)
-        return kept[:-1] if len(calls) == 1 else kept
+        return kept[:-1] if len(calls) <= critpts._MAX_RETRIES + 1 else kept
 
     def degenerate(family, t, xs, diagnostics=None):
         raise DegenerateChartError("near-degenerate critical point (Jtilde ~ 0)")
@@ -160,9 +188,7 @@ def test_multistart_degenerate_chart_is_count_mismatch(monkeypatch):
     monkeypatch.setattr(critpts, "_dedup", drop_one_from_homotopy)
     monkeypatch.setattr(critpts, "_make_point_set", degenerate)
     with pytest.raises(CountMismatchError) as exc:
-        solve_family_at(
-            fam, 1e-2, 4, np.random.default_rng(0), SolveOptions(max_retries=0)
-        )
+        solve_family_at(fam, 1e-2, 4, np.random.default_rng(0))
     assert "found 3 critical points, expected 4" in str(exc.value)
     assert "degenerate" in str(exc.value)
     assert exc.value.diagnostics["multistart_recoveries"] == 1
@@ -177,7 +203,7 @@ def test_batched_track_matches_single_paths():
         3, 1, [parse("x1^2 + x2^2 + x3^3", ["x1", "x2", "x3"])],
         [Poly.one(3), Poly.zero(3), Poly.zero(3)],
     )
-    fam = DeformationFamily(inst, generic_direction(inst, 42))
+    fam = DeformationFamily(inst, direction_of(inst, 42))
     rng = np.random.default_rng(0)
     gamma = np.exp(2j * np.pi * rng.random())
     b = (0.5 + rng.random(fam.nunk)) * np.exp(2j * np.pi * rng.random(fam.nunk))
@@ -260,7 +286,7 @@ def _twisted_cusp_grid(samples):
     """A twisted cusp family and, per circle sample, the base points with
     the first multiplier shifted by h(x): the twisted zeros."""
     inst = cusp()
-    base = DeformationFamily(inst, generic_direction(inst, 42))
+    base = DeformationFamily(inst, direction_of(inst, 42))
     eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
     h = parse("2*x", ["x", "y"])
     twisted = DeformationFamily(inst, base.direction, twist=(eta, h))
@@ -299,9 +325,9 @@ def test_solve_anchored_falls_back_per_sample(monkeypatch):
         kept = dedup(points, tol)
         return kept[:-1] if len(calls) == 3 else kept
 
-    def recording(family, t, expected, rng, opts=None):
+    def recording(family, t, expected, rng):
         fresh.append(t)
-        return solve(family, t, expected, rng, opts)
+        return solve(family, t, expected, rng)
 
     monkeypatch.setattr(critpts, "_dedup", drop_at_third_sample)
     monkeypatch.setattr(critpts, "solve_family_at", recording)
@@ -325,7 +351,7 @@ def test_shuffle_sign():
 def test_block_independence_cusp():
     """Jtilde is chart-free: both Jacobian blocks give the same value."""
     inst = cusp()
-    u = generic_direction(inst, 42)
+    u = direction_of(inst, 42)
     fam = DeformationFamily(inst, u)
     rng = np.random.default_rng(0)
     ps = solve_family_at(fam, 1e-2, 4, rng)
@@ -352,7 +378,7 @@ def test_batched_chart_data_matches_rowwise():
     sit in pairs on the coordinate axes, one block per pair.
     """
     inst = ex1(3, (1, 2, 4))
-    fam = DeformationFamily(inst, generic_direction(inst, 42))
+    fam = DeformationFamily(inst, direction_of(inst, 42))
     ps = solve_family_at(fam, 1e-2, 6, np.random.default_rng(0))
     assert set(ps.block.tolist()) == {0, 1, 2}  # every block is chosen
     delta, jt, block, S = fam.jacobian_data(ps.t, ps.x)
@@ -372,7 +398,7 @@ def test_chart_data_with_per_row_t():
     """jacobian_data with one t per row, over the points of two parameters
     and several blocks, equals jacobian_on_block at each row's own t."""
     inst = ex1(3, (1, 2, 4))
-    fam = DeformationFamily(inst, generic_direction(inst, 42))
+    fam = DeformationFamily(inst, direction_of(inst, 42))
     a = solve_family_at(fam, 1e-2, 6, np.random.default_rng(0))
     b = solve_family_at(fam, 2e-2j, 6, np.random.default_rng(1))
     X = np.concatenate([a.x, b.x])
@@ -396,7 +422,7 @@ def test_chart_data_with_per_row_t():
 )
 def test_jtilde_against_finite_differences(inst_builder, expected):
     inst = inst_builder()
-    u = generic_direction(inst, 7)
+    u = direction_of(inst, 7)
     fam = DeformationFamily(inst, u)
     rng = np.random.default_rng(1)
     t = 1e-2
@@ -407,36 +433,27 @@ def test_jtilde_against_finite_differences(inst_builder, expected):
 
 
 def test_jacobian_value_spec_surface():
-    inst = ex1(2, (1, 2))
     eps = 0.01
-    d = Deformation(eps=(eps,), alpha=(0.0, 0.0))
-    delta, jt, block = jacobian_value(inst, d, (eps**0.5, 0.0))
-    assert abs(delta - 2 * eps**0.5) < 1e-12
-    assert abs(jt - 4 * eps * 1.0) < 1e-12  # 4 eps (a2 - a1)
-    assert block == (0,)
+    fam = DeformationFamily(ex1(2, (1, 2)), (eps, 0.0, 0.0))
+    delta, jt, block, _ = fam.jacobian_data(1.0, np.array([[eps**0.5, 0.0]]))
+    assert abs(delta[0] - 2 * eps**0.5) < 1e-12
+    assert abs(jt[0] - 4 * eps * 1.0) < 1e-12  # 4 eps (a2 - a1)
+    assert fam.blocks[block[0]] == (0,)
 
 
 # ---- determinism and circles --------------------------------------------------
 
-def test_deformation_along_ray():
-    d = Deformation.along((1.0, 2.0, 3.0), 0.5, k=1)
-    assert d.eps == (0.5,)
-    assert d.alpha == (1.0, 1.5)
-    assert d.radius == 0.5
-
-
 def test_determinism_same_seed():
-    inst = cusp()
-    d = Deformation(eps=(0.01,), alpha=(0.002, 0.001))
-    a = solve_all(inst, d, 4, seed=9)
-    b = solve_all(inst, d, 4, seed=9)
+    fam = DeformationFamily(cusp(), (0.01, 0.002, 0.001))
+    a = solve_family_at(fam, 1.0, 4, np.random.default_rng(9))
+    b = solve_family_at(fam, 1.0, 4, np.random.default_rng(9))
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.jtilde, b.jtilde)
 
 
 def test_track_circle_counts():
     inst = ex1(2, (1, 2))
-    u = generic_direction(inst, 5)
+    u = direction_of(inst, 5)
     fam = DeformationFamily(inst, u)
     rng = np.random.default_rng(2)
     sets, stats = track_circle(fam, 1e-2, 16, 4, rng)

@@ -8,7 +8,6 @@ from singforms.polyring import Poly, parse
 from singforms.quadforms import (
     FormGenerator,
     GramForm,
-    block_minor,
     elkh,
     example2_bridge_map,
     gram_qa,
@@ -56,7 +55,7 @@ def ex1_n2_ctx():
     inst = ex1(2, (1, 2))
     alg = algebra(inst)
     sampler = make_sampler(inst, CFG, 42, expected=alg.colength)
-    qa = gram_qa(inst, CFG, 42, alg=alg, sampler=sampler)
+    qa = gram_qa(inst, alg, sampler)
     return inst, alg, sampler, qa
 
 
@@ -65,7 +64,7 @@ def cusp_ctx():
     inst = cusp()
     alg = algebra(inst)
     sampler = make_sampler(inst, CFG, 42, expected=alg.colength)
-    qa = gram_qa(inst, CFG, 42, alg=alg, sampler=sampler)
+    qa = gram_qa(inst, alg, sampler)
     return inst, alg, sampler, qa
 
 
@@ -98,7 +97,8 @@ def test_gram_qa_trivial_instance():
     inst = ProblemInstance(
         2, 1, [parse("x1", VS2)], [Poly.zero(2), Poly.variable(1, 2)]
     )
-    qa = gram_qa(inst, CFG, 42)
+    alg = algebra(inst)
+    qa = gram_qa(inst, alg, make_sampler(inst, CFG, 42, expected=alg.colength))
     assert qa.exact == [[Fraction(1)]]
     assert qa.rank_signature() == (1, 1)
 
@@ -122,7 +122,7 @@ def test_gram_qa_against_closed_form_limit(n, a):
     inst = ex1(n, a)
     alg = algebra(inst)
     sampler = make_sampler(inst, CFG, 42, expected=alg.colength)
-    qa = gram_qa(inst, CFG, 42, alg=alg, sampler=sampler)
+    qa = gram_qa(inst, alg, sampler)
     for i in range(len(alg.basis)):
         for j in range(i, len(alg.basis)):
             exps = tuple(x + y for x, y in zip(alg.basis[i], alg.basis[j]))
@@ -135,7 +135,7 @@ def test_seed_independence_of_exact_results():
     alg = algebra(inst)
     for seed in (7, 2024):
         sampler = make_sampler(inst, CFG, seed, expected=alg.colength)
-        qa = gram_qa(inst, CFG, seed, alg=alg, sampler=sampler)
+        qa = gram_qa(inst, alg, sampler)
         want = [
             [Fraction(0), Fraction(0), Fraction(0), Fraction(1, 3)],
             [Fraction(0), Fraction(0), Fraction(1, 3), Fraction(0)],
@@ -192,9 +192,9 @@ def test_qomega_ex1_n3_paper_values():
     inst = ex1(3, (1, 2, 4))
     alg = algebra(inst)
     sampler = make_sampler(inst, CFG, 42, expected=alg.colength)
-    qa = gram_qa(inst, CFG, 42, alg=alg, sampler=sampler)
+    qa = gram_qa(inst, alg, sampler)
     gens = alpha_beta_generators(3)
-    qo = gram_qomega(inst, gens, CFG, 42, alg=alg, qa=qa, sampler=sampler)
+    qo = gram_qomega(inst, gens, alg, qa)
     # the alpha-diagonal is 2 / prod_{j != i}(a_j - a_i), convention-free
     diag = [qo.gram.exact[i][i] for i in range(6)]
     assert diag == [
@@ -213,7 +213,7 @@ def test_qomega_ex1_n3_paper_values():
     assert qo.rank == 3
     assert qo.im_lambda_dim == alg.colength - tau_prime(inst)
     # two-route agreement on a diagonal and an off-diagonal pair
-    table = qomega_numeric(inst, gens, CFG, 42, sampler=sampler)
+    table = qomega_numeric(gens, sampler)
     v = table[1][1]
     assert abs(v - (-1)) < 1e-8
     v2 = table[0][3]
@@ -224,7 +224,7 @@ def test_qomega_numeric_trivial():
     inst = ProblemInstance(
         2, 1, [parse("x1", VS2)], [Poly.zero(2), Poly.variable(1, 2)]
     )
-    v = qomega_numeric(inst, [FormGenerator(Poly.one(2), (1,))], CFG, 42)[0][0]
+    v = qomega_numeric([FormGenerator(Poly.one(2), (1,))], make_sampler(inst, CFG, 42))[0][0]
     assert abs(v - 1.0) < 1e-10
 
 
@@ -234,10 +234,10 @@ def test_qomega_cusp_vanishes(cusp_ctx):
         FormGenerator(Poly.one(2), (1,)),
         FormGenerator(Poly.variable(0, 2), (1,)),
     ]
-    qo = gram_qomega(inst, gens, CFG, 42, alg=alg, qa=qa, sampler=sampler)
+    qo = gram_qomega(inst, gens, alg, qa)
     assert all(v == 0 for row in qo.gram.exact for v in row)
     assert qo.rank == 0
-    v = qomega_numeric(inst, gens, CFG, 42, sampler=sampler)[0][0]
+    v = qomega_numeric(gens, sampler)[0][0]
     assert abs(v) < 1e-8
 
 
@@ -256,10 +256,10 @@ def test_convention_freeness_under_equation_scaling(ex1_n2_ctx):
     g = FormGenerator(Poly.one(2), (1,))
     assert lambda_poly(scaled, g) == 3 * lambda_poly(inst, g)
     # Q^Omega entries are unchanged
-    qa_s = gram_qa(scaled, CFG, 42, alg=alg_s, sampler=sampler_s)
+    qa_s = gram_qa(scaled, alg_s, sampler_s)
     gens = alpha_beta_generators(2)
-    qo = gram_qomega(inst, gens, CFG, 42, alg=alg, qa=qa, sampler=sampler)
-    qo_s = gram_qomega(scaled, gens, CFG, 42, alg=alg_s, qa=qa_s, sampler=sampler_s)
+    qo = gram_qomega(inst, gens, alg, qa)
+    qo_s = gram_qomega(scaled, gens, alg_s, qa_s)
     assert qo.gram.exact == qo_s.gram.exact
     assert qo.rank == qo_s.rank
 
@@ -340,7 +340,7 @@ def test_example2_bridge_weighted_n3():
     )
     alg = algebra(inst)
     sampler = make_sampler(inst, CFG, 42, expected=alg.colength)
-    qa = gram_qa(inst, CFG, 42, alg=alg, sampler=sampler)
+    qa = gram_qa(inst, alg, sampler)
     bmap = example2_bridge_map(inst)
     ge, alg_e, sampler_e = elkh(bmap, CFG, 42)
     assert alg_e.basis == alg.basis
@@ -361,7 +361,7 @@ def test_example2_bridge_weighted_n3():
         FormGenerator(Poly.variable(0, 3), (1, 2)),
         FormGenerator(Poly.variable(2, 3), (1, 2)),
     ]
-    qo = gram_qomega(inst, gens, CFG, 42, alg=alg, qa=qa, sampler=sampler)
+    qo = gram_qomega(inst, gens, alg, qa)
     assert qo.rank == mult_operator_rank(alg, p ** inst.n)
 
 

@@ -3,15 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from singforms.critpts import Deformation, StackedTPolys, TPoly
-from singforms.icis import ProblemInstance, build_ideal
+from singforms.critpts import DeformationFamily, StackedTPolys, TPoly, solve_family_at
+from singforms.icis import ProblemInstance, algebra, build_ideal
 from singforms.polyring import Poly, parse
 from singforms.residuefn import (
     LimitConfig,
     NonConvergentError,
     ResidueSampler,
     make_sampler,
-    r_at,
     verify_class_invariance,
     verify_ideal_vanishing,
 )
@@ -47,25 +46,42 @@ def test_limit_config_validation():
         LimitConfig(radii=(1e-2,))
     with pytest.raises(ValueError):
         LimitConfig(radii=(1e-2, 1e-2))
+    # radii must be finite and positive, the tolerance finite and positive,
+    # the denominator bound at least 1
+    for radii in [(1e-2, float("nan")), (1e-2, 0.0), (float("inf"), 1e-2), (1e-2, -5e-3)]:
+        with pytest.raises(ValueError):
+            LimitConfig(radii=radii)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            LimitConfig(tol_match=tol)
+    with pytest.raises(ValueError):
+        LimitConfig(max_denominator=0)
 
 
-# ---- r_at: Formula at a fixed deformation ------------------------------------
+# ---- R at a fixed deformation: the sum over one point set, no limit ------------
+
+def _r_at(inst, direction, phi, expected, seed):
+    """sum phi/Jtilde over the critical points of the family at t = 1."""
+    ps = solve_family_at(
+        DeformationFamily(inst, direction), 1.0, expected, np.random.default_rng(seed)
+    )
+    return complex(np.sum(StackedTPolys([phi], inst.n).eval(ps.t, ps.x)[:, 0] / ps.jtilde))
+
 
 def test_r_at_closed_form():
     inst = ex1(2, (1, 2))
-    d = Deformation(eps=(0.01,), alpha=(0.0, 0.0))
+    u = (0.01, 0.0, 0.0)
     # 2 * eps / (4 eps (a2 - a1)) = 1/2
-    v = r_at(inst, d, parse("x1^2", VS2), expected=4, seed=3)
+    v = _r_at(inst, u, parse("x1^2", VS2), expected=4, seed=3)
     assert abs(v - 0.5) < 1e-12
     # an equation vanishes on the fiber at every deformation
-    v0 = r_at(inst, d, inst.f[0] - 0.01, expected=4, seed=3)
+    v0 = _r_at(inst, u, inst.f[0] - 0.01, expected=4, seed=3)
     assert abs(v0) < 1e-12
 
 
 def test_r_at_k0():
     inst = ProblemInstance(2, 0, [], [Poly.variable(0, 2), Poly.variable(1, 2)])
-    d = Deformation(eps=(), alpha=(0.2, 0.1))
-    assert abs(r_at(inst, d, Poly.one(2), expected=1, seed=1) - 1.0) < 1e-12
+    assert abs(_r_at(inst, (0.2, 0.1), Poly.one(2), expected=1, seed=1) - 1.0) < 1e-12
 
 
 # ---- limits -------------------------------------------------------------------
@@ -168,9 +184,7 @@ def test_r_limit_surface_and_seed_independence():
 # ---- verification suites -------------------------------------------------------
 
 def test_ideal_vanishing_ex1(ex1_n2_sampler):
-    rep = verify_ideal_vanishing(
-        ex1(2, (1, 2)), LimitConfig(), 42, sampler=ex1_n2_sampler
-    )
+    rep = verify_ideal_vanishing(ex1(2, (1, 2)), ex1_n2_sampler, 42)
     assert rep.ok
     assert rep.max_deviation < 1e-8
     assert len(rep.entries) == 2 * 10  # two generators, ten multipliers each
@@ -180,7 +194,7 @@ def test_ideal_vanishing_cusp():
     inst = ProblemInstance(
         2, 1, [parse("x^2 - y^3", ["x", "y"])], [Poly.one(2), Poly.zero(2)]
     )
-    rep = verify_ideal_vanishing(inst, LimitConfig(), 42)
+    rep = verify_ideal_vanishing(inst, make_sampler(inst, LimitConfig(), 42), 42)
     assert rep.ok
 
 
@@ -189,7 +203,6 @@ def test_class_invariance_explicit():
     inst = ex1(2, (1, 2))
     cfg = LimitConfig()
     base = make_sampler(inst, cfg, 42)
-    from singforms.critpts import DeformationFamily
     from singforms.polyring import Poly as P_
 
     probes = [parse(s, VS2) for s in ["1", "x1", "x2", "x1^2"]]
@@ -206,15 +219,15 @@ def test_class_invariance_explicit():
 
 
 def test_class_invariance_suite():
-    rep = verify_class_invariance(ex1(2, (1, 2)), LimitConfig(), 42, variants=2)
+    inst = ex1(2, (1, 2))
+    sampler = make_sampler(inst, LimitConfig(), 42)
+    rep = verify_class_invariance(inst, algebra(inst), sampler, 42, variants=2)
     assert rep.ok
     assert rep.max_deviation < 1e-8
 
 
 def test_class_invariance_cusp_cold_start():
     """Twisted sampler solved from scratch (no warm starts) on the cusp."""
-    from singforms.critpts import DeformationFamily
-
     inst = ProblemInstance(
         2, 1, [parse("x^2 - y^3", ["x", "y"])], [Poly.one(2), Poly.zero(2)]
     )
