@@ -189,6 +189,8 @@ def render_report(name: str, pf: ProblemFile, res: AnalysisResult) -> str:
 
 
 def _config_from_args(args) -> AnalysisConfig:
+    if args.seed < 0:
+        raise ValueError("seed must be non-negative")
     radii = tuple(float(r) for r in args.radii.split(","))
     limit = LimitConfig(
         radii=radii,

@@ -6,14 +6,17 @@ For a deformed instance (f - eps, omega - alpha) the zeros of the restricted
     f_i(x) - eps_i = 0                                 (i = 1..k)
     A_j(x) - alpha_j - sum_i lambda_i df_i/dx_j(x) = 0 (j = 1..n)
 
-by total-degree homotopy continuation with the gamma trick: all start points
-are tracked at once, each path with its own step, one batched Euler predictor
-and Newton corrector per round and a Newton polish at the end.  Warm starts
-(neighbouring samples on a circle) and ``solve_anchored`` (every sample of a
-grid from its own nearby solutions, in one batch) use the same batched
-Newton, ``_newton``.  Points closer than ``_merge_tolerance(t)`` are one point;
-a fresh solve retries ``_MAX_RETRIES`` times with a new gamma and start
-system, then tries ``_MULTISTART`` random Newton starts.
+by homotopy continuation with the gamma trick from a 2-homogeneous
+linear-product start system over the variable groups x | lambda (Morgan &
+Sommese 1987): a solve tracks the system's 2-homogeneous Bezout number of
+paths, not its total degree, all at once, each with its own step, one
+batched Euler predictor and Newton corrector per round and a Newton polish
+at the end.  Warm starts (neighbouring samples on a circle) and
+``solve_anchored`` (every sample of a grid from its own nearby solutions, in
+one batch) use the same batched Newton, ``_newton``.  Points closer than
+``_merge_tolerance(t)`` are one point; a fresh solve retries ``_MAX_RETRIES``
+times with a new gamma and start system, then tries ``_MULTISTART`` random
+Newton starts.
 
 At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
 is selected; with L the complement and m_j the (k+1)-minor on columns K then j,
@@ -195,7 +198,11 @@ class DeformationFamily:
                 lam = Poly.variable(n + i, self.nunk)
                 p0 = p0 - lam * self.df[i][j].lift(self.nunk)
             eqs.append(TPoly(p0, self.A[j].p1.lift(self.nunk)))
-        self.degrees = [max(e.degree(), 1) for e in eqs]
+        # (x-degree, lambda-degree) of each equation, for the start system
+        dfdeg = [max([0] + [self.df[i][j].degree() for i in range(k)]) for j in range(n)]
+        self.bidegrees = [(max(F.degree(), 1), 0) for F in self.F] + [
+            (max(a.degree(), d, int(k == 0)), int(k > 0)) for a, d in zip(self.A, dfdeg)
+        ]
         # values, then the Jacobian row-major, from one table
         self._csys = StackedTPolys(
             eqs + [e.diff(v) for e in eqs for v in range(self.nunk)], self.nunk
@@ -316,36 +323,63 @@ def generic_direction(rng: np.random.Generator, m: int) -> tuple:
 
 
 class _Homotopy:
-    """H(x, s) = gamma (1-s) G(x) + s F(x), G the total-degree start system;
-    ``s`` is a scalar or one value per row of X."""
+    """H(x, s) = gamma (1-s) G(x) + s F(x), G the 2-homogeneous start system
+    G_e = (l_e(x)^dx_e - b_e) (m_e(lambda) - c_e)^dl_e, (dx_e, dl_e) the
+    bidegree of equation e, l_e = x_j on row j and random on the f_i rows,
+    m_e and c_e random; an x-degree 0 gives the x-factor -b_e, a lambda-
+    degree 0 the lambda-factor 1.  For k = 0, G_j = x_j^d_j - b_j.  gamma, b,
+    then the forms are drawn from rng; ``s`` is a scalar or one value per row."""
 
-    def __init__(self, family: DeformationFamily, t: complex, gamma: complex, b):
-        self.family = family
-        self.t = t
-        self.gamma = complex(gamma)
-        self.b = np.asarray(b, dtype=np.complex128)
-        self.d = np.array(family.degrees, dtype=np.int64)
-        self.gd = self.gamma * self.d  # the start system's Jacobian is diag(gd * x^(d-1))
+    def __init__(self, family: DeformationFamily, t: complex, rng: np.random.Generator):
+        n, k, nu = family.n, family.k, family.nunk
+        self.family, self.t = family, t
+        self.gamma = np.exp(2j * np.pi * rng.random())
+        self.b = (0.5 + rng.random(nu)) * np.exp(2j * np.pi * rng.random(nu))
+        self.dx, self.dl = np.array(family.bidegrees, dtype=np.int64).T
+        lam, m = self.dl == 1, int(self.dl.sum())
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        # the forms l_e and m_e as rows of (nu, nu) matrices
+        self.Lf = np.zeros((nu, nu), dtype=np.complex128)
+        self.Lf[:k, :n], self.Lf[k:, :n] = cn(k, n), np.eye(n)
+        self.Lf[self.dx == 0] = 0.0
+        self.Mf = np.zeros((nu, nu), dtype=np.complex128)
+        self.Mf[lam, n:] = cn(m, k)
+        self.c = np.where(lam, 0j, -1.0)  # m_e - c_e = 1 where dl_e = 0
+        self.c[lam] = cn(m)
+        self.dx1, self.gdx = np.maximum(self.dx - 1, 0), self.gamma * self.dx
 
     def start_points(self) -> np.ndarray:
-        roots = []
-        for d, b in zip(self.family.degrees, self.b):
-            base = b ** (1.0 / d)
-            roots.append(
-                [base * np.exp(2j * np.pi * k / d) for k in range(d)]
-            )
-        return np.array(list(itertools.product(*roots)), dtype=np.complex128)
+        """The zeros of G: per choice of k rows taking their lambda factor,
+        and of a root of l_e^dx_e = b_e on every other equation, the
+        solution of one linear system, all in one batched solve."""
+        A, rhs = [], []
+        for S in itertools.combinations(np.flatnonzero(self.dl).tolist(), self.family.k):
+            roots = [
+                [self.c[e]] if e in S
+                else [self.b[e] ** (1.0 / d) * np.exp(2j * np.pi * r / d) for r in range(d)]
+                for e, d in enumerate(self.dx.tolist())
+            ]
+            rs = list(itertools.product(*roots))
+            A += [[self.Mf[e] if e in S else self.Lf[e] for e in range(len(roots))]] * len(rs)
+            rhs += rs
+        nu = self.family.nunk
+        return np.linalg.solve(np.reshape(A, (-1, nu, nu)), np.reshape(rhs, (-1, nu, 1)))[:, :, 0]
 
     def eval(self, X, s):
         """(H, dH/dx, dH/ds) at the rows of X."""
         s = np.asarray(s, dtype=np.complex128)[..., None]
         f, J = self.family.system(self.t, X)
-        xd = X ** (self.d - 1)
-        gG = self.gamma * (xd * X - self.b)
+        L = X @ self.Lf.T
+        Ld = L**self.dx1
+        M = X @ self.Mf.T - self.c
+        gP = self.gamma * (Ld * L - self.b)
+        gG = gP * M
+        dG = (M * self.gdx * Ld)[..., None] * self.Lf + gP[..., None] * self.Mf
         c = 1.0 - s
-        J = s[..., None] * J
-        nu = X.shape[1]
-        J.reshape(len(X), nu * nu)[:, :: nu + 1] += c * (self.gd * xd)  # diagonal
+        J = s[..., None] * J + c[..., None] * dG
         return c * gG + s * f, J, f - gG
 
 
@@ -394,13 +428,18 @@ def _track(h: _Homotopy, starts: np.ndarray):
     "polish_failed") in start order.  Each path keeps its own s and step ds:
     an accepted step grows ds by 1.7 up to 0.1, a failed corrector shrinks
     it by 0.4, a singular predictor halves it.  Below ds = 1e-12 a path
-    stalls, or diverged if |x| is large (paths to infinity shrink the step
+    stalls, or diverged if |x| > 1e2 (paths to infinity shrink the step
     against a blowing-up |x|).  Endpoints are polished on the target system.
     """
     X = np.array(starts, dtype=np.complex128)
     s, ds = np.zeros(len(X)), np.full(len(X), 0.05)
     status = np.full(len(X), "tracking", dtype="<U13")
     act = np.arange(len(X))
+
+    def stall(idx):
+        idx = idx[ds[idx] < 1e-12]
+        status[idx] = np.where(np.abs(X[idx]).max(axis=1) > 1e2, "diverged", "stalled")
+
     while len(act):
         step = np.minimum(ds[act], 1.0 - s[act])
         # Euler predictor
@@ -409,7 +448,7 @@ def _track(h: _Homotopy, starts: np.ndarray):
         if singular.any():
             cut = act[singular]
             ds[cut] *= 0.5
-            status[cut[ds[cut] < 1e-12]] = "stalled"
+            stall(cut)
             act, dx, step = act[~singular], dx[~singular], step[~singular]
         s_new = s[act] + step
         X_corr, ok = _newton(
@@ -422,11 +461,7 @@ def _track(h: _Homotopy, starts: np.ndarray):
         if not ok.all():
             rej = act[~ok]
             ds[rej] *= 0.4
-            rej = rej[ds[rej] < 1e-12]
-            big = np.abs(X[rej]).max(axis=1)
-            status[rej] = np.where(
-                ((big > 1e3) & (s[rej] > 0.99)) | (big > 1e4), "diverged", "stalled"
-            )
+            stall(rej)
         act = np.flatnonzero((status == "tracking") & (s < 1.0))
     # polish on the target system
     fin = np.flatnonzero(status == "tracking")
@@ -484,7 +519,7 @@ def solve_family_at(
     expected: int,
     rng: np.random.Generator,
 ) -> CriticalPointSet:
-    """All critical points at parameter t via total-degree homotopy.
+    """All critical points at parameter t via the 2-homogeneous homotopy.
 
     Retries with a fresh gamma and start system on a count mismatch, then
     falls back to extra Newton multistarts before giving up.
@@ -500,11 +535,7 @@ def solve_family_at(
         return _make_point_set(family, t, [], diagnostics)
     mtol = _merge_tolerance(t)
     for _ in range(_MAX_RETRIES + 1):
-        gamma = np.exp(2j * np.pi * rng.random())
-        b = (0.5 + rng.random(family.nunk)) * np.exp(
-            2j * np.pi * rng.random(family.nunk)
-        )
-        h = _Homotopy(family, t, gamma, b)
+        h = _Homotopy(family, t, rng)
         ends, status = _track(h, h.start_points())
         converged = status == "converged"
         diverged = status == "diverged"

@@ -124,7 +124,7 @@ def test_analyze_exit_codes(tmp_path):
         ["--radii", "1e-2,1e-1"], ["--samples", "15"], ["--radii", "1e-2"],
         ["--radii", "1e-2,nan"], ["--radii", "1e-2,0"], ["--radii", "inf,1e-2"],
         ["--radii", "1e-2,-5e-3"], ["--tol-match", "0"], ["--tol-match", "-1"],
-        ["--max-den", "0"],
+        ["--max-den", "0"], ["--seed", "-1"],
     ):
         code, out, err = run_cli(["analyze", str(good), *flags])
         assert (code, out) == (EXIT_INPUT, "")

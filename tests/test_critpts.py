@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from singforms.critpts import (
     solve_family_at,
     track_circle,
 )
+from singforms.corpus import CORPUS
 from singforms.icis import ProblemInstance, index_nu
 from singforms.polyring import Poly, parse
 
@@ -194,6 +196,121 @@ def test_multistart_degenerate_chart_is_count_mismatch(monkeypatch):
     assert exc.value.diagnostics["multistart_recoveries"] == 1
 
 
+# ---- the 2-homogeneous start system ---------------------------------------------
+
+def _twisted_cusp_family():
+    eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
+    return DeformationFamily(cusp(), direction_of(cusp(), 4), twist=(eta, parse("2*x", ["x", "y"])))
+
+
+def _k2_family():
+    """The k = 2 input f = (x^2 + y^2 + z^3, x*y + z^2), omega = dz."""
+    vs = ["x", "y", "z"]
+    inst = ProblemInstance(
+        3, 2, [parse("x^2 + y^2 + z^3", vs), parse("x*y + z^2", vs)],
+        [Poly.zero(3), Poly.zero(3), Poly.one(3)],
+    )
+    return DeformationFamily(inst, direction_of(inst, 4))
+
+
+def _corpus_family(name):
+    inst = CORPUS[name].instance()
+    return DeformationFamily(inst, direction_of(inst, 4))
+
+
+# (family, number of start points): the 2-homogeneous Bezout numbers over
+# x | lambda; the total degrees are 8, 9, 18, 36, 32, 32, 1, 1, 48 and 72
+BEZOUT = [
+    (lambda: _corpus_family("ex1_n2"), 4),
+    (lambda: _corpus_family("elkh_z3"), 9),
+    (lambda: _corpus_family("cusp"), 9),
+    (lambda: _corpus_family("ex2_n3"), 15),
+    (lambda: _corpus_family("four_lines"), 12),
+    (lambda: _corpus_family("ex1_n4"), 8),
+    (lambda: _corpus_family("smooth_line"), 1),
+    (lambda: _corpus_family("elkh_identity"), 1),
+    (_twisted_cusp_family, 24),
+    (_k2_family, 24),
+]
+
+
+@pytest.mark.parametrize("family,paths", BEZOUT)
+def test_start_points_are_simple_zeros_of_start_system(family, paths):
+    """One start point per 2-homogeneous Bezout count; each is a zero of G
+    (H at s = 0 is gamma G, |gamma| = 1) with a nonsingular Jacobian, and
+    no two coincide."""
+    h = critpts._Homotopy(family(), 1e-2, np.random.default_rng(6))
+    P = h.start_points()
+    assert P.shape == (paths, h.family.nunk)
+    G, dG, _ = h.eval(P, 0.0)
+    assert np.abs(G).max() < 1e-12
+    assert np.linalg.cond(dG).max() < 1e8
+    dist = np.abs(P[:, None] - P[None]).max(axis=2) + np.eye(paths)
+    assert dist.min() > 1e-3
+
+
+@pytest.mark.parametrize("family,paths", BEZOUT)
+def test_homotopy_derivatives_match_central_differences(family, paths):
+    """dH/dx and dH/ds from ``eval`` against central differences of H at
+    seeded complex points, one s per row."""
+    h = critpts._Homotopy(family(), 0.7 - 0.4j, np.random.default_rng(6))
+    rng = np.random.default_rng(7)
+    nu = h.family.nunk
+    X = rng.standard_normal((3, nu)) + 1j * rng.standard_normal((3, nu))
+    v = rng.standard_normal(nu) + 1j * rng.standard_normal(nu)
+    s, eps = np.array([0.1, 0.5, 0.9]), 1e-6
+    H, J, Hs = h.eval(X, s)
+    fd_x = (h.eval(X + eps * v, s)[0] - h.eval(X - eps * v, s)[0]) / (2 * eps)
+    fd_s = (h.eval(X, s + eps)[0] - h.eval(X, s - eps)[0]) / (2 * eps)
+    assert np.allclose(J @ v, fd_x, rtol=1e-6, atol=1e-6 * np.abs(H).max())
+    assert np.allclose(Hs, fd_s, rtol=1e-6, atol=1e-6 * np.abs(H).max())
+
+
+def test_k0_start_system_is_total_degree():
+    """For k = 0 the start points, H and its derivatives are those of the
+    total-degree system x_j^d_j - b_j with gamma and b drawn as before."""
+    fam = _corpus_family("elkh_z3")
+    h = critpts._Homotopy(fam, 1e-2, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    gamma = np.exp(2j * np.pi * rng.random())
+    b = (0.5 + rng.random(fam.nunk)) * np.exp(2j * np.pi * rng.random(fam.nunk))
+    d = np.array([3, 3])
+    roots = [[bj ** (1.0 / dj) * np.exp(2j * np.pi * r / dj) for r in range(dj)] for dj, bj in zip(d, b)]
+    X = np.array(list(itertools.product(*roots)))
+    assert np.array_equal(h.start_points(), X)
+    s = np.linspace(0.0, 0.9, len(X))
+    H, J, Hs = h.eval(X, s)
+    f, JF = fam.system(1e-2, X)
+    c = (1.0 - s)[:, None]
+    gG = gamma * (X ** (d - 1) * X - b)
+    JG = np.einsum("ij,jk->ijk", gamma * d * X ** (d - 1), np.eye(2))
+    assert np.array_equal(H, c * gG + s[:, None] * f)
+    assert np.array_equal(J, s[:, None, None] * JF + c[:, :, None] * JG)
+    assert np.array_equal(Hs, f - gG)
+
+
+class _StallingHomotopy:
+    """H = x - r s^2 with a wrong-signed Jacobian for s > 0.5, so that no
+    corrector step past s = 0.5 converges and the path stalls at x = r/4."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def eval(self, X, s):
+        s = np.broadcast_to(np.asarray(s, dtype=float), (len(X),))[:, None]
+        J = np.where(s > 0.5, -1.0, 1.0)[:, :, None]
+        return X - self.r * s**2, J, -2 * self.r * s * np.ones_like(X)
+
+
+@pytest.mark.parametrize("r,status", [(1.0, "stalled"), (380.0, "stalled"), (420.0, "diverged")])
+def test_stall_classified_by_size(r, status):
+    """A path that stalls at |x| <= 1e2 is a failure however far it got;
+    one that stalls farther out counts as diverged."""
+    X, got = critpts._track(_StallingHomotopy(r), np.zeros((1, 1), dtype=complex))
+    assert got.tolist() == [status]
+    assert abs(X[0, 0] - r / 4) < 1e-3 * r
+
+
 # ---- batched tracking and Newton ----------------------------------------------
 
 def test_batched_track_matches_single_paths():
@@ -204,10 +321,7 @@ def test_batched_track_matches_single_paths():
         [Poly.one(3), Poly.zero(3), Poly.zero(3)],
     )
     fam = DeformationFamily(inst, direction_of(inst, 42))
-    rng = np.random.default_rng(0)
-    gamma = np.exp(2j * np.pi * rng.random())
-    b = (0.5 + rng.random(fam.nunk)) * np.exp(2j * np.pi * rng.random(fam.nunk))
-    h = critpts._Homotopy(fam, 1e-2, gamma, b)
+    h = critpts._Homotopy(fam, 1e-2, np.random.default_rng(0))
     starts = h.start_points()
     X, status = critpts._track(h, starts)
     assert "diverged" in status and "converged" in status
