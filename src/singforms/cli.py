@@ -3,7 +3,8 @@
 ``singforms analyze FILE`` runs the full pipeline on one problem file and
 prints a structured-text report (exit 0 iff all checks pass, 1 on bad input
 or bad limit flags, 2 on solver or limit failures, including a module
-dimension that does not stabilize, 3 on non-isolated input).  Bad limit flags
+dimension that does not stabilize and a standard basis that exceeds its pair
+budget, 3 on non-isolated input).  Bad limit flags
 are radii that are not finite, positive and strictly decreasing (at least
 two), an odd ``--samples`` or one below 16, a ``--tol-match`` that is not
 finite and positive, and a ``--max-den`` below 1.
@@ -32,6 +33,7 @@ from fractions import Fraction
 from .corpus import CORPUS
 from .critpts import CountMismatchError
 from .icis import OmegaDimInconclusive, ProblemInstance
+from .localalg import PairBudgetExceeded
 from .pipeline import AnalysisConfig, AnalysisResult, NonIsolatedError, analyze
 from .polyring import Poly, PolyParseError, parse, to_string
 from .residuefn import LimitConfig, NonConvergentError
@@ -217,9 +219,9 @@ def cmd_analyze(args) -> int:
     except NonIsolatedError as exc:
         print(f"non-isolated input: {exc}", file=sys.stderr)
         return EXIT_NON_ISOLATED
-    except OmegaDimInconclusive as exc:
+    except (OmegaDimInconclusive, PairBudgetExceeded) as exc:
         print(f"solver/limit failure: {exc}", file=sys.stderr)
-        print("diag omega_dim: inconclusive", file=sys.stderr)
+        print(f"diag {exc.diag}", file=sys.stderr)
         return EXIT_SOLVER
     except (CountMismatchError, NonConvergentError) as exc:
         print(f"solver/limit failure: {exc}", file=sys.stderr)
@@ -270,6 +272,7 @@ def cmd_verify_corpus(args) -> int:
             CountMismatchError,
             NonConvergentError,
             OmegaDimInconclusive,
+            PairBudgetExceeded,
         ) as exc:
             print(f"{name}: pipeline failure: {exc}")
             all_ok = False

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import ratlinalg
 from .localalg import DEFAULT_ORDER, INFINITE, QuotientAlgebra, monomials_below
@@ -105,7 +104,10 @@ def index_nu(inst: ProblemInstance):
 def tau_prime(inst: ProblemInstance) -> int:
     """Colength of (f_1..f_k) + all k x k minors of the Jacobian of f.
 
-    For k = 0 the empty minor is the unit, so tau' = 0.
+    For k = 0 the empty minor is the unit, so tau' = 0.  Else tau' <= nu: each
+    (k+1)-minor, expanded along the A row, lies in the ideal of k x k Jacobian
+    minors, so the nu ideal lies inside this one, tau' is finite whenever nu
+    is, and the ValueError is reachable only by callers skipping that check.
     """
     if inst.k == 0:
         return 0
@@ -120,6 +122,8 @@ def tau_prime(inst: ProblemInstance) -> int:
 
 class OmegaDimInconclusive(RuntimeError):
     """Raised when the module dimension fails to stabilize below D_max."""
+
+    diag = "omega_dim: inconclusive"
 
 
 def _wedge_with_subset(coeffs, T, n):
@@ -161,53 +165,41 @@ def omega_module_generators(inst: ProblemInstance):
 def omega_module_dim(inst: ProblemInstance, d_max: int = 12) -> int:
     """Dimension of Omega^{n-k} / (f_i Omega, df_i ^ Omega, omega ^ Omega).
 
-    Computed by degree truncation: span the relation module up to coefficient
-    degree D, read off the quotient dimension, and accept once two consecutive
-    truncation degrees agree.  The rank over the rationals is taken modulo two
-    fixed 31-bit primes (with an exact fallback on disagreement), which can
-    only underestimate the rank, i.e. overestimate the dimension.
+    Computed by degree truncation.  With N the relation module and m the
+    maximal ideal, ``dim_at(D)`` is dim Omega / (N + m^D Omega), as
+    O / m^D = C[x] / m^D.  Equal values at D and D + 1 give
+    m^D Omega in N + m * m^D Omega, so m^D Omega in N by Nakayama: the first
+    repeated value is the dimension, and ``d_max`` only caps the cost.
+
+    Each generator is scaled once to integer coefficients (the rank does not
+    change); its shifts by monomials beta are sparse rows {column: int} with
+    subset-major columns.  Each D is ranked afresh, so an instance that
+    stabilizes early never builds rows of the cap's degree.  The rank is
+    taken modulo two fixed 31-bit primes (exact fallback on disagreement),
+    which can only underestimate the rank, i.e. overestimate the dimension.
     """
     subsets, gens = omega_module_generators(inst)
     s_index = {S: i for i, S in enumerate(subsets)}
-    r = len(subsets)
-    n = inst.n
+    int_gens = []  # [(subset index, mono, degree, integer coefficient)] per gen
+    for gen in gens:
+        terms = [(s_index[S], m, c) for S, p in gen.items() for m, c in p.terms.items()]
+        if terms:
+            scale = lcm(*(c.denominator for *_, c in terms))
+            int_gens.append([(si, m, sum(m), int(c * scale)) for si, m, c in terms])
 
     def dim_at(D: int) -> int:
-        monos = monomials_below(n, D)
+        monos = monomials_below(inst.n, D)
         m_index = {m: i for i, m in enumerate(monos)}
-        ncols = r * len(monos)
-        rows = []
-        for gen in gens:
-            g_order = min(
-                (p.order() for p in gen.values() if not p.is_zero()),
-                default=float("inf"),
-            )
-            if g_order == float("inf"):
-                continue
-            for beta in monomials_below(n, max(D - int(g_order), 0)):
-                row = {}
-                for S, p in gen.items():
-                    si = s_index[S]
-                    for mono, c in p.terms.items():
-                        mm = tuple(a + b for a, b in zip(beta, mono))
-                        if sum(mm) < D:
-                            col = si * len(monos) + m_index[mm]
-                            row[col] = row.get(col, Fraction(0)) + c
-                if row:
-                    rows.append(row)
-        if not rows:
-            return ncols
-        dense = []
-        for row in rows:
-            denlcm = 1
-            for v in row.values():
-                d = v.denominator
-                denlcm = denlcm * d // gcd(denlcm, d)
-            vec = [0] * ncols
-            for col, v in row.items():
-                vec[col] = int(v * denlcm)
-            dense.append(vec)
-        return ncols - ratlinalg.int_rank(dense)
+        rows = [
+            {
+                si * len(monos) + m_index[tuple(map(sum, zip(beta, mono)))]: c
+                for si, mono, deg, c in terms
+                if sum(beta) + deg < D
+            }
+            for terms in int_gens
+            for beta in monomials_below(inst.n, D - min(t[2] for t in terms))
+        ]
+        return len(subsets) * len(monos) - ratlinalg.int_rank(rows)
 
     prev = None
     for D in range(2, d_max + 1):

@@ -119,6 +119,12 @@ def _monic(p: Poly, order: LocalOrder) -> Poly:
     return p * (Fraction(1) / lc)
 
 
+class PairBudgetExceeded(RuntimeError):
+    """Raised when standard-basis completion processes more than max_pairs."""
+
+    diag = "standard_basis: pair budget exceeded"
+
+
 def standard_basis(gens, order: LocalOrder = DEFAULT_ORDER, max_pairs: int = 20000):
     """Standard basis of the ideal generated by ``gens`` in the local ring."""
     G = []
@@ -143,7 +149,7 @@ def standard_basis(gens, order: LocalOrder = DEFAULT_ORDER, max_pairs: int = 200
         i, j = pairs.pop(0)
         processed += 1
         if processed > max_pairs:
-            raise RuntimeError("standard basis completion exceeded pair budget")
+            raise PairBudgetExceeded(f"standard basis exceeded {max_pairs} pairs")
         h = mora_normal_form(_spoly(G[i], G[j], order), G, order)
         if not h.is_zero():
             G.append(_monic(h, order))

@@ -1,7 +1,8 @@
-"""Dense exact linear algebra over the rationals, plus small numeric helpers.
+"""Exact linear algebra over the rationals, plus small numeric helpers.
 
-Matrices are lists of lists of Fraction.  Sizes here are desk scale (tens of
-rows/columns), so plain Gaussian elimination is fine.
+Dense matrices are lists of lists of Fraction at desk scale (tens of rows),
+so plain Gaussian elimination is fine; the module-dimension rank takes
+thousands of sparse integer rows ({column: int}) and eliminates them mod p.
 """
 
 from __future__ import annotations
@@ -133,39 +134,40 @@ def numeric_rank_bounds(mat: np.ndarray, threshold: float = 1e-8):
     return sure, maybe
 
 
-def rank_mod_p(int_rows, p: int) -> int:
-    """Rank of an integer matrix modulo the prime p (numpy int64 Gauss)."""
-    if not int_rows:
-        return 0
-    a = np.array([[v % p for v in row] for row in int_rows], dtype=np.int64)
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        below = a[r + 1 :, c] != 0
-        if below.any():
-            idx = np.nonzero(below)[0] + r + 1
-            a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
+def rank_mod_p(rows, p) -> int:
+    """Rank of sparse integer rows ({column: int}) modulo the prime p.
+
+    ``pivots`` maps each leading column to its row, scaled to lead with 1; an
+    incoming row is reduced by the pivot at its smallest column until it
+    vanishes or takes a new pivot.  ``p=None`` runs the loop over Fraction.
+    """
+    red = (lambda v: v % p) if p else Fraction
+    pivots = {}
+    for row in rows:
+        row = {c: red(v) for c, v in row.items() if red(v)}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                inv = pow(row[c], -1, p) if p else 1 / row[c]
+                pivots[c] = {cc: red(v * inv) for cc, v in row.items()}
+                break
+            f = row[c]
+            for cc, v in pivots[c].items():
+                nv = red(row.get(cc, 0) - f * v)
+                if nv:
+                    row[cc] = nv
+                else:
+                    del row[cc]
+    return len(pivots)
 
 
 def int_rank(rows) -> int:
-    """Rank of integer rows via two fixed primes; exact fallback on mismatch."""
+    """Rank of sparse integer rows via two fixed primes; exact on mismatch."""
     r1 = rank_mod_p(rows, RANK_PRIMES[0])
     r2 = rank_mod_p(rows, RANK_PRIMES[1])
     if r1 == r2:
         return r1
-    return rank([[Fraction(v) for v in row] for row in rows])
+    return rank_mod_p(rows, None)
 
 
 def reconstruct_rational(x: float, max_denominator: int, tol: float, gap: float = 1e3):

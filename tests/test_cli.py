@@ -1,9 +1,11 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from singforms import localalg
 from singforms.cli import (
     EXIT_INPUT,
     EXIT_NON_ISOLATED,
@@ -143,6 +145,29 @@ def test_analyze_omega_dim_inconclusive(tmp_path):
     assert out == ""
     assert "did not stabilize" in err
     assert "diag omega_dim: inconclusive" in err
+
+
+def test_pair_budget_exceeded_is_a_solver_failure(tmp_path, monkeypatch):
+    """A standard basis past its pair budget exits 2 without a traceback.
+
+    No small input is known to exhaust the default budget, so the budget is
+    shrunk to zero pairs.
+    """
+    monkeypatch.setattr(
+        localalg,
+        "standard_basis",
+        partial(localalg.standard_basis, max_pairs=0),
+    )
+    path = tmp_path / "ex1.txt"
+    path.write_text(EX1_N2)
+    code, out, err = run_cli(["analyze", str(path)])
+    assert (code, out) == (EXIT_SOLVER, "")
+    assert "standard basis exceeded 0 pairs" in err
+    assert "diag standard_basis: pair budget exceeded" in err
+    code, out, _ = run_cli(["verify-corpus", "--only", "smooth_line"])
+    assert code == EXIT_SOLVER
+    assert "smooth_line: pipeline failure: " in out
+    assert "corpus: FAILURES" in out
 
 
 def test_analyze_non_convergent_radii(tmp_path):

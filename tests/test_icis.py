@@ -3,7 +3,9 @@ from math import comb
 
 import pytest
 
+from singforms.corpus import CORPUS
 from singforms.icis import (
+    OmegaDimInconclusive,
     ProblemInstance,
     build_ideal,
     index_nu,
@@ -133,6 +135,46 @@ def test_omega_module_dim_matches_nu():
         ProblemInstance(2, 0, [], [Poly.variable(0, 2), Poly.variable(1, 2)]),
     ]:
         assert omega_module_dim(inst) == index_nu(inst)
+
+
+def brieskorn_pham(a, b, c):
+    """3/2 x^a + 5 y^b + 7/3 z^c with omega = 2 dx: non-unit coefficients."""
+    vs = ["x", "y", "z"]
+    return ProblemInstance(
+        3, 1, [parse(f"3/2*x^{a} + 5*y^{b} + 7/3*z^{c}", vs)],
+        [parse(s, vs) for s in ("2", "0", "0")],
+    )
+
+
+SURFACES = [(2, 3, 4), (3, 4, 5), (3, 4, 8), (3, 5, 7)]
+
+
+@pytest.mark.parametrize("abc", SURFACES, ids=lambda abc: "bp_%d_%d_%d" % abc)
+def test_omega_module_dim_brieskorn_pham_closed_form(abc):
+    a, b, c = abc
+    assert omega_module_dim(brieskorn_pham(a, b, c)) == a * (b - 1) * (c - 1)
+
+
+@pytest.mark.parametrize(
+    "abc", [(2, 5, 9), (4, 5, 7)], ids=lambda abc: "bp_%d_%d_%d" % abc
+)
+def test_omega_module_dim_needs_cap_above_default(abc):
+    """These stabilize only at D = 13: past the default cap, inside 14."""
+    a, b, c = abc
+    inst = brieskorn_pham(a, b, c)
+    assert omega_module_dim(inst, d_max=14) == a * (b - 1) * (c - 1)
+    with pytest.raises(OmegaDimInconclusive):
+        omega_module_dim(inst)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [ci.instance() for ci in CORPUS.values()]
+    + [brieskorn_pham(*abc) for abc in SURFACES],
+    ids=list(CORPUS) + ["bp_%d_%d_%d" % abc for abc in SURFACES],
+)
+def test_tau_prime_at_most_nu(inst):
+    assert tau_prime(inst) <= index_nu(inst)
 
 
 def test_nu_invariant_under_equation_mixing():

@@ -103,9 +103,44 @@ def test_rref_and_rank():
 
 
 def test_int_rank_matches_exact():
-    rows = [[2, 4, 6], [1, 2, 3], [0, 5, 1]]
+    rows = [{0: 2, 1: 4, 2: 6}, {0: 1, 1: 2, 2: 3}, {1: 5, 2: 1}]
     assert ratlinalg.int_rank(rows) == 2
     assert ratlinalg.rank_mod_p(rows, ratlinalg.RANK_PRIMES[0]) == 2
+
+
+@st.composite
+def sparse_int_rows(draw):
+    """Sparse integer rows, some of them integer combinations of others."""
+    ncols = draw(st.integers(1, 12))
+    entry = st.dictionaries(
+        st.integers(0, ncols - 1), st.integers(-9, 9), max_size=4
+    )
+    rows = draw(st.lists(entry, max_size=8))
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        combo = {}
+        for row in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+            k = draw(st.integers(-3, 3))
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + k * v
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return ncols, rows
+
+
+@given(sparse_int_rows())
+@settings(max_examples=80, deadline=None)
+def test_int_rank_sparse_matches_dense_fraction_rank(data):
+    ncols, rows = data
+    dense = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    assert ratlinalg.int_rank(rows) == ratlinalg.rank(dense)
+    assert ratlinalg.rank_mod_p(rows, None) == ratlinalg.rank(dense)
+
+
+def test_int_rank_exact_fallback():
+    p, q = ratlinalg.RANK_PRIMES
+    rows = [{0: p}]  # vanishes mod the first prime only
+    assert ratlinalg.rank_mod_p(rows, p) == 0
+    assert ratlinalg.rank_mod_p(rows, q) == 1
+    assert ratlinalg.int_rank(rows) == 1
 
 
 def test_numeric_rank_bounds():
