@@ -13,7 +13,7 @@ import pathlib
 import sys
 import time
 
-from singforms.cli import ProblemFile, render_report
+from singforms.cli import render_report
 from singforms.corpus import CORPUS
 from singforms.pipeline import AnalysisConfig, analyze
 from singforms.residuefn import LimitConfig
@@ -43,14 +43,8 @@ def main(argv=None) -> int:
             variables=ci.variables,
         )
         elapsed = time.monotonic() - t0
-        pf = ProblemFile(
-            variables=list(ci.variables),
-            f=list(ci.f_strings),
-            omega=list(ci.omega_strings),
-            mode=ci.mode,
-        )
         path = out / f"{name}.report.txt"
-        path.write_text(render_report(name, pf, res))
+        path.write_text(render_report(name, res))
         status = "pass" if res.all_ok else "FAIL"
         if not res.all_ok:
             failures += 1

@@ -1,13 +1,14 @@
 """Command-line interface: problem-file ingestion, analysis reports, corpus.
 
 ``singforms analyze FILE`` runs the full pipeline on one problem file and
-prints a structured-text report (exit 0 iff all checks pass, 1 on bad input
-or bad limit flags, 2 on solver or limit failures, including a module
-dimension that does not stabilize and a standard basis that exceeds its pair
-budget, 3 on non-isolated input).  Bad limit flags
+prints a structured-text report (exit 0 iff all checks pass, 1 on bad input,
+malformed or unknown flags or bad limit flags, 2 on solver or limit failures,
+including a module dimension that does not stabilize and a standard basis
+that exceeds its pair budget, 3 on non-isolated input).  Bad limit flags
 are radii that are not finite, positive and strictly decreasing (at least
 two), an odd ``--samples`` or one below 16, a ``--tol-match`` that is not
-finite and positive, and a ``--max-den`` below 1.
+finite and positive, and a ``--max-den`` below 1.  Every exit-1 case prints
+``input error: ...`` on stderr and nothing on stdout.
 ``singforms verify-corpus`` runs the built-in instances against their
 expected values and the property checks.
 
@@ -116,7 +117,7 @@ def _fmt_numeric_matrix(mat) -> list:
     return [" ".join(_fmt_float(v) for v in row) for row in mat]
 
 
-def render_report(name: str, pf: ProblemFile, res: AnalysisResult) -> str:
+def render_report(name: str, res: AnalysisResult) -> str:
     cfg = res.config
     vs = list(res.variables)
     lines = []
@@ -159,23 +160,22 @@ def render_report(name: str, pf: ProblemFile, res: AnalysisResult) -> str:
             )
     add(f"rank_qa: {res.rank_qa}")
     add(f"signature_qa: {res.signature_qa}")
-    if res.qomega is not None:
-        add("generators: " + ", ".join(g.label(vs) for g in res.generators))
-        add(
-            "lambda_convention: Lambda(h*dx_L) = sgn(K,L)*h*det(df_i/dx_j, j in K),"
-            " K the complementary block, columns ascending, sgn the shuffle sign"
-        )
-        qo = res.qomega
-        if qo.gram.exact is not None:
-            add("gram_qomega_exact:")
-            for row in _fmt_exact_matrix(qo.gram.exact):
-                add("  " + row)
-        else:
-            add("gram_qomega_numeric:")
-            for row in _fmt_numeric_matrix(qo.gram.numeric):
-                add("  " + row)
-        add(f"rank_qomega: {qo.rank}")
-        add(f"im_lambda_dim: {qo.im_lambda_dim}")
+    add("generators: " + ", ".join(g.label(vs) for g in res.generators))
+    add(
+        "lambda_convention: Lambda(h*dx_L) = sgn(K,L)*h*det(df_i/dx_j, j in K),"
+        " K the complementary block, columns ascending, sgn the shuffle sign"
+    )
+    qo = res.qomega
+    if qo.gram.exact is not None:
+        add("gram_qomega_exact:")
+        for row in _fmt_exact_matrix(qo.gram.exact):
+            add("  " + row)
+    else:
+        add("gram_qomega_numeric:")
+        for row in _fmt_numeric_matrix(qo.gram.numeric):
+            add("  " + row)
+    add(f"rank_qomega: {qo.rank}")
+    add(f"im_lambda_dim: {qo.im_lambda_dim}")
     for c in res.checks:
         status = "pass" if c.ok else "FAIL"
         add(f"check {c.name}: {status} {c.detail} tol={c.tolerance}")
@@ -205,8 +205,8 @@ def _config_from_args(args) -> AnalysisConfig:
 
 def cmd_analyze(args) -> int:
     try:
-        text = open(args.file).read()
-        pf = parse_problem_file(text)
+        with open(args.file) as fh:
+            pf = parse_problem_file(fh.read())
         inst = problem_to_instance(pf)
         config = _config_from_args(args)
     except (OSError, ValueError, PolyParseError) as exc:
@@ -232,7 +232,7 @@ def cmd_analyze(args) -> int:
             for r, m in exc.deviations:
                 print(f"diag circle_mean radius={r:g}: {m}", file=sys.stderr)
         return EXIT_SOLVER
-    report = render_report(args.file, pf, res)
+    report = render_report(args.file, res)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report)
@@ -289,7 +289,7 @@ def cmd_verify_corpus(args) -> int:
             all_ok &= _check_claim(
                 "signature_qa", cl["signature_qa"], res.signature_qa, rows
             )
-        if "rank_qomega" in cl and res.qomega is not None:
+        if "rank_qomega" in cl:
             all_ok &= _check_claim(
                 "rank_qomega", cl["rank_qomega"], res.qomega.rank, rows
             )
@@ -302,7 +302,7 @@ def cmd_verify_corpus(args) -> int:
         if "gram_qa" in cl and res.gram_qa.exact is not None:
             want = [[Fraction(v) for v in row] for row in cl["gram_qa"]]
             all_ok &= _check_claim("gram_qa", want, res.gram_qa.exact, rows)
-        if "tight_gap" in cl and res.qomega is not None:
+        if "tight_gap" in cl:
             tight = (res.rank_qa - res.qomega.rank) == 2 * res.tau
             all_ok &= _check_claim("tight_gap", cl["tight_gap"], tight, rows)
         ok_checks = res.all_ok
@@ -317,8 +317,15 @@ def cmd_verify_corpus(args) -> int:
     return EXIT_OK if all_ok else EXIT_SOLVER
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting 2, so ``main`` can exit 1."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="singforms",
         description="quadratic forms of a 1-form on an ICIS: dimensions, "
         "Gram matrices, ranks, signatures, and verification checks",
@@ -353,7 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return args.func(args)
 
 

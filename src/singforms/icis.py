@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import ratlinalg
-from .localalg import DEFAULT_ORDER, INFINITE, QuotientAlgebra, monomials_below
+from .localalg import INFINITE, QuotientAlgebra, monomials_below
 from .polyring import Poly, det
 
 
@@ -30,7 +30,6 @@ class ProblemInstance:
     k: int
     f: tuple
     A: tuple
-    real_flag: bool = True
 
     def __post_init__(self):
         if not 0 <= self.k < self.n:
@@ -92,8 +91,8 @@ def build_ideal(inst: ProblemInstance):
     return gens
 
 
-def algebra(inst: ProblemInstance, order=DEFAULT_ORDER) -> QuotientAlgebra:
-    return QuotientAlgebra(build_ideal(inst), inst.n, order)
+def algebra(inst: ProblemInstance) -> QuotientAlgebra:
+    return QuotientAlgebra(build_ideal(inst), inst.n)
 
 
 def index_nu(inst: ProblemInstance):

@@ -1,9 +1,8 @@
-"""Local monomial orders, Mora standard bases, and finite quotient algebras.
+"""The local monomial order, Mora standard bases, and finite quotient algebras.
 
 The order is anti-graded degree reverse lexicographic (smaller total degree
-is larger; ties broken by degrevlex after an optional variable permutation),
-so 1 is the largest monomial and degree truncation is compatible with leading
-ideals.  Standard bases come from Buchberger completion driven by Mora's weak
+is larger; ties broken by degrevlex), so 1 is the largest monomial and degree
+truncation is compatible with leading ideals.  Standard bases come from Buchberger completion driven by Mora's weak
 normal form with ecart-based reducer selection, which terminates for local
 orders.
 
@@ -17,7 +16,6 @@ reduced echelon basis of the truncated ideal image.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyring import Poly
@@ -25,40 +23,25 @@ from .polyring import Poly
 INFINITE = float("inf")
 
 
-@dataclass(frozen=True)
-class LocalOrder:
-    """Anti-graded degrevlex order descriptor.
-
-    ``perm`` permutes variables before comparison (None = identity).
-    """
-
-    perm: tuple | None = None
-
-    def key(self, mono):
-        m = mono if self.perm is None else tuple(mono[i] for i in self.perm)
-        return (-sum(m), tuple(-e for e in reversed(m)))
-
-    def greater(self, a, b) -> bool:
-        return self.key(a) > self.key(b)
+def order_key(mono):
+    """Sort key of the local order: a larger key is a larger monomial."""
+    return (-sum(mono), tuple(-e for e in reversed(mono)))
 
 
-DEFAULT_ORDER = LocalOrder()
-
-
-def leading_monomial(p: Poly, order: LocalOrder):
+def leading_monomial(p: Poly):
     if p.is_zero():
         raise ValueError("zero polynomial has no leading monomial")
-    return max(p.terms, key=order.key)
+    return max(p.terms, key=order_key)
 
 
-def leading_term(p: Poly, order: LocalOrder):
-    m = leading_monomial(p, order)
+def leading_term(p: Poly):
+    m = leading_monomial(p)
     return m, p.terms[m]
 
 
-def ecart(p: Poly, order: LocalOrder) -> int:
+def ecart(p: Poly) -> int:
     """deg(p) - deg(LM(p)); the tail overshoot driving Mora's reduction."""
-    m = leading_monomial(p, order)
+    m = leading_monomial(p)
     return p.degree() - sum(m)
 
 
@@ -77,7 +60,7 @@ def _mono_mul_poly(mono, coeff, p: Poly) -> Poly:
     )
 
 
-def mora_normal_form(p: Poly, basis, order: LocalOrder = DEFAULT_ORDER) -> Poly:
+def mora_normal_form(p: Poly, basis) -> Poly:
     """Mora weak normal form of p against ``basis``.
 
     The result h satisfies u*p = sum a_i g_i + h for a unit u of the local
@@ -86,36 +69,36 @@ def mora_normal_form(p: Poly, basis, order: LocalOrder = DEFAULT_ORDER) -> Poly:
     then by age; intermediate results with larger ecart join the reducer pool,
     which is Mora's termination device.
     """
-    reducers = [(leading_monomial(g, order), g) for g in basis if not g.is_zero()]
+    reducers = [(leading_monomial(g), g) for g in basis if not g.is_zero()]
     h = p
     while not h.is_zero():
-        lm_h, lc_h = leading_term(h, order)
+        lm_h, lc_h = leading_term(h)
         cands = [
             (i, lm_g, g) for i, (lm_g, g) in enumerate(reducers) if _divides(lm_g, lm_h)
         ]
         if not cands:
             return h
         i, lm_g, g = min(
-            cands, key=lambda t: (ecart(t[2], order), order.key(t[1]), t[0])
+            cands, key=lambda t: (ecart(t[2]), order_key(t[1]), t[0])
         )
-        if ecart(g, order) > ecart(h, order):
+        if ecart(g) > ecart(h):
             reducers.append((lm_h, h))
         lc_g = g.terms[lm_g]
         h = h - _mono_mul_poly(_mono_sub(lm_h, lm_g), lc_h / lc_g, g)
     return h
 
 
-def _spoly(f: Poly, g: Poly, order: LocalOrder) -> Poly:
-    lm_f, lc_f = leading_term(f, order)
-    lm_g, lc_g = leading_term(g, order)
+def _spoly(f: Poly, g: Poly) -> Poly:
+    lm_f, lc_f = leading_term(f)
+    lm_g, lc_g = leading_term(g)
     lcm = tuple(max(a, b) for a, b in zip(lm_f, lm_g))
     return _mono_mul_poly(_mono_sub(lcm, lm_f), Fraction(1) / lc_f, f) - _mono_mul_poly(
         _mono_sub(lcm, lm_g), Fraction(1) / lc_g, g
     )
 
 
-def _monic(p: Poly, order: LocalOrder) -> Poly:
-    _, lc = leading_term(p, order)
+def _monic(p: Poly) -> Poly:
+    _, lc = leading_term(p)
     return p * (Fraction(1) / lc)
 
 
@@ -125,7 +108,7 @@ class PairBudgetExceeded(RuntimeError):
     diag = "standard_basis: pair budget exceeded"
 
 
-def standard_basis(gens, order: LocalOrder = DEFAULT_ORDER, max_pairs: int = 20000):
+def standard_basis(gens, max_pairs: int = 20000):
     """Standard basis of the ideal generated by ``gens`` in the local ring."""
     G = []
     for g in gens:
@@ -133,7 +116,7 @@ def standard_basis(gens, order: LocalOrder = DEFAULT_ORDER, max_pairs: int = 200
             continue
         if not g.is_exact():
             raise ValueError("standard bases need exact rational coefficients")
-        G.append(_monic(g, order))
+        G.append(_monic(g))
     if not G:
         raise ValueError("no nonzero generators")
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
@@ -141,8 +124,8 @@ def standard_basis(gens, order: LocalOrder = DEFAULT_ORDER, max_pairs: int = 200
     while pairs:
         # deterministic selection: smallest lcm degree first
         def lcm_deg(pr):
-            a = leading_monomial(G[pr[0]], order)
-            b = leading_monomial(G[pr[1]], order)
+            a = leading_monomial(G[pr[0]])
+            b = leading_monomial(G[pr[1]])
             return sum(max(x, y) for x, y in zip(a, b))
 
         pairs.sort(key=lambda pr: (lcm_deg(pr), pr))
@@ -150,17 +133,17 @@ def standard_basis(gens, order: LocalOrder = DEFAULT_ORDER, max_pairs: int = 200
         processed += 1
         if processed > max_pairs:
             raise PairBudgetExceeded(f"standard basis exceeded {max_pairs} pairs")
-        h = mora_normal_form(_spoly(G[i], G[j], order), G, order)
+        h = mora_normal_form(_spoly(G[i], G[j]), G)
         if not h.is_zero():
-            G.append(_monic(h, order))
+            G.append(_monic(h))
             new = len(G) - 1
             pairs.extend((k, new) for k in range(new))
     return G
 
 
-def minimal_lead_gens(std, order: LocalOrder = DEFAULT_ORDER):
+def minimal_lead_gens(std):
     """Minimal monomial generators of the leading ideal of a standard basis."""
-    lms = sorted({leading_monomial(g, order) for g in std}, key=lambda m: sum(m))
+    lms = sorted({leading_monomial(g) for g in std}, key=lambda m: sum(m))
     mins = []
     for m in lms:
         if not any(_divides(g, m) for g in mins):
@@ -202,12 +185,11 @@ class QuotientAlgebra:
     ``normal_form`` returns canonical coordinates over ``basis``.
     """
 
-    def __init__(self, generators, nvars: int, order: LocalOrder = DEFAULT_ORDER):
+    def __init__(self, generators, nvars: int):
         self.generators = list(generators)
         self.nvars = nvars
-        self.order = order
-        self.std_basis = standard_basis(self.generators, order)
-        self.leading_ideal = minimal_lead_gens(self.std_basis, order)
+        self.std_basis = standard_basis(self.generators)
+        self.leading_ideal = minimal_lead_gens(self.std_basis)
         if self.leading_ideal and self.leading_ideal[0] == (0,) * nvars:
             # unit ideal: the quotient is zero
             self.finite = True
@@ -231,7 +213,7 @@ class QuotientAlgebra:
             for m in itertools.product(*[range(b) for b in bounds])
             if not any(_divides(g, m) for g in self.leading_ideal)
         ]
-        self.basis = sorted(std, key=order.key, reverse=True)
+        self.basis = sorted(std, key=order_key, reverse=True)
         self.N = (max(sum(m) for m in self.basis) + 1) if self.basis else 0
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._rows = self._build_nf_rows()
@@ -254,7 +236,7 @@ class QuotientAlgebra:
         def reduce_row(vec):
             vec = dict(vec)
             while vec:
-                lead = max(vec, key=self.order.key)
+                lead = max(vec, key=order_key)
                 if lead not in rows:
                     return vec, lead
                 c = vec.pop(lead)
@@ -285,7 +267,7 @@ class QuotientAlgebra:
         # back-substitute so every tail is supported on standard monomials:
         # a row means lead + tail lies in the ideal, so a pivot monomial m in
         # the tail is replaced by -tail_m (subtracting c times the m-row)
-        for lead in sorted(rows, key=self.order.key):
+        for lead in sorted(rows, key=order_key):
             tail = rows[lead]
             changed = True
             while changed:
@@ -315,11 +297,6 @@ class QuotientAlgebra:
     def colength(self):
         return len(self.basis) if self.finite else INFINITE
 
-    def truncation_order(self) -> int:
-        if not self.finite:
-            raise ValueError("truncation order undefined for infinite colength")
-        return self.N
-
     def normal_form(self, p: Poly):
         """Exact coordinates of the class of p over ``basis``."""
         if not self.finite:
@@ -328,7 +305,7 @@ class QuotientAlgebra:
             raise ValueError("normal form needs exact coefficients")
         vec = self._truncate(p)
         out = [Fraction(0)] * len(self.basis)
-        for m in sorted(vec, key=self.order.key, reverse=True):
+        for m in sorted(vec, key=order_key, reverse=True):
             c = vec[m]
             if c == 0:
                 continue
@@ -338,12 +315,6 @@ class QuotientAlgebra:
                 for m2, c2 in self._rows[m].items():
                     out[self._index[m2]] -= c * c2
         return out
-
-    def nf_poly(self, p: Poly) -> Poly:
-        coords = self.normal_form(p)
-        return Poly(
-            {m: c for m, c in zip(self.basis, coords) if c != 0}, self.nvars
-        )
 
     def basis_product(self, i: int, j: int):
         """Coordinates of the product of basis classes i and j (cached)."""

@@ -57,7 +57,7 @@ class AnalysisResult:
     gram_qa: GramForm
     rank_qa: object
     signature_qa: object
-    qomega: quadforms.QOmegaResult | None
+    qomega: quadforms.QOmegaResult
     qomega_numeric_entries: np.ndarray
     generators: list
     checks: list
@@ -160,13 +160,12 @@ def analyze(
 
     # rank inequalities
     if qo.rank is not None:
-        ineq = quadforms.inequalities_report(
-            nu, tau, rank_qa, qo.rank, qo.im_lambda_dim, omega_dim
-        )
         checks.append(
             CheckResult(
                 name="rank_inequalities",
-                ok=ineq.ok,
+                ok=quadforms.rank_inequalities_hold(
+                    nu, tau, rank_qa, qo.rank, qo.im_lambda_dim, omega_dim
+                ),
                 detail=(
                     f"rank_qa={rank_qa} rank_qomega={qo.rank} tau={tau} "
                     f"im_lambda_dim={qo.im_lambda_dim}"

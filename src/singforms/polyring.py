@@ -237,13 +237,12 @@ class Poly:
             total = total + val
         return total
 
-    def lift(self, nvars: int, offset: int = 0) -> "Poly":
-        """Embed into a ring with more variables (exponents shifted by offset)."""
-        if offset + self.nvars > nvars:
+    def lift(self, nvars: int) -> "Poly":
+        """Embed into a ring with more variables, appended after the old ones."""
+        if self.nvars > nvars:
             raise ValueError("lift target too small")
-        pad_l = (0,) * offset
-        pad_r = (0,) * (nvars - offset - self.nvars)
-        return Poly({pad_l + m + pad_r: c for m, c in self.terms.items()}, nvars)
+        pad = (0,) * (nvars - self.nvars)
+        return Poly({m + pad: c for m, c in self.terms.items()}, nvars)
 
     # ---- display --------------------------------------------------------
 
@@ -444,38 +443,6 @@ def to_string(p: Poly, varnames: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def poly_divexact(p: Poly, q: Poly) -> Poly:
-    """Divide p by q assuming the division is exact (used by Bareiss)."""
-    if q.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return p
-
-    def key(m):
-        return (sum(m), m)
-
-    qm = max(q.terms, key=key)
-    qc = q.terms[qm]
-    rem = dict(p.terms)
-    out: dict = {}
-    while rem:
-        rm = max(rem, key=key)
-        rc = rem[rm]
-        m = tuple(a - b for a, b in zip(rm, qm))
-        if any(e < 0 for e in m):
-            raise ArithmeticError("inexact polynomial division")
-        c = rc / qc
-        out[m] = out.get(m, 0) + c
-        for m2, c2 in q.terms.items():
-            mm = tuple(a + b for a, b in zip(m, m2))
-            s = rem.get(mm, 0) - c * c2
-            if s == 0:
-                rem.pop(mm, None)
-            else:
-                rem[mm] = s
-    return Poly(out, p.nvars)
-
-
 def _det_cofactor(mat) -> Poly:
     n = len(mat)
     nv = mat[0][0].nvars
@@ -494,36 +461,9 @@ def _det_cofactor(mat) -> Poly:
     return acc
 
 
-def _det_bareiss(mat) -> Poly:
-    n = len(mat)
-    nv = mat[0][0].nvars
-    a = [row[:] for row in mat]
-    sign = 1
-    prev = Poly.one(nv)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero(nv)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = poly_divexact(num, prev)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign == 1 else -d
-
-
 def det(mat) -> Poly:
-    """Determinant of a square matrix of Poly.
-
-    Cofactor expansion up to 4x4 or for inexact coefficients; fraction-free
-    Bareiss beyond that (keeps intermediate swell polynomial-sized).
-    """
+    """Determinant of a square matrix of Poly, by cofactor expansion along
+    the first row (the matrices here are at most (k+1) x (k+1))."""
     n = len(mat)
     if n == 0:
         raise ValueError("empty matrix (caller should treat the empty det as 1)")
@@ -532,7 +472,4 @@ def det(mat) -> Poly:
     nv = mat[0][0].nvars
     if any(e.nvars != nv for row in mat for e in row):
         raise ValueError("mixed nvars in matrix")
-    exact = all(e.is_exact() for row in mat for e in row)
-    if n <= 4 or not exact:
-        return _det_cofactor(mat)
-    return _det_bareiss(mat)
+    return _det_cofactor(mat)

@@ -236,39 +236,17 @@ def qomega_numeric(generators, sampler: ResidueSampler) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class InequalityReport:
-    nu: int
-    tau: int
-    rank_qa: int
-    rank_qomega: int
-    im_lambda_dim: int
-    omega_dim: int
-    rank_le: bool
-    cork_ge_tau: bool
-    gap_bounds: bool
-    im_lambda_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.rank_le and self.cork_ge_tau and self.gap_bounds and self.im_lambda_ok
-
-
-def inequalities_report(
+def rank_inequalities_hold(
     nu: int, tau: int, rank_qa: int, rank_qomega: int, im_lambda_dim: int, omega_dim: int
-) -> InequalityReport:
+) -> bool:
+    """rank Q^Omega <= rank Q^A, corank Q^Omega >= tau', 0 <= the rank gap
+    <= 2 tau', and dim im Lambda = nu - tau'."""
     gap = rank_qa - rank_qomega
-    return InequalityReport(
-        nu=nu,
-        tau=tau,
-        rank_qa=rank_qa,
-        rank_qomega=rank_qomega,
-        im_lambda_dim=im_lambda_dim,
-        omega_dim=omega_dim,
-        rank_le=rank_qomega <= rank_qa,
-        cork_ge_tau=(omega_dim - rank_qomega) >= tau,
-        gap_bounds=0 <= gap <= 2 * tau,
-        im_lambda_ok=im_lambda_dim == nu - tau,
+    return (
+        rank_qomega <= rank_qa
+        and omega_dim - rank_qomega >= tau
+        and 0 <= gap <= 2 * tau
+        and im_lambda_dim == nu - tau
     )
 
 

@@ -127,6 +127,8 @@ def test_analyze_exit_codes(tmp_path):
         ["--radii", "1e-2,nan"], ["--radii", "1e-2,0"], ["--radii", "inf,1e-2"],
         ["--radii", "1e-2,-5e-3"], ["--tol-match", "0"], ["--tol-match", "-1"],
         ["--max-den", "0"], ["--seed", "-1"],
+        # malformed or unknown flags, rejected by the argument parser
+        ["--samples", "abc"], ["--max-den", "1.5"], ["--bogus"],
     ):
         code, out, err = run_cli(["analyze", str(good), *flags])
         assert (code, out) == (EXIT_INPUT, "")

@@ -13,11 +13,11 @@ from singforms.quadforms import (
     gram_qa,
     gram_qomega,
     im_lambda_basis,
-    inequalities_report,
     lambda_map,
     lambda_poly,
     mult_operator_rank,
     qomega_numeric,
+    rank_inequalities_hold,
 )
 from singforms.residuefn import LimitConfig, make_sampler
 
@@ -267,14 +267,12 @@ def test_convention_freeness_under_equation_scaling(ex1_n2_ctx):
 # ---- inequalities ----------------------------------------------------------------
 
 def test_inequalities_dataclass():
-    rep = inequalities_report(
+    assert rank_inequalities_hold(
         nu=6, tau=1, rank_qa=5, rank_qomega=3, im_lambda_dim=5, omega_dim=6
     )
-    assert rep.ok
-    bad = inequalities_report(
+    assert not rank_inequalities_hold(
         nu=6, tau=1, rank_qa=3, rank_qomega=5, im_lambda_dim=5, omega_dim=6
     )
-    assert not bad.ok
 
 
 # ---- ELKh and the bridge ----------------------------------------------------------
