@@ -4,11 +4,11 @@
 prints a structured-text report (exit 0 iff all checks pass, 1 on bad input,
 malformed or unknown flags or bad limit flags, 2 on solver or limit failures,
 including a module dimension that does not stabilize and a standard basis
-that exceeds its pair budget, 3 on non-isolated input).  Bad limit flags
-are radii that are not finite, positive and strictly decreasing (at least
-two), an odd ``--samples`` or one below 16, a ``--tol-match`` that is not
-finite and positive, and a ``--max-den`` below 1.  Every exit-1 case prints
-``input error: ...`` on stderr and nothing on stdout.
+that exceeds its pair or coefficient budget, 3 on non-isolated input).  Bad
+limit flags are radii that are not finite, positive and strictly decreasing
+(at least two), an odd ``--samples`` or one below 16, a ``--tol-match`` that
+is not finite and positive, and a ``--max-den`` below 1.  Every exit-1 case
+prints ``input error: ...`` on stderr and nothing on stdout.
 ``singforms verify-corpus`` runs the built-in instances against their
 expected values and the property checks.
 
@@ -34,7 +34,7 @@ from fractions import Fraction
 from .corpus import CORPUS
 from .critpts import CountMismatchError
 from .icis import OmegaDimInconclusive, ProblemInstance
-from .localalg import PairBudgetExceeded
+from .localalg import BudgetExceeded
 from .pipeline import AnalysisConfig, AnalysisResult, NonIsolatedError, analyze
 from .polyring import Poly, PolyParseError, parse, to_string
 from .residuefn import LimitConfig, NonConvergentError
@@ -219,7 +219,7 @@ def cmd_analyze(args) -> int:
     except NonIsolatedError as exc:
         print(f"non-isolated input: {exc}", file=sys.stderr)
         return EXIT_NON_ISOLATED
-    except (OmegaDimInconclusive, PairBudgetExceeded) as exc:
+    except (OmegaDimInconclusive, BudgetExceeded) as exc:
         print(f"solver/limit failure: {exc}", file=sys.stderr)
         print(f"diag {exc.diag}", file=sys.stderr)
         return EXIT_SOLVER
@@ -272,7 +272,7 @@ def cmd_verify_corpus(args) -> int:
             CountMismatchError,
             NonConvergentError,
             OmegaDimInconclusive,
-            PairBudgetExceeded,
+            BudgetExceeded,
         ) as exc:
             print(f"{name}: pipeline failure: {exc}")
             all_ok = False

@@ -9,14 +9,20 @@ For a deformed instance (f - eps, omega - alpha) the zeros of the restricted
 by homotopy continuation with the gamma trick from a 2-homogeneous
 linear-product start system over the variable groups x | lambda (Morgan &
 Sommese 1987): a solve tracks the system's 2-homogeneous Bezout number of
-paths, not its total degree, all at once, each with its own step, one
-batched Euler predictor and Newton corrector per round and a Newton polish
-at the end.  Warm starts (neighbouring samples on a circle) and
-``solve_anchored`` (every sample of a grid from its own nearby solutions, in
-one batch) use the same batched Newton, ``_newton``.  Points closer than
-``_merge_tolerance(t)`` are one point; a fresh solve retries ``_MAX_RETRIES``
-times with a new gamma and start system, then tries ``_MULTISTART`` random
-Newton starts.
+paths, not its total degree.  ``solve_fresh`` solves a batch of targets
+(family, t, rng) at once: the paths of all targets, each with its own step
+and its target's gamma and start system, share one batched Euler predictor
+and Newton corrector per round, with one stacked system evaluation for all
+rows, and a Newton polish at the end; the gamma trick makes the paths
+independent, so a batch changes no path.  An analysis solves the first
+sample of both circles and the count-certification runs in one batch, and
+``solve_family_at`` is the one-target case.  Warm starts (neighbouring
+samples on a circle) and ``solve_anchored`` (every sample of a grid from its
+own nearby solutions, in one batch) use the same batched Newton,
+``_newton``.  Points closer than ``_merge_tolerance(t)`` are one point; the
+targets of a batch that find the wrong count retry together, up to
+``_MAX_RETRIES`` times, with a new gamma and start system each, then try
+``_MULTISTART`` random Newton starts one by one.
 
 At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
 is selected; with L the complement and m_j the (k+1)-minor on columns K then j,
@@ -170,7 +176,7 @@ class DeformationFamily:
         direction = tuple(complex(v) for v in direction)
         if len(direction) != n + k:
             raise ValueError("direction must have k + n entries")
-        self.direction = direction
+        self.direction, self.twist = direction, twist
 
         self.F = [TPoly(inst.f[i], Poly.const(-direction[i], n)) for i in range(k)]
         self.df = [[inst.f[i].diff(j) for j in range(n)] for i in range(k)]
@@ -322,62 +328,104 @@ def generic_direction(rng: np.random.Generator, m: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class _Homotopy:
-    """H(x, s) = gamma (1-s) G(x) + s F(x), G the 2-homogeneous start system
+def _start_system(family: DeformationFamily, rng: np.random.Generator):
+    """(gamma, b, Lf, Mf, c, start points) of a 2-homogeneous start system
     G_e = (l_e(x)^dx_e - b_e) (m_e(lambda) - c_e)^dl_e, (dx_e, dl_e) the
     bidegree of equation e, l_e = x_j on row j and random on the f_i rows,
     m_e and c_e random; an x-degree 0 gives the x-factor -b_e, a lambda-
     degree 0 the lambda-factor 1.  For k = 0, G_j = x_j^d_j - b_j.  gamma, b,
-    then the forms are drawn from rng; ``s`` is a scalar or one value per row."""
+    then the forms are drawn from rng; the forms l_e and m_e are the rows of
+    the (nu, nu) matrices Lf and Mf.
 
-    def __init__(self, family: DeformationFamily, t: complex, rng: np.random.Generator):
-        n, k, nu = family.n, family.k, family.nunk
-        self.family, self.t = family, t
-        self.gamma = np.exp(2j * np.pi * rng.random())
-        self.b = (0.5 + rng.random(nu)) * np.exp(2j * np.pi * rng.random(nu))
-        self.dx, self.dl = np.array(family.bidegrees, dtype=np.int64).T
-        lam, m = self.dl == 1, int(self.dl.sum())
+    The zeros of G: per choice of k rows taking their lambda factor, and of
+    a root of l_e^dx_e = b_e on every other equation, the solution of one
+    linear system, all in one batched solve."""
+    n, k, nu = family.n, family.k, family.nunk
+    gamma = np.exp(2j * np.pi * rng.random())
+    b = (0.5 + rng.random(nu)) * np.exp(2j * np.pi * rng.random(nu))
+    dx, dl = np.array(family.bidegrees, dtype=np.int64).T
+    lam, m = dl == 1, int(dl.sum())
 
-        def cn(*shape):
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        # the forms l_e and m_e as rows of (nu, nu) matrices
-        self.Lf = np.zeros((nu, nu), dtype=np.complex128)
-        self.Lf[:k, :n], self.Lf[k:, :n] = cn(k, n), np.eye(n)
-        self.Lf[self.dx == 0] = 0.0
-        self.Mf = np.zeros((nu, nu), dtype=np.complex128)
-        self.Mf[lam, n:] = cn(m, k)
-        self.c = np.where(lam, 0j, -1.0)  # m_e - c_e = 1 where dl_e = 0
-        self.c[lam] = cn(m)
-        self.dx1, self.gdx = np.maximum(self.dx - 1, 0), self.gamma * self.dx
+    Lf = np.zeros((nu, nu), dtype=np.complex128)
+    Lf[:k, :n], Lf[k:, :n] = cn(k, n), np.eye(n)
+    Lf[dx == 0] = 0.0
+    Mf = np.zeros((nu, nu), dtype=np.complex128)
+    Mf[lam, n:] = cn(m, k)
+    c = np.where(lam, 0j, -1.0)  # m_e - c_e = 1 where dl_e = 0
+    c[lam] = cn(m)
 
-    def start_points(self) -> np.ndarray:
-        """The zeros of G: per choice of k rows taking their lambda factor,
-        and of a root of l_e^dx_e = b_e on every other equation, the
-        solution of one linear system, all in one batched solve."""
-        A, rhs = [], []
-        for S in itertools.combinations(np.flatnonzero(self.dl).tolist(), self.family.k):
-            roots = [
-                [self.c[e]] if e in S
-                else [self.b[e] ** (1.0 / d) * np.exp(2j * np.pi * r / d) for r in range(d)]
-                for e, d in enumerate(self.dx.tolist())
-            ]
-            rs = list(itertools.product(*roots))
-            A += [[self.Mf[e] if e in S else self.Lf[e] for e in range(len(roots))]] * len(rs)
-            rhs += rs
-        nu = self.family.nunk
-        return np.linalg.solve(np.reshape(A, (-1, nu, nu)), np.reshape(rhs, (-1, nu, 1)))[:, :, 0]
+    A, rhs = [], []
+    for S in itertools.combinations(np.flatnonzero(dl).tolist(), k):
+        roots = [
+            [c[e]] if e in S
+            else [b[e] ** (1.0 / d) * np.exp(2j * np.pi * r / d) for r in range(d)]
+            for e, d in enumerate(dx.tolist())
+        ]
+        rs = list(itertools.product(*roots))
+        A += [[Mf[e] if e in S else Lf[e] for e in range(nu)]] * len(rs)
+        rhs += rs
+    starts = np.linalg.solve(np.reshape(A, (-1, nu, nu)), np.reshape(rhs, (-1, nu, 1)))[:, :, 0]
+    return gamma, b, Lf, Mf, c, starts
 
-    def eval(self, X, s):
-        """(H, dH/dx, dH/ds) at the rows of X."""
+
+class _Homotopy:
+    """H(x, s) = gamma (1-s) G(x) + s F(x) for a batch of targets (family,
+    t, rng), F the family's system at t and G a start system of
+    ``_start_system`` drawn from rng.  The start points of all targets are
+    stacked in ``starts``, ``target`` giving each row's target, and the
+    parameters of the targets in arrays indexed by target.
+
+    ``targets`` is read in order, and each target's start system is drawn
+    before the next target is read, so targets built lazily from one rng
+    draw their own data and then their start system, target after target.
+    All targets share one instance and twist, and one table evaluation
+    serves every row: an untwisted family's direction u enters only the
+    constant t-terms of its system, so a row takes the first family's system
+    minus t (u - u_first).  Twisted families must share the direction.
+    """
+
+    def __init__(self, targets):
+        self.targets, drawn = [], []
+        for family, t, rng in targets:
+            self.targets.append((family, t, rng))
+            drawn.append(_start_system(family, rng))
+        self.family = first = self.targets[0][0]
+        for family, _, _ in self.targets:
+            if family.inst is not first.inst or family.twist is not first.twist or (
+                family.twist is not None and family.direction != first.direction
+            ):
+                raise ValueError("a batch needs one instance and twist, and one twisted direction")
+        *params, starts = zip(*drawn)
+        self.gamma, self.b, self.Lf, self.Mf, self.c = map(np.array, params)
+        self.starts = np.concatenate(starts)
+        self.target = np.repeat(np.arange(len(starts)), [len(p) for p in starts])
+        self.t = np.array([t for _, t, _ in self.targets], dtype=np.complex128)
+        self.du = np.array([f.direction for f, _, _ in self.targets]) - first.direction
+        dx = np.array(first.bidegrees, dtype=np.int64)[:, 0]
+        self.dx1, self.gdx = np.maximum(dx - 1, 0), self.gamma[:, None] * dx
+
+    def system(self, X, tgt):
+        """Values and Jacobian of the target systems at the rows of X, row i
+        of target tgt[i]."""
+        t = self.t[tgt]
+        f, J = self.family.system(t, X)
+        return f - t[:, None] * self.du[tgt], J
+
+    def eval(self, X, s, tgt):
+        """(H, dH/dx, dH/ds) at the rows of X, row i of target tgt[i]; s is
+        a scalar or one value per row."""
         s = np.asarray(s, dtype=np.complex128)[..., None]
-        f, J = self.family.system(self.t, X)
-        L = X @ self.Lf.T
+        f, J = self.system(X, tgt)
+        Lf, Mf = self.Lf[tgt], self.Mf[tgt]
+        L = np.einsum("rij,rj->ri", Lf, X)
         Ld = L**self.dx1
-        M = X @ self.Mf.T - self.c
-        gP = self.gamma * (Ld * L - self.b)
+        M = np.einsum("rij,rj->ri", Mf, X) - self.c[tgt]
+        gP = self.gamma[tgt, None] * (Ld * L - self.b[tgt])
         gG = gP * M
-        dG = (M * self.gdx * Ld)[..., None] * self.Lf + gP[..., None] * self.Mf
+        dG = (M * self.gdx[tgt] * Ld)[..., None] * Lf + gP[..., None] * Mf
         c = 1.0 - s
         J = s[..., None] * J + c[..., None] * dG
         return c * gG + s * f, J, f - gG
@@ -422,11 +470,13 @@ def _newton(FJ, X, iters, tol):
     return X, ok
 
 
-def _track(h: _Homotopy, starts: np.ndarray):
-    """Track all start points from s = 0 to s = 1 at once; returns the
-    endpoints and a status per path ("converged", "diverged", "stalled",
-    "polish_failed") in start order.  Each path keeps its own s and step ds:
-    an accepted step grows ds by 1.7 up to 0.1, a failed corrector shrinks
+def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
+    """Track all start points from s = 0 to s = 1 at once, start i on the
+    homotopy of target tgt[i]; returns the endpoints and a status per path
+    ("converged", "diverged", "stalled", "polish_failed") in start order.
+    One ``h.eval`` serves all paths of a round, so a batch takes as many
+    rounds as its slowest path.  Each path keeps its own s and step ds: an
+    accepted step grows ds by 1.7 up to 0.1, a failed corrector shrinks
     it by 0.4, a singular predictor halves it.  Below ds = 1e-12 a path
     stalls, or diverged if |x| > 1e2 (paths to infinity shrink the step
     against a blowing-up |x|).  Endpoints are polished on the target system.
@@ -443,16 +493,16 @@ def _track(h: _Homotopy, starts: np.ndarray):
     while len(act):
         step = np.minimum(ds[act], 1.0 - s[act])
         # Euler predictor
-        _, J, Hs = h.eval(X[act], s[act])
+        _, J, Hs = h.eval(X[act], s[act], tgt[act])
         dx, singular = _solve(J, Hs)
         if singular.any():
             cut = act[singular]
             ds[cut] *= 0.5
             stall(cut)
             act, dx, step = act[~singular], dx[~singular], step[~singular]
-        s_new = s[act] + step
+        s_new, ta = s[act] + step, tgt[act]
         X_corr, ok = _newton(
-            lambda Y: h.eval(Y, s_new)[:2], X[act] - step[:, None] * dx, iters=4, tol=1e-11
+            lambda Y: h.eval(Y, s_new, ta)[:2], X[act] - step[:, None] * dx, iters=4, tol=1e-11
         )
         acc = act[ok]
         X[acc], s[acc] = X_corr[ok], s_new[ok]
@@ -465,7 +515,7 @@ def _track(h: _Homotopy, starts: np.ndarray):
         act = np.flatnonzero((status == "tracking") & (s < 1.0))
     # polish on the target system
     fin = np.flatnonzero(status == "tracking")
-    X_fin, ok = _newton(lambda Y: h.eval(Y, 1.0)[:2], X[fin], iters=12, tol=1e-14)
+    X_fin, ok = _newton(lambda Y: h.eval(Y, 1.0, tgt[fin])[:2], X[fin], iters=12, tol=1e-14)
     ok &= np.abs(X_fin).max(axis=1) < _DIVERGENCE
     X[fin] = X_fin
     status[fin] = np.where(ok, "converged", "polish_failed")
@@ -513,66 +563,96 @@ def _make_point_set(family, t, xs, diagnostics=None) -> CriticalPointSet:
     return ps
 
 
+_COUNTERS = ("paths_tracked", "paths_diverged", "path_failures", "retries", "multistart_recoveries")
+
+
+def solve_fresh(targets, expected: int) -> list:
+    """All critical points of each target (family, t, rng), ``expected`` of
+    them, by one 2-homogeneous homotopy batch; per target its point set, or
+    the CountMismatchError it failed with.
+
+    ``targets`` is read as ``_Homotopy`` reads it.  After tracking, each
+    target is deduplicated, chart-checked and counted on its own; the
+    targets that fail retry together in a new batch with a fresh gamma and
+    start system from their own rng, up to ``_MAX_RETRIES`` times, then each
+    falls back to extra Newton multistarts.  Solver counters are per target.
+    """
+    if expected == 0:
+        return [_make_point_set(f, t, [], dict.fromkeys(_COUNTERS, 0)) for f, t, _ in targets]
+    h = _Homotopy(targets)
+    batch, pending = h.targets, list(range(len(h.targets)))
+    out, found = [None] * len(batch), [None] * len(batch)
+    diags = [dict.fromkeys(_COUNTERS, 0) for _ in batch]
+    for attempt in range(_MAX_RETRIES + 1):
+        if attempt:
+            h = _Homotopy([batch[i] for i in pending])
+        ends, status = _track(h, h.starts, h.target)
+        conv, diverged = status == "converged", status == "diverged"
+        tc = h.target[conv]
+        X, ok = _newton(lambda Y: h.system(Y, tc), ends[conv], iters=14, tol=1e-14)
+        failed = []
+        for j, i in enumerate(pending):
+            family, t, _ = batch[i]
+            mine = h.target == j
+            diags[i]["paths_tracked"] += int(mine.sum())
+            diags[i]["paths_diverged"] += int((mine & diverged).sum())
+            diags[i]["path_failures"] += int((mine & ~conv & ~diverged).sum())
+            found[i] = _dedup(X[ok & (tc == j)], _merge_tolerance(t))
+            if len(found[i]) == expected:
+                try:
+                    out[i] = _make_point_set(family, t, found[i], diags[i])
+                    continue
+                except DegenerateChartError:
+                    pass
+            diags[i]["retries"] += 1
+            failed.append(i)
+        pending = failed
+        if not pending:
+            break
+    for i in pending:
+        out[i] = _multistart(*batch[i], expected, found[i], diags[i])
+    return out
+
+
+def _multistart(family, t, rng, expected, found, diagnostics):
+    """Newton from random starts around the scale of the points ``found``
+    until ``expected`` distinct points are known; the point set, or a
+    CountMismatchError."""
+    message = f"found {len(found)} critical points, expected {expected}"
+    if not 0 < len(found) < expected:
+        return CountMismatchError(message, diagnostics)
+    mtol = _merge_tolerance(t)
+    scale = float(np.median(np.abs(found).max(axis=1))) or 1.0
+    for _ in range(_MULTISTART):
+        x0 = scale * (rng.standard_normal(family.nunk) + 1j * rng.standard_normal(family.nunk))
+        X, ok = _newton_family(family, t, x0.reshape(1, -1))
+        if ok[0]:
+            merged = _dedup(np.vstack([found, X[:1]]), mtol)
+            if len(merged) > len(found):
+                found = merged
+                diagnostics["multistart_recoveries"] += 1
+        if len(found) == expected:
+            break
+    if len(found) == expected:
+        try:
+            return _make_point_set(family, t, found, diagnostics)
+        except DegenerateChartError as exc:
+            message += f"; multistart recovered {expected}, but the chart is degenerate: {exc}"
+    return CountMismatchError(message, diagnostics)
+
+
 def solve_family_at(
     family: DeformationFamily,
     t: complex,
     expected: int,
     rng: np.random.Generator,
 ) -> CriticalPointSet:
-    """All critical points at parameter t via the 2-homogeneous homotopy.
-
-    Retries with a fresh gamma and start system on a count mismatch, then
-    falls back to extra Newton multistarts before giving up.
-    """
-    diagnostics = {
-        "paths_tracked": 0,
-        "paths_diverged": 0,
-        "path_failures": 0,
-        "retries": 0,
-        "multistart_recoveries": 0,
-    }
-    if expected == 0:
-        return _make_point_set(family, t, [], diagnostics)
-    mtol = _merge_tolerance(t)
-    for _ in range(_MAX_RETRIES + 1):
-        h = _Homotopy(family, t, rng)
-        ends, status = _track(h, h.start_points())
-        converged = status == "converged"
-        diverged = status == "diverged"
-        diagnostics["paths_tracked"] += len(status)
-        diagnostics["paths_diverged"] += int(diverged.sum())
-        diagnostics["path_failures"] += int((~converged & ~diverged).sum())
-        X, ok = _newton_family(family, t, ends[converged])
-        found = _dedup(X[ok], mtol)
-        if len(found) == expected:
-            try:
-                return _make_point_set(family, t, found, diagnostics)
-            except DegenerateChartError:
-                pass
-        diagnostics["retries"] += 1
-    message = f"found {len(found)} critical points, expected {expected}"
-    # multistart Newton recovery around the scale of what was found
-    if 0 < len(found) < expected:
-        scale = float(np.median(np.abs(found).max(axis=1))) or 1.0
-        for _ in range(_MULTISTART):
-            x0 = scale * (
-                rng.standard_normal(family.nunk)
-                + 1j * rng.standard_normal(family.nunk)
-            )
-            X, ok = _newton_family(family, t, x0.reshape(1, -1))
-            if ok[0]:
-                merged = _dedup(np.vstack([found, X[:1]]), mtol)
-                if len(merged) > len(found):
-                    found = merged
-                    diagnostics["multistart_recoveries"] += 1
-            if len(found) == expected:
-                break
-        if len(found) == expected:
-            try:
-                return _make_point_set(family, t, found, diagnostics)
-            except DegenerateChartError as exc:
-                message += f"; multistart recovered {expected}, but the chart is degenerate: {exc}"
-    raise CountMismatchError(message, diagnostics)
+    """All critical points at parameter t: ``solve_fresh`` of one target,
+    raising its CountMismatchError."""
+    (got,) = solve_fresh([(family, t, rng)], expected)
+    if isinstance(got, CountMismatchError):
+        raise got
+    return got
 
 
 def _solve_warm_batch(family, ts, starts, expected) -> list:
@@ -605,12 +685,16 @@ def solve_warm(family: DeformationFamily, t: complex, starts: np.ndarray, expect
 
 def solve_anchored(family: DeformationFamily, ts, starts, expected: int, rng) -> list:
     """Point sets at the parameters ts, each by Newton from its own nearby
-    solutions starts[i], all in one batch.  A sample failing the tests of
-    ``solve_warm`` is solved fresh by ``solve_family_at`` with rng."""
+    solutions starts[i], all in one batch.  The samples failing the tests of
+    ``solve_warm`` are solved fresh in one ``solve_fresh`` batch with rng;
+    CountMismatchError if one of them fails."""
     sets = _solve_warm_batch(family, ts, starts, expected)
-    for i, ps in enumerate(sets):
-        if ps is None:
-            sets[i] = solve_family_at(family, ts[i], expected, rng)
+    missing = [i for i, ps in enumerate(sets) if ps is None]
+    fresh = solve_fresh([(family, ts[i], rng) for i in missing], expected) if missing else []
+    for i, got in zip(missing, fresh):
+        if isinstance(got, CountMismatchError):
+            raise got
+        sets[i] = got
     return sets
 
 
@@ -629,20 +713,19 @@ def solve_stats(sets) -> dict:
 
 def track_circle(
     family: DeformationFamily,
-    radius: float,
+    first: CriticalPointSet,
     samples: int,
     expected: int,
     rng: np.random.Generator,
 ):
     """(point sets, ``solve_stats``) at ``circle_ts(radius, samples)``.
 
-    The first angle is solved from scratch; later angles continue the
-    previous solutions by Newton, bisecting the angle step on failure and
-    falling back to a fresh homotopy solve as a last resort.
+    ``first`` is the solved first sample, at t = radius; later angles
+    continue the previous solutions by Newton, bisecting the angle step on
+    failure and falling back to a fresh homotopy solve as a last resort.
     """
-    ts = circle_ts(radius, samples)
-    sets = [solve_family_at(family, ts[0], expected, rng)]
-    for t in ts[1:]:
+    sets = [first]
+    for t in circle_ts(abs(first.t), samples)[1:]:
         got = _continue_to(family, sets[-1], t, expected, depth=0)
         if got is None:
             got = solve_family_at(family, t, expected, rng)

@@ -21,6 +21,10 @@ from fractions import Fraction
 from .polyring import Poly
 
 INFINITE = float("inf")
+# bits a leading coefficient's numerator or denominator may reach in a normal
+# form; the corpus and the Brieskorn-Pham surfaces stay under 8 bits, and a
+# normal form whose coefficients run away passes 4,000 within 270 steps
+COEFF_BITS = 256
 
 
 def order_key(mono):
@@ -67,12 +71,19 @@ def mora_normal_form(p: Poly, basis) -> Poly:
     ring; h is zero iff p lies in the ideal (for a standard basis).  Reducers
     are chosen with minimal ecart, ties broken by order-smallest leading term,
     then by age; intermediate results with larger ecart join the reducer pool,
-    which is Mora's termination device.
+    which is Mora's termination device.  A leading coefficient whose
+    numerator or denominator passes ``COEFF_BITS`` bits raises
+    BudgetExceeded: past it, each reduction step costs more than the last.
     """
     reducers = [(leading_monomial(g), g) for g in basis if not g.is_zero()]
     h = p
     while not h.is_zero():
         lm_h, lc_h = leading_term(h)
+        if max(abs(lc_h.numerator), lc_h.denominator).bit_length() > COEFF_BITS:
+            raise BudgetExceeded(
+                f"a normal form exceeded {COEFF_BITS}-bit coefficients",
+                f"standard_basis: coefficient budget of {COEFF_BITS} bits exceeded",
+            )
         cands = [
             (i, lm_g, g) for i, (lm_g, g) in enumerate(reducers) if _divides(lm_g, lm_h)
         ]
@@ -102,10 +113,13 @@ def _monic(p: Poly) -> Poly:
     return p * (Fraction(1) / lc)
 
 
-class PairBudgetExceeded(RuntimeError):
-    """Raised when standard-basis completion processes more than max_pairs."""
+class BudgetExceeded(RuntimeError):
+    """A standard basis went past its pair budget or a normal form past its
+    coefficient budget; ``diag`` names the budget."""
 
-    diag = "standard_basis: pair budget exceeded"
+    def __init__(self, message, diag):
+        super().__init__(message)
+        self.diag = diag
 
 
 def standard_basis(gens, max_pairs: int = 20000):
@@ -132,7 +146,9 @@ def standard_basis(gens, max_pairs: int = 20000):
         i, j = pairs.pop(0)
         processed += 1
         if processed > max_pairs:
-            raise PairBudgetExceeded(f"standard basis exceeded {max_pairs} pairs")
+            raise BudgetExceeded(
+                f"standard basis exceeded {max_pairs} pairs", "standard_basis: pair budget exceeded"
+            )
         h = mora_normal_form(_spoly(G[i], G[j]), G)
         if not h.is_zero():
             G.append(_monic(h))

@@ -19,6 +19,7 @@ suites take it, and read the limit settings from ``sampler.cfg``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -84,17 +85,30 @@ class ResidueSampler:
         cfg: LimitConfig,
         rng: np.random.Generator,
         anchors=None,
+        fresh=(),
     ):
         """Circles are tracked by continuation, or with ``anchors``, nearby
         solutions of shape (radii * samples, expected, n + k) with the radii
-        in order, solved in one batch by ``critpts.solve_anchored``."""
+        in order, solved in one batch by ``critpts.solve_anchored``.
+
+        Continuation starts from the first sample of each circle, solved in
+        one ``critpts.solve_fresh`` batch together with the further fresh
+        targets ``fresh`` (family, t, rng) of the same expected count, whose
+        outcomes (a point set or a CountMismatchError each) are kept in
+        ``self.fresh``; a failed first sample raises its error."""
         self.family = family
         self.expected = expected
         self.cfg = cfg
         if anchors is None:
+            starts = [(family, complex(r), rng) for r in cfg.radii]
+            solved = critpts.solve_fresh(itertools.chain(starts, fresh), expected)
+            firsts, self.fresh = solved[: len(starts)], solved[len(starts) :]
+            for ps in firsts:
+                if isinstance(ps, critpts.CountMismatchError):
+                    raise ps
             self.grids = {
-                r: critpts.track_circle(family, r, cfg.samples, expected, rng)[0]
-                for r in cfg.radii
+                r: critpts.track_circle(family, ps, cfg.samples, expected, rng)[0]
+                for r, ps in zip(cfg.radii, firsts)
             }
         else:
             ts = np.concatenate([critpts.circle_ts(r, cfg.samples) for r in cfg.radii])
@@ -159,15 +173,16 @@ class ResidueSampler:
         return critpts.solve_stats([ps for g in self.grids.values() for ps in g])
 
 
-def make_sampler(inst, cfg, seed, expected=None):
-    """Standard sampler for an instance: seeded generic direction, solved grids."""
+def make_sampler(inst, cfg, seed, expected=None, fresh=()):
+    """Standard sampler for an instance: seeded generic direction, solved
+    grids; ``fresh`` targets join the batch of the circles' first samples."""
     rng = np.random.default_rng(seed)
     family = DeformationFamily(inst, critpts.generic_direction(rng, inst.n + inst.k))
     if expected is None:
         from .icis import index_nu
 
         expected = index_nu(inst)
-    return ResidueSampler(family, expected, cfg, rng)
+    return ResidueSampler(family, expected, cfg, rng, fresh=fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+from singforms import critpts
 from singforms.corpus import CORPUS
 from singforms.icis import algebra as icis_algebra
+from singforms.pipeline import AnalysisConfig, analyze
 from singforms.quadforms import example2_bridge_map, mult_operator_rank
 
 ICIS_NAMES = [
@@ -67,6 +69,23 @@ def test_criterion_2_count_certification(corpus_analysis, name):
     _, res, _ = corpus_analysis(name)
     c = _check(res, "count_certification")
     _report(f"2[{name}]", c.ok, f"{c.detail} tol=1e-10")
+
+
+def test_criterion_2_one_failed_run_fails_the_check(monkeypatch):
+    """A count-certification run that finds the wrong count fails the check
+    and nothing else."""
+    solve_fresh = critpts.solve_fresh
+
+    def third_run_fails(targets, expected):
+        got = solve_fresh(targets, expected)
+        if len(got) > 2:  # the two circle starts, then the five runs
+            got[4] = critpts.CountMismatchError("found 0 critical points, expected 1")
+        return got
+
+    monkeypatch.setattr(critpts, "solve_fresh", third_run_fails)
+    ci = CORPUS["smooth_line"]
+    res = analyze(ci.instance(), AnalysisConfig(), mode=ci.mode, variables=ci.variables)
+    assert [c.name for c in res.checks if not c.ok] == ["count_certification"]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -1,4 +1,5 @@
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
@@ -48,6 +49,14 @@ OMEGA_DIM_INCONCLUSIVE = """
 variables: x, y, z
 f: x^2 + y^5 + z^9
 omega: 1, 0, 0
+"""
+
+# one normal form of the minor ideal grows its coefficients past 4,000 bits
+# within 270 reduction steps, each step slower than the last
+COEFF_RUNAWAY = """
+variables: x, y, z
+f: x^3 + x*y^3 + y*z^3 + z^5
+omega: y, z^2, x + z
 """
 
 
@@ -170,6 +179,17 @@ def test_pair_budget_exceeded_is_a_solver_failure(tmp_path, monkeypatch):
     assert code == EXIT_SOLVER
     assert "smooth_line: pipeline failure: " in out
     assert "corpus: FAILURES" in out
+
+
+def test_coefficient_budget_exceeded_is_a_solver_failure(tmp_path):
+    """A normal form past the coefficient budget exits 2 within seconds."""
+    path = tmp_path / "runaway.txt"
+    path.write_text(COEFF_RUNAWAY)
+    t0 = time.monotonic()
+    code, out, err = run_cli(["analyze", str(path)])
+    assert time.monotonic() - t0 < 10
+    assert (code, out) == (EXIT_SOLVER, "")
+    assert f"diag standard_basis: coefficient budget of {localalg.COEFF_BITS} bits exceeded" in err
 
 
 def test_analyze_non_convergent_radii(tmp_path):

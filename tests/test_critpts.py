@@ -239,10 +239,10 @@ def test_start_points_are_simple_zeros_of_start_system(family, paths):
     """One start point per 2-homogeneous Bezout count; each is a zero of G
     (H at s = 0 is gamma G, |gamma| = 1) with a nonsingular Jacobian, and
     no two coincide."""
-    h = critpts._Homotopy(family(), 1e-2, np.random.default_rng(6))
-    P = h.start_points()
+    h = critpts._Homotopy([(family(), 1e-2, np.random.default_rng(6))])
+    P = h.starts
     assert P.shape == (paths, h.family.nunk)
-    G, dG, _ = h.eval(P, 0.0)
+    G, dG, _ = h.eval(P, 0.0, h.target)
     assert np.abs(G).max() < 1e-12
     assert np.linalg.cond(dG).max() < 1e8
     dist = np.abs(P[:, None] - P[None]).max(axis=2) + np.eye(paths)
@@ -253,15 +253,16 @@ def test_start_points_are_simple_zeros_of_start_system(family, paths):
 def test_homotopy_derivatives_match_central_differences(family, paths):
     """dH/dx and dH/ds from ``eval`` against central differences of H at
     seeded complex points, one s per row."""
-    h = critpts._Homotopy(family(), 0.7 - 0.4j, np.random.default_rng(6))
+    h = critpts._Homotopy([(family(), 0.7 - 0.4j, np.random.default_rng(6))])
     rng = np.random.default_rng(7)
     nu = h.family.nunk
     X = rng.standard_normal((3, nu)) + 1j * rng.standard_normal((3, nu))
     v = rng.standard_normal(nu) + 1j * rng.standard_normal(nu)
     s, eps = np.array([0.1, 0.5, 0.9]), 1e-6
-    H, J, Hs = h.eval(X, s)
-    fd_x = (h.eval(X + eps * v, s)[0] - h.eval(X - eps * v, s)[0]) / (2 * eps)
-    fd_s = (h.eval(X, s + eps)[0] - h.eval(X, s - eps)[0]) / (2 * eps)
+    one = np.zeros(3, dtype=int)  # every row on the one target
+    H, J, Hs = h.eval(X, s, one)
+    fd_x = (h.eval(X + eps * v, s, one)[0] - h.eval(X - eps * v, s, one)[0]) / (2 * eps)
+    fd_s = (h.eval(X, s + eps, one)[0] - h.eval(X, s - eps, one)[0]) / (2 * eps)
     assert np.allclose(J @ v, fd_x, rtol=1e-6, atol=1e-6 * np.abs(H).max())
     assert np.allclose(Hs, fd_s, rtol=1e-6, atol=1e-6 * np.abs(H).max())
 
@@ -270,16 +271,16 @@ def test_k0_start_system_is_total_degree():
     """For k = 0 the start points, H and its derivatives are those of the
     total-degree system x_j^d_j - b_j with gamma and b drawn as before."""
     fam = _corpus_family("elkh_z3")
-    h = critpts._Homotopy(fam, 1e-2, np.random.default_rng(8))
+    h = critpts._Homotopy([(fam, 1e-2, np.random.default_rng(8))])
     rng = np.random.default_rng(8)
     gamma = np.exp(2j * np.pi * rng.random())
     b = (0.5 + rng.random(fam.nunk)) * np.exp(2j * np.pi * rng.random(fam.nunk))
     d = np.array([3, 3])
     roots = [[bj ** (1.0 / dj) * np.exp(2j * np.pi * r / dj) for r in range(dj)] for dj, bj in zip(d, b)]
     X = np.array(list(itertools.product(*roots)))
-    assert np.array_equal(h.start_points(), X)
+    assert np.array_equal(h.starts, X)
     s = np.linspace(0.0, 0.9, len(X))
-    H, J, Hs = h.eval(X, s)
+    H, J, Hs = h.eval(X, s, h.target)
     f, JF = fam.system(1e-2, X)
     c = (1.0 - s)[:, None]
     gG = gamma * (X ** (d - 1) * X - b)
@@ -296,7 +297,7 @@ class _StallingHomotopy:
     def __init__(self, r):
         self.r = r
 
-    def eval(self, X, s):
+    def eval(self, X, s, tgt):
         s = np.broadcast_to(np.asarray(s, dtype=float), (len(X),))[:, None]
         J = np.where(s > 0.5, -1.0, 1.0)[:, :, None]
         return X - self.r * s**2, J, -2 * self.r * s * np.ones_like(X)
@@ -306,7 +307,8 @@ class _StallingHomotopy:
 def test_stall_classified_by_size(r, status):
     """A path that stalls at |x| <= 1e2 is a failure however far it got;
     one that stalls farther out counts as diverged."""
-    X, got = critpts._track(_StallingHomotopy(r), np.zeros((1, 1), dtype=complex))
+    one_path = np.zeros((1, 1), dtype=complex)
+    X, got = critpts._track(_StallingHomotopy(r), one_path, np.zeros(1, dtype=int))
     assert got.tolist() == [status]
     assert abs(X[0, 0] - r / 4) < 1e-3 * r
 
@@ -321,12 +323,12 @@ def test_batched_track_matches_single_paths():
         [Poly.one(3), Poly.zero(3), Poly.zero(3)],
     )
     fam = DeformationFamily(inst, direction_of(inst, 42))
-    h = critpts._Homotopy(fam, 1e-2, np.random.default_rng(0))
-    starts = h.start_points()
-    X, status = critpts._track(h, starts)
+    h = critpts._Homotopy([(fam, 1e-2, np.random.default_rng(0))])
+    starts = h.starts
+    X, status = critpts._track(h, starts, h.target)
     assert "diverged" in status and "converged" in status
     for i, x0 in enumerate(starts):
-        Xi, si = critpts._track(h, x0.reshape(1, -1))
+        Xi, si = critpts._track(h, x0.reshape(1, -1), h.target[i : i + 1])
         assert si[0] == status[i]
         if si[0] == "converged":
             assert np.max(np.abs(Xi[0] - X[i])) < 1e-12
@@ -394,6 +396,72 @@ def test_dedup_keeps_first_of_chain():
     assert len(critpts._dedup(np.array([a, a, b], dtype=complex), 0.1)) == 2
 
 
+# ---- batched fresh solves ---------------------------------------------------
+
+def _count_runs(inst, rng, ts):
+    """Targets built lazily from one rng, as count certification builds them:
+    each family's direction is drawn just before its start system."""
+    m = inst.n + inst.k
+    return ((DeformationFamily(inst, generic_direction(rng, m)), t, rng) for t in ts)
+
+
+@pytest.mark.parametrize("name", ["ex2_n3", "cusp"])
+def test_batch_matches_one_target_solves(name):
+    """One batch gives each target the points and solver counters of its
+    one-target solve with the same draws; both instances have diverging
+    paths, and the targets differ in direction and t."""
+    inst = CORPUS[name].instance()
+    ts = [1e-2, 5e-3, 1e-2, 2e-3j]
+    got = critpts.solve_fresh(_count_runs(inst, np.random.default_rng(77), ts), 4)
+    rng = np.random.default_rng(77)
+    for ps, t in zip(got, ts):
+        fam = DeformationFamily(inst, generic_direction(rng, inst.n + inst.k))
+        want = solve_family_at(fam, t, 4, rng)
+        assert ps.t == want.t and len(ps) == len(want) == 4
+        assert np.max(np.abs(ps.X - want.X)) < 1e-12
+        assert ps.diagnostics == want.diagnostics
+    assert sum(ps.diagnostics["paths_diverged"] for ps in got) > 0
+
+
+def test_failing_target_retries_and_fails_alone(monkeypatch):
+    """A target that keeps finding one point too few is the only one to
+    retry, and the only one to fail; the others certify on the first batch."""
+    inst = ex1(2, (1, 2))
+    bad_t = 2e-2
+    dedup, track = critpts._dedup, critpts._track
+    batches = []
+
+    def drop_one_at_bad_t(points, tol):
+        kept = dedup(points, tol)
+        return kept[:-1] if tol == critpts._merge_tolerance(bad_t) else kept
+
+    def recording(h, starts, tgt):
+        batches.append([t for _, t, _ in h.targets])
+        return track(h, starts, tgt)
+
+    monkeypatch.setattr(critpts, "_dedup", drop_one_at_bad_t)
+    monkeypatch.setattr(critpts, "_track", recording)
+    ts = [1e-2, bad_t, 5e-3]
+    got = critpts.solve_fresh(_count_runs(inst, np.random.default_rng(3), ts), 4)
+    assert batches == [ts] + [[bad_t]] * critpts._MAX_RETRIES
+    assert isinstance(got[1], CountMismatchError)
+    assert "found 3 critical points, expected 4" in str(got[1])
+    assert got[1].diagnostics["retries"] == critpts._MAX_RETRIES + 1
+    assert got[1].diagnostics["paths_tracked"] == 4 * (critpts._MAX_RETRIES + 1)
+    for i in (0, 2):
+        assert len(got[i]) == 4
+        assert got[i].diagnostics["retries"] == 0
+        assert got[i].diagnostics["paths_tracked"] == 4
+
+
+def test_batch_rejects_twisted_families_of_two_directions():
+    eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
+    h = parse("2*x", ["x", "y"])
+    fams = [DeformationFamily(cusp(), direction_of(cusp(), s), twist=(eta, h)) for s in (1, 2)]
+    with pytest.raises(ValueError):
+        critpts.solve_fresh([(f, 1e-2, np.random.default_rng(0)) for f in fams], 4)
+
+
 # ---- anchored solves --------------------------------------------------------
 
 def _twisted_cusp_grid(samples):
@@ -404,7 +472,8 @@ def _twisted_cusp_grid(samples):
     eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
     h = parse("2*x", ["x", "y"])
     twisted = DeformationFamily(inst, base.direction, twist=(eta, h))
-    sets, _ = track_circle(base, 1e-2, samples, 4, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    sets, _ = track_circle(base, solve_family_at(base, 1e-2, 4, rng), samples, 4, rng)
     anchors = np.array([ps.X for ps in sets])
     shift = StackedTPolys([h], 2).eval(0, anchors[:, :, :2].reshape(-1, 2))
     anchors[:, :, 2] += shift.reshape(samples, 4)
@@ -417,7 +486,8 @@ def test_solve_anchored_matches_continuation():
     twisted, anchors = _twisted_cusp_grid(16)
     ts = circle_ts(1e-2, 16)
     got = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
-    want, stats = track_circle(twisted, 1e-2, 16, 4, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    want, stats = track_circle(twisted, solve_family_at(twisted, 1e-2, 4, rng), 16, 4, rng)
     assert stats["fresh_solves"] == 1
     assert len(got) == len(want) == 16
     for g, w in zip(got, want):
@@ -431,7 +501,7 @@ def test_solve_anchored_falls_back_per_sample(monkeypatch):
     """A sample failing the warm tests, and only that one, is solved fresh."""
     twisted, anchors = _twisted_cusp_grid(8)
     ts = circle_ts(1e-2, 8)
-    dedup, solve = critpts._dedup, critpts.solve_family_at
+    dedup, solve_fresh = critpts._dedup, critpts.solve_fresh
     calls, fresh = [], []
 
     def drop_at_third_sample(points, tol):
@@ -439,17 +509,18 @@ def test_solve_anchored_falls_back_per_sample(monkeypatch):
         kept = dedup(points, tol)
         return kept[:-1] if len(calls) == 3 else kept
 
-    def recording(family, t, expected, rng):
-        fresh.append(t)
-        return solve(family, t, expected, rng)
+    def recording(targets, expected):
+        fresh.extend(t for _, t, _ in targets)
+        return solve_fresh(targets, expected)
 
     monkeypatch.setattr(critpts, "_dedup", drop_at_third_sample)
-    monkeypatch.setattr(critpts, "solve_family_at", recording)
+    monkeypatch.setattr(critpts, "solve_fresh", recording)
     sets = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
     assert fresh == [ts[2]]
     assert [bool(ps.diagnostics) for ps in sets] == [i == 2 for i in range(8)]
     assert all(len(ps) == 4 for ps in sets)
-    assert np.max(np.abs(sets[2].X - solve(twisted, ts[2], 4, np.random.default_rng(5)).X)) < 1e-12
+    want = solve_family_at(twisted, ts[2], 4, np.random.default_rng(5))
+    assert np.max(np.abs(sets[2].X - want.X)) < 1e-12
 
 
 # ---- Jacobian value ---------------------------------------------------------
@@ -570,7 +641,7 @@ def test_track_circle_counts():
     u = direction_of(inst, 5)
     fam = DeformationFamily(inst, u)
     rng = np.random.default_rng(2)
-    sets, stats = track_circle(fam, 1e-2, 16, 4, rng)
+    sets, stats = track_circle(fam, solve_family_at(fam, 1e-2, 4, rng), 16, 4, rng)
     assert len(sets) == 16
     assert all(len(s) == 4 for s in sets)
     # nondegeneracy of every point on the whole circle

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singforms import localalg
 from singforms.localalg import (
     INFINITE,
+    BudgetExceeded,
     QuotientAlgebra,
     ecart,
     leading_monomial,
@@ -181,3 +183,14 @@ def test_mora_normal_form_membership():
     assert mora_normal_form(P("y^3"), G).is_zero()
     assert mora_normal_form(P("x^2"), G).is_zero()
     assert not mora_normal_form(P("x*y"), G).is_zero()
+
+
+def test_mora_normal_form_coefficient_budget(monkeypatch):
+    """Reducing x^2 by x^2 - 5/3 y^3 leaves 5/3 y^3, a 3-bit coefficient:
+    a 2-bit budget trips at that step, the default lets it through."""
+    G = [P("x^2 - 5/3*y^3")]
+    assert mora_normal_form(P("x^2"), G) == P("5/3*y^3")
+    monkeypatch.setattr(localalg, "COEFF_BITS", 2)
+    with pytest.raises(BudgetExceeded) as exc:
+        mora_normal_form(P("x^2"), G)
+    assert exc.value.diag == "standard_basis: coefficient budget of 2 bits exceeded"
