@@ -16,13 +16,15 @@ and Newton corrector per round, with one stacked system evaluation for all
 rows, and a Newton polish at the end; the gamma trick makes the paths
 independent, so a batch changes no path.  An analysis solves the first
 sample of both circles and the count-certification runs in one batch, and
-``solve_family_at`` is the one-target case.  Warm starts (neighbouring
-samples on a circle) and ``solve_anchored`` (every sample of a grid from its
+``solve_family_at`` is the one-target case.  ``track_circle`` (all circles
+in lockstep, one Newton batch per angle step continuing every circle's
+previous sample) and ``solve_anchored`` (every sample of a grid from its
 own nearby solutions, in one batch) use the same batched Newton,
-``_newton``.  Points closer than ``_merge_tolerance(t)`` are one point; the
-targets of a batch that find the wrong count retry together, up to
-``_MAX_RETRIES`` times, with a new gamma and start system each, then try
-``_MULTISTART`` random Newton starts one by one.
+``_newton``, and return a circle grid as one point set with one t per row.
+Points closer than ``_merge_tolerance(t)`` are one point; the targets of a
+batch that find the wrong count retry together, up to ``_MAX_RETRIES``
+times, with a new gamma and start system each, then try ``_MULTISTART``
+random Newton starts one by one.
 
 At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
 is selected; with L the complement and m_j the (k+1)-minor on columns K then j,
@@ -287,14 +289,16 @@ class DeformationFamily:
 
 @dataclass
 class CriticalPointSet:
-    """The critical points at one parameter value, one row per point.
+    """Critical points, one row per point: those at one parameter value
+    ``t``, or the samples of a circle grid, one after another, with one t
+    per row.
 
     ``X`` holds the x-part and then the multipliers of each point, ``block``
     indexes the family's ``blocks`` and ``S`` (shape (m, k, n-k)) is the fiber
     chart dx_K = S dx_L on that block.
     """
 
-    t: complex
+    t: complex | np.ndarray
     X: np.ndarray
     residual: np.ndarray
     delta: np.ndarray
@@ -310,6 +314,11 @@ class CriticalPointSet:
     def x(self) -> np.ndarray:
         """The x-parts of the points, shape (m, n)."""
         return self.X[:, : self.X.shape[1] - self.S.shape[1]]
+
+    def rows(self, index) -> "CriticalPointSet":
+        """The rows at ``index`` (a slice or index array), one t per row."""
+        cols = (self.X, self.residual, self.delta, self.jtilde, self.block, self.S)
+        return CriticalPointSet(np.broadcast_to(self.t, len(self))[index], *(c[index] for c in cols))
 
 
 def _merge_tolerance(t) -> float:
@@ -537,13 +546,16 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     return points[keep]
 
 
-def _point_sets(family, ts, Xs) -> list:
-    """The point set at each ts[i] of the rows Xs[i] (all of one size), sorted by (re, im) of
-    their entries, with one ``jacobian_data`` call for all rows; DegenerateChartError if any
-    set's chart is degenerate."""
+def _point_set(family, ts, Xs) -> CriticalPointSet:
+    """One point set over the samples: the rows Xs[i] (shape (samples, m,
+    n + k)) at ts[i], each sample's rows sorted by (re, im) of their
+    entries, with one ``jacobian_data`` call for all rows; ``t`` is ts[0]
+    for one sample, else one per row.  DegenerateChartError if any
+    sample's chart is degenerate."""
     ts = np.asarray(ts, dtype=np.complex128)
-    X = np.asarray(Xs, dtype=np.complex128).reshape(-1, family.nunk)
-    m = len(X) // len(ts)
+    Xs = np.asarray(Xs, dtype=np.complex128)
+    m = Xs.shape[1]
+    X = Xs.reshape(-1, family.nunk)
     keys = [p for z in X.T[::-1] for p in (z.imag, z.real)]
     X = X[np.lexsort(keys + [np.repeat(np.arange(len(ts)), m)])]
     tr = np.repeat(ts, m)
@@ -552,15 +564,25 @@ def _point_sets(family, ts, Xs) -> list:
     if np.any(jts.min(axis=1, initial=np.inf) < 1e-10 * jts.max(axis=1, initial=0.0)):
         raise DegenerateChartError("near-degenerate critical point (Jtilde ~ 0)")
     residual = np.abs(family.system(tr, X)[0]).max(axis=1)
-    cols = (X, residual, delta, jtilde, block, S)
-    return [CriticalPointSet(t, *(c[i * m : i * m + m] for c in cols)) for i, t in enumerate(ts)]
+    return CriticalPointSet(ts[0] if len(ts) == 1 else tr, X, residual, delta, jtilde, block, S)
 
 
 def _make_point_set(family, t, xs, diagnostics=None) -> CriticalPointSet:
     """The point set of the rows xs at t, carrying the solver diagnostics."""
-    (ps,) = _point_sets(family, [t], [xs])
+    ps = _point_set(family, [t], np.reshape(xs, (1, -1, family.nunk)))
     ps.diagnostics = diagnostics or {}
     return ps
+
+
+def _stack(sets, samples, m) -> CriticalPointSet:
+    """The given samples (m rows each, numbered through the rows of
+    ``sets`` in turn) as one point set, one t per row."""
+    rows = (np.asarray(samples, dtype=np.int64)[:, None] * m + np.arange(m)).ravel()
+    cols = zip(*(
+        (np.broadcast_to(ps.t, len(ps)), ps.X, ps.residual, ps.delta, ps.jtilde, ps.block, ps.S)
+        for ps in sets
+    ))
+    return CriticalPointSet(*(np.concatenate(c)[rows] for c in cols))
 
 
 _COUNTERS = ("paths_tracked", "paths_diverged", "path_failures", "retries", "multistart_recoveries")
@@ -655,10 +677,11 @@ def solve_family_at(
     return got
 
 
-def _solve_warm_batch(family, ts, starts, expected) -> list:
-    """Newton from the rows starts[i] at ts[i] for every i in one batch; per
-    i the point set, or None unless every row converges, ``_dedup`` leaves
-    ``expected`` points and the chart is not degenerate."""
+def _solve_warm_batch(family, ts, starts, expected):
+    """Newton from the rows starts[i] at ts[i] for every i in one batch;
+    (one point set over the samples that pass, in order, and the mask of
+    them).  A sample passes when every row converges, ``_dedup`` leaves
+    ``expected`` points and its chart is not degenerate."""
     ts = np.asarray(ts, dtype=np.complex128)
     starts = np.asarray(starts, dtype=np.complex128)
     m = starts.shape[1]
@@ -666,36 +689,45 @@ def _solve_warm_batch(family, ts, starts, expected) -> list:
     X, ok = X.reshape(starts.shape), ok.reshape(len(ts), m).all(axis=1)
     found = {i: _dedup(X[i], _merge_tolerance(ts[i])) for i in np.flatnonzero(ok)}
     good = [i for i, pts in found.items() if len(pts) == expected]
-    out = [None] * len(ts)
+
+    def point_set(idx):
+        pts = np.reshape([found[i] for i in idx], (len(idx), expected, family.nunk))
+        return _point_set(family, ts[idx], pts)
+
     try:
-        sets = _point_sets(family, ts[good], [found[i] for i in good]) if good else []
-    except DegenerateChartError:  # find the degenerate ones one at a time
-        if len(ts) == 1:
-            return out
-        return [_solve_warm_batch(family, [t], [x], expected)[0] for t, x in zip(ts, starts)]
-    for i, ps in zip(good, sets):
-        out[i] = ps
-    return out
+        ps = point_set(good)
+    except DegenerateChartError:  # drop the degenerate samples, found one at a time
+        good = [
+            i for i in good
+            if len(ts) > 1 and _solve_warm_batch(family, ts[[i]], starts[[i]], expected)[1][0]
+        ]
+        ps = point_set(good)
+    passed = np.zeros(len(ts), dtype=bool)
+    passed[good] = True
+    return ps, passed
 
 
 def solve_warm(family: DeformationFamily, t: complex, starts: np.ndarray, expected: int):
     """Newton continuation from known nearby solutions; None on failure."""
-    return _solve_warm_batch(family, [t], [starts], expected)[0]
+    ps, ok = _solve_warm_batch(family, [t], [starts], expected)
+    return ps if ok[0] else None
 
 
-def solve_anchored(family: DeformationFamily, ts, starts, expected: int, rng) -> list:
-    """Point sets at the parameters ts, each by Newton from its own nearby
-    solutions starts[i], all in one batch.  The samples failing the tests of
-    ``solve_warm`` are solved fresh in one ``solve_fresh`` batch with rng;
-    CountMismatchError if one of them fails."""
-    sets = _solve_warm_batch(family, ts, starts, expected)
-    missing = [i for i, ps in enumerate(sets) if ps is None]
-    fresh = solve_fresh([(family, ts[i], rng) for i in missing], expected) if missing else []
-    for i, got in zip(missing, fresh):
-        if isinstance(got, CountMismatchError):
-            raise got
-        sets[i] = got
-    return sets
+def solve_anchored(family: DeformationFamily, ts, starts, expected: int, rng):
+    """(one point set over the parameters ts, ``solve_stats`` of its fresh
+    solves): sample i, in rows i * expected onward, by Newton from its own
+    nearby solutions starts[i], all samples in one batch.  The samples
+    failing the tests of ``solve_warm`` are solved fresh in one
+    ``solve_fresh`` batch with rng; CountMismatchError if one of them
+    fails."""
+    got, ok = _solve_warm_batch(family, ts, starts, expected)
+    missing = np.flatnonzero(~ok)
+    fresh = solve_fresh([(family, ts[i], rng) for i in missing], expected) if len(missing) else []
+    for ps in fresh:
+        if isinstance(ps, CountMismatchError):
+            raise ps
+    order = np.argsort(np.concatenate([np.flatnonzero(ok), missing]))
+    return _stack([got, *fresh], order, expected), solve_stats(fresh)
 
 
 def circle_ts(radius: float, samples: int) -> np.ndarray:
@@ -713,35 +745,53 @@ def solve_stats(sets) -> dict:
 
 def track_circle(
     family: DeformationFamily,
-    first: CriticalPointSet,
+    firsts,
     samples: int,
     expected: int,
     rng: np.random.Generator,
 ):
-    """(point sets, ``solve_stats``) at ``circle_ts(radius, samples)``.
+    """(one point set over the circles, ``solve_stats``): per solved first
+    sample ``firsts[c]``, at t = radius, the samples ``circle_ts(radius,
+    samples)``, circle after circle, ``expected`` rows each.
 
-    ``first`` is the solved first sample, at t = radius; later angles
-    continue the previous solutions by Newton, bisecting the angle step on
-    failure and falling back to a fresh homotopy solve as a last resort.
+    All circles advance in lockstep, one ``_solve_warm_batch`` per angle
+    step continuing each circle's previous solutions by Newton.  A circle
+    whose step fails bisects that step alone, and falls back to a fresh
+    homotopy solve as a last resort.
     """
-    sets = [first]
-    for t in circle_ts(abs(first.t), samples)[1:]:
-        got = _continue_to(family, sets[-1], t, expected, depth=0)
-        if got is None:
-            got = solve_family_at(family, t, expected, rng)
-        sets.append(got)
-    return sets, solve_stats(sets)
+    ts = np.array([circle_ts(abs(ps.t), samples) for ps in firsts])
+    X = np.array([ps.X for ps in firsts]).reshape(len(firsts), expected, family.nunk)
+    pieces = list(firsts)
+    # where[c, j]: the sample of circle c at angle j, numbered through the pieces' rows
+    where = np.zeros(ts.shape, dtype=np.int64)
+    where[:, 0] = np.arange(len(firsts))
+    count = len(firsts)
+    for j in range(1, samples):
+        got, ok = _solve_warm_batch(family, ts[:, j], X, expected)
+        pieces.append(got)
+        where[ok, j] = count + np.arange(ok.sum())
+        count += ok.sum()
+        X[ok] = got.X.reshape(X[ok].shape)
+        for c in np.flatnonzero(~ok):
+            ps = _continue_to(family, ts[c, j - 1], X[c], ts[c, j], expected, depth=0)
+            if ps is None:
+                ps = solve_family_at(family, ts[c, j], expected, rng)
+            pieces.append(ps)
+            where[c, j], X[c] = count, ps.X
+            count += 1
+    return _stack(pieces, where.ravel(), expected), solve_stats(pieces)
 
 
-def _continue_to(family, prev_set, t, expected, depth):
-    got = solve_warm(family, t, prev_set.X, expected)
+def _continue_to(family, t0, X0, t, expected, depth):
+    """The point set at t by Newton from the solutions X0 at t0, bisecting
+    the step up to depth 8; None on failure."""
+    got = solve_warm(family, t, X0, expected)
     if got is not None:
         return got
     if depth >= 8:
         return None
-    t_mid = prev_set.t + 0.5 * (t - prev_set.t)
-    mid = _continue_to(family, prev_set, t_mid, expected, depth + 1)
+    t_mid = t0 + 0.5 * (t - t0)
+    mid = _continue_to(family, t0, X0, t_mid, expected, depth + 1)
     if mid is None:
         return None
-    return _continue_to(family, mid, t, expected, depth + 1)
-
+    return _continue_to(family, mid.t, mid.X, t, expected, depth + 1)

@@ -205,7 +205,7 @@ def analyze(
         )
     )
 
-    diagnostics = dict(sorted(sampler.solver_diagnostics().items()))
+    diagnostics = dict(sorted(sampler.stats.items()))
     diagnostics["radii"] = list(cfg.radii)
     diagnostics["samples"] = cfg.samples
 

@@ -203,7 +203,8 @@ def qomega_numeric(generators, sampler: ResidueSampler) -> np.ndarray:
     fiber (the rows of T are unit rows on L and the point's chart S on K),
     h dx_G restricts to h det(T[G]) dx_L.  The product of two chart
     coefficients is divided by the chart Hessian J = Jtilde / Delta^2, so the
-    pair table of one point set is (a Delta^2 / Jtilde)^T a.
+    pair table summed over a block of grid rows, a the rows' coefficients,
+    is (a Delta^2 / Jtilde)^T a.
     """
     fam = sampler.family
     n, k = fam.n, fam.k

@@ -5,13 +5,15 @@ generic complex ray, of sum_P phi(P)/Jtilde(P) over the critical points of the
 deformed 1-form on the deformed fiber.  The limit function is holomorphic
 through the origin, so its value there equals its mean over a small circle;
 the trapezoid rule over S equidistant angles computes that mean with error
-O(r^S), far below solver noise.  Limits are batched: one pass over the solved
-point sets accumulates the circle means of a whole probe set at once (all
-probes stacked into one ``StackedTPolys``), and each probe's column is then
-accepted on its own when the means at the two smallest radii agree, after
-which a continued-fraction rational reconstruction is attempted.  Class
-invariance solves each twisted family at all samples in one anchored Newton
-batch, from the base points with the first multiplier shifted.
+O(r^S), far below solver noise.  The solved grids are one point set over
+all circles, with one t per row.  Limits are batched: one evaluation per
+block of ``_BLOCK_ROWS`` rows of a circle's grid accumulates the circle
+means of a whole probe set at once (all probes stacked into one
+``StackedTPolys``), and each probe's column is then accepted on its own
+when the means at the two smallest radii agree, after which a
+continued-fraction rational reconstruction is attempted.  Class invariance
+solves each twisted family at all samples in one anchored Newton batch,
+from the base points with the first multiplier shifted.
 
 ``make_sampler`` builds the one sampler of an analysis; the verification
 suites take it, and read the limit settings from ``sampler.cfg``.
@@ -30,6 +32,10 @@ from . import critpts
 from .critpts import DeformationFamily, StackedTPolys, TPoly
 from .polyring import Poly
 from .ratlinalg import reconstruct_rational
+
+# rows of a grid evaluated at once by a limit: bounds the probe tables'
+# memory while keeping the number of evaluations per limit small
+_BLOCK_ROWS = 256
 
 
 class NonConvergentError(RuntimeError):
@@ -74,8 +80,11 @@ def _rel_dev(a: complex, b: complex) -> float:
 class ResidueSampler:
     """Solved circle grids for one deformation family, shared by all probes.
 
-    The expensive part (path tracking) happens once per radius; evaluating R
-    for a probe polynomial is then a cheap sum over cached critical points.
+    The expensive part (path tracking) happens once; evaluating R for a
+    probe polynomial is then a cheap sum over cached critical points.
+    ``grid`` holds every circle's samples, circle after circle in the
+    order of ``cfg.radii``, ``expected`` rows each, and ``stats`` the
+    ``critpts.solve_stats`` of its fresh solves.
     """
 
     def __init__(
@@ -106,37 +115,31 @@ class ResidueSampler:
             for ps in firsts:
                 if isinstance(ps, critpts.CountMismatchError):
                     raise ps
-            self.grids = {
-                r: critpts.track_circle(family, ps, cfg.samples, expected, rng)[0]
-                for r, ps in zip(cfg.radii, firsts)
-            }
+            self.grid, self.stats = critpts.track_circle(family, firsts, cfg.samples, expected, rng)
         else:
             ts = np.concatenate([critpts.circle_ts(r, cfg.samples) for r in cfg.radii])
-            sets = iter(critpts.solve_anchored(family, ts, anchors, expected, rng))
-            self.grids = {r: [next(sets) for _ in range(cfg.samples)] for r in cfg.radii}
+            self.grid, self.stats = critpts.solve_anchored(family, ts, anchors, expected, rng)
         self.max_probe_deviation = 0.0
 
-    # -- generic circle means ------------------------------------------------
-
-    def means(self, values):
-        """Average of values(point_set) over each circle's samples, fixed
-        order; one row per radius, accumulated one point set at a time."""
-        out = []
-        for r in self.cfg.radii:
-            total = 0j
-            for ps in self.grids[r]:
-                total += values(ps)
-            out.append(total / self.cfg.samples)
-        return np.array(out)
-
     def limit(self, values, labels) -> np.ndarray:
-        """The limits of values(point_set), one entry per label.
+        """The limits of the circle means of values, one entry per label.
 
-        Each column is checked on its own, in label order: the circle means
-        at the two smallest radii must agree.  Returns the means at the
-        smallest radius.
+        values(ps) is the sum over the rows of the point set ps, one entry
+        per label; it is called on consecutive blocks of at most
+        ``_BLOCK_ROWS`` rows of each circle's grid, and a circle's mean is
+        the sum over its blocks divided by the samples.  Each column is
+        checked on its own, in label order: the circle means at the two
+        smallest radii must agree.  Returns the means at the smallest
+        radius.
         """
-        ms = self.means(values)
+        n = self.cfg.samples * self.expected  # rows per circle
+        ms = []
+        for c in range(len(self.cfg.radii)):
+            lo, hi = c * n, c * n + n
+            blocks = range(lo, max(hi, lo + 1), _BLOCK_ROWS)  # an empty grid: one empty block
+            rows = (self.grid.rows(slice(a, min(a + _BLOCK_ROWS, hi))) for a in blocks)
+            ms.append(sum(map(values, rows)) / self.cfg.samples)
+        ms = np.array(ms)
         for label, col in zip(labels, ms.T):
             col = [complex(m) for m in col]
             dev = _rel_dev(col[-1], col[-2])
@@ -168,9 +171,6 @@ class ResidueSampler:
             RValue(v, reconstruct_rational(v.real, den, tol) if abs(v.imag) < tol else None)
             for v in map(complex, vals)
         ]
-
-    def solver_diagnostics(self) -> dict:
-        return critpts.solve_stats([ps for g in self.grids.values() for ps in g])
 
 
 def make_sampler(inst, cfg, seed, expected=None, fresh=()):
@@ -258,7 +258,7 @@ def verify_class_invariance(
     probes = [Poly.monomial(m) for m in alg.basis]
     base = [v.numeric for v in sampler.r_of(probes)]
     rng = np.random.default_rng(seed + 202)
-    X = np.array([ps.X for r in cfg.radii for ps in sampler.grids[r]])
+    X = sampler.grid.X.reshape(-1, sampler.expected, inst.n + inst.k)
     x = X[:, :, : inst.n].reshape(-1, inst.n)
     entries = []
     worst = 0.0

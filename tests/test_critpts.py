@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -473,8 +474,8 @@ def _twisted_cusp_grid(samples):
     h = parse("2*x", ["x", "y"])
     twisted = DeformationFamily(inst, base.direction, twist=(eta, h))
     rng = np.random.default_rng(0)
-    sets, _ = track_circle(base, solve_family_at(base, 1e-2, 4, rng), samples, 4, rng)
-    anchors = np.array([ps.X for ps in sets])
+    grid, _ = track_circle(base, [solve_family_at(base, 1e-2, 4, rng)], samples, 4, rng)
+    anchors = grid.X.reshape(samples, 4, 3)
     shift = StackedTPolys([h], 2).eval(0, anchors[:, :, :2].reshape(-1, 2))
     anchors[:, :, 2] += shift.reshape(samples, 4)
     return twisted, anchors
@@ -485,20 +486,20 @@ def test_solve_anchored_matches_continuation():
     continuation of the twisted family."""
     twisted, anchors = _twisted_cusp_grid(16)
     ts = circle_ts(1e-2, 16)
-    got = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
+    got, got_stats = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
     rng = np.random.default_rng(3)
-    want, stats = track_circle(twisted, solve_family_at(twisted, 1e-2, 4, rng), 16, 4, rng)
+    want, stats = track_circle(twisted, [solve_family_at(twisted, 1e-2, 4, rng)], 16, 4, rng)
     assert stats["fresh_solves"] == 1
-    assert len(got) == len(want) == 16
-    for g, w in zip(got, want):
-        assert g.t == w.t and len(g) == len(w) == 4
-        assert not g.diagnostics  # no fresh solve
-        assert np.max(np.abs(g.X - w.X)) < 1e-12
-        assert np.allclose(g.jtilde, w.jtilde, rtol=1e-10, atol=0)
+    assert got_stats["fresh_solves"] == 0  # no fresh solve
+    assert len(got) == len(want) == 16 * 4
+    assert np.array_equal(got.t, np.repeat(ts, 4)) and np.array_equal(want.t, got.t)
+    assert np.max(np.abs(got.X - want.X)) < 1e-12
+    assert np.allclose(got.jtilde, want.jtilde, rtol=1e-10, atol=0)
 
 
 def test_solve_anchored_falls_back_per_sample(monkeypatch):
-    """A sample failing the warm tests, and only that one, is solved fresh."""
+    """A sample failing the warm tests, and only that one, is solved fresh,
+    and its rows keep their place in the grid."""
     twisted, anchors = _twisted_cusp_grid(8)
     ts = circle_ts(1e-2, 8)
     dedup, solve_fresh = critpts._dedup, critpts.solve_fresh
@@ -515,12 +516,37 @@ def test_solve_anchored_falls_back_per_sample(monkeypatch):
 
     monkeypatch.setattr(critpts, "_dedup", drop_at_third_sample)
     monkeypatch.setattr(critpts, "solve_fresh", recording)
-    sets = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
+    grid, stats = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
     assert fresh == [ts[2]]
-    assert [bool(ps.diagnostics) for ps in sets] == [i == 2 for i in range(8)]
-    assert all(len(ps) == 4 for ps in sets)
+    assert stats["fresh_solves"] == 1
+    assert len(grid) == 8 * 4
+    assert np.array_equal(grid.t, np.repeat(ts, 4))
     want = solve_family_at(twisted, ts[2], 4, np.random.default_rng(5))
-    assert np.max(np.abs(sets[2].X - want.X)) < 1e-12
+    assert np.max(np.abs(grid.X[8:12] - want.X)) < 1e-12
+    monkeypatch.setattr(critpts, "_dedup", dedup)
+    warm, _ = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
+    assert np.max(np.abs(grid.X - warm.X)) < 1e-12
+
+
+def test_warm_batch_drops_degenerate_samples_alone(monkeypatch):
+    """A degenerate chart fails its own sample of a warm batch, and the
+    other samples keep their points."""
+    twisted, anchors = _twisted_cusp_grid(8)
+    ts = circle_ts(1e-2, 8)
+    want, ok = critpts._solve_warm_batch(twisted, ts, anchors, 4)
+    assert ok.all()
+    point_set = critpts._point_set
+
+    def degenerate_at_third_sample(family, tss, Xs):
+        if ts[2] in tss:
+            raise DegenerateChartError("near-degenerate critical point (Jtilde ~ 0)")
+        return point_set(family, tss, Xs)
+
+    monkeypatch.setattr(critpts, "_point_set", degenerate_at_third_sample)
+    got, ok = critpts._solve_warm_batch(twisted, ts, anchors, 4)
+    assert ok.tolist() == [i != 2 for i in range(8)]
+    assert np.array_equal(got.X, want.X[np.repeat(ok, 4)])
+    assert np.array_equal(got.t, want.t[np.repeat(ok, 4)])
 
 
 # ---- Jacobian value ---------------------------------------------------------
@@ -641,9 +667,76 @@ def test_track_circle_counts():
     u = direction_of(inst, 5)
     fam = DeformationFamily(inst, u)
     rng = np.random.default_rng(2)
-    sets, stats = track_circle(fam, solve_family_at(fam, 1e-2, 4, rng), 16, 4, rng)
-    assert len(sets) == 16
-    assert all(len(s) == 4 for s in sets)
+    grid, stats = track_circle(fam, [solve_family_at(fam, 1e-2, 4, rng)], 16, 4, rng)
+    assert len(grid) == 16 * 4
+    assert np.array_equal(grid.t, np.repeat(circle_ts(1e-2, 16), 4))
     # nondegeneracy of every point on the whole circle
-    assert all(np.all(np.abs(s.jtilde) > 1e-12) for s in sets)
+    assert np.all(np.abs(grid.jtilde) > 1e-12)
     assert stats["fresh_solves"] >= 1
+
+
+def _firsts(fam, radii, expected, seed):
+    """The solved first samples of circles of the given radii, one batch."""
+    rng = np.random.default_rng(seed)
+    return critpts.solve_fresh([(fam, complex(r), rng) for r in radii], expected), rng
+
+
+@pytest.mark.parametrize("radii", [(1e-2, 5e-3), (1e-2, 5e-3, 2.5e-3)])
+@pytest.mark.parametrize("name,expected", [("cusp", 4), ("ex1_n3", 6)])
+def test_lockstep_matches_circle_by_circle(name, expected, radii):
+    """All circles in lockstep give the point sets and solver counters of
+    continuing each circle alone."""
+    fam = _corpus_family(name)
+    firsts, rng = _firsts(fam, radii, expected, 1)
+    grid, stats = track_circle(fam, firsts, 16, expected, rng)
+    alone = [track_circle(fam, [ps], 16, expected, rng) for ps in firsts]
+    rows = 16 * expected
+    assert len(grid) == len(radii) * rows
+    for c, (want, want_stats) in enumerate(alone):
+        part = grid.rows(slice(c * rows, c * rows + rows))
+        assert np.array_equal(part.t, want.t)
+        assert np.max(np.abs(part.X - want.X)) < 1e-12
+        assert np.array_equal(part.block, want.block)
+        assert np.allclose(part.jtilde, want.jtilde, rtol=1e-12, atol=0)
+    total = Counter()
+    for _, s in alone:
+        total.update(s)
+    assert stats == dict(total)
+    assert stats == critpts.solve_stats(firsts)  # no fallback on either path
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+def test_lockstep_failed_step_falls_back_alone(monkeypatch, fresh):
+    """A warm step that fails on one circle at one angle is retried on that
+    circle alone: directly, or (when every warm step to that angle fails)
+    by bisection and then a fresh solve.  The other circle's samples are
+    the ones it has without the failure."""
+    fam = _corpus_family("cusp")
+    firsts, rng = _firsts(fam, (1e-2, 5e-3), 4, 1)
+    want, _ = track_circle(fam, firsts, 16, 4, np.random.default_rng(2))
+    batch = critpts._solve_warm_batch
+    bad_t = circle_ts(5e-3, 16)[5]
+    calls = []
+
+    def fail_at_bad_t(family, ts, starts, expected):
+        calls.append(list(ts))
+        ps, ok = batch(family, ts, starts, expected)
+        if bad_t not in ts or (len(ts) == 1 and not fresh):
+            return ps, ok
+        keep = ts != bad_t  # the sample at bad_t is the last one; drop it
+        return ps.rows(slice(0, 4 * int(keep.sum()))), ok & keep
+
+    monkeypatch.setattr(critpts, "_solve_warm_batch", fail_at_bad_t)
+    grid, stats = track_circle(fam, firsts, 16, 4, np.random.default_rng(2))
+    assert [len(ts) for ts in calls].count(2) == 15  # one batch per angle step
+    alone = [ts[0] for ts in calls if len(ts) == 1]
+    assert all(abs(t) <= 5e-3 for t in alone)  # the failing circle's steps only
+    if fresh:
+        assert len(alone) > 8  # bisection down to depth 8, then the fresh solve
+        assert stats["fresh_solves"] == 3
+    else:
+        assert alone == [bad_t]
+        assert stats == critpts.solve_stats(firsts)
+    assert np.array_equal(grid.X[:64], want.X[:64])
+    assert np.max(np.abs(grid.X[64:] - want.X[64:])) < 1e-12
+    assert np.array_equal(grid.t, want.t)

@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from singforms import critpts, residuefn
 from singforms.critpts import DeformationFamily, StackedTPolys, TPoly, solve_family_at
 from singforms.icis import ProblemInstance, algebra, build_ideal
 from singforms.polyring import Poly, parse
+from singforms.quadforms import FormGenerator, qomega_numeric
 from singforms.residuefn import (
     LimitConfig,
     NonConvergentError,
@@ -124,9 +126,8 @@ def test_circle_mean_stability_halved_radius():
     cfg = LimitConfig(radii=(1e-2, 5e-3, 2.5e-3))
     s = make_sampler(ex1(2, (1, 2)), cfg, 42)
     sp = StackedTPolys([parse("x1^2", VS2)], 2)
-    means = s.means(
-        lambda ps: np.sum(sp.eval(ps.t, ps.x) / ps.jtilde[:, None], axis=0)
-    )[:, 0]
+    g = s.grid  # the three circles one after another
+    means = (sp.eval(g.t, g.x)[:, 0] / g.jtilde).reshape(3, -1).sum(axis=1) / cfg.samples
     assert abs(means[1] - means[2]) < 1e-8
     assert abs(means[0] - means[1]) < 1e-8
 
@@ -161,14 +162,62 @@ def test_batch_independence(ex1_n2_sampler):
     assert batch[2].exact == batch[0].exact + batch[1].exact
 
 
-def test_non_convergent_names_probe_in_batch():
+def test_non_convergent_names_probe_in_batch(monkeypatch):
     cfg = LimitConfig(tol_match=1e-18)
     s = make_sampler(ex1(2, (1, 2)), cfg, 42)
-    # the zero probe has identical means at both radii and passes
-    with pytest.raises(NonConvergentError) as exc:
-        s.r_of([Poly.zero(2), parse("x1^2", VS2)], ["zero probe", "square probe"])
-    assert "square probe" in str(exc.value)
-    assert "zero probe" not in str(exc.value)
+    for block_rows in (residuefn._BLOCK_ROWS, 7):  # 7 splits a sample's point set
+        monkeypatch.setattr(residuefn, "_BLOCK_ROWS", block_rows)
+        # the zero probe has identical means at both radii and passes
+        with pytest.raises(NonConvergentError) as exc:
+            s.r_of([Poly.zero(2), parse("x1^2", VS2)], ["zero probe", "square probe"])
+        assert "square probe" in str(exc.value)
+        assert "zero probe" not in str(exc.value)
+
+
+def test_row_blocks_match_unblocked_sums(monkeypatch, ex1_n2_sampler):
+    """Blocks that split a sample's point set (7 rows against 4 per
+    sample) give the limits of one evaluation over each whole circle, to
+    1e-13 relative in the scale the circle means are compared in."""
+    s = ex1_n2_sampler
+    probes = [parse(p, VS2) for p in ("x1^2", "x2^2 + 3*x1", "x1*x2 - 1")]
+    gens = [FormGenerator(c, (i,)) for c in (Poly.one(2), parse("x1", VS2)) for i in (0, 1)]
+
+    def limits(block_rows):
+        monkeypatch.setattr(residuefn, "_BLOCK_ROWS", block_rows)
+        return (
+            np.array([v.numeric for v in s.r_of(probes)]),
+            qomega_numeric(gens, s).ravel(),
+        )
+
+    for blocked, whole in zip(limits(7), limits(len(s.grid))):
+        scale = np.maximum(1.0, np.maximum(np.abs(blocked), np.abs(whole)))
+        assert np.all(np.abs(blocked - whole) <= 1e-13 * scale)
+        assert np.any(blocked != 0)
+
+
+def test_empty_grid_gives_zero_limits():
+    """With no critical points (a map germ not vanishing at the origin) the
+    grids are empty and every limit is 0."""
+    inst = ProblemInstance(2, 0, [], [parse("1 + x1", VS2), parse("x2", VS2)])
+    s = make_sampler(inst, LimitConfig(), 42, expected=0)
+    assert len(s.grid) == 0
+    assert [v.exact for v in s.r_of([Poly.one(2), parse("x1^2", VS2)])] == [0, 0]
+    assert qomega_numeric([FormGenerator(Poly.one(2), (0, 1))], s).tolist() == [[0j]]
+
+
+def test_base_sampler_makes_one_warm_batch_per_angle_step(monkeypatch):
+    """Both circles advance in lockstep: samples - 1 warm batches of two
+    samples each, none for a single circle."""
+    batch, calls = critpts._solve_warm_batch, []
+
+    def counting(family, ts, starts, expected):
+        calls.append(len(ts))
+        return batch(family, ts, starts, expected)
+
+    monkeypatch.setattr(critpts, "_solve_warm_batch", counting)
+    cfg = LimitConfig(samples=32)
+    make_sampler(ex1(2, (1, 2)), cfg, 42)
+    assert calls == [2] * (cfg.samples - 1)
 
 
 def test_r_limit_surface_and_seed_independence():
