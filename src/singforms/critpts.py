@@ -14,12 +14,16 @@ paths, not its total degree.  ``solve_fresh`` solves a batch of targets
 and its target's gamma and start system, share one batched Euler predictor
 and Newton corrector per round, with one stacked system evaluation for all
 rows, and a Newton polish at the end; the gamma trick makes the paths
-independent, so a batch changes no path.  An analysis solves the first
-sample of both circles and the count-certification runs in one batch, and
-``solve_family_at`` is the one-target case.  ``track_circle`` (all circles
-in lockstep, one Newton batch per angle step continuing every circle's
-previous sample) and ``solve_anchored`` (every sample of a grid from its
-own nearby solutions, in one batch) use the same batched Newton,
+independent, so a batch changes no path.  The corrector's test is relative
+to the size of each equation's terms, 1e-11 * max(1, |x|)^dx_e *
+max(1, |lambda|)^dl_e for an equation of bidegree (dx_e, dl_e), so that a
+path to infinity keeps its steps until |x| > ``_DIVERGENCE``; a path that
+ends otherwise without converging is diverged when |x| > 1e2.  An analysis
+solves the first sample of both circles and the count-certification runs in
+one batch, and ``solve_family_at`` is the one-target case.  ``track_circle``
+(all circles in lockstep, one Newton batch per angle step continuing every
+circle's previous sample) and ``solve_anchored`` (every sample of a grid
+from its own nearby solutions, in one batch) use the same batched Newton,
 ``_newton``, and return a circle grid as one point set with one t per row.
 Points closer than ``_merge_tolerance(t)`` are one point; the targets of a
 batch that find the wrong count retry together, up to ``_MAX_RETRIES``
@@ -413,8 +417,19 @@ class _Homotopy:
         self.target = np.repeat(np.arange(len(starts)), [len(p) for p in starts])
         self.t = np.array([t for _, t, _ in self.targets], dtype=np.complex128)
         self.du = np.array([f.direction for f, _, _ in self.targets]) - first.direction
-        dx = np.array(first.bidegrees, dtype=np.int64)[:, 0]
+        self.n, self.bideg = first.n, np.array(first.bidegrees, dtype=np.int64)
+        dx = self.bideg[:, 0]
         self.dx1, self.gdx = np.maximum(dx - 1, 0), self.gamma[:, None] * dx
+
+    def scale(self, X):
+        """max(1, |x|)^dx_e * max(1, |lambda|)^dl_e per row of X and equation
+        e, (dx_e, dl_e) its bidegree and |.| the max-norm of the group: the
+        size of the terms of H_e, so that a tolerance times it is relative
+        to them."""
+        a = np.abs(X)
+        x = a[:, : self.n].max(axis=1, initial=1.0)[:, None]
+        lam = a[:, self.n :].max(axis=1, initial=1.0)[:, None]
+        return x ** self.bideg[:, 0] * lam ** self.bideg[:, 1]
 
     def system(self, X, tgt):
         """Values and Jacobian of the target systems at the rows of X, row i
@@ -457,16 +472,17 @@ def _solve(J, b):
 
 def _newton(FJ, X, iters, tol):
     """Newton on every row of X (FJ gives all rows' residuals and
-    Jacobians); returns (X, ok) per row.  A row freezes once max |F| < tol
-    (ok), or at a singular Jacobian or non-finite iterate (not ok).  A row
-    still moving after ``iters`` steps is ok when max |F| < 100 * tol.
+    Jacobians); returns (X, ok) per row.  ``tol`` is a scalar or one value
+    per row and equation.  A row freezes once every |F_e| < tol_e (ok), or
+    at a singular Jacobian or non-finite iterate (not ok).  A row still
+    moving after ``iters`` steps is ok when every |F_e| < 100 * tol_e.
     Frozen rows stay in the batch and are masked, cheaper than gathering."""
     X = np.array(X, dtype=np.complex128)
     live = np.ones(len(X), dtype=bool)
     ok = np.zeros(len(X), dtype=bool)
     for _ in range(iters):
         vals, J = FJ(X)
-        small = np.abs(vals).max(axis=1) < tol
+        small = (np.abs(vals) < tol).all(axis=1)
         ok |= live & small
         live &= ~small
         if not live.any():
@@ -475,10 +491,11 @@ def _newton(FJ, X, iters, tol):
         step = X - dx
         live &= ~singular & np.isfinite(step).all(axis=1)
         X = np.where(live[:, None], step, X)
-    ok |= live & (np.abs(FJ(X)[0]).max(axis=1) < 100 * tol)
+    ok |= live & (np.abs(FJ(X)[0]) < 100 * tol).all(axis=1)
     return X, ok
 
 
+@np.errstate(over="ignore", invalid="ignore")  # paths to infinity may overflow
 def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
     """Track all start points from s = 0 to s = 1 at once, start i on the
     homotopy of target tgt[i]; returns the endpoints and a status per path
@@ -486,18 +503,23 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
     One ``h.eval`` serves all paths of a round, so a batch takes as many
     rounds as its slowest path.  Each path keeps its own s and step ds: an
     accepted step grows ds by 1.7 up to 0.1, a failed corrector shrinks
-    it by 0.4, a singular predictor halves it.  Below ds = 1e-12 a path
-    stalls, or diverged if |x| > 1e2 (paths to infinity shrink the step
-    against a blowing-up |x|).  Endpoints are polished on the target system.
+    it by 0.4, a singular predictor halves it.  The corrector accepts a
+    row when every |H_e| < 1e-11 * ``h.scale`` at the predicted point, a
+    test relative to the size of the terms of H_e: on a path to infinity an
+    absolute test is below their rounding error, so no step would pass and
+    the step would walk down for hundreds of rounds; scaled, the path grows
+    past |x| > ``_DIVERGENCE`` and ends as diverged.  Endpoints are
+    polished on the target system.  A path that ends otherwise without
+    converging (its step below 1e-12, or a failed polish) is diverged if
+    |x| > 1e2, else "stalled" or "polish_failed".
     """
     X = np.array(starts, dtype=np.complex128)
     s, ds = np.zeros(len(X)), np.full(len(X), 0.05)
     status = np.full(len(X), "tracking", dtype="<U13")
     act = np.arange(len(X))
 
-    def stall(idx):
-        idx = idx[ds[idx] < 1e-12]
-        status[idx] = np.where(np.abs(X[idx]).max(axis=1) > 1e2, "diverged", "stalled")
+    def fail(idx, why):
+        status[idx] = np.where(np.abs(X[idx]).max(axis=1) > 1e2, "diverged", why)
 
     while len(act):
         step = np.minimum(ds[act], 1.0 - s[act])
@@ -507,11 +529,12 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
         if singular.any():
             cut = act[singular]
             ds[cut] *= 0.5
-            stall(cut)
+            fail(cut[ds[cut] < 1e-12], "stalled")
             act, dx, step = act[~singular], dx[~singular], step[~singular]
         s_new, ta = s[act] + step, tgt[act]
+        X_pred = X[act] - step[:, None] * dx
         X_corr, ok = _newton(
-            lambda Y: h.eval(Y, s_new, ta)[:2], X[act] - step[:, None] * dx, iters=4, tol=1e-11
+            lambda Y: h.eval(Y, s_new, ta)[:2], X_pred, iters=4, tol=1e-11 * h.scale(X_pred)
         )
         acc = act[ok]
         X[acc], s[acc] = X_corr[ok], s_new[ok]
@@ -520,14 +543,15 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
         if not ok.all():
             rej = act[~ok]
             ds[rej] *= 0.4
-            stall(rej)
+            fail(rej[ds[rej] < 1e-12], "stalled")
         act = np.flatnonzero((status == "tracking") & (s < 1.0))
     # polish on the target system
     fin = np.flatnonzero(status == "tracking")
     X_fin, ok = _newton(lambda Y: h.eval(Y, 1.0, tgt[fin])[:2], X[fin], iters=12, tol=1e-14)
     ok &= np.abs(X_fin).max(axis=1) < _DIVERGENCE
     X[fin] = X_fin
-    status[fin] = np.where(ok, "converged", "polish_failed")
+    status[fin] = "converged"
+    fail(fin[~ok], "polish_failed")
     return X, status
 
 

@@ -293,7 +293,8 @@ def test_k0_start_system_is_total_degree():
 
 class _StallingHomotopy:
     """H = x - r s^2 with a wrong-signed Jacobian for s > 0.5, so that no
-    corrector step past s = 0.5 converges and the path stalls at x = r/4."""
+    corrector step past s = 0.5 converges and the path stalls at x = r/4.
+    ``scale`` is all ones: the corrector tolerance is absolute."""
 
     def __init__(self, r):
         self.r = r
@@ -302,6 +303,9 @@ class _StallingHomotopy:
         s = np.broadcast_to(np.asarray(s, dtype=float), (len(X),))[:, None]
         J = np.where(s > 0.5, -1.0, 1.0)[:, :, None]
         return X - self.r * s**2, J, -2 * self.r * s * np.ones_like(X)
+
+    def scale(self, X):
+        return np.ones(X.shape)
 
 
 @pytest.mark.parametrize("r,status", [(1.0, "stalled"), (380.0, "stalled"), (420.0, "diverged")])
@@ -314,11 +318,34 @@ def test_stall_classified_by_size(r, status):
     assert abs(X[0, 0] - r / 4) < 1e-3 * r
 
 
+class _PolishFailingHomotopy(_StallingHomotopy):
+    """H = x - r s, plus 1e-12 at s = 1 where the Jacobian is 0: the path
+    reaches s = 1 at x = r, whose residual passes the corrector but not the
+    polish."""
+
+    def eval(self, X, s, tgt):
+        s = np.broadcast_to(np.asarray(s, dtype=float), (len(X),))[:, None]
+        J = np.where(s < 1.0, 1.0, 0.0)[:, :, None]
+        return X - self.r * s + 1e-12 * (s == 1.0), J, -self.r * np.ones_like(X)
+
+
+@pytest.mark.parametrize("r,status", [(1.0, "polish_failed"), (99.0, "polish_failed"), (101.0, "diverged")])
+def test_failed_polish_classified_by_size(r, status):
+    """A path whose final polish fails is diverged beyond |x| > 1e2 and a
+    polish failure at or below it, by the same rule as a stalled one."""
+    one_path = np.zeros((1, 1), dtype=complex)
+    X, got = critpts._track(_PolishFailingHomotopy(r), one_path, np.zeros(1, dtype=int))
+    assert got.tolist() == [status]
+    assert abs(X[0, 0] - r) < 1e-9 * r
+
+
 # ---- batched tracking and Newton ----------------------------------------------
 
 def test_batched_track_matches_single_paths():
     """Tracking all start points at once gives each path the status and
-    endpoint it gets when tracked alone; ex2_n3 has diverging paths."""
+    endpoint it gets when tracked alone; ex2_n3 has diverging paths, and
+    each runs out past |x| > _DIVERGENCE rather than ending by its step
+    walking below 1e-12 at a moderate |x|."""
     inst = ProblemInstance(
         3, 1, [parse("x1^2 + x2^2 + x3^3", ["x1", "x2", "x3"])],
         [Poly.one(3), Poly.zero(3), Poly.zero(3)],
@@ -328,6 +355,7 @@ def test_batched_track_matches_single_paths():
     starts = h.starts
     X, status = critpts._track(h, starts, h.target)
     assert "diverged" in status and "converged" in status
+    assert (np.abs(X[status == "diverged"]).max(axis=1) > critpts._DIVERGENCE).all()
     for i, x0 in enumerate(starts):
         Xi, si = critpts._track(h, x0.reshape(1, -1), h.target[i : i + 1])
         assert si[0] == status[i]
@@ -335,14 +363,54 @@ def test_batched_track_matches_single_paths():
             assert np.max(np.abs(Xi[0] - X[i])) < 1e-12
 
 
+def test_every_unconverged_path_diverges():
+    """On f = x^2 - y^2 + y^3, omega = dy, some paths reach s = 1 far out
+    and fail the polish; they read diverged, and no path is a polish
+    failure or a stall."""
+    inst = ProblemInstance(
+        2, 1, [parse("x^2 - y^2 + y^3", ["x", "y"])], [Poly.zero(2), Poly.one(2)]
+    )
+    fam = DeformationFamily(inst, direction_of(inst, 42))
+    h = critpts._Homotopy([(fam, 1e-2, np.random.default_rng(0))])
+    _, status = critpts._track(h, h.starts, h.target)
+    assert set(status) == {"converged", "diverged"}
+
+
+def _diagonal_squares(X):
+    """F_e = x_e^2 - 1 with its (diagonal) Jacobian."""
+    return X**2 - 1, np.einsum("re,ef->ref", 2 * X, np.eye(X.shape[1]))
+
+
 def test_newton_freezes_rows_independently():
-    """A singular Jacobian fails its own row and leaves the others."""
+    """A singular Jacobian fails its own row and leaves the others.  With
+    one tolerance per row and equation, a row freezes at the first iterate
+    where each of its equations passes its own tolerance; a scalar
+    tolerance gives bitwise the result of that value on every entry."""
     X, ok = critpts._newton(
         lambda X: (X**2 - 1, (2 * X)[:, :, None]),
         np.array([[0.0], [2.0]]), iters=14, tol=1e-14,
     )
     assert ok.tolist() == [False, True]
     assert abs(X[1, 0] - 1) < 1e-14
+
+    x, iterates = 2.0, []
+    for _ in range(4):
+        x = x - (x * x - 1) / (2 * x)
+        iterates.append(x)
+    # |x^2 - 1| at the iterates: 0.56, 0.051, 6.1e-4, 9.3e-8
+    tol = np.array([[1e-3, 1e-3], [1e-3, 1e-6], [1e-14, 1e-14]])
+    X, ok = critpts._newton(_diagonal_squares, np.full((3, 2), 2.0), iters=14, tol=tol)
+    assert ok.all()
+    assert X[0].tolist() == [iterates[2]] * 2
+    assert X[1].tolist() == [iterates[3]] * 2  # the second equation holds it back
+    assert np.abs(X[2] ** 2 - 1).max() < 1e-14
+
+    X0 = np.array([[2.0, 3.0], [0.5, 1.5], [0.0, 2.0]])
+    for tol in (1e-14, 1e-6):
+        Xs, oks = critpts._newton(_diagonal_squares, X0, iters=14, tol=tol)
+        Xa, oka = critpts._newton(_diagonal_squares, X0, iters=14, tol=np.full(X0.shape, tol))
+        assert np.array_equal(Xs, Xa) and np.array_equal(oks, oka)
+        assert oks.tolist() == [True, True, False]
 
 
 # ---- one-table evaluator ------------------------------------------------------
