@@ -7,8 +7,10 @@ including a module dimension that does not stabilize and a standard basis
 that exceeds its pair or coefficient budget, 3 on non-isolated input).  Bad
 limit flags are radii that are not finite, positive and strictly decreasing
 (at least two), an odd ``--samples`` or one below 16, a ``--tol-match`` that
-is not finite and positive, and a ``--max-den`` below 1.  Every exit-1 case
-prints ``input error: ...`` on stderr and nothing on stdout.
+is not finite and positive, and a ``--max-den`` below 1.  An ``--out`` path
+that cannot be opened for writing (say, in a missing directory) is an input
+error too, found before the analysis runs.  Every exit-1 case prints
+``input error: ...`` on stderr and nothing on stdout.
 ``singforms verify-corpus`` runs the built-in instances against their
 expected values and the property checks.
 
@@ -209,6 +211,8 @@ def cmd_analyze(args) -> int:
             pf = parse_problem_file(fh.read())
         inst = problem_to_instance(pf)
         config = _config_from_args(args)
+        if args.out:
+            open(args.out, "a").close()  # an unwritable --out fails before the analysis
     except (OSError, ValueError, PolyParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -119,91 +119,50 @@ def analyze(
 
     checks = []
 
+    def check(name, ok, detail, tolerance):
+        checks.append(CheckResult(name, ok, detail, tolerance))
+
     # two-route agreement on all generator pairs
     qomega_numeric_entries = quadforms.qomega_numeric(generators, sampler)
     lam = qo.gram.numeric  # the float values of the exact Gram when there is one
     scale = np.maximum(1.0, np.maximum(abs(qomega_numeric_entries), abs(lam)))
     max_two_route = float(np.max(abs(qomega_numeric_entries - lam) / scale))
-    checks.append(
-        CheckResult(
-            name="two_route_qomega",
-            ok=max_two_route < 1e-6,
-            detail=f"max_rel_dev={max_two_route:.3e}",
-            tolerance="1e-06",
-        )
-    )
+    check("two_route_qomega", max_two_route < 1e-6, f"max_rel_dev={max_two_route:.3e}", "1e-06")
 
-    # the functional vanishes on the ideal
-    p1 = residuefn.verify_ideal_vanishing(inst, sampler, config.seed)
-    checks.append(
-        CheckResult(
-            name="ideal_vanishing",
-            ok=p1.ok,
-            detail=f"max_dev={p1.max_deviation:.3e}",
-            tolerance=f"{cfg.tol_match:.0e}",
-        )
-    )
-
-    # the functional depends only on the class of the 1-form, k >= 1 only
+    # the functional vanishes on the ideal and, for k >= 1 only, depends only
+    # on the class of the 1-form
+    suites = {"ideal_vanishing": residuefn.verify_ideal_vanishing}
     if inst.k >= 1:
-        p2 = residuefn.verify_class_invariance(inst, alg, sampler, config.seed)
-        checks.append(
-            CheckResult(
-                name="class_invariance",
-                ok=p2.ok,
-                detail=f"max_dev={p2.max_deviation:.3e}",
-                tolerance=f"{cfg.tol_match:.0e}",
-            )
-        )
+        suites["class_invariance"] = residuefn.verify_class_invariance
+    for name, suite in suites.items():
+        rep = suite(inst, alg, sampler, config.seed)
+        check(name, rep.ok, f"max_dev={rep.max_deviation:.3e}", f"{cfg.tol_match:.0e}")
 
-    # module dimension equality
-    checks.append(
-        CheckResult(
-            name="module_dim_equality",
-            ok=omega_dim == nu,
-            detail=f"omega_dim={omega_dim} nu={nu}",
-            tolerance="exact",
-        )
-    )
+    check("module_dim_equality", omega_dim == nu, f"omega_dim={omega_dim} nu={nu}", "exact")
 
-    # rank inequalities
     if qo.rank is not None:
-        checks.append(
-            CheckResult(
-                name="rank_inequalities",
-                ok=quadforms.rank_inequalities_hold(
-                    nu, tau, rank_qa, qo.rank, qo.im_lambda_dim, omega_dim
-                ),
-                detail=(
-                    f"rank_qa={rank_qa} rank_qomega={qo.rank} tau={tau} "
-                    f"im_lambda_dim={qo.im_lambda_dim}"
-                ),
-                tolerance="exact",
-            )
+        check(
+            "rank_inequalities",
+            quadforms.rank_inequalities_hold(
+                nu, tau, rank_qa, qo.rank, qo.im_lambda_dim, omega_dim
+            ),
+            f"rank_qa={rank_qa} rank_qomega={qo.rank} tau={tau} im_lambda_dim={qo.im_lambda_dim}",
+            "exact",
         )
 
     # count certification: a failed run fails the check
     runs = [ps for ps in sampler.fresh if not isinstance(ps, CountMismatchError)]
-    count_ok = len(runs) == _COUNT_RUNS
     worst_res = max((float(ps.residual.max(initial=0.0)) for ps in runs), default=0.0)
-    checks.append(
-        CheckResult(
-            name="count_certification",
-            ok=count_ok and worst_res < 1e-10,
-            detail=f"runs={_COUNT_RUNS} expected={nu} max_residual={worst_res:.3e}",
-            tolerance="1e-10",
-        )
+    check(
+        "count_certification",
+        len(runs) == _COUNT_RUNS and worst_res < 1e-10,
+        f"runs={_COUNT_RUNS} expected={nu} max_residual={worst_res:.3e}",
+        "1e-10",
     )
 
     # circle-mean stability across the two smallest radii (all probes seen)
-    checks.append(
-        CheckResult(
-            name="circle_mean_stability",
-            ok=sampler.max_probe_deviation < 1e-6,
-            detail=f"max_rel_dev={sampler.max_probe_deviation:.3e}",
-            tolerance="1e-06",
-        )
-    )
+    dev = sampler.max_probe_deviation
+    check("circle_mean_stability", dev < 1e-6, f"max_rel_dev={dev:.3e}", "1e-06")
 
     diagnostics = dict(sorted(sampler.stats.items()))
     diagnostics["radii"] = list(cfg.radii)

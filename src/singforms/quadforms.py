@@ -1,9 +1,12 @@
 """Quadratic forms on the local algebra and on the module of forms.
 
 ``gram_qa`` assembles Q(phi, psi) = R(phi psi) over the monomial basis of the
-quotient algebra from one batched limit over all product monomials; entries
-are rationalized when possible and exact mode is authoritative for ranks and
-signatures.  ``lambda_map`` sends an (n-k)-form h dx_L to sgn(K, L) h Delta_K
+quotient algebra from the vector r = (R(e_c))_c of R on the basis (one
+batched limit) and the structure constants of the algebra: the entry at
+(a, b) is sum_c r_c times the c-th coordinate of e_a e_b.  Only the nu
+entries of r are rationalized, the exact Gram is the same contraction over
+those rationals, and exact mode is authoritative for ranks and signatures.
+``lambda_map`` sends an (n-k)-form h dx_L to sgn(K, L) h Delta_K
 where K is the complementary column block of the Jacobian of f, realizing
 (df_1 ^ .. ^ df_k ^ eta) / (dx_1 ^ .. ^ dx_n); the form on the module is the
 pullback of Q^A along this map (the congruence C Q^A C^T over the generators'
@@ -61,8 +64,7 @@ class GramForm:
     numeric: np.ndarray
     exact: list | None
     failed_entries: list = field(default_factory=list)
-    max_imag: float = 0.0
-    max_numeric_exact_dev: float = 0.0
+    max_numeric_exact_dev: float = 0.0  # worst |r_c - rational r_c| over the basis values
 
     @property
     def dim(self) -> int:
@@ -84,38 +86,38 @@ def gram_qa(
 ) -> GramForm:
     """Gram matrix [R(e_a e_b)] over the monomial basis of the algebra.
 
-    Entries come from the raw product monomials, all in one batched limit;
-    reduction-independence (evaluating the normal form instead) is checked in
-    the test suite.
+    R vanishes on the ideal, so R(e_a e_b) = sum_c r_c P_c[a][b] with
+    r_c = R(e_c) (``sampler.basis_values``) and P_c[a][b] the c-th
+    coordinate of ``alg.basis_product(a, b)``.  The numeric Gram contracts
+    the real parts of r, the exact Gram the rationalized r_c; when some r_c
+    does not rationalize, the pairs whose product touches it are the failed
+    entries and there is no exact Gram.
     """
     dim = len(alg.basis)
     labels = [Poly.monomial(m).to_string([f"x{i+1}" for i in range(inst.n)]) for m in alg.basis]
-    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
-    values = sampler.r_of(
-        [
-            Poly.monomial(tuple(x + y for x, y in zip(alg.basis[a], alg.basis[b])))
-            for a, b in pairs
-        ],
-        [f"gram[{a},{b}]" for a, b in pairs],
-    )
-    numeric = np.zeros((dim, dim))
-    exact = [[Fraction(0)] * dim for _ in range(dim)]
-    failed = []
-    max_dev = 0.0
-    for (i, j), rv in zip(pairs, values):
-        numeric[i][j] = numeric[j][i] = rv.numeric.real
-        if rv.exact is None:
-            failed.append((i, j))
-        else:
-            exact[i][j] = exact[j][i] = rv.exact
-            max_dev = max(max_dev, abs(rv.numeric - float(rv.exact)))
+    r = sampler.basis_values(alg.basis)
+    rats = [sampler.rational(v) for v in r]
+    P = [[alg.basis_product(a, b) for b in range(dim)] for a in range(dim)]
+    numeric = np.array(P, dtype=float).reshape(dim, dim, dim) @ r.real
+    failed = [
+        (a, b)
+        for a in range(dim)
+        for b in range(a, dim)
+        if any(p and q is None for p, q in zip(P[a][b], rats))
+    ]
+    exact = None
+    if want_exact and not failed:
+        exact = [
+            [sum((q * p for p, q in zip(pc, rats) if p), Fraction(0)) for pc in row] for row in P
+        ]
     return GramForm(
         labels=labels,
         numeric=numeric,
-        exact=exact if want_exact and not failed else None,
+        exact=exact,
         failed_entries=failed,
-        max_imag=max((abs(rv.numeric.imag) for rv in values), default=0.0),
-        max_numeric_exact_dev=max_dev,
+        max_numeric_exact_dev=max(
+            (abs(v - float(q)) for v, q in zip(r, rats) if q is not None), default=0.0
+        ),
     )
 
 

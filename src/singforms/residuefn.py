@@ -10,10 +10,16 @@ all circles, with one t per row.  Limits are batched: one evaluation per
 block of ``_BLOCK_ROWS`` rows of a circle's grid accumulates the circle
 means of a whole probe set at once (all probes stacked into one
 ``StackedTPolys``), and each probe's column is then accepted on its own
-when the means at the two smallest radii agree, after which a
-continued-fraction rational reconstruction is attempted.  Class invariance
-solves each twisted family at all samples in one anchored Newton batch,
-from the base points with the first multiplier shifted.
+when the means at the two smallest radii agree.  Limits stay complex
+numbers.  R vanishes on the ideal, so it is fixed by the vector
+r = (R(e_c))_c over the basis monomials of the algebra; ``basis_values``
+takes that one limit and keeps it, and only its entries are rationalized
+(``rational``, a continued-fraction reconstruction).  Ideal vanishing checks
+R on ideal generators times monomials and on the differences
+e_a e_b - NF(e_a e_b) on which ``Q^A`` relies.  Class invariance solves each
+twisted family at all samples in one anchored Newton batch, from the base
+points with the first multiplier shifted, and compares its basis vector
+with r.
 
 ``make_sampler`` builds the one sampler of an analysis; the verification
 suites take it, and read the limit settings from ``sampler.cfg``.
@@ -67,12 +73,6 @@ class LimitConfig:
             raise ValueError("max_denominator must be at least 1")
 
 
-@dataclass
-class RValue:
-    numeric: complex
-    exact: Fraction | None
-
-
 def _rel_dev(a: complex, b: complex) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
@@ -120,6 +120,7 @@ class ResidueSampler:
             ts = np.concatenate([critpts.circle_ts(r, cfg.samples) for r in cfg.radii])
             self.grid, self.stats = critpts.solve_anchored(family, ts, anchors, expected, rng)
         self.max_probe_deviation = 0.0
+        self._basis_values = {}
 
     def limit(self, values, labels) -> np.ndarray:
         """The limits of the circle means of values, one entry per label.
@@ -154,23 +155,31 @@ class ResidueSampler:
 
     # -- the functional -------------------------------------------------------
 
-    def r_of(self, probes, labels=None) -> list:
-        """R of each probe (Poly or TPoly) from one batched limit, as RValues
-        rationalized when the limit is real to within ``tol_match``."""
+    def r_of(self, probes, labels=None) -> np.ndarray:
+        """The complex limits R(p) of the probes (Poly or TPoly), one batch."""
         if not all(isinstance(p, (Poly, TPoly)) for p in probes):
             raise TypeError("probe must be Poly or TPoly")
         if labels is None:
             labels = [repr(p) if isinstance(p, Poly) else "probe" for p in probes]
         sp = StackedTPolys(probes, self.family.n)
-        vals = self.limit(
+        return self.limit(
             lambda ps: np.sum(sp.eval(ps.t, ps.x) / ps.jtilde[:, None], axis=0),
             labels,
         )
+
+    def basis_values(self, basis) -> np.ndarray:
+        """r = (R(e_c))_c over the basis monomials, from one limit; kept, so
+        every reader of the same basis gets the same vector."""
+        key = tuple(basis)
+        if key not in self._basis_values:
+            self._basis_values[key] = self.r_of([Poly.monomial(m) for m in basis])
+        return self._basis_values[key]
+
+    def rational(self, value) -> Fraction | None:
+        """A limit as a rational within ``tol_match`` of denominator at most
+        ``max_denominator``; None when there is none or it is not real."""
         tol, den = self.cfg.tol_match, self.cfg.max_denominator
-        return [
-            RValue(v, reconstruct_rational(v.real, den, tol) if abs(v.imag) < tol else None)
-            for v in map(complex, vals)
-        ]
+        return reconstruct_rational(value.real, den, tol) if abs(value.imag) < tol else None
 
 
 def make_sampler(inst, cfg, seed, expected=None, fresh=()):
@@ -201,10 +210,12 @@ class ProbeReport:
 
 
 def verify_ideal_vanishing(
-    inst, sampler: ResidueSampler, seed=0, multipliers: int = 10
+    inst, alg, sampler: ResidueSampler, seed=0, multipliers: int = 10
 ) -> ProbeReport:
-    """|R(h g)| below tolerance for every ideal generator g and random
-    monomial multipliers h of degree <= 2."""
+    """|R(p)| below tolerance for every probe p of the ideal: each ideal
+    generator g times random monomials h of degree <= 2, and every product
+    of basis classes less its normal form, e_a e_b - NF(e_a e_b), over the
+    ``alg.basis_product`` coordinates that ``Q^A`` is built from."""
     from .icis import build_ideal
     from .localalg import monomials_below
 
@@ -217,8 +228,17 @@ def verify_ideal_vanishing(
             probes.append(Poly.monomial(h) * g)
             labels.append(f"prop1 g{gi} h{h}")
             names.append(f"g{gi}*x^{h}")
-    vals = sampler.r_of(probes, labels)
-    entries = [(name, abs(v.numeric)) for name, v in zip(names, vals)]
+    basis = alg.basis
+    for a, b in itertools.combinations_with_replacement(range(len(basis)), 2):
+        terms = {m: -c for m, c in zip(basis, alg.basis_product(a, b))}
+        prod = tuple(x + y for x, y in zip(basis[a], basis[b]))
+        terms[prod] = terms.get(prod, 0) + 1
+        p = Poly(terms, inst.n)
+        if not p.is_zero():
+            probes.append(p)
+            labels.append(f"prop1 e{a}*e{b} - NF")
+            names.append(f"e{a}*e{b}-NF")
+    entries = list(zip(names, np.abs(sampler.r_of(probes, labels)).tolist()))
     worst = max((dev for _, dev in entries), default=0.0)
     return ProbeReport(
         ok=worst < sampler.cfg.tol_match,
@@ -249,16 +269,15 @@ def verify_class_invariance(
 
     The twisted 1-form is deformed with f_1 - eps_1 in place of f_1 (the
     deformation pattern under which the two restrictions to the fiber agree),
-    and R of every basis monomial of the algebra ``alg`` is compared against
-    the base value.
+    and its vector of R over the basis monomials of the algebra ``alg`` is
+    compared against the base sampler's.
     """
     if inst.k < 1:
         raise ValueError("class invariance needs k >= 1")
     cfg = sampler.cfg
-    probes = [Poly.monomial(m) for m in alg.basis]
-    base = [v.numeric for v in sampler.r_of(probes)]
+    base = sampler.basis_values(alg.basis)
     rng = np.random.default_rng(seed + 202)
-    X = sampler.grid.X.reshape(-1, sampler.expected, inst.n + inst.k)
+    X = sampler.grid.X.reshape(len(cfg.radii) * cfg.samples, sampler.expected, inst.n + inst.k)
     x = X[:, :, : inst.n].reshape(-1, inst.n)
     entries = []
     worst = 0.0
@@ -276,10 +295,10 @@ def verify_class_invariance(
             np.random.default_rng(seed + 300 + v),
             anchors=anchors,
         )
-        for p, b, val in zip(probes, base, twisted.r_of(probes)):
-            dev = abs(val.numeric - b)
+        for m, b, val in zip(alg.basis, base, twisted.basis_values(alg.basis)):
+            dev = abs(val - b)
             worst = max(worst, dev)
-            entries.append((f"variant{v} {p!r}", dev))
+            entries.append((f"variant{v} {Poly.monomial(m)!r}", dev))
     return ProbeReport(
         ok=worst < cfg.tol_match,
         max_deviation=worst,

@@ -160,7 +160,7 @@ def test_criterion_8_bridge_identity(corpus_analysis, name):
     for a in range(nb):
         for b in range(a, nb):
             w = weight * Poly.monomial(alg.basis[a]) * Poly.monomial(alg.basis[b])
-            rhs = sampler_e.r_of([w])[0].numeric
+            rhs = sampler_e.r_of([w])[0]
             max_dev = max(max_dev, abs(res.gram_qa.numeric[a][b] - rhs))
     ok = max_dev < 1e-8
     detail = f"max_dev={max_dev:.3e} tol=1e-08"

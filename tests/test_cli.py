@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from singforms import localalg
+from singforms import cli, localalg
 from singforms.cli import (
     EXIT_INPUT,
     EXIT_NON_ISOLATED,
@@ -145,6 +145,59 @@ def test_analyze_exit_codes(tmp_path):
         code, _, err = run_cli(["verify-corpus", "--only", "smooth_line", *flags])
         assert code == EXIT_INPUT
         assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "variables: x, y\nf: x\nomega: 1, 1\n",
+        "variables: x, y, z\nf: x, y\nomega: 0, 0, 1\n",
+    ],
+    ids=["k1", "k2"],
+)
+def test_analyze_index_zero(tmp_path, text):
+    """A 1-form without zeros on the fiber has index 0: empty grids, an
+    empty algebra, and every check passing."""
+    path = tmp_path / "nu0.txt"
+    path.write_text(text)
+    code, out, _ = run_cli(["analyze", str(path)])
+    assert code == EXIT_OK
+    assert "nu: 0" in out
+    assert "all_checks: pass" in out
+
+
+def test_analyze_unwritable_out_is_an_input_error(tmp_path, monkeypatch):
+    """An --out path in a missing directory fails before the analysis."""
+    path = tmp_path / "ex1.txt"
+    path.write_text(EX1_N2)
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+
+    monkeypatch.setattr(cli, "analyze", no_analysis)
+    code, out, err = run_cli(["analyze", str(path), "--out", str(tmp_path / "missing" / "r.txt")])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("input error: ")
+
+
+def test_analyze_no_exact_report(tmp_path):
+    path = tmp_path / "ex1.txt"
+    path.write_text(EX1_N2)
+    code, out, _ = run_cli(["analyze", str(path), "--no-exact"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert "gram_qa_numeric:" in lines
+    assert "signature_qa: None" in lines
+    assert "rank_qomega: None" in lines
+
+
+def test_analyze_unrationalized_gram_entries(tmp_path):
+    """R(x1^2) = 1/2 has no rational of denominator 1."""
+    path = tmp_path / "ex1.txt"
+    path.write_text(EX1_N2)
+    code, out, _ = run_cli(["analyze", str(path), "--max-den", "1"])
+    assert code == EXIT_OK
+    assert any(line.startswith("gram_qa_unrationalized: ") for line in out.splitlines())
 
 
 def test_analyze_omega_dim_inconclusive(tmp_path):

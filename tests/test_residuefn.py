@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from singforms import critpts, residuefn
 from singforms.critpts import DeformationFamily, StackedTPolys, TPoly, solve_family_at
 from singforms.icis import ProblemInstance, algebra, build_ideal
 from singforms.polyring import Poly, parse
-from singforms.quadforms import FormGenerator, qomega_numeric
+from singforms.quadforms import FormGenerator, gram_qa, qomega_numeric
 from singforms.residuefn import (
     LimitConfig,
     NonConvergentError,
@@ -90,36 +91,36 @@ def test_r_at_k0():
 
 def test_r_limit_ex1_n2(ex1_n2_sampler):
     s = ex1_n2_sampler
-    assert s.r_of([parse("x1^2", VS2)])[0].exact == Fraction(1, 2)
-    assert s.r_of([parse("x2^2", VS2)])[0].exact == Fraction(-1, 2)
-    assert s.r_of([Poly.one(2)])[0].exact == 0
-    assert s.r_of([parse("x1", VS2)])[0].exact == 0
+    assert s.rational(s.r_of([parse("x1^2", VS2)])[0]) == Fraction(1, 2)
+    assert s.rational(s.r_of([parse("x2^2", VS2)])[0]) == Fraction(-1, 2)
+    assert s.rational(s.r_of([Poly.one(2)])[0]) == 0
+    assert s.rational(s.r_of([parse("x1", VS2)])[0]) == 0
 
 
 def test_r_limit_ex1_n3(ex1_n3_sampler):
     s = ex1_n3_sampler
-    assert s.r_of([Poly.one(3)])[0].exact == 0
+    assert s.rational(s.r_of([Poly.one(3)])[0]) == 0
     for i in range(3):
-        assert s.r_of([Poly.variable(i, 3)])[0].exact == 0
+        assert s.rational(s.r_of([Poly.variable(i, 3)])[0]) == 0
     # 2 / prod(a_j - a_i) in the Delta^2 J normalization carries the unit 1/4
-    assert s.r_of([parse("x1^2", VS3)])[0].exact == Fraction(1, 6)
-    assert s.r_of([parse("x2^2", VS3)])[0].exact == Fraction(-1, 4)
-    assert s.r_of([parse("x3^2", VS3)])[0].exact == Fraction(1, 12)
+    assert s.rational(s.r_of([parse("x1^2", VS3)])[0]) == Fraction(1, 6)
+    assert s.rational(s.r_of([parse("x2^2", VS3)])[0]) == Fraction(-1, 4)
+    assert s.rational(s.r_of([parse("x3^2", VS3)])[0]) == Fraction(1, 12)
 
 
 def test_linearity(ex1_n2_sampler):
     s = ex1_n2_sampler
     p, q = parse("x1^2", VS2), parse("x2^2 + x1", VS2)
-    lhs = s.r_of([3 * p - 2 * q])[0].numeric
-    rhs = 3 * s.r_of([p])[0].numeric - 2 * s.r_of([q])[0].numeric
+    lhs = s.r_of([3 * p - 2 * q])[0]
+    rhs = 3 * s.r_of([p])[0] - 2 * s.r_of([q])[0]
     assert abs(lhs - rhs) < 2e-8
 
 
 def test_realness(ex1_n3_sampler):
     for probe in ["x1^2", "x2^2", "x1*x2", "x3^2"]:
         v = ex1_n3_sampler.r_of([parse(probe, VS3)])[0]
-        assert abs(v.numeric.imag) < 1e-8
-        assert v.exact is not None
+        assert abs(v.imag) < 1e-8
+        assert ex1_n3_sampler.rational(v) is not None
 
 
 def test_circle_mean_stability_halved_radius():
@@ -140,7 +141,7 @@ def test_parameter_dependent_probe(ex1_n2_sampler):
     psi = parse("x2^2 - 3*x1", VS2)
     moving = TPoly(phi, 7 * psi)  # phi + 7 t psi
     v = s.r_of([moving])[0]
-    assert v.exact == Fraction(1, 2)
+    assert s.rational(v) == Fraction(1, 2)
 
 
 def test_non_convergent_reports():
@@ -155,11 +156,11 @@ def test_batch_independence(ex1_n2_sampler):
     """A batched limit gives each probe the value it has on its own."""
     s = ex1_n2_sampler
     p, q = parse("x1^2", VS2), parse("x2^2 + 3*x1^2 + x1*x2", VS2)
-    batch = s.r_of([p, q, p + q])
-    assert [v.exact for v in batch] == [
-        s.r_of([r])[0].exact for r in (p, q, p + q)
+    batch = [s.rational(v) for v in s.r_of([p, q, p + q])]
+    assert batch == [
+        s.rational(s.r_of([r])[0]) for r in (p, q, p + q)
     ]
-    assert batch[2].exact == batch[0].exact + batch[1].exact
+    assert batch[2] == batch[0] + batch[1]
 
 
 def test_non_convergent_names_probe_in_batch(monkeypatch):
@@ -185,7 +186,7 @@ def test_row_blocks_match_unblocked_sums(monkeypatch, ex1_n2_sampler):
     def limits(block_rows):
         monkeypatch.setattr(residuefn, "_BLOCK_ROWS", block_rows)
         return (
-            np.array([v.numeric for v in s.r_of(probes)]),
+            s.r_of(probes),
             qomega_numeric(gens, s).ravel(),
         )
 
@@ -201,7 +202,7 @@ def test_empty_grid_gives_zero_limits():
     inst = ProblemInstance(2, 0, [], [parse("1 + x1", VS2), parse("x2", VS2)])
     s = make_sampler(inst, LimitConfig(), 42, expected=0)
     assert len(s.grid) == 0
-    assert [v.exact for v in s.r_of([Poly.one(2), parse("x1^2", VS2)])] == [0, 0]
+    assert [s.rational(v) for v in s.r_of([Poly.one(2), parse("x1^2", VS2)])] == [0, 0]
     assert qomega_numeric([FormGenerator(Poly.one(2), (0, 1))], s).tolist() == [[0j]]
 
 
@@ -226,25 +227,63 @@ def test_r_limit_surface_and_seed_independence():
     for seed in (7, 123):
         s = make_sampler(inst, LimitConfig(), seed)
         v = s.r_of([parse("x1^2", VS2)])[0]
-        assert v.exact == Fraction(1, 2)
+        assert s.rational(v) == Fraction(1, 2)
         assert s.max_probe_deviation < 1e-8
 
 
 # ---- verification suites -------------------------------------------------------
 
 def test_ideal_vanishing_ex1(ex1_n2_sampler):
-    rep = verify_ideal_vanishing(ex1(2, (1, 2)), ex1_n2_sampler, 42)
+    inst = ex1(2, (1, 2))
+    alg = algebra(inst)
+    rep = verify_ideal_vanishing(inst, alg, ex1_n2_sampler, 42)
     assert rep.ok
     assert rep.max_deviation < 1e-8
-    assert len(rep.entries) == 2 * 10  # two generators, ten multipliers each
+    gens = [name for name, _ in rep.entries if name.startswith("g")]
+    assert len(gens) == 2 * 10  # two generators, ten multipliers each
+    # one product probe e_a e_b - NF(e_a e_b) per pair whose product monomial
+    # is not itself a basis monomial
+    products = [name for name, _ in rep.entries if name.startswith("e")]
+    basis = set(alg.basis)
+    nonstd = [
+        (a, b)
+        for a, b in itertools.combinations_with_replacement(range(len(alg.basis)), 2)
+        if tuple(x + y for x, y in zip(alg.basis[a], alg.basis[b])) not in basis
+    ]
+    assert products == [f"e{a}*e{b}-NF" for a, b in nonstd]
 
 
 def test_ideal_vanishing_cusp():
     inst = ProblemInstance(
         2, 1, [parse("x^2 - y^3", ["x", "y"])], [Poly.one(2), Poly.zero(2)]
     )
-    rep = verify_ideal_vanishing(inst, make_sampler(inst, LimitConfig(), 42), 42)
+    rep = verify_ideal_vanishing(
+        inst, algebra(inst), make_sampler(inst, LimitConfig(), 42), 42
+    )
     assert rep.ok
+
+
+def test_ideal_vanishing_catches_a_wrong_structure_constant(monkeypatch, ex1_n2_sampler):
+    """A corrupted coordinate of one basis product, which would change the
+    Gram of Q^A, fails ideal vanishing on that product's probe."""
+    inst = ex1(2, (1, 2))
+    alg = algebra(inst)
+    c = alg.basis.index((0, 2))  # R(x2^2) = -1/2, so a wrong x2^2 coordinate shows
+    good = alg.basis_product
+
+    def corrupted(i, j):
+        coords = list(good(i, j))
+        if (min(i, j), max(i, j)) == (0, c):
+            coords[c] += 1
+        return coords
+
+    want = gram_qa(inst, alg, ex1_n2_sampler).exact
+    monkeypatch.setattr(alg, "basis_product", corrupted)
+    assert gram_qa(inst, alg, ex1_n2_sampler).exact != want
+    rep = verify_ideal_vanishing(inst, alg, ex1_n2_sampler, 42)
+    assert not rep.ok
+    assert max(rep.entries, key=lambda e: e[1])[0] == f"e0*e{c}-NF"
+    assert rep.max_deviation > 0.4
 
 
 def test_class_invariance_explicit():
@@ -255,7 +294,7 @@ def test_class_invariance_explicit():
     from singforms.polyring import Poly as P_
 
     probes = [parse(s, VS2) for s in ["1", "x1", "x2", "x1^2"]]
-    base_vals = [base.r_of([p])[0].numeric for p in probes]
+    base_vals = [base.r_of([p])[0] for p in probes]
     # eta = dx1 (coefficients (1, 0)), then eta = 0 with h = x2
     for eta, h in [
         ([P_.one(2), P_.zero(2)], P_.zero(2)),
@@ -264,7 +303,7 @@ def test_class_invariance_explicit():
         fam = DeformationFamily(inst, base.family.direction, twist=(eta, h))
         tw = ResidueSampler(fam, 4, cfg, np.random.default_rng(1))
         for p, b in zip(probes, base_vals):
-            assert abs(tw.r_of([p])[0].numeric - b) < 1e-8
+            assert abs(tw.r_of([p])[0] - b) < 1e-8
 
 
 def test_class_invariance_suite():
@@ -287,6 +326,6 @@ def test_class_invariance_cusp_cold_start():
     fam = DeformationFamily(inst, base.family.direction, twist=(eta, h))
     cold = ResidueSampler(fam, 4, cfg, np.random.default_rng(3))
     for m in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        b = base.r_of([Poly.monomial(m)])[0].numeric
-        t = cold.r_of([Poly.monomial(m)])[0].numeric
+        b = base.r_of([Poly.monomial(m)])[0]
+        t = cold.r_of([Poly.monomial(m)])[0]
         assert abs(b - t) < 1e-8
