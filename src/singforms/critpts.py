@@ -20,15 +20,20 @@ max(1, |lambda|)^dl_e for an equation of bidegree (dx_e, dl_e), so that a
 path to infinity keeps its steps until |x| > ``_DIVERGENCE``; a path that
 ends otherwise without converging is diverged when |x| > 1e2.  An analysis
 solves the first sample of both circles and the count-certification runs in
-one batch, and ``solve_family_at`` is the one-target case.  ``track_circle``
-(all circles in lockstep, one Newton batch per angle step continuing every
-circle's previous sample) and ``solve_anchored`` (every sample of a grid
-from its own nearby solutions, in one batch) use the same batched Newton,
-``_newton``, and return a circle grid as one point set with one t per row.
-Points closer than ``_merge_tolerance(t)`` are one point; the targets of a
-batch that find the wrong count retry together, up to ``_MAX_RETRIES``
-times, with a new gamma and start system each, then try ``_MULTISTART``
-random Newton starts one by one.
+one batch, and ``solve_family_at`` is the one-target case.  Points closer
+than ``_merge_tolerance(t)`` are one point; the targets of a batch that
+find the wrong count retry together, up to ``_MAX_RETRIES`` times, with a
+new gamma and start system each, then try ``_MULTISTART`` random Newton
+starts one by one.
+
+``solve_warm`` runs one batched Newton (``_newton``) over the samples of a
+grid, each from its own nearby solutions; a sample passes when three
+masks hold: every row converged, no two rows are within the merge
+tolerance, and its chart is not degenerate.  ``solve_anchored`` is the one
+recovery rule: ``solve_warm``, then the samples that fail in one
+``solve_fresh`` batch.  ``track_circle`` calls it once per angle step for
+all circles in lockstep.  Both return a circle grid as one point set with
+one t per row.
 
 At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
 is selected; with L the complement and m_j the (k+1)-minor on columns K then j,
@@ -69,10 +74,6 @@ class CountMismatchError(RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-class DegenerateChartError(RuntimeError):
-    """Every k x k block of the Jacobian is numerically singular at a point."""
 
 
 class TPoly:
@@ -251,24 +252,25 @@ class DeformationFamily:
     # -- chart-free Jacobian value ------------------------------------------
 
     def jacobian_data(self, t, X: np.ndarray):
-        """(delta, jtilde, block, S) at the rows of X (x-parts, shape (m, n)).
+        """(delta, jtilde, block, S, chart) at the rows of X (x-parts, shape (m, n)).
 
         Per row: ``block`` indexes the block K of ``blocks`` maximizing
         |Delta_K|, and ``delta``, ``jtilde`` and the fiber chart ``S`` are
-        taken on it as in ``jacobian_on_block``.
+        taken on it as in ``jacobian_on_block``.  ``chart`` is False where
+        even that |Delta_K| is at most ``_CHART_TOL`` * (1 + max |df|): there
+        the data are taken on blocks[0] of the stand-in df = eye(k, n), finite
+        and meaningless.
         """
         X = np.asarray(X, dtype=np.complex128)
         dfx = self.df_values(X)
-        dets = np.linalg.det(dfx[:, :, self._K].transpose(0, 2, 1, 3))
-        block = np.argmax(np.abs(dets), axis=1)
-        if self.k:
-            scale = 1.0 + np.abs(dfx).max(axis=(1, 2))
-            if np.any(np.abs(dets[np.arange(len(X)), block]) <= _CHART_TOL * scale):
-                raise DegenerateChartError(
-                    "all k x k Jacobian blocks are singular at a critical point"
-                )
+        dets = np.abs(np.linalg.det(dfx[:, :, self._K].transpose(0, 2, 1, 3)))
+        block = np.argmax(dets, axis=1)
+        scale = 1.0 + np.abs(dfx).max(axis=(1, 2), initial=0.0)
+        chart = dets[np.arange(len(X)), block] > _CHART_TOL * scale
+        dfx = np.where(chart[:, None, None], dfx, np.eye(self.k, self.n))
+        block = np.where(chart, block, 0)
         delta, jtilde, S = self.jacobian_on_block(t, X, block, dfx)
-        return delta, jtilde, block, S
+        return delta, jtilde, block, S, chart
 
     def jacobian_on_block(self, t, X: np.ndarray, b, dfx=None):
         """(delta, jtilde, S) at the rows of X on K = blocks[b] (b an index or one per row).
@@ -570,12 +572,22 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     return points[keep]
 
 
-def _point_set(family, ts, Xs) -> CriticalPointSet:
-    """One point set over the samples: the rows Xs[i] (shape (samples, m,
-    n + k)) at ts[i], each sample's rows sorted by (re, im) of their
-    entries, with one ``jacobian_data`` call for all rows; ``t`` is ts[0]
-    for one sample, else one per row.  DegenerateChartError if any
-    sample's chart is degenerate."""
+def _distinct(Xs: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Per sample Xs[i] (shape (samples, m, nu)): no two rows within tol[i]
+    (max-norm), i.e. ``_dedup`` keeps all m of them."""
+    m = Xs.shape[1]
+    dist = np.abs(Xs[:, :, None] - Xs[:, None]).max(axis=3, initial=0.0)
+    dist[:, np.arange(m), np.arange(m)] = np.inf
+    return dist.min(axis=(1, 2), initial=np.inf) >= tol
+
+
+def _point_set(family, ts, Xs, diagnostics=None):
+    """(one point set over the samples, the mask of samples whose chart is
+    not degenerate): the rows Xs[i] (shape (samples, m, n + k)) at ts[i],
+    each sample's rows sorted by (re, im) of their entries, with one
+    ``jacobian_data`` call for all rows; ``t`` is ts[0] for one sample,
+    else one per row.  A sample's chart is degenerate when one of its rows
+    has no chart, or its least |Jtilde| is below 1e-10 times its largest."""
     ts = np.asarray(ts, dtype=np.complex128)
     Xs = np.asarray(Xs, dtype=np.complex128)
     m = Xs.shape[1]
@@ -583,19 +595,13 @@ def _point_set(family, ts, Xs) -> CriticalPointSet:
     keys = [p for z in X.T[::-1] for p in (z.imag, z.real)]
     X = X[np.lexsort(keys + [np.repeat(np.arange(len(ts)), m)])]
     tr = np.repeat(ts, m)
-    delta, jtilde, block, S = family.jacobian_data(tr, X[:, : family.n])
+    delta, jtilde, block, S, chart = family.jacobian_data(tr, X[:, : family.n])
     jts = np.abs(jtilde).reshape(len(ts), m)
-    if np.any(jts.min(axis=1, initial=np.inf) < 1e-10 * jts.max(axis=1, initial=0.0)):
-        raise DegenerateChartError("near-degenerate critical point (Jtilde ~ 0)")
+    ok = chart.reshape(len(ts), m).all(axis=1)
+    ok &= jts.min(axis=1, initial=np.inf) >= 1e-10 * jts.max(axis=1, initial=0.0)
     residual = np.abs(family.system(tr, X)[0]).max(axis=1)
-    return CriticalPointSet(ts[0] if len(ts) == 1 else tr, X, residual, delta, jtilde, block, S)
-
-
-def _make_point_set(family, t, xs, diagnostics=None) -> CriticalPointSet:
-    """The point set of the rows xs at t, carrying the solver diagnostics."""
-    ps = _point_set(family, [t], np.reshape(xs, (1, -1, family.nunk)))
-    ps.diagnostics = diagnostics or {}
-    return ps
+    t = ts[0] if len(ts) == 1 else tr
+    return CriticalPointSet(t, X, residual, delta, jtilde, block, S, diagnostics or {}), ok
 
 
 def _stack(sets, samples, m) -> CriticalPointSet:
@@ -624,7 +630,10 @@ def solve_fresh(targets, expected: int) -> list:
     falls back to extra Newton multistarts.  Solver counters are per target.
     """
     if expected == 0:
-        return [_make_point_set(f, t, [], dict.fromkeys(_COUNTERS, 0)) for f, t, _ in targets]
+        return [
+            _point_set(f, [t], np.zeros((1, 0, f.nunk)), dict.fromkeys(_COUNTERS, 0))[0]
+            for f, t, _ in targets
+        ]
     h = _Homotopy(targets)
     batch, pending = h.targets, list(range(len(h.targets)))
     out, found = [None] * len(batch), [None] * len(batch)
@@ -645,11 +654,10 @@ def solve_fresh(targets, expected: int) -> list:
             diags[i]["path_failures"] += int((mine & ~conv & ~diverged).sum())
             found[i] = _dedup(X[ok & (tc == j)], _merge_tolerance(t))
             if len(found[i]) == expected:
-                try:
-                    out[i] = _make_point_set(family, t, found[i], diags[i])
+                ps, chart = _point_set(family, [t], found[i][None], diags[i])
+                if chart[0]:
+                    out[i] = ps
                     continue
-                except DegenerateChartError:
-                    pass
             diags[i]["retries"] += 1
             failed.append(i)
         pending = failed
@@ -680,10 +688,10 @@ def _multistart(family, t, rng, expected, found, diagnostics):
         if len(found) == expected:
             break
     if len(found) == expected:
-        try:
-            return _make_point_set(family, t, found, diagnostics)
-        except DegenerateChartError as exc:
-            message += f"; multistart recovered {expected}, but the chart is degenerate: {exc}"
+        ps, chart = _point_set(family, [t], found[None], diagnostics)
+        if chart[0]:
+            return ps
+        message += f"; multistart recovered {expected}, but the chart is degenerate"
     return CountMismatchError(message, diagnostics)
 
 
@@ -701,50 +709,31 @@ def solve_family_at(
     return got
 
 
-def _solve_warm_batch(family, ts, starts, expected):
-    """Newton from the rows starts[i] at ts[i] for every i in one batch;
-    (one point set over the samples that pass, in order, and the mask of
-    them).  A sample passes when every row converges, ``_dedup`` leaves
-    ``expected`` points and its chart is not degenerate."""
+def solve_warm(family: DeformationFamily, ts, starts, expected: int):
+    """Newton from the rows starts[i] (``expected`` of them) at ts[i] for
+    every i in one batch; (one point set over the samples that pass, in
+    order, and the mask of them).  A sample passes when every row
+    converges, no two rows are within ``_merge_tolerance(ts[i])`` and its
+    chart is not degenerate (``_point_set``)."""
     ts = np.asarray(ts, dtype=np.complex128)
     starts = np.asarray(starts, dtype=np.complex128)
-    m = starts.shape[1]
-    X, ok = _newton_family(family, np.repeat(ts, m), starts.reshape(-1, family.nunk))
-    X, ok = X.reshape(starts.shape), ok.reshape(len(ts), m).all(axis=1)
-    found = {i: _dedup(X[i], _merge_tolerance(ts[i])) for i in np.flatnonzero(ok)}
-    good = [i for i, pts in found.items() if len(pts) == expected]
-
-    def point_set(idx):
-        pts = np.reshape([found[i] for i in idx], (len(idx), expected, family.nunk))
-        return _point_set(family, ts[idx], pts)
-
-    try:
-        ps = point_set(good)
-    except DegenerateChartError:  # drop the degenerate samples, found one at a time
-        good = [
-            i for i in good
-            if len(ts) > 1 and _solve_warm_batch(family, ts[[i]], starts[[i]], expected)[1][0]
-        ]
-        ps = point_set(good)
-    passed = np.zeros(len(ts), dtype=bool)
-    passed[good] = True
-    return ps, passed
-
-
-def solve_warm(family: DeformationFamily, t: complex, starts: np.ndarray, expected: int):
-    """Newton continuation from known nearby solutions; None on failure."""
-    ps, ok = _solve_warm_batch(family, [t], [starts], expected)
-    return ps if ok[0] else None
+    X, conv = _newton_family(family, np.repeat(ts, expected), starts.reshape(-1, family.nunk))
+    X = X.reshape(len(ts), expected, family.nunk)
+    tol = np.array([_merge_tolerance(t) for t in ts])
+    ok = conv.reshape(len(ts), expected).all(axis=1) & _distinct(X, tol)
+    ps, chart = _point_set(family, ts[ok], X[ok])
+    ok[ok] = chart
+    return (ps if chart.all() else ps.rows(np.repeat(chart, expected))), ok
 
 
 def solve_anchored(family: DeformationFamily, ts, starts, expected: int, rng):
     """(one point set over the parameters ts, ``solve_stats`` of its fresh
-    solves): sample i, in rows i * expected onward, by Newton from its own
-    nearby solutions starts[i], all samples in one batch.  The samples
-    failing the tests of ``solve_warm`` are solved fresh in one
-    ``solve_fresh`` batch with rng; CountMismatchError if one of them
-    fails."""
-    got, ok = _solve_warm_batch(family, ts, starts, expected)
+    solves): sample i, in rows i * expected onward, by ``solve_warm`` from
+    its own nearby solutions starts[i], all samples in one batch.  This is
+    the one recovery rule for a failed warm sample: the samples that fail
+    are solved fresh in one ``solve_fresh`` batch with rng;
+    CountMismatchError if one of them fails."""
+    got, ok = solve_warm(family, ts, starts, expected)
     missing = np.flatnonzero(~ok)
     fresh = solve_fresh([(family, ts[i], rng) for i in missing], expected) if len(missing) else []
     for ps in fresh:
@@ -778,44 +767,18 @@ def track_circle(
     sample ``firsts[c]``, at t = radius, the samples ``circle_ts(radius,
     samples)``, circle after circle, ``expected`` rows each.
 
-    All circles advance in lockstep, one ``_solve_warm_batch`` per angle
-    step continuing each circle's previous solutions by Newton.  A circle
-    whose step fails bisects that step alone, and falls back to a fresh
-    homotopy solve as a last resort.
+    All circles advance in lockstep, one ``solve_anchored`` per angle step
+    continuing each circle's previous solutions by Newton; a circle whose
+    step fails is solved fresh at that angle, as its first sample was.
     """
     ts = np.array([circle_ts(abs(ps.t), samples) for ps in firsts])
     X = np.array([ps.X for ps in firsts]).reshape(len(firsts), expected, family.nunk)
-    pieces = list(firsts)
-    # where[c, j]: the sample of circle c at angle j, numbered through the pieces' rows
-    where = np.zeros(ts.shape, dtype=np.int64)
-    where[:, 0] = np.arange(len(firsts))
-    count = len(firsts)
+    pieces, stats = list(firsts), Counter(solve_stats(firsts))
     for j in range(1, samples):
-        got, ok = _solve_warm_batch(family, ts[:, j], X, expected)
+        got, fresh = solve_anchored(family, ts[:, j], X, expected, rng)
         pieces.append(got)
-        where[ok, j] = count + np.arange(ok.sum())
-        count += ok.sum()
-        X[ok] = got.X.reshape(X[ok].shape)
-        for c in np.flatnonzero(~ok):
-            ps = _continue_to(family, ts[c, j - 1], X[c], ts[c, j], expected, depth=0)
-            if ps is None:
-                ps = solve_family_at(family, ts[c, j], expected, rng)
-            pieces.append(ps)
-            where[c, j], X[c] = count, ps.X
-            count += 1
-    return _stack(pieces, where.ravel(), expected), solve_stats(pieces)
-
-
-def _continue_to(family, t0, X0, t, expected, depth):
-    """The point set at t by Newton from the solutions X0 at t0, bisecting
-    the step up to depth 8; None on failure."""
-    got = solve_warm(family, t, X0, expected)
-    if got is not None:
-        return got
-    if depth >= 8:
-        return None
-    t_mid = t0 + 0.5 * (t - t0)
-    mid = _continue_to(family, t0, X0, t_mid, expected, depth + 1)
-    if mid is None:
-        return None
-    return _continue_to(family, mid.t, mid.X, t, expected, depth + 1)
+        stats.update(fresh)
+        X = got.X.reshape(X.shape)
+    # the pieces hold angle after angle; the grid, circle after circle
+    order = np.arange(ts.size).reshape(samples, len(firsts)).T.ravel()
+    return _stack(pieces, order, expected), dict(stats)

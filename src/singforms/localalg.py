@@ -123,7 +123,8 @@ class BudgetExceeded(RuntimeError):
 
 
 def standard_basis(gens, max_pairs: int = 20000):
-    """Standard basis of the ideal generated by ``gens`` in the local ring."""
+    """Standard basis of the ideal generated by ``gens`` in the local ring;
+    empty for the zero ideal, whose colength is infinite."""
     G = []
     for g in gens:
         if g.is_zero():
@@ -131,8 +132,6 @@ def standard_basis(gens, max_pairs: int = 20000):
         if not g.is_exact():
             raise ValueError("standard bases need exact rational coefficients")
         G.append(_monic(g))
-    if not G:
-        raise ValueError("no nonzero generators")
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     processed = 0
     while pairs:

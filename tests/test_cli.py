@@ -149,6 +149,20 @@ def test_analyze_exit_codes(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
+    ["variables: x, y\nf: 0\nomega: 1, 0\n", "mode: elkh\nvariables: x, y\nomega: 0, 0\n"],
+    ids=["icis", "elkh"],
+)
+def test_analyze_zero_ideal_is_non_isolated(tmp_path, text):
+    """The zero ideal has infinite colength: exit 3 with a one-line message."""
+    path = tmp_path / "zero.txt"
+    path.write_text(text)
+    code, out, err = run_cli(["analyze", str(path)])
+    assert (code, out) == (EXIT_NON_ISOLATED, "")
+    assert err == "non-isolated input: index_nu INFINITE: ideal has infinite colength\n"
+
+
+@pytest.mark.parametrize(
+    "text",
     [
         "variables: x, y\nf: x\nomega: 1, 1\n",
         "variables: x, y, z\nf: x, y\nomega: 0, 0, 1\n",

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singforms import critpts
 from singforms.critpts import (
     CountMismatchError,
-    DegenerateChartError,
     DeformationFamily,
     StackedTPolys,
     TPoly,
@@ -17,6 +18,7 @@ from singforms.critpts import (
     shuffle_sign,
     solve_anchored,
     solve_family_at,
+    solve_warm,
     track_circle,
 )
 from singforms.corpus import CORPUS
@@ -185,11 +187,14 @@ def test_multistart_degenerate_chart_is_count_mismatch(monkeypatch):
         kept = dedup(points, tol)
         return kept[:-1] if len(calls) <= critpts._MAX_RETRIES + 1 else kept
 
-    def degenerate(family, t, xs, diagnostics=None):
-        raise DegenerateChartError("near-degenerate critical point (Jtilde ~ 0)")
+    point_set = critpts._point_set
+
+    def degenerate(family, ts, Xs, diagnostics=None):
+        ps, ok = point_set(family, ts, Xs, diagnostics)
+        return ps, np.zeros_like(ok)
 
     monkeypatch.setattr(critpts, "_dedup", drop_one_from_homotopy)
-    monkeypatch.setattr(critpts, "_make_point_set", degenerate)
+    monkeypatch.setattr(critpts, "_point_set", degenerate)
     with pytest.raises(CountMismatchError) as exc:
         solve_family_at(fam, 1e-2, 4, np.random.default_rng(0))
     assert "found 3 critical points, expected 4" in str(exc.value)
@@ -465,6 +470,33 @@ def test_dedup_keeps_first_of_chain():
     assert len(critpts._dedup(np.array([a, a, b], dtype=complex), 0.1)) == 2
 
 
+_PART = st.integers(0, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_distinct_matches_dedup(data):
+    """The batched distinctness test keeps a sample exactly when ``_dedup``
+    keeps all its rows.  Entries on a small integer grid and integer
+    tolerances make distances equal to the tolerance common."""
+    s, m, nu = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (0, 5), (1, 3)))
+    parts = data.draw(st.lists(st.tuples(_PART, _PART), min_size=s * m * nu, max_size=s * m * nu))
+    Xs = (np.reshape(parts, (-1, 2)) @ [1, 1j]).reshape(s, m, nu)
+    tols = st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=s, max_size=s)
+    tol = np.array(data.draw(tols))
+    want = [len(critpts._dedup(X, t)) == m for X, t in zip(Xs, tol)]
+    assert critpts._distinct(Xs, tol).tolist() == want
+
+
+def test_distinct_at_the_tolerance():
+    """Rows exactly tol apart are distinct, as for ``_dedup``; closer ones are not."""
+    X = np.array([[[0.0, 0.0], [0.5, 0.25j]], [[1.0, 0.0], [1.0, 0.5]]])
+    tol = np.array([0.5, 0.5])
+    assert critpts._distinct(X, tol).tolist() == [True, True]
+    assert [len(critpts._dedup(x, 0.5)) for x in X] == [2, 2]
+    assert critpts._distinct(X, tol + 2.0**-20).tolist() == [False, False]
+
+
 # ---- batched fresh solves ---------------------------------------------------
 
 def _count_runs(inst, rng, ts):
@@ -567,23 +599,21 @@ def test_solve_anchored_matches_continuation():
 
 def test_solve_anchored_falls_back_per_sample(monkeypatch):
     """A sample failing the warm tests, and only that one, is solved fresh,
-    and its rows keep their place in the grid."""
+    and its rows keep their place in the grid.  Two rows of the third
+    sample start at one point, so its Newton rows coincide."""
     twisted, anchors = _twisted_cusp_grid(8)
     ts = circle_ts(1e-2, 8)
-    dedup, solve_fresh = critpts._dedup, critpts.solve_fresh
-    calls, fresh = [], []
-
-    def drop_at_third_sample(points, tol):
-        calls.append(1)
-        kept = dedup(points, tol)
-        return kept[:-1] if len(calls) == 3 else kept
+    good = anchors.copy()
+    anchors[2, 1] = anchors[2, 0]
+    solve_fresh, fresh = critpts.solve_fresh, []
 
     def recording(targets, expected):
+        targets = list(targets)
         fresh.extend(t for _, t, _ in targets)
         return solve_fresh(targets, expected)
 
-    monkeypatch.setattr(critpts, "_dedup", drop_at_third_sample)
     monkeypatch.setattr(critpts, "solve_fresh", recording)
+    assert solve_warm(twisted, ts, anchors, 4)[1].tolist() == [i != 2 for i in range(8)]
     grid, stats = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
     assert fresh == [ts[2]]
     assert stats["fresh_solves"] == 1
@@ -591,27 +621,26 @@ def test_solve_anchored_falls_back_per_sample(monkeypatch):
     assert np.array_equal(grid.t, np.repeat(ts, 4))
     want = solve_family_at(twisted, ts[2], 4, np.random.default_rng(5))
     assert np.max(np.abs(grid.X[8:12] - want.X)) < 1e-12
-    monkeypatch.setattr(critpts, "_dedup", dedup)
-    warm, _ = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
+    warm, _ = solve_anchored(twisted, ts, good, 4, np.random.default_rng(1))
     assert np.max(np.abs(grid.X - warm.X)) < 1e-12
 
 
 def test_warm_batch_drops_degenerate_samples_alone(monkeypatch):
-    """A degenerate chart fails its own sample of a warm batch, and the
+    """A row without a chart fails its own sample of a warm batch, and the
     other samples keep their points."""
     twisted, anchors = _twisted_cusp_grid(8)
     ts = circle_ts(1e-2, 8)
-    want, ok = critpts._solve_warm_batch(twisted, ts, anchors, 4)
+    want, ok = solve_warm(twisted, ts, anchors, 4)
     assert ok.all()
-    point_set = critpts._point_set
+    jacobian_data = twisted.jacobian_data
 
-    def degenerate_at_third_sample(family, tss, Xs):
-        if ts[2] in tss:
-            raise DegenerateChartError("near-degenerate critical point (Jtilde ~ 0)")
-        return point_set(family, tss, Xs)
+    def no_chart_in_third_sample(t, X):
+        *data, chart = jacobian_data(t, X)
+        chart[np.flatnonzero(t == ts[2])[:1]] = False  # one row of that sample
+        return (*data, chart)
 
-    monkeypatch.setattr(critpts, "_point_set", degenerate_at_third_sample)
-    got, ok = critpts._solve_warm_batch(twisted, ts, anchors, 4)
+    monkeypatch.setattr(twisted, "jacobian_data", no_chart_in_third_sample)
+    got, ok = solve_warm(twisted, ts, anchors, 4)
     assert ok.tolist() == [i != 2 for i in range(8)]
     assert np.array_equal(got.X, want.X[np.repeat(ok, 4)])
     assert np.array_equal(got.t, want.t[np.repeat(ok, 4)])
@@ -660,7 +689,8 @@ def test_batched_chart_data_matches_rowwise():
     fam = DeformationFamily(inst, direction_of(inst, 42))
     ps = solve_family_at(fam, 1e-2, 6, np.random.default_rng(0))
     assert set(ps.block.tolist()) == {0, 1, 2}  # every block is chosen
-    delta, jt, block, S = fam.jacobian_data(ps.t, ps.x)
+    delta, jt, block, S, chart = fam.jacobian_data(ps.t, ps.x)
+    assert chart.all()
     assert np.array_equal(block, ps.block)
     for i, b in enumerate(block):
         d1, j1, S1 = fam.jacobian_on_block(ps.t, ps.x[i : i + 1], b)
@@ -682,7 +712,8 @@ def test_chart_data_with_per_row_t():
     b = solve_family_at(fam, 2e-2j, 6, np.random.default_rng(1))
     X = np.concatenate([a.x, b.x])
     tr = np.repeat([a.t, b.t], 6)
-    delta, jt, block, S = fam.jacobian_data(tr, X)
+    delta, jt, block, S, chart = fam.jacobian_data(tr, X)
+    assert chart.all()
     assert len(set(block.tolist())) > 1
     assert np.array_equal(block, np.concatenate([a.block, b.block]))
     for i in range(len(X)):
@@ -714,10 +745,38 @@ def test_jtilde_against_finite_differences(inst_builder, expected):
 def test_jacobian_value_spec_surface():
     eps = 0.01
     fam = DeformationFamily(ex1(2, (1, 2)), (eps, 0.0, 0.0))
-    delta, jt, block, _ = fam.jacobian_data(1.0, np.array([[eps**0.5, 0.0]]))
+    delta, jt, block, _, chart = fam.jacobian_data(1.0, np.array([[eps**0.5, 0.0]]))
+    assert chart.tolist() == [True]
     assert abs(delta[0] - 2 * eps**0.5) < 1e-12
     assert abs(jt[0] - 4 * eps * 1.0) < 1e-12  # 4 eps (a2 - a1)
     assert fam.blocks[block[0]] == (0,)
+
+
+@pytest.mark.parametrize(
+    "name,expected,near",
+    [("ex1_n2", 4, (1e-14, 3e-14)), ("four_lines", 8, (1e-7, 1e-7, 1e-7))],
+    ids=["k1", "k2"],
+)
+def test_chart_mask_fails_only_the_degenerate_rows(name, expected, near):
+    """Rows with df = 0 and with every k x k block near-singular, the best
+    not blocks[0], have no chart; jacobian_data still returns finite data,
+    and the other rows' data as without them.  In ``_point_set`` such a
+    row fails its own sample only."""
+    fam = _corpus_family(name)
+    ps = solve_family_at(fam, 1e-2, expected, np.random.default_rng(0))
+    zero, near = np.zeros(fam.n), np.array(near, dtype=complex)
+    dfx = fam.df_values(near[None])[0]
+    assert np.argmax([abs(np.linalg.det(dfx[:, list(K)])) for K in fam.blocks]) != 0
+    delta, jt, block, S, chart = fam.jacobian_data(ps.t, np.vstack([ps.x, zero, near]))
+    assert chart.tolist() == [True] * expected + [False, False]
+    assert all(np.isfinite(a).all() for a in (delta, jt, S))
+    want = fam.jacobian_data(ps.t, ps.x)
+    for got, w in zip((delta, jt, block, S), want):
+        assert np.allclose(got[:expected], w, rtol=1e-12, atol=0)
+    Xs = np.repeat(ps.X[None], 4, axis=0)
+    Xs[1, 0, : fam.n], Xs[2, -1, : fam.n] = zero, near
+    _, ok = critpts._point_set(fam, [ps.t] * 4, Xs)
+    assert ok.tolist() == [True, False, False, True]
 
 
 # ---- determinism and circles --------------------------------------------------
@@ -773,38 +832,34 @@ def test_lockstep_matches_circle_by_circle(name, expected, radii):
     assert stats == critpts.solve_stats(firsts)  # no fallback on either path
 
 
-@pytest.mark.parametrize("fresh", [False, True])
-def test_lockstep_failed_step_falls_back_alone(monkeypatch, fresh):
-    """A warm step that fails on one circle at one angle is retried on that
-    circle alone: directly, or (when every warm step to that angle fails)
-    by bisection and then a fresh solve.  The other circle's samples are
-    the ones it has without the failure."""
+def test_lockstep_failed_step_falls_back_alone(monkeypatch):
+    """A warm step that fails on one circle at one angle is solved fresh at
+    that angle, for that circle alone; the other circle's rows are the
+    ones it has without the failure."""
     fam = _corpus_family("cusp")
     firsts, rng = _firsts(fam, (1e-2, 5e-3), 4, 1)
     want, _ = track_circle(fam, firsts, 16, 4, np.random.default_rng(2))
-    batch = critpts._solve_warm_batch
+    warm, solve_fresh = critpts.solve_warm, critpts.solve_fresh
     bad_t = circle_ts(5e-3, 16)[5]
-    calls = []
+    calls, fresh = [], []
 
     def fail_at_bad_t(family, ts, starts, expected):
-        calls.append(list(ts))
-        ps, ok = batch(family, ts, starts, expected)
-        if bad_t not in ts or (len(ts) == 1 and not fresh):
-            return ps, ok
-        keep = ts != bad_t  # the sample at bad_t is the last one; drop it
-        return ps.rows(slice(0, 4 * int(keep.sum()))), ok & keep
+        calls.append(len(ts))
+        ps, ok = warm(family, ts, starts, expected)
+        keep = ts != bad_t
+        return ps.rows(np.repeat(keep[ok], expected)), ok & keep
 
-    monkeypatch.setattr(critpts, "_solve_warm_batch", fail_at_bad_t)
+    def recording(targets, expected):
+        targets = list(targets)
+        fresh.extend(t for _, t, _ in targets)
+        return solve_fresh(targets, expected)
+
+    monkeypatch.setattr(critpts, "solve_warm", fail_at_bad_t)
+    monkeypatch.setattr(critpts, "solve_fresh", recording)
     grid, stats = track_circle(fam, firsts, 16, 4, np.random.default_rng(2))
-    assert [len(ts) for ts in calls].count(2) == 15  # one batch per angle step
-    alone = [ts[0] for ts in calls if len(ts) == 1]
-    assert all(abs(t) <= 5e-3 for t in alone)  # the failing circle's steps only
-    if fresh:
-        assert len(alone) > 8  # bisection down to depth 8, then the fresh solve
-        assert stats["fresh_solves"] == 3
-    else:
-        assert alone == [bad_t]
-        assert stats == critpts.solve_stats(firsts)
+    assert calls == [2] * 15  # one batch per angle step
+    assert fresh == [bad_t]
+    assert stats["fresh_solves"] == 3
     assert np.array_equal(grid.X[:64], want.X[:64])
     assert np.max(np.abs(grid.X[64:] - want.X[64:])) < 1e-12
     assert np.array_equal(grid.t, want.t)

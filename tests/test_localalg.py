@@ -88,6 +88,11 @@ def test_colength_infinite_detected():
         q.normal_form(P("y"))
 
 
+def test_zero_ideal_has_infinite_colength():
+    assert standard_basis([Poly.zero(2), Poly.zero(2)]) == []
+    assert QuotientAlgebra([Poly.zero(2)], 2).colength == INFINITE
+
+
 def test_unit_ideal():
     q = QuotientAlgebra([P("1 + x")], 2)
     assert q.colength == 0

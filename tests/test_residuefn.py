@@ -209,13 +209,13 @@ def test_empty_grid_gives_zero_limits():
 def test_base_sampler_makes_one_warm_batch_per_angle_step(monkeypatch):
     """Both circles advance in lockstep: samples - 1 warm batches of two
     samples each, none for a single circle."""
-    batch, calls = critpts._solve_warm_batch, []
+    warm, calls = critpts.solve_warm, []
 
     def counting(family, ts, starts, expected):
         calls.append(len(ts))
-        return batch(family, ts, starts, expected)
+        return warm(family, ts, starts, expected)
 
-    monkeypatch.setattr(critpts, "_solve_warm_batch", counting)
+    monkeypatch.setattr(critpts, "solve_warm", counting)
     cfg = LimitConfig(samples=32)
     make_sampler(ex1(2, (1, 2)), cfg, 42)
     assert calls == [2] * (cfg.samples - 1)
