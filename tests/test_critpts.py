@@ -832,15 +832,17 @@ def test_lockstep_matches_circle_by_circle(name, expected, radii):
     assert stats == critpts.solve_stats(firsts)  # no fallback on either path
 
 
-def test_lockstep_failed_step_falls_back_alone(monkeypatch):
-    """A warm step that fails on one circle at one angle is solved fresh at
-    that angle, for that circle alone; the other circle's rows are the
-    ones it has without the failure."""
+@pytest.mark.parametrize("inner", [False, True])
+def test_lockstep_failed_step_falls_back_alone(monkeypatch, inner):
+    """A warm step that fails on one circle (the outer or the inner one) at
+    one angle is solved fresh at that angle, for that circle alone; the
+    other circle's rows are the ones it has without the failure."""
     fam = _corpus_family("cusp")
-    firsts, rng = _firsts(fam, (1e-2, 5e-3), 4, 1)
+    radii = (1e-2, 5e-3)
+    firsts, rng = _firsts(fam, radii, 4, 1)
     want, _ = track_circle(fam, firsts, 16, 4, np.random.default_rng(2))
     warm, solve_fresh = critpts.solve_warm, critpts.solve_fresh
-    bad_t = circle_ts(5e-3, 16)[5]
+    bad_t = circle_ts(radii[inner], 16)[5]
     calls, fresh = [], []
 
     def fail_at_bad_t(family, ts, starts, expected):
@@ -860,6 +862,8 @@ def test_lockstep_failed_step_falls_back_alone(monkeypatch):
     assert calls == [2] * 15  # one batch per angle step
     assert fresh == [bad_t]
     assert stats["fresh_solves"] == 3
-    assert np.array_equal(grid.X[:64], want.X[:64])
-    assert np.max(np.abs(grid.X[64:] - want.X[64:])) < 1e-12
+    failed = slice(64, None) if inner else slice(0, 64)
+    untouched = slice(0, 64) if inner else slice(64, None)
+    assert np.array_equal(grid.X[untouched], want.X[untouched])
+    assert np.max(np.abs(grid.X[failed] - want.X[failed])) < 1e-12
     assert np.array_equal(grid.t, want.t)
