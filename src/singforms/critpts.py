@@ -36,20 +36,24 @@ all circles in lockstep.  Both return a circle grid as one point set with
 one t per row.
 
 At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
-is selected; with L the complement and m_j the (k+1)-minor on columns K then j,
-the chart-free Jacobian value is
+is selected, Delta_K is that determinant and the fiber chart dx_K = S dx_L
+(L the complement) solves df_K S = -df_L.  The chart-free Jacobian value
 
-    Jtilde(P) = sgn(K,L) * Delta_K^{1-(n-k)} * Jac_x(f_1..f_k, (m_j)_{j in L})(P)
+    Jtilde(P) = Delta_K^2 * det(T_K^T H T_K),   H = dA - sum_i lambda_i d^2 f_i,
 
-which equals Delta^2 times the Hessian determinant of the restricted 1-form in
-the chart of the L-coordinates (and is independent of the chosen block).  For
-k = 0 this degenerates to det(dA_i/dx_j)(P).
+with dx = T_K dx_L on the fiber, is Delta^2 times the Hessian determinant of
+the restricted 1-form in the chart of the L-coordinates, independent of the
+block.  The Jacobian of the multiplier system in (x, lambda) is
+J = [[df, 0], [H, -df^T]], and by the bordered-Hessian identity
+Jtilde = (-1)^(n k) det J at every critical point, so one system evaluation
+gives the residual, Jtilde and the chart data.  For k = 0 this is
+det(dA_i/dx_j)(P).
 
 Deformations are affine in a single complex parameter t along a fixed
-direction, so all symbolic work (minors, gradients, system equations) is done
-once per family as pairs (P0, P1) meaning P0 + t*P1.  The system with its
-Jacobian, and the minor gradients of all blocks, are each one ``StackedTPolys``
-table, evaluated at a scalar t or at one t per row.
+direction, so the symbolic work (the system equations and their
+derivatives) is done once per family as pairs (P0, P1) meaning P0 + t*P1:
+one ``StackedTPolys`` table for the system with its Jacobian, evaluated at
+a scalar t or at one t per row.
 """
 
 from __future__ import annotations
@@ -140,32 +144,6 @@ class StackedTPolys:
         return M @ self.W
 
 
-def shuffle_sign(K, L) -> int:
-    """Sign of the permutation sorting the concatenation (K, L) ascending."""
-    seq = tuple(K) + tuple(L)
-    inv = sum(
-        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
-    )
-    return -1 if inv % 2 else 1
-
-
-def _minor_tpoly(df_rows, a_tpolys, cols):
-    """(k+1)-minor on the given column sequence; only the A row carries t."""
-    from .polyring import det as poly_det
-
-    k = len(df_rows)
-    nv = a_tpolys[0].p0.nvars
-    static_rows = [[df_rows[i][c] for c in cols] for i in range(k)]
-    row0 = [a_tpolys[c].p0 for c in cols]
-    row1 = [a_tpolys[c].p1 for c in cols]
-    p0 = poly_det(static_rows + [row0]) if k else row0[0]
-    if all(p.is_zero() for p in row1):
-        p1 = Poly.zero(nv)
-    else:
-        p1 = poly_det(static_rows + [row1]) if k else row1[0]
-    return TPoly(p0, p1)
-
-
 class DeformationFamily:
     """Deformed data along a fixed direction, affine in the parameter t.
 
@@ -220,21 +198,10 @@ class DeformationFamily:
         self._csys = StackedTPolys(
             eqs + [e.diff(v) for e in eqs for v in range(self.nunk)], self.nunk
         )
-        self._cdf = StackedTPolys([p for row in self.df for p in row], n)
-
-        # chart data: per block K (index sets in _K, complements in _L), the
-        # x-gradients of the minors m_j (j in L), affine in t, all blocks in
-        # one table, each block's (n-k) x n matrix row-major
+        # the k-column blocks of df, index sets in _K and complements in _L
         self.blocks = list(itertools.combinations(range(n), k))
         self._K = np.array(self.blocks, dtype=np.int64)
         self._L = np.array([[j for j in range(n) if j not in K] for K in self.blocks])
-        self._signs = np.array([shuffle_sign(K, L) for K, L in zip(self.blocks, self._L)])
-        minors = [
-            _minor_tpoly(self.df, self.A, K + (j,))
-            for K, L in zip(self.blocks, self._L.tolist())
-            for j in L
-        ]
-        self._cgrads = StackedTPolys([mi.diff(c) for mi in minors for c in range(n)], n)
 
     # -- system evaluation -------------------------------------------------
 
@@ -245,52 +212,33 @@ class DeformationFamily:
         out = self._csys.eval(t, X)
         return out[:, :nu], out[:, nu:].reshape(len(X), nu, nu)
 
-    def df_values(self, X: np.ndarray) -> np.ndarray:
-        """Jacobian of f at the x-part of the points: shape (m, k, n)."""
-        return self._cdf.eval(0.0, X[:, : self.n]).reshape(X.shape[0], self.k, self.n)
-
     # -- chart-free Jacobian value ------------------------------------------
 
-    def jacobian_data(self, t, X: np.ndarray):
-        """(delta, jtilde, block, S, chart) at the rows of X (x-parts, shape (m, n)).
+    def jacobian_data(self, J: np.ndarray):
+        """(delta, jtilde, block, S, chart) from the system Jacobians J
+        (shape (m, n+k, n+k)) at critical points.
 
-        Per row: ``block`` indexes the block K of ``blocks`` maximizing
-        |Delta_K|, and ``delta``, ``jtilde`` and the fiber chart ``S`` are
-        taken on it as in ``jacobian_on_block``.  ``chart`` is False where
-        even that |Delta_K| is at most ``_CHART_TOL`` * (1 + max |df|): there
-        the data are taken on blocks[0] of the stand-in df = eye(k, n), finite
-        and meaningless.
+        Per row, ``block`` indexes the block K of ``blocks`` maximizing
+        |Delta_K| for df = J[:, :k, :n], ``delta`` is Delta_K, ``S`` (shape
+        (m, k, n-k)) the fiber chart dx_K = S dx_L, the solution of
+        df_K S = -df_L, and ``jtilde`` = (-1)^(n k) det J.  ``chart`` is
+        False where even the best |Delta_K| is at most ``_CHART_TOL`` *
+        (1 + max |df|): there delta and S are taken on blocks[0] of the
+        stand-in df = eye(k, n), finite and meaningless.
         """
-        X = np.asarray(X, dtype=np.complex128)
-        dfx = self.df_values(X)
+        n, k = self.n, self.k
+        dfx = J[:, :k, :n]
         dets = np.abs(np.linalg.det(dfx[:, :, self._K].transpose(0, 2, 1, 3)))
         block = np.argmax(dets, axis=1)
         scale = 1.0 + np.abs(dfx).max(axis=(1, 2), initial=0.0)
-        chart = dets[np.arange(len(X)), block] > _CHART_TOL * scale
-        dfx = np.where(chart[:, None, None], dfx, np.eye(self.k, self.n))
+        chart = dets[np.arange(len(J)), block] > _CHART_TOL * scale
+        dfx = np.where(chart[:, None, None], dfx, np.eye(k, n))
         block = np.where(chart, block, 0)
-        delta, jtilde, S = self.jacobian_on_block(t, X, block, dfx)
-        return delta, jtilde, block, S, chart
-
-    def jacobian_on_block(self, t, X: np.ndarray, b, dfx=None):
-        """(delta, jtilde, S) at the rows of X on K = blocks[b] (b an index or one per row).
-
-        ``delta`` is Delta_K, ``jtilde`` the chart-free Jacobian value and S
-        (shape (m, k, n-k)) the fiber chart dx_K = S dx_L, i.e. the solution
-        of dfK @ S = -dfL.  ``dfx`` is the Jacobian of f at X when known.
-        """
-        n, k = self.n, self.k
-        X = np.asarray(X, dtype=np.complex128)
-        if dfx is None:
-            dfx = self.df_values(X)
-        r, b = np.arange(len(X))[:, None], np.full(len(X), b)
-        dfK = dfx[r, :, self._K[b]].transpose(0, 2, 1)
-        dfL = dfx[r, :, self._L[b]].transpose(0, 2, 1)
-        delta = np.linalg.det(dfK)
-        grads = self._cgrads.eval(t, X).reshape(len(X), len(self.blocks), n - k, n)
-        jac_x = np.linalg.det(np.concatenate([dfx, grads[r[:, 0], b]], axis=1))
-        jtilde = self._signs[b] * delta ** (1 - (n - k)) * jac_x
-        return delta, jtilde, -np.linalg.solve(dfK, dfL)
+        r = np.arange(len(J))[:, None]
+        dfK = dfx[r, :, self._K[block]].transpose(0, 2, 1)
+        dfL = dfx[r, :, self._L[block]].transpose(0, 2, 1)
+        jtilde = (-1) ** (n * k) * np.linalg.det(J)
+        return np.linalg.det(dfK), jtilde, block, -np.linalg.solve(dfK, dfL), chart
 
 
 @dataclass
@@ -299,9 +247,11 @@ class CriticalPointSet:
     ``t``, or the samples of a circle grid, one after another, with one t
     per row.
 
-    ``X`` holds the x-part and then the multipliers of each point, ``block``
-    indexes the family's ``blocks`` and ``S`` (shape (m, k, n-k)) is the fiber
-    chart dx_K = S dx_L on that block.
+    ``X`` holds the x-part and then the multipliers of each point,
+    ``residual`` the max-norm of the system there, ``jtilde`` the chart-free
+    Jacobian value (-1)^(n k) det J of the system Jacobian J, ``block``
+    indexes the family's ``blocks``, ``delta`` is Delta_K on that block and
+    ``S`` (shape (m, k, n-k)) the fiber chart dx_K = S dx_L.
     """
 
     t: complex | np.ndarray
@@ -584,9 +534,10 @@ def _distinct(Xs: np.ndarray, tol: np.ndarray) -> np.ndarray:
 def _point_set(family, ts, Xs, diagnostics=None):
     """(one point set over the samples, the mask of samples whose chart is
     not degenerate): the rows Xs[i] (shape (samples, m, n + k)) at ts[i],
-    each sample's rows sorted by (re, im) of their entries, with one
-    ``jacobian_data`` call for all rows; ``t`` is ts[0] for one sample,
-    else one per row.  A sample's chart is degenerate when one of its rows
+    each sample's rows sorted by (re, im) of their entries.  One system
+    evaluation serves all rows: the residual is max |F| of its values, and
+    one ``jacobian_data`` call on its Jacobian gives Jtilde and the chart
+    data.  ``t`` is ts[0] for one sample, else one per row.  A sample's chart is degenerate when one of its rows
     has no chart, or its least |Jtilde| is below 1e-10 times its largest."""
     ts = np.asarray(ts, dtype=np.complex128)
     Xs = np.asarray(Xs, dtype=np.complex128)
@@ -595,11 +546,12 @@ def _point_set(family, ts, Xs, diagnostics=None):
     keys = [p for z in X.T[::-1] for p in (z.imag, z.real)]
     X = X[np.lexsort(keys + [np.repeat(np.arange(len(ts)), m)])]
     tr = np.repeat(ts, m)
-    delta, jtilde, block, S, chart = family.jacobian_data(tr, X[:, : family.n])
+    F, J = family.system(tr, X)
+    delta, jtilde, block, S, chart = family.jacobian_data(J)
     jts = np.abs(jtilde).reshape(len(ts), m)
     ok = chart.reshape(len(ts), m).all(axis=1)
     ok &= jts.min(axis=1, initial=np.inf) >= 1e-10 * jts.max(axis=1, initial=0.0)
-    residual = np.abs(family.system(tr, X)[0]).max(axis=1)
+    residual = np.abs(F).max(axis=1)
     t = ts[0] if len(ts) == 1 else tr
     return CriticalPointSet(t, X, residual, delta, jtilde, block, S, diagnostics or {}), ok
 

@@ -14,7 +14,7 @@ coordinates), its rank is computed intrinsically on the image subspace.
 ``qomega_numeric`` evaluates the same pairing directly on the deformed fibers
 for all generator pairs in one batched limit: restrict every generator to the
 fiber in the chart of the selected block, divide each product of two chart
-coefficients by the chart Hessian J = Jtilde / Delta^2, and take the
+coefficients by the chart Hessian Jtilde / Delta^2, and take the
 circle-mean limit.  The agreement of the two routes is a test target, not an
 assumption.  The numeric stages take the algebra, the ``ResidueSampler`` and
 ``Q^A`` from their caller (``pipeline.analyze``, or ``elkh`` for k = 0).
@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlinalg
-from .critpts import StackedTPolys, shuffle_sign
+from .critpts import StackedTPolys
 from .icis import ProblemInstance, algebra as icis_algebra, block_minor
 from .localalg import QuotientAlgebra
 from .polyring import Poly
@@ -126,6 +126,15 @@ def gram_qa(
 # ---------------------------------------------------------------------------
 
 
+def shuffle_sign(K, L) -> int:
+    """Sign of the permutation sorting the concatenation (K, L) ascending."""
+    seq = tuple(K) + tuple(L)
+    inv = sum(
+        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
+    )
+    return -1 if inv % 2 else 1
+
+
 def lambda_poly(inst: ProblemInstance, gen: FormGenerator) -> Poly:
     """The function (df_1 ^ .. ^ df_k ^ gen) / (dx_1 ^ .. ^ dx_n)."""
     L = gen.index_set
@@ -204,9 +213,10 @@ def qomega_numeric(generators, sampler: ResidueSampler) -> np.ndarray:
     the fiber in the chart of the point's block: with dx = T dx_L on the
     fiber (the rows of T are unit rows on L and the point's chart S on K),
     h dx_G restricts to h det(T[G]) dx_L.  The product of two chart
-    coefficients is divided by the chart Hessian J = Jtilde / Delta^2, so the
-    pair table summed over a block of grid rows, a the rows' coefficients,
-    is (a Delta^2 / Jtilde)^T a.
+    coefficients is divided by the chart Hessian Jtilde / Delta^2, with the
+    point set's Jtilde = (-1)^(n k) det of the system Jacobian, so the pair
+    table summed over a block of grid rows, a the rows' coefficients, is
+    (a Delta^2 / Jtilde)^T a.
     """
     fam = sampler.family
     n, k = fam.n, fam.k

@@ -150,7 +150,7 @@ def fd_restricted_jacobian(inst, direction, t, x, block, h=1e-6):
             vals = np.array(
                 [inst.f[i].eval_at(full) - eps[i] for i in range(k)]
             )
-            if max(abs(v) for v in vals) < 1e-14:
+            if np.abs(vals).max(initial=0.0) < 1e-14:  # k = 0: no fiber to solve
                 break
             jac = np.array(
                 [[inst.f[i].diff(j).eval_at(full) for j in K] for i in range(k)]

@@ -15,7 +15,6 @@ from singforms.critpts import (
     TPoly,
     circle_ts,
     generic_direction,
-    shuffle_sign,
     solve_anchored,
     solve_family_at,
     solve_warm,
@@ -24,6 +23,7 @@ from singforms.critpts import (
 from singforms.corpus import CORPUS
 from singforms.icis import ProblemInstance, index_nu
 from singforms.polyring import Poly, parse
+from singforms.residuefn import LimitConfig, make_sampler
 
 from oracles import ex1_closed_form, fd_restricted_jacobian
 
@@ -634,9 +634,9 @@ def test_warm_batch_drops_degenerate_samples_alone(monkeypatch):
     assert ok.all()
     jacobian_data = twisted.jacobian_data
 
-    def no_chart_in_third_sample(t, X):
-        *data, chart = jacobian_data(t, X)
-        chart[np.flatnonzero(t == ts[2])[:1]] = False  # one row of that sample
+    def no_chart_in_third_sample(J):
+        *data, chart = jacobian_data(J)
+        chart[2 * 4] = False  # one row of that sample: the rows run sample by sample
         return (*data, chart)
 
     monkeypatch.setattr(twisted, "jacobian_data", no_chart_in_third_sample)
@@ -648,38 +648,85 @@ def test_warm_batch_drops_degenerate_samples_alone(monkeypatch):
 
 # ---- Jacobian value ---------------------------------------------------------
 
-def test_shuffle_sign():
-    assert shuffle_sign((), (0, 1)) == 1
-    assert shuffle_sign((0,), (1,)) == 1
-    assert shuffle_sign((1,), (0,)) == -1
-    assert shuffle_sign((0, 2), (1,)) == -1
-    assert shuffle_sign((1, 2), (0,)) == 1
+def _block_values(J, n, k):
+    """Per row of the system Jacobians J (rows f, then A - lambda df; columns
+    x, then lambda) and per k-block K of the x-columns, in the order of
+    ``itertools.combinations``: (Delta_K, Delta_K^2 det(T_K^T H T_K)),
+    written out with numpy from the blocks of J: df = J[:k, :n], H =
+    J[k:, :n], and dx = T_K dx_L the fiber chart (unit rows on L, the
+    solution S of df_K S = -df_L on K).  The value is None where |Delta_K|
+    <= 1e-6."""
+    out = []
+    for Jr in J:
+        df, H, row = Jr[:k, :n], Jr[k:, :n], []
+        for K in map(list, itertools.combinations(range(n), k)):
+            L = [j for j in range(n) if j not in K]
+            delta = np.linalg.det(df[:, K])
+            if abs(delta) <= 1e-6:
+                row.append((delta, None))
+                continue
+            T = np.zeros((n, n - k), dtype=complex)
+            T[L], T[K] = np.eye(n - k), -np.linalg.solve(df[:, K], df[:, L])
+            row.append((delta, delta**2 * np.linalg.det(T.T @ H @ T)))
+        out.append(row)
+    return out
 
 
 def test_block_independence_cusp():
-    """Jtilde is chart-free: both Jacobian blocks give the same value."""
+    """Jtilde is chart-free: both Jacobian blocks give the same value, the
+    value of jacobian_data."""
     inst = cusp()
     u = direction_of(inst, 42)
     fam = DeformationFamily(inst, u)
     rng = np.random.default_rng(0)
     ps = solve_family_at(fam, 1e-2, 4, rng)
+    J = fam.system(ps.t, ps.X)[1]
+    jt = fam.jacobian_data(J)[1]
     checked = 0
-    for x in ps.x:
-        X = x.reshape(1, -1)
-        dfx = fam.df_values(X)[0]
-        d0 = abs(np.linalg.det(dfx[:, [0]]))
-        d1 = abs(np.linalg.det(dfx[:, [1]]))
-        if min(d0, d1) > 1e-6:
-            _, j0, _ = fam.jacobian_on_block(ps.t, X, fam.blocks.index((0,)))
-            _, j1, _ = fam.jacobian_on_block(ps.t, X, fam.blocks.index((1,)))
-            assert abs(j0[0] - j1[0]) <= 1e-8 * abs(j0[0])
+    for ((_, j0), (_, j1)), want in zip(_block_values(J, 2, 1), jt):
+        if j0 is not None and j1 is not None:
+            assert abs(j0 - j1) <= 1e-8 * abs(j0)
+            assert abs(j0 - want) <= 1e-8 * abs(j0)
             checked += 1
     assert checked >= 2
 
 
+def _solved_grids():
+    """(name, family, grid): the circle grids of every corpus instance at
+    16 samples (k = 0, 1, 2), and an anchored grid of the twisted cusp."""
+    for name, ci in CORPUS.items():
+        sampler = make_sampler(ci.instance(), LimitConfig(samples=16), 42)
+        yield name, sampler.family, sampler.grid
+    twisted, anchors = _twisted_cusp_grid(16)
+    grid, _ = solve_anchored(twisted, circle_ts(1e-2, 16), anchors, 4, np.random.default_rng(1))
+    yield "twisted_cusp", twisted, grid
+
+
+def test_bordered_identity_on_every_block():
+    """At every grid point the point set's Jtilde, (-1)^(n k) det J of the
+    system Jacobian J, equals Delta_K^2 det(T_K^T H T_K) on every block K
+    with |Delta_K| > 1e-6, and its delta is Delta_K on the row's block.
+    The sign is +1 both on ex1_n2, where (-1)^k is -1, and on four_lines,
+    where (-1)^n is -1."""
+    ks = set()
+    for name, fam, grid in _solved_grids():
+        J = fam.system(grid.t, grid.X)[1]
+        checked = 0
+        for row, jt, b, delta in zip(_block_values(J, fam.n, fam.k), grid.jtilde, grid.block, grid.delta):
+            assert abs(row[b][0] - delta) <= 1e-12 * abs(delta), name
+            for _, value in row:
+                if value is not None:
+                    assert abs(value - jt) <= 1e-9 * abs(value), name
+                    checked += 1
+        assert checked >= len(grid) > 0, name
+        ks.add(fam.k)
+    assert ks == {0, 1, 2}
+
+
 def test_batched_chart_data_matches_rowwise():
-    """jacobian_data on all rows agrees with jacobian_on_block row by row on
-    each row's chosen block, and S is the fiber chart: dfK @ S = -dfL.
+    """jacobian_data on all rows agrees with jacobian_data row by row, delta
+    is det df_K on each row's chosen block, and S is the fiber chart:
+    dfK @ S = -dfL.
 
     On the cusp with omega = dx every point picks the same block (the ratio
     of the two partials is fixed by the constant form); the quadric points
@@ -689,46 +736,53 @@ def test_batched_chart_data_matches_rowwise():
     fam = DeformationFamily(inst, direction_of(inst, 42))
     ps = solve_family_at(fam, 1e-2, 6, np.random.default_rng(0))
     assert set(ps.block.tolist()) == {0, 1, 2}  # every block is chosen
-    delta, jt, block, S, chart = fam.jacobian_data(ps.t, ps.x)
+    J = fam.system(ps.t, ps.X)[1]
+    delta, jt, block, S, chart = fam.jacobian_data(J)
     assert chart.all()
     assert np.array_equal(block, ps.block)
     for i, b in enumerate(block):
-        d1, j1, S1 = fam.jacobian_on_block(ps.t, ps.x[i : i + 1], b)
+        d1, j1, b1, S1, c1 = fam.jacobian_data(J[i : i + 1])
+        assert c1[0] and b1[0] == b
         assert abs(d1[0] - delta[i]) <= 1e-12 * abs(delta[i])
         assert abs(j1[0] - jt[i]) <= 1e-12 * abs(jt[i])
         assert np.allclose(S1[0], S[i], rtol=1e-12, atol=0)
         K = list(fam.blocks[b])
         L = [j for j in range(inst.n) if j not in K]
-        dfx = fam.df_values(ps.x[i : i + 1])[0]
+        dfx = J[i, : inst.k, : inst.n]
+        assert abs(np.linalg.det(dfx[:, K]) - delta[i]) <= 1e-12 * abs(delta[i])
         assert np.allclose(dfx[:, K] @ ps.S[i], -dfx[:, L], rtol=1e-10, atol=1e-14)
 
 
 def test_chart_data_with_per_row_t():
-    """jacobian_data with one t per row, over the points of two parameters
-    and several blocks, equals jacobian_on_block at each row's own t."""
+    """jacobian_data on the system Jacobian with one t per row, over the
+    points of two parameters and several blocks, equals jacobian_data at
+    each row's own t."""
     inst = ex1(3, (1, 2, 4))
     fam = DeformationFamily(inst, direction_of(inst, 42))
     a = solve_family_at(fam, 1e-2, 6, np.random.default_rng(0))
     b = solve_family_at(fam, 2e-2j, 6, np.random.default_rng(1))
-    X = np.concatenate([a.x, b.x])
+    X = np.concatenate([a.X, b.X])
     tr = np.repeat([a.t, b.t], 6)
-    delta, jt, block, S, chart = fam.jacobian_data(tr, X)
+    delta, jt, block, S, chart = fam.jacobian_data(fam.system(tr, X)[1])
     assert chart.all()
     assert len(set(block.tolist())) > 1
     assert np.array_equal(block, np.concatenate([a.block, b.block]))
     for i in range(len(X)):
-        d1, j1, S1 = fam.jacobian_on_block(tr[i], X[i : i + 1], block[i])
+        d1, j1, _, S1, _ = fam.jacobian_data(fam.system(tr[i], X[i : i + 1])[1])
         assert abs(d1[0] - delta[i]) <= 1e-12 * abs(delta[i])
         assert abs(j1[0] - jt[i]) <= 1e-12 * abs(jt[i])
         assert np.allclose(S1[0], S[i], rtol=1e-12, atol=0)
-    # the t-part matters: the other parameter gives other chart values
-    _, j_other, _ = fam.jacobian_on_block(b.t, X[:1], block[0])
-    assert abs(j_other[0] - jt[0]) > 1e-6 * abs(jt[0])
 
 
 @pytest.mark.parametrize(
     "inst_builder,expected",
-    [(lambda: ex1(2, (1, 2)), 4), (lambda: cusp(), 4), (lambda: ex1(3, (1, 2, 4)), 6)],
+    [
+        (lambda: ex1(2, (1, 2)), 4),
+        (lambda: cusp(), 4),
+        (lambda: ex1(3, (1, 2, 4)), 6),
+        (lambda: CORPUS["four_lines"].instance(), 8),
+        (lambda: CORPUS["elkh_z3"].instance(), 9),
+    ],
 )
 def test_jtilde_against_finite_differences(inst_builder, expected):
     inst = inst_builder()
@@ -745,7 +799,8 @@ def test_jtilde_against_finite_differences(inst_builder, expected):
 def test_jacobian_value_spec_surface():
     eps = 0.01
     fam = DeformationFamily(ex1(2, (1, 2)), (eps, 0.0, 0.0))
-    delta, jt, block, _, chart = fam.jacobian_data(1.0, np.array([[eps**0.5, 0.0]]))
+    J = fam.system(1.0, np.array([[eps**0.5, 0.0, 0.5]]))[1]  # lambda = a1 / 2
+    delta, jt, block, _, chart = fam.jacobian_data(J)
     assert chart.tolist() == [True]
     assert abs(delta[0] - 2 * eps**0.5) < 1e-12
     assert abs(jt[0] - 4 * eps * 1.0) < 1e-12  # 4 eps (a2 - a1)
@@ -764,17 +819,19 @@ def test_chart_mask_fails_only_the_degenerate_rows(name, expected, near):
     row fails its own sample only."""
     fam = _corpus_family(name)
     ps = solve_family_at(fam, 1e-2, expected, np.random.default_rng(0))
-    zero, near = np.zeros(fam.n), np.array(near, dtype=complex)
-    dfx = fam.df_values(near[None])[0]
+    zero = np.zeros(fam.nunk)
+    near = np.concatenate([near, ps.X[0, fam.n :]])  # with a solution's multipliers
+    dfx = fam.system(ps.t, near[None])[1][0, : fam.k, : fam.n]
     assert np.argmax([abs(np.linalg.det(dfx[:, list(K)])) for K in fam.blocks]) != 0
-    delta, jt, block, S, chart = fam.jacobian_data(ps.t, np.vstack([ps.x, zero, near]))
+    J = fam.system(ps.t, np.vstack([ps.X, zero, near]))[1]
+    delta, jt, block, S, chart = fam.jacobian_data(J)
     assert chart.tolist() == [True] * expected + [False, False]
     assert all(np.isfinite(a).all() for a in (delta, jt, S))
-    want = fam.jacobian_data(ps.t, ps.x)
+    want = fam.jacobian_data(J[:expected])
     for got, w in zip((delta, jt, block, S), want):
         assert np.allclose(got[:expected], w, rtol=1e-12, atol=0)
     Xs = np.repeat(ps.X[None], 4, axis=0)
-    Xs[1, 0, : fam.n], Xs[2, -1, : fam.n] = zero, near
+    Xs[1, 0], Xs[2, -1] = zero, near
     _, ok = critpts._point_set(fam, [ps.t] * 4, Xs)
     assert ok.tolist() == [True, False, False, True]
 

@@ -18,6 +18,7 @@ from singforms.quadforms import (
     mult_operator_rank,
     qomega_numeric,
     rank_inequalities_hold,
+    shuffle_sign,
 )
 from singforms.residuefn import LimitConfig, make_sampler
 
@@ -173,6 +174,14 @@ def test_lambda_map_smooth():
     # f = x1: Lambda(h dx2) = h
     v = lambda_map(inst, FormGenerator(Poly.one(2), (1,)), alg)
     assert v == [Fraction(1)]
+
+
+def test_shuffle_sign():
+    assert shuffle_sign((), (0, 1)) == 1
+    assert shuffle_sign((0,), (1,)) == 1
+    assert shuffle_sign((1,), (0,)) == -1
+    assert shuffle_sign((0, 2), (1,)) == -1
+    assert shuffle_sign((1, 2), (0,)) == 1
 
 
 def test_lambda_poly_sign_convention():
