@@ -1,7 +1,8 @@
 """Critical points of a deformed 1-form on a smooth fiber.
 
-For a deformed instance (f - eps, omega - alpha) the zeros of the restricted
-1-form are found as solutions of the multiplier (Lagrange) system
+A deformation is a point p = (eps, alpha) of C^(k+n).  The zeros of the
+1-form of (f - eps, omega - alpha) restricted to its fiber are found as
+solutions of the multiplier (Lagrange) system
 
     f_i(x) - eps_i = 0                                 (i = 1..k)
     A_j(x) - alpha_j - sum_i lambda_i df_i/dx_j(x) = 0 (j = 1..n)
@@ -10,21 +11,20 @@ by homotopy continuation with the gamma trick from a 2-homogeneous
 linear-product start system over the variable groups x | lambda (Morgan &
 Sommese 1987): a solve tracks the system's 2-homogeneous Bezout number of
 paths, not its total degree.  ``solve_fresh`` solves a batch of targets
-(family, t, rng) at once: the paths of all targets, each with its own step
-and its target's gamma and start system, share one batched Euler predictor
-and Newton corrector per round, with one stacked system evaluation for all
-rows, and a Newton polish at the end; the gamma trick makes the paths
-independent, so a batch changes no path.  The corrector's test is relative
-to the size of each equation's terms, 1e-11 * max(1, |x|)^dx_e *
-max(1, |lambda|)^dl_e for an equation of bidegree (dx_e, dl_e), so that a
-path to infinity keeps its steps until |x| > ``_DIVERGENCE``; a path that
-ends otherwise without converging is diverged when |x| > 1e2.  An analysis
-solves the first sample of both circles and the count-certification runs in
-one batch, and ``solve_family_at`` is the one-target case.  Points closer
-than ``_merge_tolerance(t)`` are one point; the targets of a batch that
-find the wrong count retry together, up to ``_MAX_RETRIES`` times, with a
-new gamma and start system each, then try ``_MULTISTART`` random Newton
-starts one by one.
+(p, rng) of one family at once: the paths of all targets, each with its own
+step and its target's gamma and start system, share one batched Euler
+predictor and Newton corrector per round, with one stacked system
+evaluation for all rows, and a Newton polish at the end; the gamma trick
+makes the paths independent, so a batch changes no path.  The corrector's
+test is relative to the size of each equation's terms, 1e-11 * max(1,
+|x|)^dx_e * max(1, |lambda|)^dl_e for an equation of bidegree (dx_e, dl_e),
+so that a path to infinity keeps its steps until |x| > ``_DIVERGENCE``; a
+path that ends otherwise without converging is diverged when |x| > 1e2.  An
+analysis solves the first sample of both circles and the
+count-certification runs in one batch, and ``solve_family_at`` is the
+one-target case.  Points closer than ``_merge_tolerance(p)`` are one point;
+the targets of a batch that find the wrong count retry together, up to
+``_MAX_RETRIES`` times, with a new gamma and start system each.
 
 ``solve_warm`` runs one batched Newton (``_newton``) over the samples of a
 grid, each from its own nearby solutions; a sample passes when three
@@ -33,7 +33,7 @@ tolerance, and its chart is not degenerate.  ``solve_anchored`` is the one
 recovery rule: ``solve_warm``, then the samples that fail in one
 ``solve_fresh`` batch.  ``track_circle`` calls it once per angle step for
 all circles in lockstep.  Both return a circle grid as one point set with
-one t per row.
+one p per row.
 
 At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
 is selected, Delta_K is that determinant and the fiber chart dx_K = S dx_L
@@ -49,11 +49,12 @@ Jtilde = (-1)^(n k) det J at every critical point, so one system evaluation
 gives the residual, Jtilde and the chart data.  For k = 0 this is
 det(dA_i/dx_j)(P).
 
-Deformations are affine in a single complex parameter t along a fixed
-direction, so the symbolic work (the system equations and their
-derivatives) is done once per family as pairs (P0, P1) meaning P0 + t*P1:
-one ``StackedTPolys`` table for the system with its Jacobian, evaluated at
-a scalar t or at one t per row.
+The point p enters the system as data: it shifts the equations by -p (and,
+for a twisted family, the 1-form by -eps_1 eta), so the symbolic work is
+done once per instance and twist, as one ``StackedPolys`` table of the
+system at p = 0 with its Jacobian, evaluated at one point p or at one p per
+row.  A circle of deformations is a point rotated by exp(2 pi i j /
+samples): the limit in the deformation is approached along the ray of p.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .polyring import Poly
 _CHART_TOL = 1e-12
 _DIVERGENCE = 1e8
 _MAX_RETRIES = 3
-_MULTISTART = 60
 
 
 class CountMismatchError(RuntimeError):
@@ -80,56 +80,33 @@ class CountMismatchError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-class TPoly:
-    """Pair (p0, p1) standing for p0 + t * p1, t the deformation parameter."""
+class StackedPolys:
+    """Evaluate a list of polynomials from one power table.
 
-    __slots__ = ("p0", "p1")
-
-    def __init__(self, p0: Poly, p1: Poly):
-        self.p0 = p0
-        self.p1 = p1
-
-    def diff(self, i: int) -> "TPoly":
-        return TPoly(self.p0.diff(i), self.p1.diff(i))
-
-    def degree(self) -> int:
-        return max(self.p0.degree(), self.p1.degree())
-
-
-class StackedTPolys:
-    """Evaluate a list of affine-in-t polynomials from one power table.
-
-    All terms of all polynomials share one exponent matrix, with one row per
-    (t power, x monomial) and the t^1 rows last; the monomials at the rows
-    of X are products of entries of the power table X^0..X^d, built by
-    repeated products, the t^1 columns are scaled by t, and one weight
-    matrix scatters them into per-polynomial sums.  This keeps the hot
-    Newton loop at a handful of numpy calls regardless of system size.  A
-    plain ``Poly`` in the list stands for a polynomial constant in t.
+    All terms of all polynomials share one exponent matrix; the monomials at
+    the rows of X are products of entries of the power table X^0..X^d,
+    built by repeated products, and one weight matrix scatters them into
+    per-polynomial sums.  This keeps the hot Newton loop at a handful of
+    numpy calls regardless of system size.
     """
 
-    __slots__ = ("cols", "deg", "W", "t_from", "npolys", "nvars")
+    __slots__ = ("cols", "deg", "W", "npolys", "nvars")
 
-    def __init__(self, tpolys, nvars: int):
-        tps = [tp if isinstance(tp, TPoly) else TPoly(tp, Poly.zero(nvars)) for tp in tpolys]
-        parts = [list(enumerate((tp.p0, tp.p1))) for tp in tps]  # (t power, part)
-        terms = sorted({(side, m) for pair in parts for side, p in pair for m in p.terms})
-        index = {term: i for i, term in enumerate(terms)}
-        self.W = np.zeros((len(terms), len(tps)), dtype=np.complex128)
-        for i, pair in enumerate(parts):
-            for side, p in pair:
-                for m, c in p.terms.items():
-                    self.W[index[side, m], i] = complex(c)
-        E = np.array([m for _, m in terms], dtype=np.int64).reshape(len(terms), nvars)
-        self.t_from = sum(1 for side, _ in terms if side == 0)  # the first t^1 row
+    def __init__(self, polys, nvars: int):
+        terms = sorted({m for p in polys for m in p.terms})
+        index = {m: i for i, m in enumerate(terms)}
+        self.W = np.zeros((len(terms), len(polys)), dtype=np.complex128)
+        for i, p in enumerate(polys):
+            for m, c in p.terms.items():
+                self.W[index[m], i] = complex(c)
+        E = np.array(terms, dtype=np.int64).reshape(len(terms), nvars)
         self.deg = int(E.max(initial=0))
         # per variable, the column of x_v^e in the flattened power table
         self.cols = list(E.T + (self.deg + 1) * np.arange(nvars)[:, None])
-        self.npolys, self.nvars = len(tps), nvars
+        self.npolys, self.nvars = len(polys), nvars
 
-    def eval(self, t, X: np.ndarray) -> np.ndarray:
-        """Values at rows of X, shape (m, npolys); t is a scalar or one
-        value per row."""
+    def eval(self, X: np.ndarray) -> np.ndarray:
+        """Values at rows of X, shape (m, npolys)."""
         X = np.asarray(X, dtype=np.complex128)
         m = len(X)
         pw = np.empty((m, self.nvars, self.deg + 1), dtype=np.complex128)
@@ -140,63 +117,52 @@ class StackedTPolys:
         M = pw.take(self.cols[0], axis=1)
         for c in self.cols[1:]:
             M *= pw.take(c, axis=1)
-        M[:, self.t_from :] *= np.asarray(t)[..., None]
         return M @ self.W
 
 
 class DeformationFamily:
-    """Deformed data along a fixed direction, affine in the parameter t.
+    """The multiplier systems of an instance at every deformation point p.
 
-    ``direction`` has k + n complex entries: the first k deform the equations
-    (f_i - t*u_i), the rest shift the 1-form (A_j - t*u_{k+j}).  A twist
-    (eta, h) additionally replaces A_j by A_j + (f_1 - t*u_1)*eta_j +
+    p = (eps, alpha) has k + n complex entries: the first k deform the
+    equations (f_i - eps_i), the rest shift the 1-form (A_j - alpha_j).  A
+    twist (eta, h) additionally replaces A_j by A_j + (f_1 - eps_1)*eta_j +
     h * df_1/dx_j, the deformation pattern of the class-invariance statement.
     """
 
-    def __init__(self, inst, direction, twist=None):
+    def __init__(self, inst, twist=None):
         self.inst = inst
         n, k = inst.n, inst.k
         self.n, self.k = n, k
         self.nunk = n + k
-        direction = tuple(complex(v) for v in direction)
-        if len(direction) != n + k:
-            raise ValueError("direction must have k + n entries")
-        self.direction, self.twist = direction, twist
+        self.twist = twist
 
-        self.F = [TPoly(inst.f[i], Poly.const(-direction[i], n)) for i in range(k)]
-        self.df = [[inst.f[i].diff(j) for j in range(n)] for i in range(k)]
-        if twist is None:
-            self.A = [
-                TPoly(inst.A[j], Poly.const(-direction[k + j], n)) for j in range(n)
-            ]
-        else:
+        df = [[inst.f[i].diff(j) for j in range(n)] for i in range(k)]
+        A, etas = list(inst.A), []
+        adeg = [a.degree() for a in A]
+        if twist is not None:
             eta, h = twist
             if k == 0:
                 raise ValueError("twists need k >= 1")
-            self.A = []
-            for j in range(n):
-                base = inst.A[j] + inst.f[0] * eta[j] + h * self.df[0][j]
-                drift = Poly.const(-direction[k + j], n) - direction[0] * eta[j]
-                self.A.append(TPoly(base, drift))
+            A = [A[j] + inst.f[0] * eta[j] + h * df[0][j] for j in range(n)]
+            etas = [e.lift(self.nunk) for e in eta]
+            adeg = [max(a.degree(), e.degree()) for a, e in zip(A, eta)]  # with -eps_1 eta_j
 
-        # multiplier system in n + k variables (x_1..x_n, lambda_1..lambda_k)
-        eqs = []
-        for i in range(k):
-            eqs.append(TPoly(self.F[i].p0.lift(self.nunk), self.F[i].p1.lift(self.nunk)))
+        # multiplier system at p = 0 in n + k variables (x_1..x_n, lambda_1..lambda_k)
+        eqs = [f.lift(self.nunk) for f in inst.f]
         for j in range(n):
-            p0 = self.A[j].p0.lift(self.nunk)
+            e = A[j].lift(self.nunk)
             for i in range(k):
-                lam = Poly.variable(n + i, self.nunk)
-                p0 = p0 - lam * self.df[i][j].lift(self.nunk)
-            eqs.append(TPoly(p0, self.A[j].p1.lift(self.nunk)))
+                e = e - Poly.variable(n + i, self.nunk) * df[i][j].lift(self.nunk)
+            eqs.append(e)
         # (x-degree, lambda-degree) of each equation, for the start system
-        dfdeg = [max([0] + [self.df[i][j].degree() for i in range(k)]) for j in range(n)]
-        self.bidegrees = [(max(F.degree(), 1), 0) for F in self.F] + [
-            (max(a.degree(), d, int(k == 0)), int(k > 0)) for a, d in zip(self.A, dfdeg)
+        dfdeg = [max([0] + [df[i][j].degree() for i in range(k)]) for j in range(n)]
+        self.bidegrees = [(max(f.degree(), 1), 0) for f in inst.f] + [
+            (max(a, d, int(k == 0)), int(k > 0)) for a, d in zip(adeg, dfdeg)
         ]
-        # values, then the Jacobian row-major, from one table
-        self._csys = StackedTPolys(
-            eqs + [e.diff(v) for e in eqs for v in range(self.nunk)], self.nunk
+        # values, then the Jacobian row-major, of the system and the eta_j
+        polys = eqs + etas
+        self._table = StackedPolys(
+            polys + [e.diff(v) for e in polys for v in range(self.nunk)], self.nunk
         )
         # the k-column blocks of df, index sets in _K and complements in _L
         self.blocks = list(itertools.combinations(range(n), k))
@@ -205,12 +171,19 @@ class DeformationFamily:
 
     # -- system evaluation -------------------------------------------------
 
-    def system(self, t, X: np.ndarray):
+    def system(self, P, X: np.ndarray):
         """Values (m, n+k) and Jacobian (m, n+k, n+k) of the multiplier
-        system at the rows of X; t is a scalar or one value per row."""
-        nu = self.nunk
-        out = self._csys.eval(t, X)
-        return out[:, :nu], out[:, nu:].reshape(len(X), nu, nu)
+        system at the rows of X; P is one point p or one per row."""
+        nu, k = self.nunk, self.k
+        out = self._table.eval(X)
+        r = out.shape[1] // (nu + 1)  # polynomials in the table
+        vals, J = out[:, :r], out[:, r:].reshape(len(X), r, nu)
+        F = vals[:, :nu] - P
+        if self.twist is not None:  # (f_1 - eps_1) eta_j: less eps_1 eta_j and its gradient
+            eps1 = np.asarray(P)[..., :1]
+            F[:, k:] -= eps1 * vals[:, nu:]
+            J[:, k:nu] -= eps1[..., None] * J[:, nu:]
+        return F, J[:, :nu]
 
     # -- chart-free Jacobian value ------------------------------------------
 
@@ -243,8 +216,8 @@ class DeformationFamily:
 
 @dataclass
 class CriticalPointSet:
-    """Critical points, one row per point: those at one parameter value
-    ``t``, or the samples of a circle grid, one after another, with one t
+    """Critical points, one row per point: those at one deformation point
+    ``p``, or the samples of a circle grid, one after another, with one p
     per row.
 
     ``X`` holds the x-part and then the multipliers of each point,
@@ -254,7 +227,7 @@ class CriticalPointSet:
     ``S`` (shape (m, k, n-k)) the fiber chart dx_K = S dx_L.
     """
 
-    t: complex | np.ndarray
+    p: np.ndarray
     X: np.ndarray
     residual: np.ndarray
     delta: np.ndarray
@@ -272,20 +245,25 @@ class CriticalPointSet:
         return self.X[:, : self.X.shape[1] - self.S.shape[1]]
 
     def rows(self, index) -> "CriticalPointSet":
-        """The rows at ``index`` (a slice or index array), one t per row."""
-        cols = (self.X, self.residual, self.delta, self.jtilde, self.block, self.S)
-        return CriticalPointSet(np.broadcast_to(self.t, len(self))[index], *(c[index] for c in cols))
+        """The rows at ``index`` (a slice or index array), one p per row."""
+        cols = (self.per_row_p(), self.X, self.residual, self.delta, self.jtilde, self.block, self.S)
+        return CriticalPointSet(*(c[index] for c in cols))
+
+    def per_row_p(self) -> np.ndarray:
+        """p for every row, shape (m, k + n), the shape of X."""
+        return np.broadcast_to(self.p, self.X.shape)
 
 
-def _merge_tolerance(t) -> float:
-    """Max-norm distance below which two solutions at t are one point."""
-    return 1e-8 * max(abs(t), 1e-4)
+def _merge_tolerance(p):
+    """Max-norm distance below which two solutions at p are one point; one
+    value per row for one p per row."""
+    return 1e-8 * np.maximum(np.linalg.norm(p, axis=-1), 1e-4)
 
 
-def generic_direction(rng: np.random.Generator, m: int) -> tuple:
+def generic_direction(rng: np.random.Generator, m: int) -> np.ndarray:
     """A seeded generic unit direction in C^m: real parts, then imaginary parts."""
     u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return tuple(u / np.linalg.norm(u))
+    return u / np.linalg.norm(u)
 
 
 # ---------------------------------------------------------------------------
@@ -337,39 +315,29 @@ def _start_system(family: DeformationFamily, rng: np.random.Generator):
 
 
 class _Homotopy:
-    """H(x, s) = gamma (1-s) G(x) + s F(x) for a batch of targets (family,
-    t, rng), F the family's system at t and G a start system of
+    """H(x, s) = gamma (1-s) G(x) + s F(x) for a batch of targets (p, rng)
+    of one family, F the family's system at p and G a start system of
     ``_start_system`` drawn from rng.  The start points of all targets are
     stacked in ``starts``, ``target`` giving each row's target, and the
-    parameters of the targets in arrays indexed by target.
+    parameters of the targets in arrays indexed by target; one table
+    evaluation serves every row, at its target's p.
 
     ``targets`` is read in order, and each target's start system is drawn
     before the next target is read, so targets built lazily from one rng
     draw their own data and then their start system, target after target.
-    All targets share one instance and twist, and one table evaluation
-    serves every row: an untwisted family's direction u enters only the
-    constant t-terms of its system, so a row takes the first family's system
-    minus t (u - u_first).  Twisted families must share the direction.
     """
 
-    def __init__(self, targets):
-        self.targets, drawn = [], []
-        for family, t, rng in targets:
-            self.targets.append((family, t, rng))
+    def __init__(self, family: DeformationFamily, targets):
+        self.family, self.targets, drawn = family, [], []
+        for p, rng in targets:
+            self.targets.append((p, rng))
             drawn.append(_start_system(family, rng))
-        self.family = first = self.targets[0][0]
-        for family, _, _ in self.targets:
-            if family.inst is not first.inst or family.twist is not first.twist or (
-                family.twist is not None and family.direction != first.direction
-            ):
-                raise ValueError("a batch needs one instance and twist, and one twisted direction")
         *params, starts = zip(*drawn)
         self.gamma, self.b, self.Lf, self.Mf, self.c = map(np.array, params)
         self.starts = np.concatenate(starts)
         self.target = np.repeat(np.arange(len(starts)), [len(p) for p in starts])
-        self.t = np.array([t for _, t, _ in self.targets], dtype=np.complex128)
-        self.du = np.array([f.direction for f, _, _ in self.targets]) - first.direction
-        self.n, self.bideg = first.n, np.array(first.bidegrees, dtype=np.int64)
+        self.p = np.array([p for p, _ in self.targets], dtype=np.complex128)
+        self.n, self.bideg = family.n, np.array(family.bidegrees, dtype=np.int64)
         dx = self.bideg[:, 0]
         self.dx1, self.gdx = np.maximum(dx - 1, 0), self.gamma[:, None] * dx
 
@@ -383,18 +351,11 @@ class _Homotopy:
         lam = a[:, self.n :].max(axis=1, initial=1.0)[:, None]
         return x ** self.bideg[:, 0] * lam ** self.bideg[:, 1]
 
-    def system(self, X, tgt):
-        """Values and Jacobian of the target systems at the rows of X, row i
-        of target tgt[i]."""
-        t = self.t[tgt]
-        f, J = self.family.system(t, X)
-        return f - t[:, None] * self.du[tgt], J
-
     def eval(self, X, s, tgt):
         """(H, dH/dx, dH/ds) at the rows of X, row i of target tgt[i]; s is
         a scalar or one value per row."""
         s = np.asarray(s, dtype=np.complex128)[..., None]
-        f, J = self.system(X, tgt)
+        f, J = self.family.system(self.p[tgt], X)
         Lf, Mf = self.Lf[tgt], self.Mf[tgt]
         L = np.einsum("rij,rj->ri", Lf, X)
         Ld = L**self.dx1
@@ -507,9 +468,9 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
     return X, status
 
 
-def _newton_family(family, t, X0):
-    """Newton on the family system at t (scalar or one per row) for a batch; (X, ok)."""
-    return _newton(lambda X: family.system(t, X), X0, iters=14, tol=1e-14)
+def _newton_family(family, P, X0):
+    """Newton on the family system at P (one point or one per row) for a batch; (X, ok)."""
+    return _newton(lambda X: family.system(P, X), X0, iters=14, tol=1e-14)
 
 
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
@@ -531,82 +492,83 @@ def _distinct(Xs: np.ndarray, tol: np.ndarray) -> np.ndarray:
     return dist.min(axis=(1, 2), initial=np.inf) >= tol
 
 
-def _point_set(family, ts, Xs, diagnostics=None):
+def _point_set(family, P, Xs, diagnostics=None):
     """(one point set over the samples, the mask of samples whose chart is
-    not degenerate): the rows Xs[i] (shape (samples, m, n + k)) at ts[i],
+    not degenerate): the rows Xs[i] (shape (samples, m, n + k)) at P[i],
     each sample's rows sorted by (re, im) of their entries.  One system
     evaluation serves all rows: the residual is max |F| of its values, and
     one ``jacobian_data`` call on its Jacobian gives Jtilde and the chart
-    data.  ``t`` is ts[0] for one sample, else one per row.  A sample's chart is degenerate when one of its rows
-    has no chart, or its least |Jtilde| is below 1e-10 times its largest."""
-    ts = np.asarray(ts, dtype=np.complex128)
+    data.  ``p`` is P[0] for one sample, else one per row.  A sample's
+    chart is degenerate when one of its rows has no chart, or its least
+    |Jtilde| is below 1e-10 times its largest."""
+    P = np.asarray(P, dtype=np.complex128)
     Xs = np.asarray(Xs, dtype=np.complex128)
     m = Xs.shape[1]
     X = Xs.reshape(-1, family.nunk)
-    keys = [p for z in X.T[::-1] for p in (z.imag, z.real)]
-    X = X[np.lexsort(keys + [np.repeat(np.arange(len(ts)), m)])]
-    tr = np.repeat(ts, m)
-    F, J = family.system(tr, X)
+    keys = [part for z in X.T[::-1] for part in (z.imag, z.real)]
+    X = X[np.lexsort(keys + [np.repeat(np.arange(len(P)), m)])]
+    pr = np.repeat(P, m, axis=0)
+    F, J = family.system(pr, X)
     delta, jtilde, block, S, chart = family.jacobian_data(J)
-    jts = np.abs(jtilde).reshape(len(ts), m)
-    ok = chart.reshape(len(ts), m).all(axis=1)
+    jts = np.abs(jtilde).reshape(len(P), m)
+    ok = chart.reshape(len(P), m).all(axis=1)
     ok &= jts.min(axis=1, initial=np.inf) >= 1e-10 * jts.max(axis=1, initial=0.0)
     residual = np.abs(F).max(axis=1)
-    t = ts[0] if len(ts) == 1 else tr
-    return CriticalPointSet(t, X, residual, delta, jtilde, block, S, diagnostics or {}), ok
+    p = P[0] if len(P) == 1 else pr
+    return CriticalPointSet(p, X, residual, delta, jtilde, block, S, diagnostics or {}), ok
 
 
 def _stack(sets, samples, m) -> CriticalPointSet:
     """The given samples (m rows each, numbered through the rows of
-    ``sets`` in turn) as one point set, one t per row."""
+    ``sets`` in turn) as one point set, one p per row."""
     rows = (np.asarray(samples, dtype=np.int64)[:, None] * m + np.arange(m)).ravel()
     cols = zip(*(
-        (np.broadcast_to(ps.t, len(ps)), ps.X, ps.residual, ps.delta, ps.jtilde, ps.block, ps.S)
+        (ps.per_row_p(), ps.X, ps.residual, ps.delta, ps.jtilde, ps.block, ps.S)
         for ps in sets
     ))
     return CriticalPointSet(*(np.concatenate(c)[rows] for c in cols))
 
 
-_COUNTERS = ("paths_tracked", "paths_diverged", "path_failures", "retries", "multistart_recoveries")
+_COUNTERS = ("paths_tracked", "paths_diverged", "path_failures", "retries")
 
 
-def solve_fresh(targets, expected: int) -> list:
-    """All critical points of each target (family, t, rng), ``expected`` of
-    them, by one 2-homogeneous homotopy batch; per target its point set, or
-    the CountMismatchError it failed with.
+def solve_fresh(family: DeformationFamily, targets, expected: int) -> list:
+    """All critical points of the family at each target (p, rng),
+    ``expected`` of them, by one 2-homogeneous homotopy batch; per target
+    its point set, or the CountMismatchError it failed with.
 
     ``targets`` is read as ``_Homotopy`` reads it.  After tracking, each
     target is deduplicated, chart-checked and counted on its own; the
     targets that fail retry together in a new batch with a fresh gamma and
-    start system from their own rng, up to ``_MAX_RETRIES`` times, then each
-    falls back to extra Newton multistarts.  Solver counters are per target.
+    start system from their own rng, up to ``_MAX_RETRIES`` times.  Solver
+    counters are per target.
     """
     if expected == 0:
         return [
-            _point_set(f, [t], np.zeros((1, 0, f.nunk)), dict.fromkeys(_COUNTERS, 0))[0]
-            for f, t, _ in targets
+            _point_set(family, [p], np.zeros((1, 0, family.nunk)), dict.fromkeys(_COUNTERS, 0))[0]
+            for p, _ in targets
         ]
-    h = _Homotopy(targets)
+    h = _Homotopy(family, targets)
     batch, pending = h.targets, list(range(len(h.targets)))
     out, found = [None] * len(batch), [None] * len(batch)
     diags = [dict.fromkeys(_COUNTERS, 0) for _ in batch]
     for attempt in range(_MAX_RETRIES + 1):
         if attempt:
-            h = _Homotopy([batch[i] for i in pending])
+            h = _Homotopy(family, [batch[i] for i in pending])
         ends, status = _track(h, h.starts, h.target)
         conv, diverged = status == "converged", status == "diverged"
         tc = h.target[conv]
-        X, ok = _newton(lambda Y: h.system(Y, tc), ends[conv], iters=14, tol=1e-14)
+        X, ok = _newton_family(family, h.p[tc], ends[conv])
         failed = []
         for j, i in enumerate(pending):
-            family, t, _ = batch[i]
+            p = batch[i][0]
             mine = h.target == j
             diags[i]["paths_tracked"] += int(mine.sum())
             diags[i]["paths_diverged"] += int((mine & diverged).sum())
             diags[i]["path_failures"] += int((mine & ~conv & ~diverged).sum())
-            found[i] = _dedup(X[ok & (tc == j)], _merge_tolerance(t))
+            found[i] = _dedup(X[ok & (tc == j)], _merge_tolerance(p))
             if len(found[i]) == expected:
-                ps, chart = _point_set(family, [t], found[i][None], diags[i])
+                ps, chart = _point_set(family, [p], found[i][None], diags[i])
                 if chart[0]:
                     out[i] = ps
                     continue
@@ -616,78 +578,51 @@ def solve_fresh(targets, expected: int) -> list:
         if not pending:
             break
     for i in pending:
-        out[i] = _multistart(*batch[i], expected, found[i], diags[i])
+        message = f"found {len(found[i])} critical points, expected {expected}"
+        out[i] = CountMismatchError(message, diags[i])
     return out
-
-
-def _multistart(family, t, rng, expected, found, diagnostics):
-    """Newton from random starts around the scale of the points ``found``
-    until ``expected`` distinct points are known; the point set, or a
-    CountMismatchError."""
-    message = f"found {len(found)} critical points, expected {expected}"
-    if not 0 < len(found) < expected:
-        return CountMismatchError(message, diagnostics)
-    mtol = _merge_tolerance(t)
-    scale = float(np.median(np.abs(found).max(axis=1))) or 1.0
-    for _ in range(_MULTISTART):
-        x0 = scale * (rng.standard_normal(family.nunk) + 1j * rng.standard_normal(family.nunk))
-        X, ok = _newton_family(family, t, x0.reshape(1, -1))
-        if ok[0]:
-            merged = _dedup(np.vstack([found, X[:1]]), mtol)
-            if len(merged) > len(found):
-                found = merged
-                diagnostics["multistart_recoveries"] += 1
-        if len(found) == expected:
-            break
-    if len(found) == expected:
-        ps, chart = _point_set(family, [t], found[None], diagnostics)
-        if chart[0]:
-            return ps
-        message += f"; multistart recovered {expected}, but the chart is degenerate"
-    return CountMismatchError(message, diagnostics)
 
 
 def solve_family_at(
     family: DeformationFamily,
-    t: complex,
+    p,
     expected: int,
     rng: np.random.Generator,
 ) -> CriticalPointSet:
-    """All critical points at parameter t: ``solve_fresh`` of one target,
-    raising its CountMismatchError."""
-    (got,) = solve_fresh([(family, t, rng)], expected)
+    """All critical points at the deformation point p: ``solve_fresh`` of
+    one target, raising its CountMismatchError."""
+    (got,) = solve_fresh(family, [(p, rng)], expected)
     if isinstance(got, CountMismatchError):
         raise got
     return got
 
 
-def solve_warm(family: DeformationFamily, ts, starts, expected: int):
-    """Newton from the rows starts[i] (``expected`` of them) at ts[i] for
+def solve_warm(family: DeformationFamily, P, starts, expected: int):
+    """Newton from the rows starts[i] (``expected`` of them) at P[i] for
     every i in one batch; (one point set over the samples that pass, in
     order, and the mask of them).  A sample passes when every row
-    converges, no two rows are within ``_merge_tolerance(ts[i])`` and its
+    converges, no two rows are within ``_merge_tolerance(P[i])`` and its
     chart is not degenerate (``_point_set``)."""
-    ts = np.asarray(ts, dtype=np.complex128)
+    P = np.asarray(P, dtype=np.complex128)
     starts = np.asarray(starts, dtype=np.complex128)
-    X, conv = _newton_family(family, np.repeat(ts, expected), starts.reshape(-1, family.nunk))
-    X = X.reshape(len(ts), expected, family.nunk)
-    tol = np.array([_merge_tolerance(t) for t in ts])
-    ok = conv.reshape(len(ts), expected).all(axis=1) & _distinct(X, tol)
-    ps, chart = _point_set(family, ts[ok], X[ok])
+    X, conv = _newton_family(family, np.repeat(P, expected, axis=0), starts.reshape(-1, family.nunk))
+    X = X.reshape(len(P), expected, family.nunk)
+    ok = conv.reshape(len(P), expected).all(axis=1) & _distinct(X, _merge_tolerance(P))
+    ps, chart = _point_set(family, P[ok], X[ok])
     ok[ok] = chart
     return (ps if chart.all() else ps.rows(np.repeat(chart, expected))), ok
 
 
-def solve_anchored(family: DeformationFamily, ts, starts, expected: int, rng):
-    """(one point set over the parameters ts, ``solve_stats`` of its fresh
+def solve_anchored(family: DeformationFamily, P, starts, expected: int, rng):
+    """(one point set over the points P, ``solve_stats`` of its fresh
     solves): sample i, in rows i * expected onward, by ``solve_warm`` from
     its own nearby solutions starts[i], all samples in one batch.  This is
     the one recovery rule for a failed warm sample: the samples that fail
     are solved fresh in one ``solve_fresh`` batch with rng;
     CountMismatchError if one of them fails."""
-    got, ok = solve_warm(family, ts, starts, expected)
+    got, ok = solve_warm(family, P, starts, expected)
     missing = np.flatnonzero(~ok)
-    fresh = solve_fresh([(family, ts[i], rng) for i in missing], expected) if len(missing) else []
+    fresh = solve_fresh(family, [(P[i], rng) for i in missing], expected) if len(missing) else []
     for ps in fresh:
         if isinstance(ps, CountMismatchError):
             raise ps
@@ -695,9 +630,9 @@ def solve_anchored(family: DeformationFamily, ts, starts, expected: int, rng):
     return _stack([got, *fresh], order, expected), solve_stats(fresh)
 
 
-def circle_ts(radius: float, samples: int) -> np.ndarray:
-    """The parameters radius * exp(2 pi i j / samples), j = 0..samples-1."""
-    return np.array([radius * np.exp(1j * (2 * np.pi * j / samples)) for j in range(samples)])
+def circle(p, samples: int) -> np.ndarray:
+    """The points p * exp(2 pi i j / samples), j = 0..samples-1, one per row."""
+    return np.exp(1j * (2 * np.pi * np.arange(samples) / samples))[:, None] * p
 
 
 def solve_stats(sets) -> dict:
@@ -716,21 +651,21 @@ def track_circle(
     rng: np.random.Generator,
 ):
     """(one point set over the circles, ``solve_stats``): per solved first
-    sample ``firsts[c]``, at t = radius, the samples ``circle_ts(radius,
-    samples)``, circle after circle, ``expected`` rows each.
+    sample ``firsts[c]``, at a point p, the samples ``circle(p, samples)``,
+    circle after circle, ``expected`` rows each.
 
     All circles advance in lockstep, one ``solve_anchored`` per angle step
     continuing each circle's previous solutions by Newton; a circle whose
     step fails is solved fresh at that angle, as its first sample was.
     """
-    ts = np.array([circle_ts(abs(ps.t), samples) for ps in firsts])
+    P = np.array([circle(ps.p, samples) for ps in firsts])
     X = np.array([ps.X for ps in firsts]).reshape(len(firsts), expected, family.nunk)
     pieces, stats = list(firsts), Counter(solve_stats(firsts))
     for j in range(1, samples):
-        got, fresh = solve_anchored(family, ts[:, j], X, expected, rng)
+        got, fresh = solve_anchored(family, P[:, j], X, expected, rng)
         pieces.append(got)
         stats.update(fresh)
         X = got.X.reshape(X.shape)
     # the pieces hold angle after angle; the grid, circle after circle
-    order = np.arange(ts.size).reshape(samples, len(firsts)).T.ravel()
+    order = np.arange(len(firsts) * samples).reshape(samples, len(firsts)).T.ravel()
     return _stack(pieces, order, expected), dict(stats)

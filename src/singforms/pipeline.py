@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import icis, quadforms, residuefn
-from .critpts import CountMismatchError, DeformationFamily, generic_direction
+from .critpts import CountMismatchError, generic_direction
 from .critpts import solve_family_at  # noqa: F401  perfbench/tracer.py wraps this binding
 from .icis import ProblemInstance
 from .localalg import INFINITE
@@ -106,8 +106,7 @@ def analyze(
     # just before its start system, solved in one batch with the circle starts
     count_rng, m = np.random.default_rng(config.seed + 77), inst.n + inst.k
     count_runs = (
-        (DeformationFamily(inst, generic_direction(count_rng, m)), cfg.radii[0], count_rng)
-        for _ in range(_COUNT_RUNS)
+        (cfg.radii[0] * generic_direction(count_rng, m), count_rng) for _ in range(_COUNT_RUNS)
     )
     sampler = residuefn.make_sampler(inst, cfg, config.seed, expected=nu, fresh=count_runs)
     qa = quadforms.gram_qa(inst, alg, sampler, want_exact=config.exact)

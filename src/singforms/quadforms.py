@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlinalg
-from .critpts import StackedTPolys
+from .critpts import StackedPolys
 from .icis import ProblemInstance, algebra as icis_algebra, block_minor
 from .localalg import QuotientAlgebra
 from .polyring import Poly
@@ -220,7 +220,7 @@ def qomega_numeric(generators, sampler: ResidueSampler) -> np.ndarray:
     """
     fam = sampler.family
     n, k = fam.n, fam.k
-    coeffs = StackedTPolys([g.coeff for g in generators], n)
+    coeffs = StackedPolys([g.coeff for g in generators], n)
     index_sets = list(dict.fromkeys(g.index_set for g in generators))
     which = [index_sets.index(g.index_set) for g in generators]
     charts = [(list(K), [j for j in range(n) if j not in K]) for K in fam.blocks]
@@ -233,7 +233,7 @@ def qomega_numeric(generators, sampler: ResidueSampler) -> np.ndarray:
             T[np.ix_(rows, L)] = np.eye(n - k)
             T[np.ix_(rows, K)] = ps.S[rows]
         dets = np.stack([np.linalg.det(T[:, list(G)]) for G in index_sets], axis=-1)
-        a = coeffs.eval(ps.t, ps.x) * dets[:, which]
+        a = coeffs.eval(ps.x) * dets[:, which]
         return ((a * (ps.delta**2 / ps.jtilde)[:, None]).T @ a)[pairs]
 
     labels = [

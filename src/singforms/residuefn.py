@@ -1,25 +1,25 @@
 """The deformation-limit linear functional R and its verification suites.
 
-R(phi) is the limit, as the deformation parameter goes to zero along a fixed
-generic complex ray, of sum_P phi(P)/Jtilde(P) over the critical points of the
-deformed 1-form on the deformed fiber.  The limit function is holomorphic
-through the origin, so its value there equals its mean over a small circle;
-the trapezoid rule over S equidistant angles computes that mean with error
-O(r^S), far below solver noise.  The solved grids are one point set over
-all circles, with one t per row.  Limits are batched: one evaluation per
-block of ``_BLOCK_ROWS`` rows of a circle's grid accumulates the circle
-means of a whole probe set at once (all probes stacked into one
-``StackedTPolys``), and each probe's column is then accepted on its own
-when the means at the two smallest radii agree.  Limits stay complex
-numbers.  R vanishes on the ideal, so it is fixed by the vector
-r = (R(e_c))_c over the basis monomials of the algebra; ``basis_values``
-takes that one limit and keeps it, and only its entries are rationalized
-(``rational``, a continued-fraction reconstruction).  Ideal vanishing checks
-R on ideal generators times monomials and on the differences
-e_a e_b - NF(e_a e_b) on which ``Q^A`` relies.  Class invariance solves each
-twisted family at all samples in one anchored Newton batch, from the base
-points with the first multiplier shifted, and compares its basis vector
-with r.
+R(phi) is the limit, as the deformation point p goes to zero along a fixed
+generic complex ray t u, of sum_P phi(P)/Jtilde(P) over the critical points
+of the deformed 1-form on the deformed fiber.  The limit function is
+holomorphic in t through the origin, so its value there equals its mean
+over a small circle; the trapezoid rule over S equidistant angles computes
+that mean with error O(r^S), far below solver noise.  The solved grids are
+one point set over all circles, with one p per row.  Limits are batched:
+one evaluation per block of ``_BLOCK_ROWS`` rows of a circle's grid
+accumulates the circle means of a whole probe set at once (all probes
+stacked into one ``StackedPolys``), and each probe's column is then
+accepted on its own when the means at the two smallest radii agree.
+Limits stay complex numbers.  R vanishes on the ideal, so it is fixed by
+the vector r = (R(e_c))_c over the basis monomials of the algebra;
+``basis_values`` takes that one limit and keeps it, and only its entries
+are rationalized (``rational``, a continued-fraction reconstruction).
+Ideal vanishing checks R on ideal generators times monomials and on the
+differences e_a e_b - NF(e_a e_b) on which ``Q^A`` relies.  Class
+invariance solves each twisted family at all samples in one anchored
+Newton batch, along the base sampler's direction and from its points with
+the first multiplier shifted, and compares its basis vector with r.
 
 ``make_sampler`` builds the one sampler of an analysis; the verification
 suites take it, and read the limit settings from ``sampler.cfg``.
@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import critpts
-from .critpts import DeformationFamily, StackedTPolys, TPoly
+from .critpts import DeformationFamily, StackedPolys
 from .polyring import Poly
 from .ratlinalg import reconstruct_rational
 
@@ -78,18 +78,21 @@ def _rel_dev(a: complex, b: complex) -> float:
 
 
 class ResidueSampler:
-    """Solved circle grids for one deformation family, shared by all probes.
+    """Solved circle grids of one deformation family along one direction,
+    shared by all probes.
 
-    The expensive part (path tracking) happens once; evaluating R for a
-    probe polynomial is then a cheap sum over cached critical points.
-    ``grid`` holds every circle's samples, circle after circle in the
-    order of ``cfg.radii``, ``expected`` rows each, and ``stats`` the
-    ``critpts.solve_stats`` of its fresh solves.
+    The circle of radius r is the points r u exp(2 pi i j / samples), u the
+    unit ``direction`` in C^(k+n).  The expensive part (path tracking)
+    happens once; evaluating R for a probe polynomial is then a cheap sum
+    over cached critical points.  ``grid`` holds every circle's samples,
+    circle after circle in the order of ``cfg.radii``, ``expected`` rows
+    each, and ``stats`` the ``critpts.solve_stats`` of its fresh solves.
     """
 
     def __init__(
         self,
         family: DeformationFamily,
+        direction,
         expected: int,
         cfg: LimitConfig,
         rng: np.random.Generator,
@@ -100,25 +103,27 @@ class ResidueSampler:
         solutions of shape (radii * samples, expected, n + k) with the radii
         in order, solved in one batch by ``critpts.solve_anchored``.
 
-        Continuation starts from the first sample of each circle, solved in
-        one ``critpts.solve_fresh`` batch together with the further fresh
-        targets ``fresh`` (family, t, rng) of the same expected count, whose
-        outcomes (a point set or a CountMismatchError each) are kept in
-        ``self.fresh``; a failed first sample raises its error."""
+        Continuation starts from the first sample of each circle, r u,
+        solved in one ``critpts.solve_fresh`` batch together with the
+        further fresh targets ``fresh`` (p, rng) of the same family and
+        expected count, whose outcomes (a point set or a CountMismatchError
+        each) are kept in ``self.fresh``; a failed first sample raises its
+        error."""
         self.family = family
+        self.direction = direction = np.asarray(direction, dtype=np.complex128)
         self.expected = expected
         self.cfg = cfg
         if anchors is None:
-            starts = [(family, complex(r), rng) for r in cfg.radii]
-            solved = critpts.solve_fresh(itertools.chain(starts, fresh), expected)
+            starts = [(r * direction, rng) for r in cfg.radii]
+            solved = critpts.solve_fresh(family, itertools.chain(starts, fresh), expected)
             firsts, self.fresh = solved[: len(starts)], solved[len(starts) :]
             for ps in firsts:
                 if isinstance(ps, critpts.CountMismatchError):
                     raise ps
             self.grid, self.stats = critpts.track_circle(family, firsts, cfg.samples, expected, rng)
         else:
-            ts = np.concatenate([critpts.circle_ts(r, cfg.samples) for r in cfg.radii])
-            self.grid, self.stats = critpts.solve_anchored(family, ts, anchors, expected, rng)
+            P = np.concatenate([critpts.circle(r * direction, cfg.samples) for r in cfg.radii])
+            self.grid, self.stats = critpts.solve_anchored(family, P, anchors, expected, rng)
         self.max_probe_deviation = 0.0
         self._basis_values = {}
 
@@ -156,14 +161,14 @@ class ResidueSampler:
     # -- the functional -------------------------------------------------------
 
     def r_of(self, probes, labels=None) -> np.ndarray:
-        """The complex limits R(p) of the probes (Poly or TPoly), one batch."""
-        if not all(isinstance(p, (Poly, TPoly)) for p in probes):
-            raise TypeError("probe must be Poly or TPoly")
+        """The complex limits R(p) of the probe polynomials, one batch."""
+        if not all(isinstance(p, Poly) for p in probes):
+            raise TypeError("probe must be Poly")
         if labels is None:
-            labels = [repr(p) if isinstance(p, Poly) else "probe" for p in probes]
-        sp = StackedTPolys(probes, self.family.n)
+            labels = [repr(p) for p in probes]
+        sp = StackedPolys(probes, self.family.n)
         return self.limit(
-            lambda ps: np.sum(sp.eval(ps.t, ps.x) / ps.jtilde[:, None], axis=0),
+            lambda ps: np.sum(sp.eval(ps.x) / ps.jtilde[:, None], axis=0),
             labels,
         )
 
@@ -183,15 +188,16 @@ class ResidueSampler:
 
 
 def make_sampler(inst, cfg, seed, expected=None, fresh=()):
-    """Standard sampler for an instance: seeded generic direction, solved
-    grids; ``fresh`` targets join the batch of the circles' first samples."""
+    """Standard sampler for an instance: its untwisted family, a seeded
+    generic direction, solved grids; ``fresh`` targets (p, rng) of that
+    family join the batch of the circles' first samples."""
     rng = np.random.default_rng(seed)
-    family = DeformationFamily(inst, critpts.generic_direction(rng, inst.n + inst.k))
+    direction = critpts.generic_direction(rng, inst.n + inst.k)
     if expected is None:
         from .icis import index_nu
 
         expected = index_nu(inst)
-    return ResidueSampler(family, expected, cfg, rng, fresh=fresh)
+    return ResidueSampler(DeformationFamily(inst), direction, expected, cfg, rng, fresh=fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +293,10 @@ def verify_class_invariance(
         # on the fiber the twisted form has the same zeros with the first multiplier
         # shifted by h(x): Newton from there replaces homotopy and continuation
         anchors = X.copy()
-        anchors[:, :, inst.n] += StackedTPolys([h], inst.n).eval(0, x).reshape(X.shape[:2])
+        anchors[:, :, inst.n] += StackedPolys([h], inst.n).eval(x).reshape(X.shape[:2])
         twisted = ResidueSampler(
-            DeformationFamily(inst, sampler.family.direction, twist=(eta, h)),
+            DeformationFamily(inst, twist=(eta, h)),
+            sampler.direction,
             sampler.expected,
             cfg,
             np.random.default_rng(seed + 300 + v),

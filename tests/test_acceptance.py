@@ -76,8 +76,8 @@ def test_criterion_2_one_failed_run_fails_the_check(monkeypatch):
     and nothing else."""
     solve_fresh = critpts.solve_fresh
 
-    def third_run_fails(targets, expected):
-        got = solve_fresh(targets, expected)
+    def third_run_fails(family, targets, expected):
+        got = solve_fresh(family, targets, expected)
         if len(got) > 2:  # the two circle starts, then the five runs
             got[4] = critpts.CountMismatchError("found 0 critical points, expected 1")
         return got

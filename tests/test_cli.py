@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from singforms import cli, localalg
+from singforms import cli, critpts, localalg
 from singforms.cli import (
     EXIT_INPUT,
     EXIT_NON_ISOLATED,
@@ -257,6 +257,21 @@ def test_coefficient_budget_exceeded_is_a_solver_failure(tmp_path):
     assert time.monotonic() - t0 < 10
     assert (code, out) == (EXIT_SOLVER, "")
     assert f"diag standard_basis: coefficient budget of {localalg.COEFF_BITS} bits exceeded" in err
+
+
+def test_count_mismatch_is_a_solver_failure(tmp_path, monkeypatch):
+    """A fresh solve that never finds the expected count exits 2 with its
+    solver counters and without a traceback.  Every fresh solve of the
+    smooth line loses its one point, on the first try and on each retry."""
+    monkeypatch.setattr(critpts, "_dedup", lambda points, tol: points[:0])
+    path = tmp_path / "smooth.txt"
+    path.write_text(SMOOTH)
+    code, out, err = run_cli(["analyze", str(path)])
+    assert (code, out) == (EXIT_SOLVER, "")
+    lines = err.splitlines()
+    assert lines[0] == "solver/limit failure: found 0 critical points, expected 1"
+    assert "diag retries: 4" in lines
+    assert "multistart" not in err and "Traceback" not in err
 
 
 def test_analyze_non_convergent_radii(tmp_path):

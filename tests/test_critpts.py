@@ -11,9 +11,8 @@ from singforms import critpts
 from singforms.critpts import (
     CountMismatchError,
     DeformationFamily,
-    StackedTPolys,
-    TPoly,
-    circle_ts,
+    StackedPolys,
+    circle,
     generic_direction,
     solve_anchored,
     solve_family_at,
@@ -50,69 +49,71 @@ def direction_of(inst, seed):
 # ---- the multiplier system --------------------------------------------------
 
 def _check_system(fam, equations, seed):
-    """Values and Jacobian of ``fam.system`` at seeded complex points and two
-    parameters against ``equations(t)``, the multiplier system written out
-    by hand, evaluated with ``Poly.eval_at`` and differentiated with
-    ``Poly.diff``."""
+    """Values and Jacobian of ``fam.system`` at seeded complex points X and
+    deformation points P, one per row of X: at each p for all rows against
+    ``equations(p)``, the multiplier system at p written out by hand,
+    evaluated with ``Poly.eval_at`` and differentiated with ``Poly.diff``;
+    and with one p per row, where row i must match row i at P[i] alone to
+    1e-14 relative."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((4, fam.nunk)) + 1j * rng.standard_normal((4, fam.nunk))
-    for t in (1e-2, 0.7 - 0.4j):
-        eqs = equations(t)
+    P = rng.standard_normal((4, fam.nunk)) + 1j * rng.standard_normal((4, fam.nunk))
+    per_row = fam.system(P, X)
+    for i, p in enumerate(P):
+        eqs = equations(p)
         assert len(eqs) == fam.nunk
-        vals, J = fam.system(t, X)
+        vals, J = fam.system(p, X)
         for x, v, Jx in zip(X, vals, J):
-            p = list(x)
-            want = np.array([e.eval_at(p) for e in eqs])
-            want_J = np.array([[e.diff(c).eval_at(p) for c in range(fam.nunk)] for e in eqs])
+            want = np.array([e.eval_at(list(x)) for e in eqs])
+            want_J = np.array([[e.diff(c).eval_at(list(x)) for c in range(fam.nunk)] for e in eqs])
             assert np.allclose(v, want, rtol=1e-12, atol=1e-12)
             assert np.allclose(Jx, want_J, rtol=1e-12, atol=1e-12)
+        for got, want in zip(per_row, (vals, J)):
+            assert np.abs(got[i] - want[i]).max() <= 1e-14 * np.abs(want[i]).max()
 
 
 def test_critical_system_ex1():
-    """f - t u_1, then a_j x_j - t u_{1+j} - lambda * 2 x_j."""
-    fam = DeformationFamily(ex1(2, (1, 2)), (0.6, 0.3 - 0.2j, -0.5j))
-    u, vs = fam.direction, ["x1", "x2", "l"]
-    _check_system(fam, lambda t: [
-        parse("x1^2 + x2^2", vs) - t * u[0],
-        parse("x1 - 2*l*x1", vs) - t * u[1],
-        parse("2*x2 - 2*l*x2", vs) - t * u[2],
+    """f - eps, then a_j x_j - alpha_j - lambda * 2 x_j."""
+    vs = ["x1", "x2", "l"]
+    _check_system(DeformationFamily(ex1(2, (1, 2))), lambda p: [
+        parse("x1^2 + x2^2", vs) - p[0],
+        parse("x1 - 2*l*x1", vs) - p[1],
+        parse("2*x2 - 2*l*x2", vs) - p[2],
     ], seed=1)
 
 
 def test_critical_system_k0():
     inst = ProblemInstance(2, 0, [], [Poly.variable(0, 2), Poly.variable(1, 2)])
-    fam = DeformationFamily(inst, (0.3, -0.2 + 0.1j))
-    u, vs = fam.direction, ["x1", "x2"]
-    _check_system(fam, lambda t: [parse("x1", vs) - t * u[0], parse("x2", vs) - t * u[1]], seed=2)
+    vs = ["x1", "x2"]
+    _check_system(
+        DeformationFamily(inst), lambda p: [parse("x1", vs) - p[0], parse("x2", vs) - p[1]], seed=2
+    )
 
 
 def test_critical_system_cusp():
-    fam = DeformationFamily(cusp(), (0.01, 0.001 + 0.3j, 0.002))
-    u, vs = fam.direction, ["x", "y", "l"]
-    _check_system(fam, lambda t: [
-        parse("x^2 - y^3", vs) - t * u[0],
-        parse("1 - 2*l*x", vs) - t * u[1],
-        parse("3*l*y^2", vs) - t * u[2],
+    vs = ["x", "y", "l"]
+    _check_system(DeformationFamily(cusp()), lambda p: [
+        parse("x^2 - y^3", vs) - p[0],
+        parse("1 - 2*l*x", vs) - p[1],
+        parse("3*l*y^2", vs) - p[2],
     ], seed=3)
 
 
 def test_critical_system_twisted_cusp():
     """The twist (eta, h) = ((y, 1 - x), 2x) gives
-    A_j + (f - t u_1) eta_j + h df/dx_j - t u_{1+j} - lambda df/dx_j."""
-    eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
-    h = parse("2*x", ["x", "y"])
-    fam = DeformationFamily(cusp(), (0.4 - 0.1j, 0.2j, -0.7), twist=(eta, h))
-    u, vs = fam.direction, ["x", "y", "l"]
+    A_j + (f - eps) eta_j + h df/dx_j - alpha_j - lambda df/dx_j; with one
+    p per row, each row keeps its own -eps eta_j term."""
+    vs = ["x", "y", "l"]
 
-    def equations(t):
-        ft = parse("x^2 - y^3", vs) - t * u[0]
+    def equations(p):
+        fe = parse("x^2 - y^3", vs) - p[0]
         return [
-            ft,
-            parse("1 + 4*x^2 - 2*l*x", vs) + ft * parse("y", vs) - t * u[1],
-            parse("-6*x*y^2 + 3*l*y^2", vs) + ft * parse("1 - x", vs) - t * u[2],
+            fe,
+            parse("1 + 4*x^2 - 2*l*x", vs) + fe * parse("y", vs) - p[1],
+            parse("-6*x*y^2 + 3*l*y^2", vs) + fe * parse("1 - x", vs) - p[2],
         ]
 
-    _check_system(fam, equations, seed=4)
+    _check_system(_twisted_cusp_family(), equations, seed=4)
 
 
 # ---- closed-form oracle -----------------------------------------------------
@@ -121,8 +122,8 @@ def test_critical_system_twisted_cusp():
 def test_solve_matches_closed_form(n, a):
     inst = ex1(n, a)
     eps = 0.01
-    fam = DeformationFamily(inst, (eps,) + (0.0,) * n)
-    ps = solve_family_at(fam, 1.0, 2 * n, np.random.default_rng(3))
+    fam = DeformationFamily(inst)
+    ps = solve_family_at(fam, np.array((eps,) + (0.0,) * n), 2 * n, np.random.default_rng(3))
     assert len(ps) == 2 * n
     remaining = list(zip(ps.x, ps.X[:, n], ps.jtilde))
     for wx, wl, wj in ex1_closed_form(n, a, eps):
@@ -140,8 +141,7 @@ def test_solve_matches_closed_form(n, a):
 
 def test_k0_single_point():
     inst = ProblemInstance(2, 0, [], [Poly.variable(0, 2), Poly.variable(1, 2)])
-    fam = DeformationFamily(inst, (0.3, -0.2))
-    ps = solve_family_at(fam, 1.0, 1, np.random.default_rng(5))
+    ps = solve_family_at(DeformationFamily(inst), np.array([0.3, -0.2]), 1, np.random.default_rng(5))
     assert len(ps) == 1
     x = ps.x[0]
     assert abs(x[0] - 0.3) < 1e-12 and abs(x[1] + 0.2) < 1e-12
@@ -159,54 +159,27 @@ def test_k0_single_point():
 )
 def test_count_certification(inst_builder, expected):
     inst = inst_builder()
+    fam = DeformationFamily(inst)
     rng = np.random.default_rng(11)
     for _ in range(5):
-        fam = DeformationFamily(inst, generic_direction(rng, inst.n + 1))
-        ps = solve_family_at(fam, 1e-2, expected, rng)
+        ps = solve_family_at(fam, 1e-2 * generic_direction(rng, inst.n + 1), expected, rng)
         assert len(ps) == expected
         assert all(r < 1e-10 for r in ps.residual)
 
 
 def test_count_mismatch_raises():
-    fam = DeformationFamily(ex1(2, (1, 2)), (0.01, 0.0, 0.0))
+    fam = DeformationFamily(ex1(2, (1, 2)))
     with pytest.raises(CountMismatchError) as exc:
-        solve_family_at(fam, 1.0, 5, np.random.default_rng(1))
+        solve_family_at(fam, np.array([0.01, 0.0, 0.0]), 5, np.random.default_rng(1))
     assert "expected 5" in str(exc.value)
     assert "paths_tracked" in exc.value.diagnostics
-
-
-def test_multistart_degenerate_chart_is_count_mismatch(monkeypatch):
-    """A degenerate chart after a multistart recovery is a count failure."""
-    inst = ex1(2, (1, 2))
-    fam = DeformationFamily(inst, direction_of(inst, 0))
-    dedup = critpts._dedup
-    calls = []
-
-    def drop_one_from_homotopy(points, tol):  # every homotopy attempt, no multistart merge
-        calls.append(1)
-        kept = dedup(points, tol)
-        return kept[:-1] if len(calls) <= critpts._MAX_RETRIES + 1 else kept
-
-    point_set = critpts._point_set
-
-    def degenerate(family, ts, Xs, diagnostics=None):
-        ps, ok = point_set(family, ts, Xs, diagnostics)
-        return ps, np.zeros_like(ok)
-
-    monkeypatch.setattr(critpts, "_dedup", drop_one_from_homotopy)
-    monkeypatch.setattr(critpts, "_point_set", degenerate)
-    with pytest.raises(CountMismatchError) as exc:
-        solve_family_at(fam, 1e-2, 4, np.random.default_rng(0))
-    assert "found 3 critical points, expected 4" in str(exc.value)
-    assert "degenerate" in str(exc.value)
-    assert exc.value.diagnostics["multistart_recoveries"] == 1
 
 
 # ---- the 2-homogeneous start system ---------------------------------------------
 
 def _twisted_cusp_family():
     eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
-    return DeformationFamily(cusp(), direction_of(cusp(), 4), twist=(eta, parse("2*x", ["x", "y"])))
+    return DeformationFamily(cusp(), twist=(eta, parse("2*x", ["x", "y"])))
 
 
 def _k2_family():
@@ -216,12 +189,16 @@ def _k2_family():
         3, 2, [parse("x^2 + y^2 + z^3", vs), parse("x*y + z^2", vs)],
         [Poly.zero(3), Poly.zero(3), Poly.one(3)],
     )
-    return DeformationFamily(inst, direction_of(inst, 4))
+    return DeformationFamily(inst)
 
 
 def _corpus_family(name):
-    inst = CORPUS[name].instance()
-    return DeformationFamily(inst, direction_of(inst, 4))
+    return DeformationFamily(CORPUS[name].instance())
+
+
+def _point(fam, t=1e-2):
+    """t times the seed-4 generic direction of the family's instance."""
+    return t * direction_of(fam.inst, 4)
 
 
 # (family, number of start points): the 2-homogeneous Bezout numbers over
@@ -245,7 +222,8 @@ def test_start_points_are_simple_zeros_of_start_system(family, paths):
     """One start point per 2-homogeneous Bezout count; each is a zero of G
     (H at s = 0 is gamma G, |gamma| = 1) with a nonsingular Jacobian, and
     no two coincide."""
-    h = critpts._Homotopy([(family(), 1e-2, np.random.default_rng(6))])
+    fam = family()
+    h = critpts._Homotopy(fam, [(_point(fam), np.random.default_rng(6))])
     P = h.starts
     assert P.shape == (paths, h.family.nunk)
     G, dG, _ = h.eval(P, 0.0, h.target)
@@ -259,7 +237,8 @@ def test_start_points_are_simple_zeros_of_start_system(family, paths):
 def test_homotopy_derivatives_match_central_differences(family, paths):
     """dH/dx and dH/ds from ``eval`` against central differences of H at
     seeded complex points, one s per row."""
-    h = critpts._Homotopy([(family(), 0.7 - 0.4j, np.random.default_rng(6))])
+    fam = family()
+    h = critpts._Homotopy(fam, [(_point(fam, 0.7 - 0.4j), np.random.default_rng(6))])
     rng = np.random.default_rng(7)
     nu = h.family.nunk
     X = rng.standard_normal((3, nu)) + 1j * rng.standard_normal((3, nu))
@@ -277,7 +256,8 @@ def test_k0_start_system_is_total_degree():
     """For k = 0 the start points, H and its derivatives are those of the
     total-degree system x_j^d_j - b_j with gamma and b drawn as before."""
     fam = _corpus_family("elkh_z3")
-    h = critpts._Homotopy([(fam, 1e-2, np.random.default_rng(8))])
+    p = _point(fam)
+    h = critpts._Homotopy(fam, [(p, np.random.default_rng(8))])
     rng = np.random.default_rng(8)
     gamma = np.exp(2j * np.pi * rng.random())
     b = (0.5 + rng.random(fam.nunk)) * np.exp(2j * np.pi * rng.random(fam.nunk))
@@ -287,7 +267,7 @@ def test_k0_start_system_is_total_degree():
     assert np.array_equal(h.starts, X)
     s = np.linspace(0.0, 0.9, len(X))
     H, J, Hs = h.eval(X, s, h.target)
-    f, JF = fam.system(1e-2, X)
+    f, JF = fam.system(p, X)
     c = (1.0 - s)[:, None]
     gG = gamma * (X ** (d - 1) * X - b)
     JG = np.einsum("ij,jk->ijk", gamma * d * X ** (d - 1), np.eye(2))
@@ -355,8 +335,8 @@ def test_batched_track_matches_single_paths():
         3, 1, [parse("x1^2 + x2^2 + x3^3", ["x1", "x2", "x3"])],
         [Poly.one(3), Poly.zero(3), Poly.zero(3)],
     )
-    fam = DeformationFamily(inst, direction_of(inst, 42))
-    h = critpts._Homotopy([(fam, 1e-2, np.random.default_rng(0))])
+    fam = DeformationFamily(inst)
+    h = critpts._Homotopy(fam, [(1e-2 * direction_of(inst, 42), np.random.default_rng(0))])
     starts = h.starts
     X, status = critpts._track(h, starts, h.target)
     assert "diverged" in status and "converged" in status
@@ -375,8 +355,8 @@ def test_every_unconverged_path_diverges():
     inst = ProblemInstance(
         2, 1, [parse("x^2 - y^2 + y^3", ["x", "y"])], [Poly.zero(2), Poly.one(2)]
     )
-    fam = DeformationFamily(inst, direction_of(inst, 42))
-    h = critpts._Homotopy([(fam, 1e-2, np.random.default_rng(0))])
+    fam = DeformationFamily(inst)
+    h = critpts._Homotopy(fam, [(1e-2 * direction_of(inst, 42), np.random.default_rng(0))])
     _, status = critpts._track(h, h.starts, h.target)
     assert set(status) == {"converged", "diverged"}
 
@@ -429,36 +409,32 @@ def _random_poly(rng, nvars, deg, terms):
 
 
 def test_stacked_eval_matches_exact_evaluation():
-    """TPoly items with random p0/p1 parts, plain Poly items (constant in t)
-    and zero items agree with exact evaluation of p0 + t*p1 at dyadic
-    points, and one t per row gives row by row what a scalar t gives."""
+    """Random and zero items agree with exact evaluation at dyadic points,
+    one row at a time gives the rows of the batch, and complex points agree
+    with ``Poly.eval_at``."""
     rng = np.random.default_rng(0)
     nv = 3
-    items = [TPoly(_random_poly(rng, nv, 4, 6), _random_poly(rng, nv, 3, 3)) for _ in range(4)]
-    items += [_random_poly(rng, nv, 4, 6), Poly.zero(nv)]
-    items += [TPoly(Poly.zero(nv), _random_poly(rng, nv, 2, 3))]
+    items = [_random_poly(rng, nv, 4, 6) for _ in range(5)] + [Poly.zero(nv)]
+    items += [_random_poly(rng, nv, 2, 3)]
     pts = [[Fraction(int(v), 8) for v in rng.integers(-12, 13, nv)] for _ in range(7)]
-    ts = [Fraction(int(v), 16) for v in rng.integers(-16, 17, len(pts))]
     X = np.array(pts, dtype=float).astype(complex)
-    sp = StackedTPolys(items, nv)
-    got = sp.eval(np.array([float(t) for t in ts]), X)
+    sp = StackedPolys(items, nv)
+    got = sp.eval(X)
     assert got.shape == (len(pts), len(items))
-    for i, (p, t) in enumerate(zip(pts, ts)):
-        assert np.allclose(sp.eval(float(t), X[i : i + 1])[0], got[i], rtol=1e-14, atol=1e-12)
+    for i, p in enumerate(pts):
+        assert np.allclose(sp.eval(X[i : i + 1])[0], got[i], rtol=1e-14, atol=1e-12)
         for j, item in enumerate(items):
-            tp = item if isinstance(item, TPoly) else TPoly(item, Poly.zero(nv))
-            want = tp.p0.eval_at(p) + t * tp.p1.eval_at(p)
+            want = item.eval_at(p)
             assert abs(got[i, j] - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
     # complex points against the term-by-term evaluation of Poly.eval_at
     Z = X + 1j * np.array(pts[::-1], dtype=float)
-    got = sp.eval(0.25 - 0.5j, Z)
+    got = sp.eval(Z)
     for i, z in enumerate(Z):
         for j, item in enumerate(items):
-            tp = item if isinstance(item, TPoly) else TPoly(item, Poly.zero(nv))
-            want = tp.p0.eval_at(list(z)) + (0.25 - 0.5j) * tp.p1.eval_at(list(z))
+            want = item.eval_at(list(z))
             assert abs(got[i, j] - want) <= 1e-12 * max(1.0, abs(want))
-    zero = StackedTPolys([Poly.zero(nv), TPoly(Poly.zero(nv), Poly.zero(nv))], nv)
-    assert np.array_equal(zero.eval(0.5, X), np.zeros((len(pts), 2)))
+    zero = StackedPolys([Poly.zero(nv), Poly.zero(nv)], nv)
+    assert np.array_equal(zero.eval(X), np.zeros((len(pts), 2)))
 
 
 def test_dedup_keeps_first_of_chain():
@@ -499,52 +475,54 @@ def test_distinct_at_the_tolerance():
 
 # ---- batched fresh solves ---------------------------------------------------
 
-def _count_runs(inst, rng, ts):
+def _count_runs(fam, rng, ts):
     """Targets built lazily from one rng, as count certification builds them:
-    each family's direction is drawn just before its start system."""
-    m = inst.n + inst.k
-    return ((DeformationFamily(inst, generic_direction(rng, m)), t, rng) for t in ts)
+    each target's direction is drawn just before its start system."""
+    return ((t * generic_direction(rng, fam.nunk), rng) for t in ts)
 
 
-@pytest.mark.parametrize("name", ["ex2_n3", "cusp"])
+@pytest.mark.parametrize("name", ["ex2_n3", "cusp", "twisted_cusp"])
 def test_batch_matches_one_target_solves(name):
     """One batch gives each target the points and solver counters of its
-    one-target solve with the same draws; both instances have diverging
-    paths, and the targets differ in direction and t."""
-    inst = CORPUS[name].instance()
+    one-target solve with the same draws; all three families have
+    diverging paths, and the targets differ in direction and radius, also
+    on the twisted family, whose system depends on eps_1 through eta."""
+    fam = _twisted_cusp_family() if name == "twisted_cusp" else _corpus_family(name)
     ts = [1e-2, 5e-3, 1e-2, 2e-3j]
-    got = critpts.solve_fresh(_count_runs(inst, np.random.default_rng(77), ts), 4)
+    got = critpts.solve_fresh(fam, _count_runs(fam, np.random.default_rng(77), ts), 4)
     rng = np.random.default_rng(77)
     for ps, t in zip(got, ts):
-        fam = DeformationFamily(inst, generic_direction(rng, inst.n + inst.k))
-        want = solve_family_at(fam, t, 4, rng)
-        assert ps.t == want.t and len(ps) == len(want) == 4
+        want = solve_family_at(fam, t * generic_direction(rng, fam.nunk), 4, rng)
+        assert np.array_equal(ps.p, want.p) and len(ps) == len(want) == 4
         assert np.max(np.abs(ps.X - want.X)) < 1e-12
         assert ps.diagnostics == want.diagnostics
+    assert not np.allclose(got[0].p / ts[0], got[1].p / ts[1])  # two directions
     assert sum(ps.diagnostics["paths_diverged"] for ps in got) > 0
 
 
 def test_failing_target_retries_and_fails_alone(monkeypatch):
     """A target that keeps finding one point too few is the only one to
     retry, and the only one to fail; the others certify on the first batch."""
-    inst = ex1(2, (1, 2))
+    fam = DeformationFamily(ex1(2, (1, 2)))
     bad_t = 2e-2
     dedup, track = critpts._dedup, critpts._track
     batches = []
 
-    def drop_one_at_bad_t(points, tol):
+    def drop_one_at_bad_t(points, tol):  # the merge tolerance at |p| = bad_t
         kept = dedup(points, tol)
-        return kept[:-1] if tol == critpts._merge_tolerance(bad_t) else kept
+        return kept[:-1] if np.isclose(tol, critpts._merge_tolerance([bad_t]), rtol=1e-9, atol=0) else kept
 
     def recording(h, starts, tgt):
-        batches.append([t for _, t, _ in h.targets])
+        batches.append(np.linalg.norm(h.p, axis=1).tolist())
         return track(h, starts, tgt)
 
     monkeypatch.setattr(critpts, "_dedup", drop_one_at_bad_t)
     monkeypatch.setattr(critpts, "_track", recording)
     ts = [1e-2, bad_t, 5e-3]
-    got = critpts.solve_fresh(_count_runs(inst, np.random.default_rng(3), ts), 4)
-    assert batches == [ts] + [[bad_t]] * critpts._MAX_RETRIES
+    got = critpts.solve_fresh(fam, _count_runs(fam, np.random.default_rng(3), ts), 4)
+    assert [len(b) for b in batches] == [3] + [1] * critpts._MAX_RETRIES
+    assert np.allclose(batches[0], ts, rtol=1e-12, atol=0)
+    assert all(np.isclose(b[0], bad_t, rtol=1e-12, atol=0) for b in batches[1:])
     assert isinstance(got[1], CountMismatchError)
     assert "found 3 critical points, expected 4" in str(got[1])
     assert got[1].diagnostics["retries"] == critpts._MAX_RETRIES + 1
@@ -555,44 +533,37 @@ def test_failing_target_retries_and_fails_alone(monkeypatch):
         assert got[i].diagnostics["paths_tracked"] == 4
 
 
-def test_batch_rejects_twisted_families_of_two_directions():
-    eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
-    h = parse("2*x", ["x", "y"])
-    fams = [DeformationFamily(cusp(), direction_of(cusp(), s), twist=(eta, h)) for s in (1, 2)]
-    with pytest.raises(ValueError):
-        critpts.solve_fresh([(f, 1e-2, np.random.default_rng(0)) for f in fams], 4)
-
-
 # ---- anchored solves --------------------------------------------------------
 
 def _twisted_cusp_grid(samples):
-    """A twisted cusp family and, per circle sample, the base points with
-    the first multiplier shifted by h(x): the twisted zeros."""
+    """A twisted cusp family, the points P of a circle of radius 1e-2 and,
+    per sample, the base points with the first multiplier shifted by h(x):
+    the twisted zeros."""
     inst = cusp()
-    base = DeformationFamily(inst, direction_of(inst, 42))
+    base = DeformationFamily(inst)
     eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
     h = parse("2*x", ["x", "y"])
-    twisted = DeformationFamily(inst, base.direction, twist=(eta, h))
+    twisted = DeformationFamily(inst, twist=(eta, h))
+    P = circle(1e-2 * direction_of(inst, 42), samples)
     rng = np.random.default_rng(0)
-    grid, _ = track_circle(base, [solve_family_at(base, 1e-2, 4, rng)], samples, 4, rng)
+    grid, _ = track_circle(base, [solve_family_at(base, P[0], 4, rng)], samples, 4, rng)
     anchors = grid.X.reshape(samples, 4, 3)
-    shift = StackedTPolys([h], 2).eval(0, anchors[:, :, :2].reshape(-1, 2))
+    shift = StackedPolys([h], 2).eval(anchors[:, :, :2].reshape(-1, 2))
     anchors[:, :, 2] += shift.reshape(samples, 4)
-    return twisted, anchors
+    return twisted, P, anchors
 
 
 def test_solve_anchored_matches_continuation():
     """One anchored Newton batch gives the point sets of a circle
     continuation of the twisted family."""
-    twisted, anchors = _twisted_cusp_grid(16)
-    ts = circle_ts(1e-2, 16)
-    got, got_stats = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
+    twisted, P, anchors = _twisted_cusp_grid(16)
+    got, got_stats = solve_anchored(twisted, P, anchors, 4, np.random.default_rng(1))
     rng = np.random.default_rng(3)
-    want, stats = track_circle(twisted, [solve_family_at(twisted, 1e-2, 4, rng)], 16, 4, rng)
+    want, stats = track_circle(twisted, [solve_family_at(twisted, P[0], 4, rng)], 16, 4, rng)
     assert stats["fresh_solves"] == 1
     assert got_stats["fresh_solves"] == 0  # no fresh solve
     assert len(got) == len(want) == 16 * 4
-    assert np.array_equal(got.t, np.repeat(ts, 4)) and np.array_equal(want.t, got.t)
+    assert np.array_equal(got.p, np.repeat(P, 4, axis=0)) and np.array_equal(want.p, got.p)
     assert np.max(np.abs(got.X - want.X)) < 1e-12
     assert np.allclose(got.jtilde, want.jtilde, rtol=1e-10, atol=0)
 
@@ -601,36 +572,34 @@ def test_solve_anchored_falls_back_per_sample(monkeypatch):
     """A sample failing the warm tests, and only that one, is solved fresh,
     and its rows keep their place in the grid.  Two rows of the third
     sample start at one point, so its Newton rows coincide."""
-    twisted, anchors = _twisted_cusp_grid(8)
-    ts = circle_ts(1e-2, 8)
+    twisted, P, anchors = _twisted_cusp_grid(8)
     good = anchors.copy()
     anchors[2, 1] = anchors[2, 0]
     solve_fresh, fresh = critpts.solve_fresh, []
 
-    def recording(targets, expected):
+    def recording(family, targets, expected):
         targets = list(targets)
-        fresh.extend(t for _, t, _ in targets)
-        return solve_fresh(targets, expected)
+        fresh.extend(p for p, _ in targets)
+        return solve_fresh(family, targets, expected)
 
     monkeypatch.setattr(critpts, "solve_fresh", recording)
-    assert solve_warm(twisted, ts, anchors, 4)[1].tolist() == [i != 2 for i in range(8)]
-    grid, stats = solve_anchored(twisted, ts, anchors, 4, np.random.default_rng(1))
-    assert fresh == [ts[2]]
+    assert solve_warm(twisted, P, anchors, 4)[1].tolist() == [i != 2 for i in range(8)]
+    grid, stats = solve_anchored(twisted, P, anchors, 4, np.random.default_rng(1))
+    assert np.array_equal(fresh, P[2:3])
     assert stats["fresh_solves"] == 1
     assert len(grid) == 8 * 4
-    assert np.array_equal(grid.t, np.repeat(ts, 4))
-    want = solve_family_at(twisted, ts[2], 4, np.random.default_rng(5))
+    assert np.array_equal(grid.p, np.repeat(P, 4, axis=0))
+    want = solve_family_at(twisted, P[2], 4, np.random.default_rng(5))
     assert np.max(np.abs(grid.X[8:12] - want.X)) < 1e-12
-    warm, _ = solve_anchored(twisted, ts, good, 4, np.random.default_rng(1))
+    warm, _ = solve_anchored(twisted, P, good, 4, np.random.default_rng(1))
     assert np.max(np.abs(grid.X - warm.X)) < 1e-12
 
 
 def test_warm_batch_drops_degenerate_samples_alone(monkeypatch):
     """A row without a chart fails its own sample of a warm batch, and the
     other samples keep their points."""
-    twisted, anchors = _twisted_cusp_grid(8)
-    ts = circle_ts(1e-2, 8)
-    want, ok = solve_warm(twisted, ts, anchors, 4)
+    twisted, P, anchors = _twisted_cusp_grid(8)
+    want, ok = solve_warm(twisted, P, anchors, 4)
     assert ok.all()
     jacobian_data = twisted.jacobian_data
 
@@ -640,10 +609,10 @@ def test_warm_batch_drops_degenerate_samples_alone(monkeypatch):
         return (*data, chart)
 
     monkeypatch.setattr(twisted, "jacobian_data", no_chart_in_third_sample)
-    got, ok = solve_warm(twisted, ts, anchors, 4)
+    got, ok = solve_warm(twisted, P, anchors, 4)
     assert ok.tolist() == [i != 2 for i in range(8)]
     assert np.array_equal(got.X, want.X[np.repeat(ok, 4)])
-    assert np.array_equal(got.t, want.t[np.repeat(ok, 4)])
+    assert np.array_equal(got.p, want.p[np.repeat(ok, 4)])
 
 
 # ---- Jacobian value ---------------------------------------------------------
@@ -676,11 +645,10 @@ def test_block_independence_cusp():
     """Jtilde is chart-free: both Jacobian blocks give the same value, the
     value of jacobian_data."""
     inst = cusp()
-    u = direction_of(inst, 42)
-    fam = DeformationFamily(inst, u)
+    fam = DeformationFamily(inst)
     rng = np.random.default_rng(0)
-    ps = solve_family_at(fam, 1e-2, 4, rng)
-    J = fam.system(ps.t, ps.X)[1]
+    ps = solve_family_at(fam, 1e-2 * direction_of(inst, 42), 4, rng)
+    J = fam.system(ps.p, ps.X)[1]
     jt = fam.jacobian_data(J)[1]
     checked = 0
     for ((_, j0), (_, j1)), want in zip(_block_values(J, 2, 1), jt):
@@ -697,8 +665,8 @@ def _solved_grids():
     for name, ci in CORPUS.items():
         sampler = make_sampler(ci.instance(), LimitConfig(samples=16), 42)
         yield name, sampler.family, sampler.grid
-    twisted, anchors = _twisted_cusp_grid(16)
-    grid, _ = solve_anchored(twisted, circle_ts(1e-2, 16), anchors, 4, np.random.default_rng(1))
+    twisted, P, anchors = _twisted_cusp_grid(16)
+    grid, _ = solve_anchored(twisted, P, anchors, 4, np.random.default_rng(1))
     yield "twisted_cusp", twisted, grid
 
 
@@ -710,7 +678,7 @@ def test_bordered_identity_on_every_block():
     where (-1)^n is -1."""
     ks = set()
     for name, fam, grid in _solved_grids():
-        J = fam.system(grid.t, grid.X)[1]
+        J = fam.system(grid.p, grid.X)[1]
         checked = 0
         for row, jt, b, delta in zip(_block_values(J, fam.n, fam.k), grid.jtilde, grid.block, grid.delta):
             assert abs(row[b][0] - delta) <= 1e-12 * abs(delta), name
@@ -733,10 +701,10 @@ def test_batched_chart_data_matches_rowwise():
     sit in pairs on the coordinate axes, one block per pair.
     """
     inst = ex1(3, (1, 2, 4))
-    fam = DeformationFamily(inst, direction_of(inst, 42))
-    ps = solve_family_at(fam, 1e-2, 6, np.random.default_rng(0))
+    fam = DeformationFamily(inst)
+    ps = solve_family_at(fam, 1e-2 * direction_of(inst, 42), 6, np.random.default_rng(0))
     assert set(ps.block.tolist()) == {0, 1, 2}  # every block is chosen
-    J = fam.system(ps.t, ps.X)[1]
+    J = fam.system(ps.p, ps.X)[1]
     delta, jt, block, S, chart = fam.jacobian_data(J)
     assert chart.all()
     assert np.array_equal(block, ps.block)
@@ -754,15 +722,15 @@ def test_batched_chart_data_matches_rowwise():
 
 
 def test_chart_data_with_per_row_t():
-    """jacobian_data on the system Jacobian with one t per row, over the
-    points of two parameters and several blocks, equals jacobian_data at
-    each row's own t."""
+    """jacobian_data on the system Jacobian with one p per row, over the
+    points of two deformation points and several blocks, equals
+    jacobian_data at each row's own p."""
     inst = ex1(3, (1, 2, 4))
-    fam = DeformationFamily(inst, direction_of(inst, 42))
-    a = solve_family_at(fam, 1e-2, 6, np.random.default_rng(0))
-    b = solve_family_at(fam, 2e-2j, 6, np.random.default_rng(1))
+    fam, u = DeformationFamily(inst), direction_of(inst, 42)
+    a = solve_family_at(fam, 1e-2 * u, 6, np.random.default_rng(0))
+    b = solve_family_at(fam, 2e-2j * u, 6, np.random.default_rng(1))
     X = np.concatenate([a.X, b.X])
-    tr = np.repeat([a.t, b.t], 6)
+    tr = np.repeat([a.p, b.p], 6, axis=0)
     delta, jt, block, S, chart = fam.jacobian_data(fam.system(tr, X)[1])
     assert chart.all()
     assert len(set(block.tolist())) > 1
@@ -787,10 +755,10 @@ def test_chart_data_with_per_row_t():
 def test_jtilde_against_finite_differences(inst_builder, expected):
     inst = inst_builder()
     u = direction_of(inst, 7)
-    fam = DeformationFamily(inst, u)
+    fam = DeformationFamily(inst)
     rng = np.random.default_rng(1)
     t = 1e-2
-    ps = solve_family_at(fam, t, expected, rng)
+    ps = solve_family_at(fam, t * u, expected, rng)
     for x, b, jt in list(zip(ps.x, ps.block, ps.jtilde))[:3]:
         fd = fd_restricted_jacobian(inst, u, t, tuple(x), fam.blocks[b])
         assert abs(fd - jt) < 1e-4 * max(abs(jt), 1e-12)
@@ -798,8 +766,8 @@ def test_jtilde_against_finite_differences(inst_builder, expected):
 
 def test_jacobian_value_spec_surface():
     eps = 0.01
-    fam = DeformationFamily(ex1(2, (1, 2)), (eps, 0.0, 0.0))
-    J = fam.system(1.0, np.array([[eps**0.5, 0.0, 0.5]]))[1]  # lambda = a1 / 2
+    fam = DeformationFamily(ex1(2, (1, 2)))
+    J = fam.system(np.array([eps, 0.0, 0.0]), np.array([[eps**0.5, 0.0, 0.5]]))[1]  # lambda = a1 / 2
     delta, jt, block, _, chart = fam.jacobian_data(J)
     assert chart.tolist() == [True]
     assert abs(delta[0] - 2 * eps**0.5) < 1e-12
@@ -818,12 +786,12 @@ def test_chart_mask_fails_only_the_degenerate_rows(name, expected, near):
     and the other rows' data as without them.  In ``_point_set`` such a
     row fails its own sample only."""
     fam = _corpus_family(name)
-    ps = solve_family_at(fam, 1e-2, expected, np.random.default_rng(0))
+    ps = solve_family_at(fam, _point(fam), expected, np.random.default_rng(0))
     zero = np.zeros(fam.nunk)
     near = np.concatenate([near, ps.X[0, fam.n :]])  # with a solution's multipliers
-    dfx = fam.system(ps.t, near[None])[1][0, : fam.k, : fam.n]
+    dfx = fam.system(ps.p, near[None])[1][0, : fam.k, : fam.n]
     assert np.argmax([abs(np.linalg.det(dfx[:, list(K)])) for K in fam.blocks]) != 0
-    J = fam.system(ps.t, np.vstack([ps.X, zero, near]))[1]
+    J = fam.system(ps.p, np.vstack([ps.X, zero, near]))[1]
     delta, jt, block, S, chart = fam.jacobian_data(J)
     assert chart.tolist() == [True] * expected + [False, False]
     assert all(np.isfinite(a).all() for a in (delta, jt, S))
@@ -832,28 +800,28 @@ def test_chart_mask_fails_only_the_degenerate_rows(name, expected, near):
         assert np.allclose(got[:expected], w, rtol=1e-12, atol=0)
     Xs = np.repeat(ps.X[None], 4, axis=0)
     Xs[1, 0], Xs[2, -1] = zero, near
-    _, ok = critpts._point_set(fam, [ps.t] * 4, Xs)
+    _, ok = critpts._point_set(fam, [ps.p] * 4, Xs)
     assert ok.tolist() == [True, False, False, True]
 
 
 # ---- determinism and circles --------------------------------------------------
 
 def test_determinism_same_seed():
-    fam = DeformationFamily(cusp(), (0.01, 0.002, 0.001))
-    a = solve_family_at(fam, 1.0, 4, np.random.default_rng(9))
-    b = solve_family_at(fam, 1.0, 4, np.random.default_rng(9))
+    fam, p = DeformationFamily(cusp()), np.array([0.01, 0.002, 0.001])
+    a = solve_family_at(fam, p, 4, np.random.default_rng(9))
+    b = solve_family_at(fam, p, 4, np.random.default_rng(9))
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.jtilde, b.jtilde)
 
 
 def test_track_circle_counts():
     inst = ex1(2, (1, 2))
-    u = direction_of(inst, 5)
-    fam = DeformationFamily(inst, u)
+    p = 1e-2 * direction_of(inst, 5)
+    fam = DeformationFamily(inst)
     rng = np.random.default_rng(2)
-    grid, stats = track_circle(fam, [solve_family_at(fam, 1e-2, 4, rng)], 16, 4, rng)
+    grid, stats = track_circle(fam, [solve_family_at(fam, p, 4, rng)], 16, 4, rng)
     assert len(grid) == 16 * 4
-    assert np.array_equal(grid.t, np.repeat(circle_ts(1e-2, 16), 4))
+    assert np.array_equal(grid.p, np.repeat(circle(p, 16), 4, axis=0))
     # nondegeneracy of every point on the whole circle
     assert np.all(np.abs(grid.jtilde) > 1e-12)
     assert stats["fresh_solves"] >= 1
@@ -862,7 +830,7 @@ def test_track_circle_counts():
 def _firsts(fam, radii, expected, seed):
     """The solved first samples of circles of the given radii, one batch."""
     rng = np.random.default_rng(seed)
-    return critpts.solve_fresh([(fam, complex(r), rng) for r in radii], expected), rng
+    return critpts.solve_fresh(fam, [(_point(fam, r), rng) for r in radii], expected), rng
 
 
 @pytest.mark.parametrize("radii", [(1e-2, 5e-3), (1e-2, 5e-3, 2.5e-3)])
@@ -878,7 +846,7 @@ def test_lockstep_matches_circle_by_circle(name, expected, radii):
     assert len(grid) == len(radii) * rows
     for c, (want, want_stats) in enumerate(alone):
         part = grid.rows(slice(c * rows, c * rows + rows))
-        assert np.array_equal(part.t, want.t)
+        assert np.array_equal(part.p, want.p)
         assert np.max(np.abs(part.X - want.X)) < 1e-12
         assert np.array_equal(part.block, want.block)
         assert np.allclose(part.jtilde, want.jtilde, rtol=1e-12, atol=0)
@@ -899,28 +867,28 @@ def test_lockstep_failed_step_falls_back_alone(monkeypatch, inner):
     firsts, rng = _firsts(fam, radii, 4, 1)
     want, _ = track_circle(fam, firsts, 16, 4, np.random.default_rng(2))
     warm, solve_fresh = critpts.solve_warm, critpts.solve_fresh
-    bad_t = circle_ts(radii[inner], 16)[5]
+    bad_p = circle(_point(fam, radii[inner]), 16)[5]
     calls, fresh = [], []
 
-    def fail_at_bad_t(family, ts, starts, expected):
-        calls.append(len(ts))
-        ps, ok = warm(family, ts, starts, expected)
-        keep = ts != bad_t
+    def fail_at_bad_p(family, P, starts, expected):
+        calls.append(len(P))
+        ps, ok = warm(family, P, starts, expected)
+        keep = (P != bad_p).any(axis=1)
         return ps.rows(np.repeat(keep[ok], expected)), ok & keep
 
-    def recording(targets, expected):
+    def recording(family, targets, expected):
         targets = list(targets)
-        fresh.extend(t for _, t, _ in targets)
-        return solve_fresh(targets, expected)
+        fresh.extend(p for p, _ in targets)
+        return solve_fresh(family, targets, expected)
 
-    monkeypatch.setattr(critpts, "solve_warm", fail_at_bad_t)
+    monkeypatch.setattr(critpts, "solve_warm", fail_at_bad_p)
     monkeypatch.setattr(critpts, "solve_fresh", recording)
     grid, stats = track_circle(fam, firsts, 16, 4, np.random.default_rng(2))
     assert calls == [2] * 15  # one batch per angle step
-    assert fresh == [bad_t]
+    assert np.array_equal(fresh, [bad_p])
     assert stats["fresh_solves"] == 3
     failed = slice(64, None) if inner else slice(0, 64)
     untouched = slice(0, 64) if inner else slice(64, None)
     assert np.array_equal(grid.X[untouched], want.X[untouched])
     assert np.max(np.abs(grid.X[failed] - want.X[failed])) < 1e-12
-    assert np.array_equal(grid.t, want.t)
+    assert np.array_equal(grid.p, want.p)
