@@ -29,11 +29,13 @@ the targets of a batch that find the wrong count retry together, up to
 ``solve_warm`` runs one batched Newton (``_newton``) over the samples of a
 grid, each from its own nearby solutions; a sample passes when three
 masks hold: every row converged, no two rows are within the merge
-tolerance, and its chart is not degenerate.  ``solve_anchored`` is the one
-recovery rule: ``solve_warm``, then the samples that fail in one
-``solve_fresh`` batch.  ``track_circle`` calls it once per angle step for
-all circles in lockstep.  Both return a circle grid as one point set with
-one p per row.
+tolerance, and its chart, from the Jacobians of Newton's last evaluation,
+is not degenerate.  ``solve_anchored`` is the one recovery rule:
+``solve_warm``, then the samples that fail in one ``solve_fresh`` batch,
+whose rows are written in.  ``track_circle`` calls it once per angle step
+for all circles in lockstep.  Both work on arrays of rows, one block of
+``expected`` rows per sample; the caller makes the finished grid one point
+set with ``_point_set``.
 
 At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
 is selected, Delta_K is that determinant and the fiber chart dx_K = S dx_L
@@ -216,15 +218,15 @@ class DeformationFamily:
 
 @dataclass
 class CriticalPointSet:
-    """Critical points, one row per point: those at one deformation point
-    ``p``, or the samples of a circle grid, one after another, with one p
-    per row.
+    """Critical points, one row per point: those at one deformation point,
+    or the samples of a circle grid, one after another.
 
-    ``X`` holds the x-part and then the multipliers of each point,
-    ``residual`` the max-norm of the system there, ``jtilde`` the chart-free
-    Jacobian value (-1)^(n k) det J of the system Jacobian J, ``block``
-    indexes the family's ``blocks``, ``delta`` is Delta_K on that block and
-    ``S`` (shape (m, k, n-k)) the fiber chart dx_K = S dx_L.
+    ``p`` holds the deformation point of each row and ``X`` its x-part and
+    then its multipliers, both of shape (m, n + k); ``residual`` is the
+    max-norm of the system there, ``jtilde`` the chart-free Jacobian value
+    (-1)^(n k) det J of the system Jacobian J, ``block`` indexes the
+    family's ``blocks``, ``delta`` is Delta_K on that block and ``S``
+    (shape (m, k, n-k)) the fiber chart dx_K = S dx_L.
     """
 
     p: np.ndarray
@@ -245,13 +247,9 @@ class CriticalPointSet:
         return self.X[:, : self.X.shape[1] - self.S.shape[1]]
 
     def rows(self, index) -> "CriticalPointSet":
-        """The rows at ``index`` (a slice or index array), one p per row."""
-        cols = (self.per_row_p(), self.X, self.residual, self.delta, self.jtilde, self.block, self.S)
+        """The rows at ``index`` (a slice or index array)."""
+        cols = (self.p, self.X, self.residual, self.delta, self.jtilde, self.block, self.S)
         return CriticalPointSet(*(c[index] for c in cols))
-
-    def per_row_p(self) -> np.ndarray:
-        """p for every row, shape (m, k + n), the shape of X."""
-        return np.broadcast_to(self.p, self.X.shape)
 
 
 def _merge_tolerance(p):
@@ -385,10 +383,11 @@ def _solve(J, b):
 
 def _newton(FJ, X, iters, tol):
     """Newton on every row of X (FJ gives all rows' residuals and
-    Jacobians); returns (X, ok) per row.  ``tol`` is a scalar or one value
-    per row and equation.  A row freezes once every |F_e| < tol_e (ok), or
-    at a singular Jacobian or non-finite iterate (not ok).  A row still
-    moving after ``iters`` steps is ok when every |F_e| < 100 * tol_e.
+    Jacobians); returns (X, ok, J) per row, J the Jacobians of the last
+    evaluation, which is at the returned X.  ``tol`` is a scalar or one
+    value per row and equation.  A row freezes once every |F_e| < tol_e
+    (ok), or at a singular Jacobian or non-finite iterate (not ok).  A row
+    still moving after ``iters`` steps is ok when every |F_e| < 100 * tol_e.
     Frozen rows stay in the batch and are masked, cheaper than gathering."""
     X = np.array(X, dtype=np.complex128)
     live = np.ones(len(X), dtype=bool)
@@ -399,13 +398,14 @@ def _newton(FJ, X, iters, tol):
         ok |= live & small
         live &= ~small
         if not live.any():
-            return X, ok
+            return X, ok, J
         dx, singular = _solve(J, vals)
         step = X - dx
         live &= ~singular & np.isfinite(step).all(axis=1)
         X = np.where(live[:, None], step, X)
-    ok |= live & (np.abs(FJ(X)[0]) < 100 * tol).all(axis=1)
-    return X, ok
+    vals, J = FJ(X)
+    ok |= live & (np.abs(vals) < 100 * tol).all(axis=1)
+    return X, ok, J
 
 
 @np.errstate(over="ignore", invalid="ignore")  # paths to infinity may overflow
@@ -446,7 +446,7 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
             act, dx, step = act[~singular], dx[~singular], step[~singular]
         s_new, ta = s[act] + step, tgt[act]
         X_pred = X[act] - step[:, None] * dx
-        X_corr, ok = _newton(
+        X_corr, ok, _ = _newton(
             lambda Y: h.eval(Y, s_new, ta)[:2], X_pred, iters=4, tol=1e-11 * h.scale(X_pred)
         )
         acc = act[ok]
@@ -460,7 +460,7 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
         act = np.flatnonzero((status == "tracking") & (s < 1.0))
     # polish on the target system
     fin = np.flatnonzero(status == "tracking")
-    X_fin, ok = _newton(lambda Y: h.eval(Y, 1.0, tgt[fin])[:2], X[fin], iters=12, tol=1e-14)
+    X_fin, ok, _ = _newton(lambda Y: h.eval(Y, 1.0, tgt[fin])[:2], X[fin], iters=12, tol=1e-14)
     ok &= np.abs(X_fin).max(axis=1) < _DIVERGENCE
     X[fin] = X_fin
     status[fin] = "converged"
@@ -469,7 +469,7 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
 
 
 def _newton_family(family, P, X0):
-    """Newton on the family system at P (one point or one per row) for a batch; (X, ok)."""
+    """Newton on the family system at P (one point or one per row) for a batch; (X, ok, J)."""
     return _newton(lambda X: family.system(P, X), X0, iters=14, tol=1e-14)
 
 
@@ -492,41 +492,36 @@ def _distinct(Xs: np.ndarray, tol: np.ndarray) -> np.ndarray:
     return dist.min(axis=(1, 2), initial=np.inf) >= tol
 
 
-def _point_set(family, P, Xs, diagnostics=None):
-    """(one point set over the samples, the mask of samples whose chart is
-    not degenerate): the rows Xs[i] (shape (samples, m, n + k)) at P[i],
-    each sample's rows sorted by (re, im) of their entries.  One system
-    evaluation serves all rows: the residual is max |F| of its values, and
-    one ``jacobian_data`` call on its Jacobian gives Jtilde and the chart
-    data.  ``p`` is P[0] for one sample, else one per row.  A sample's
+def _chart_data(family, J, shape):
+    """(delta, jtilde, block, S) of ``jacobian_data`` on the system
+    Jacobians J, whose rows run sample by sample in ``shape`` (samples, m),
+    and the mask of samples whose chart is not degenerate.  A sample's
     chart is degenerate when one of its rows has no chart, or its least
     |Jtilde| is below 1e-10 times its largest."""
+    *data, chart = family.jacobian_data(J)
+    jts = np.abs(data[1]).reshape(shape)
+    ok = chart.reshape(shape).all(axis=1)
+    ok &= jts.min(axis=1, initial=np.inf) >= 1e-10 * jts.max(axis=1, initial=0.0)
+    return data, ok
+
+
+def _point_set(family, P, Xs, diagnostics=None):
+    """(one point set over the samples, one p per row, and the
+    ``_chart_data`` mask of its samples): the rows Xs[i] (shape (samples,
+    m, n + k)) at P[i], sample after sample, each sample's rows sorted by
+    (re, im) of their entries.  One system evaluation serves all rows: the
+    residual is max |F| of its values, and its Jacobian gives Jtilde and
+    the chart data."""
     P = np.asarray(P, dtype=np.complex128)
     Xs = np.asarray(Xs, dtype=np.complex128)
     m = Xs.shape[1]
     X = Xs.reshape(-1, family.nunk)
     keys = [part for z in X.T[::-1] for part in (z.imag, z.real)]
     X = X[np.lexsort(keys + [np.repeat(np.arange(len(P)), m)])]
-    pr = np.repeat(P, m, axis=0)
-    F, J = family.system(pr, X)
-    delta, jtilde, block, S, chart = family.jacobian_data(J)
-    jts = np.abs(jtilde).reshape(len(P), m)
-    ok = chart.reshape(len(P), m).all(axis=1)
-    ok &= jts.min(axis=1, initial=np.inf) >= 1e-10 * jts.max(axis=1, initial=0.0)
-    residual = np.abs(F).max(axis=1)
-    p = P[0] if len(P) == 1 else pr
-    return CriticalPointSet(p, X, residual, delta, jtilde, block, S, diagnostics or {}), ok
-
-
-def _stack(sets, samples, m) -> CriticalPointSet:
-    """The given samples (m rows each, numbered through the rows of
-    ``sets`` in turn) as one point set, one p per row."""
-    rows = (np.asarray(samples, dtype=np.int64)[:, None] * m + np.arange(m)).ravel()
-    cols = zip(*(
-        (ps.per_row_p(), ps.X, ps.residual, ps.delta, ps.jtilde, ps.block, ps.S)
-        for ps in sets
-    ))
-    return CriticalPointSet(*(np.concatenate(c)[rows] for c in cols))
+    p = np.repeat(P, m, axis=0)
+    F, J = family.system(p, X)
+    data, ok = _chart_data(family, J, Xs.shape[:2])
+    return CriticalPointSet(p, X, np.abs(F).max(axis=1), *data, diagnostics or {}), ok
 
 
 _COUNTERS = ("paths_tracked", "paths_diverged", "path_failures", "retries")
@@ -558,7 +553,7 @@ def solve_fresh(family: DeformationFamily, targets, expected: int) -> list:
         ends, status = _track(h, h.starts, h.target)
         conv, diverged = status == "converged", status == "diverged"
         tc = h.target[conv]
-        X, ok = _newton_family(family, h.p[tc], ends[conv])
+        X, ok, _ = _newton_family(family, h.p[tc], ends[conv])
         failed = []
         for j, i in enumerate(pending):
             p = batch[i][0]
@@ -599,35 +594,34 @@ def solve_family_at(
 
 def solve_warm(family: DeformationFamily, P, starts, expected: int):
     """Newton from the rows starts[i] (``expected`` of them) at P[i] for
-    every i in one batch; (one point set over the samples that pass, in
-    order, and the mask of them).  A sample passes when every row
+    every i in one batch; (the rows, shape (samples, expected, n + k), and
+    the mask of samples that pass).  A sample passes when every row
     converges, no two rows are within ``_merge_tolerance(P[i])`` and its
-    chart is not degenerate (``_point_set``)."""
+    chart, from the Jacobians of Newton's last evaluation, is not
+    degenerate (``_chart_data``)."""
     P = np.asarray(P, dtype=np.complex128)
-    starts = np.asarray(starts, dtype=np.complex128)
-    X, conv = _newton_family(family, np.repeat(P, expected, axis=0), starts.reshape(-1, family.nunk))
-    X = X.reshape(len(P), expected, family.nunk)
-    ok = conv.reshape(len(P), expected).all(axis=1) & _distinct(X, _merge_tolerance(P))
-    ps, chart = _point_set(family, P[ok], X[ok])
-    ok[ok] = chart
-    return (ps if chart.all() else ps.rows(np.repeat(chart, expected))), ok
+    shape, starts = (len(P), expected), np.reshape(starts, (-1, family.nunk))
+    X, conv, J = _newton_family(family, np.repeat(P, expected, axis=0), starts)
+    X = X.reshape(*shape, family.nunk)
+    ok = conv.reshape(shape).all(axis=1) & _distinct(X, _merge_tolerance(P))
+    return X, ok & _chart_data(family, J, shape)[1]
 
 
 def solve_anchored(family: DeformationFamily, P, starts, expected: int, rng):
-    """(one point set over the points P, ``solve_stats`` of its fresh
-    solves): sample i, in rows i * expected onward, by ``solve_warm`` from
-    its own nearby solutions starts[i], all samples in one batch.  This is
-    the one recovery rule for a failed warm sample: the samples that fail
-    are solved fresh in one ``solve_fresh`` batch with rng;
-    CountMismatchError if one of them fails."""
-    got, ok = solve_warm(family, P, starts, expected)
+    """(the rows at the points P, shape (samples, expected, n + k), and
+    ``solve_stats`` of its fresh solves): ``solve_warm`` from each sample's
+    own nearby solutions starts[i], all samples in one batch.  This is the
+    one recovery rule for a failed warm sample: the samples that fail are
+    solved fresh in one ``solve_fresh`` batch with rng, and their rows
+    written in; CountMismatchError if one of them fails."""
+    X, ok = solve_warm(family, P, starts, expected)
     missing = np.flatnonzero(~ok)
     fresh = solve_fresh(family, [(P[i], rng) for i in missing], expected) if len(missing) else []
-    for ps in fresh:
+    for i, ps in zip(missing, fresh):
         if isinstance(ps, CountMismatchError):
             raise ps
-    order = np.argsort(np.concatenate([np.flatnonzero(ok), missing]))
-    return _stack([got, *fresh], order, expected), solve_stats(fresh)
+        X[i] = ps.X
+    return X, solve_stats(fresh)
 
 
 def circle(p, samples: int) -> np.ndarray:
@@ -643,29 +637,19 @@ def solve_stats(sets) -> dict:
     return dict(stats)
 
 
-def track_circle(
-    family: DeformationFamily,
-    firsts,
-    samples: int,
-    expected: int,
-    rng: np.random.Generator,
-):
-    """(one point set over the circles, ``solve_stats``): per solved first
-    sample ``firsts[c]``, at a point p, the samples ``circle(p, samples)``,
-    circle after circle, ``expected`` rows each.
+def track_circle(family: DeformationFamily, P, firsts, expected: int, rng: np.random.Generator):
+    """(the rows of the circle grids, shape (circles, samples, expected,
+    n + k), and ``solve_stats``): per circle c its samples P[c], from the
+    solved first sample ``firsts[c]`` at P[c, 0].
 
     All circles advance in lockstep, one ``solve_anchored`` per angle step
     continuing each circle's previous solutions by Newton; a circle whose
     step fails is solved fresh at that angle, as its first sample was.
     """
-    P = np.array([circle(ps.p, samples) for ps in firsts])
-    X = np.array([ps.X for ps in firsts]).reshape(len(firsts), expected, family.nunk)
-    pieces, stats = list(firsts), Counter(solve_stats(firsts))
-    for j in range(1, samples):
-        got, fresh = solve_anchored(family, P[:, j], X, expected, rng)
-        pieces.append(got)
+    X = np.empty((*P.shape[:2], expected, family.nunk), dtype=np.complex128)
+    X[:, 0] = [ps.X for ps in firsts]
+    stats = Counter(solve_stats(firsts))
+    for j in range(1, P.shape[1]):
+        X[:, j], fresh = solve_anchored(family, P[:, j], X[:, j - 1], expected, rng)
         stats.update(fresh)
-        X = got.X.reshape(X.shape)
-    # the pieces hold angle after angle; the grid, circle after circle
-    order = np.arange(len(firsts) * samples).reshape(samples, len(firsts)).T.ravel()
-    return _stack(pieces, order, expected), dict(stats)
+    return X, dict(stats)

@@ -129,8 +129,6 @@ def standard_basis(gens, max_pairs: int = 20000):
     for g in gens:
         if g.is_zero():
             continue
-        if not g.is_exact():
-            raise ValueError("standard bases need exact rational coefficients")
         G.append(_monic(g))
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     processed = 0
@@ -316,8 +314,6 @@ class QuotientAlgebra:
         """Exact coordinates of the class of p over ``basis``."""
         if not self.finite:
             raise ValueError("normal form needs finite colength")
-        if not p.is_exact():
-            raise ValueError("normal form needs exact coefficients")
         vec = self._truncate(p)
         out = [Fraction(0)] * len(self.basis)
         for m in sorted(vec, key=order_key, reverse=True):

@@ -1,11 +1,10 @@
 """Exact sparse multivariate polynomial arithmetic.
 
 A monomial is a plain tuple of non-negative integer exponents, one entry per
-ambient variable.  Coefficients are exact ``fractions.Fraction`` values in the
-symbolic layer; the same class also carries complex coefficients once a
-deformation parameter has been substituted numerically.  Exactness is never
-silently lost: floats only appear when the caller feeds them in (evaluation,
-deformed data).
+ambient variable.  Coefficients are exact ``fractions.Fraction`` values;
+int coefficients are converted, and float, complex and bool ones are a
+TypeError.  Floats only appear when the caller evaluates at an inexact point
+(``eval_at``), or when the numeric layer evaluates a ``Poly`` table.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -23,9 +22,7 @@ def _norm_coeff(c):
         raise TypeError("bool is not a polynomial coefficient")
     if isinstance(c, int):
         return Fraction(c)
-    if isinstance(c, float):
-        return complex(c)
-    if isinstance(c, (Fraction, complex)):
+    if isinstance(c, Fraction):
         return c
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
@@ -86,10 +83,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_exact(self) -> bool:
-        """True when every coefficient is an exact rational."""
-        return all(isinstance(c, Fraction) for c in self.terms.values())
-
     def degree(self) -> int:
         """Maximal total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -138,7 +131,7 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float, complex)) and not isinstance(other, bool):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             c0 = _norm_coeff(other)
             if c0 == 0:
                 return Poly.zero(self.nvars)
@@ -177,12 +170,12 @@ class Poly:
             if other.nvars != self.nvars:
                 raise ValueError("nvars mismatch")
             return other
-        if isinstance(other, (int, Fraction, float, complex)) and not isinstance(other, bool):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return Poly.const(other, self.nvars)
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, float, complex)) and not isinstance(other, bool):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Poly.const(other, self.nvars)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -209,8 +202,8 @@ class Poly:
     def eval_at(self, point: Sequence):
         """Evaluate at a point; exact rational coefficients convert on the fly.
 
-        With complex entries the result is complex; with Fraction entries and
-        exact coefficients the result stays exact.
+        With complex entries the result is complex; with Fraction entries it
+        stays exact.
         """
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
@@ -230,7 +223,7 @@ class Poly:
 
         total = 0
         for m, c in self.terms.items():
-            val = complex(c) if inexact and isinstance(c, Fraction) else c
+            val = complex(c) if inexact else c
             for i, e in enumerate(m):
                 if e:
                     val = val * power(i, e)
@@ -418,8 +411,6 @@ def to_string(p: Poly, varnames: Sequence[str]) -> str:
     items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     pieces = []
     for mono, coeff in items:
-        if isinstance(coeff, complex):
-            raise ValueError("cannot render complex coefficients in the grammar")
         neg = coeff < 0
         mag = -coeff if neg else coeff
         factors = []

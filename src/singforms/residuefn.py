@@ -99,9 +99,12 @@ class ResidueSampler:
         anchors=None,
         fresh=(),
     ):
-        """Circles are tracked by continuation, or with ``anchors``, nearby
+        """The grid points P, every circle's samples, are built once.  Their
+        rows are tracked by continuation, or with ``anchors``, nearby
         solutions of shape (radii * samples, expected, n + k) with the radii
-        in order, solved in one batch by ``critpts.solve_anchored``.
+        in order, solved in one batch by ``critpts.solve_anchored``; either
+        way the finished rows become one point set in one
+        ``critpts._point_set`` call.
 
         Continuation starts from the first sample of each circle, r u,
         solved in one ``critpts.solve_fresh`` batch together with the
@@ -113,17 +116,20 @@ class ResidueSampler:
         self.direction = direction = np.asarray(direction, dtype=np.complex128)
         self.expected = expected
         self.cfg = cfg
+        P = np.array([critpts.circle(r * direction, cfg.samples) for r in cfg.radii])
+        points = P.reshape(-1, family.nunk)
         if anchors is None:
-            starts = [(r * direction, rng) for r in cfg.radii]
+            starts = [(Pc[0], rng) for Pc in P]
             solved = critpts.solve_fresh(family, itertools.chain(starts, fresh), expected)
             firsts, self.fresh = solved[: len(starts)], solved[len(starts) :]
             for ps in firsts:
                 if isinstance(ps, critpts.CountMismatchError):
                     raise ps
-            self.grid, self.stats = critpts.track_circle(family, firsts, cfg.samples, expected, rng)
+            X, self.stats = critpts.track_circle(family, P, firsts, expected, rng)
         else:
-            P = np.concatenate([critpts.circle(r * direction, cfg.samples) for r in cfg.radii])
-            self.grid, self.stats = critpts.solve_anchored(family, P, anchors, expected, rng)
+            X, self.stats = critpts.solve_anchored(family, points, anchors, expected, rng)
+        Xs = X.reshape(len(points), expected, family.nunk)
+        self.grid = critpts._point_set(family, points, Xs)[0]
         self.max_probe_deviation = 0.0
         self._basis_values = {}
 
@@ -187,16 +193,13 @@ class ResidueSampler:
         return reconstruct_rational(value.real, den, tol) if abs(value.imag) < tol else None
 
 
-def make_sampler(inst, cfg, seed, expected=None, fresh=()):
+def make_sampler(inst, cfg, seed, expected, fresh=()):
     """Standard sampler for an instance: its untwisted family, a seeded
-    generic direction, solved grids; ``fresh`` targets (p, rng) of that
-    family join the batch of the circles' first samples."""
+    generic direction, solved grids of ``expected`` rows per sample;
+    ``fresh`` targets (p, rng) of that family join the batch of the
+    circles' first samples."""
     rng = np.random.default_rng(seed)
     direction = critpts.generic_direction(rng, inst.n + inst.k)
-    if expected is None:
-        from .icis import index_nu
-
-        expected = index_nu(inst)
     return ResidueSampler(DeformationFamily(inst), direction, expected, cfg, rng, fresh=fresh)
 
 
@@ -211,7 +214,6 @@ class ProbeReport:
 
     ok: bool
     max_deviation: float
-    tolerance: float
     entries: list = field(default_factory=list)
 
 
@@ -249,7 +251,6 @@ def verify_ideal_vanishing(
     return ProbeReport(
         ok=worst < sampler.cfg.tol_match,
         max_deviation=worst,
-        tolerance=sampler.cfg.tol_match,
         entries=entries,
     )
 
@@ -309,6 +310,5 @@ def verify_class_invariance(
     return ProbeReport(
         ok=worst < cfg.tol_match,
         max_deviation=worst,
-        tolerance=cfg.tol_match,
         entries=entries,
     )

@@ -48,24 +48,26 @@ def direction_of(inst, seed):
 
 # ---- the multiplier system --------------------------------------------------
 
-def _check_system(fam, equations, seed):
+def _check_system(fam, vs, equations, seed):
     """Values and Jacobian of ``fam.system`` at seeded complex points X and
     deformation points P, one per row of X: at each p for all rows against
-    ``equations(p)``, the multiplier system at p written out by hand,
-    evaluated with ``Poly.eval_at`` and differentiated with ``Poly.diff``;
-    and with one p per row, where row i must match row i at P[i] alone to
+    ``equations``, the multiplier system written out by hand over the
+    unknowns ``vs`` and p = (p1, p2, ...), evaluated with ``Poly.eval_at``
+    at (x, p) and differentiated in the unknowns with ``Poly.diff``; and
+    with one p per row, where row i must match row i at P[i] alone to
     1e-14 relative."""
+    eqs = [parse(e, vs + [f"p{i + 1}" for i in range(fam.nunk)]) for e in equations]
+    assert len(eqs) == len(vs) == fam.nunk
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((4, fam.nunk)) + 1j * rng.standard_normal((4, fam.nunk))
     P = rng.standard_normal((4, fam.nunk)) + 1j * rng.standard_normal((4, fam.nunk))
     per_row = fam.system(P, X)
     for i, p in enumerate(P):
-        eqs = equations(p)
-        assert len(eqs) == fam.nunk
         vals, J = fam.system(p, X)
         for x, v, Jx in zip(X, vals, J):
-            want = np.array([e.eval_at(list(x)) for e in eqs])
-            want_J = np.array([[e.diff(c).eval_at(list(x)) for c in range(fam.nunk)] for e in eqs])
+            at = list(x) + list(p)
+            want = np.array([e.eval_at(at) for e in eqs])
+            want_J = np.array([[e.diff(c).eval_at(at) for c in range(fam.nunk)] for e in eqs])
             assert np.allclose(v, want, rtol=1e-12, atol=1e-12)
             assert np.allclose(Jx, want_J, rtol=1e-12, atol=1e-12)
         for got, want in zip(per_row, (vals, J)):
@@ -74,28 +76,23 @@ def _check_system(fam, equations, seed):
 
 def test_critical_system_ex1():
     """f - eps, then a_j x_j - alpha_j - lambda * 2 x_j."""
-    vs = ["x1", "x2", "l"]
-    _check_system(DeformationFamily(ex1(2, (1, 2))), lambda p: [
-        parse("x1^2 + x2^2", vs) - p[0],
-        parse("x1 - 2*l*x1", vs) - p[1],
-        parse("2*x2 - 2*l*x2", vs) - p[2],
+    _check_system(DeformationFamily(ex1(2, (1, 2))), ["x1", "x2", "l"], [
+        "x1^2 + x2^2 - p1",
+        "x1 - 2*l*x1 - p2",
+        "2*x2 - 2*l*x2 - p3",
     ], seed=1)
 
 
 def test_critical_system_k0():
     inst = ProblemInstance(2, 0, [], [Poly.variable(0, 2), Poly.variable(1, 2)])
-    vs = ["x1", "x2"]
-    _check_system(
-        DeformationFamily(inst), lambda p: [parse("x1", vs) - p[0], parse("x2", vs) - p[1]], seed=2
-    )
+    _check_system(DeformationFamily(inst), ["x1", "x2"], ["x1 - p1", "x2 - p2"], seed=2)
 
 
 def test_critical_system_cusp():
-    vs = ["x", "y", "l"]
-    _check_system(DeformationFamily(cusp()), lambda p: [
-        parse("x^2 - y^3", vs) - p[0],
-        parse("1 - 2*l*x", vs) - p[1],
-        parse("3*l*y^2", vs) - p[2],
+    _check_system(DeformationFamily(cusp()), ["x", "y", "l"], [
+        "x^2 - y^3 - p1",
+        "1 - 2*l*x - p2",
+        "3*l*y^2 - p3",
     ], seed=3)
 
 
@@ -103,17 +100,12 @@ def test_critical_system_twisted_cusp():
     """The twist (eta, h) = ((y, 1 - x), 2x) gives
     A_j + (f - eps) eta_j + h df/dx_j - alpha_j - lambda df/dx_j; with one
     p per row, each row keeps its own -eps eta_j term."""
-    vs = ["x", "y", "l"]
-
-    def equations(p):
-        fe = parse("x^2 - y^3", vs) - p[0]
-        return [
-            fe,
-            parse("1 + 4*x^2 - 2*l*x", vs) + fe * parse("y", vs) - p[1],
-            parse("-6*x*y^2 + 3*l*y^2", vs) + fe * parse("1 - x", vs) - p[2],
-        ]
-
-    _check_system(_twisted_cusp_family(), equations, seed=4)
+    fe = "(x^2 - y^3 - p1)"
+    _check_system(_twisted_cusp_family(), ["x", "y", "l"], [
+        fe,
+        f"1 + 4*x^2 - 2*l*x + {fe}*y - p2",
+        f"-6*x*y^2 + 3*l*y^2 + {fe}*(1 - x) - p3",
+    ], seed=4)
 
 
 # ---- closed-form oracle -----------------------------------------------------
@@ -370,13 +362,16 @@ def test_newton_freezes_rows_independently():
     """A singular Jacobian fails its own row and leaves the others.  With
     one tolerance per row and equation, a row freezes at the first iterate
     where each of its equations passes its own tolerance; a scalar
-    tolerance gives bitwise the result of that value on every entry."""
-    X, ok = critpts._newton(
+    tolerance gives bitwise the result of that value on every entry.  The
+    Jacobians returned are those at the returned rows, on the early exit
+    and after the last step."""
+    X, ok, J = critpts._newton(
         lambda X: (X**2 - 1, (2 * X)[:, :, None]),
         np.array([[0.0], [2.0]]), iters=14, tol=1e-14,
     )
     assert ok.tolist() == [False, True]
     assert abs(X[1, 0] - 1) < 1e-14
+    assert np.array_equal(J, (2 * X)[:, :, None])
 
     x, iterates = 2.0, []
     for _ in range(4):
@@ -384,17 +379,21 @@ def test_newton_freezes_rows_independently():
         iterates.append(x)
     # |x^2 - 1| at the iterates: 0.56, 0.051, 6.1e-4, 9.3e-8
     tol = np.array([[1e-3, 1e-3], [1e-3, 1e-6], [1e-14, 1e-14]])
-    X, ok = critpts._newton(_diagonal_squares, np.full((3, 2), 2.0), iters=14, tol=tol)
+    X, ok, J = critpts._newton(_diagonal_squares, np.full((3, 2), 2.0), iters=14, tol=tol)
     assert ok.all()
+    assert np.array_equal(J, _diagonal_squares(X)[1])
     assert X[0].tolist() == [iterates[2]] * 2
     assert X[1].tolist() == [iterates[3]] * 2  # the second equation holds it back
     assert np.abs(X[2] ** 2 - 1).max() < 1e-14
+    X, ok, J = critpts._newton(_diagonal_squares, np.full((3, 2), 2.0), iters=1, tol=tol)
+    assert not ok.any() and X.tolist() == [[iterates[0]] * 2] * 3
+    assert np.array_equal(J, _diagonal_squares(X)[1])
 
     X0 = np.array([[2.0, 3.0], [0.5, 1.5], [0.0, 2.0]])
     for tol in (1e-14, 1e-6):
-        Xs, oks = critpts._newton(_diagonal_squares, X0, iters=14, tol=tol)
-        Xa, oka = critpts._newton(_diagonal_squares, X0, iters=14, tol=np.full(X0.shape, tol))
-        assert np.array_equal(Xs, Xa) and np.array_equal(oks, oka)
+        Xs, oks, Js = critpts._newton(_diagonal_squares, X0, iters=14, tol=tol)
+        Xa, oka, Ja = critpts._newton(_diagonal_squares, X0, iters=14, tol=np.full(X0.shape, tol))
+        assert np.array_equal(Xs, Xa) and np.array_equal(oks, oka) and np.array_equal(Js, Ja)
         assert oks.tolist() == [True, True, False]
 
 
@@ -535,6 +534,12 @@ def test_failing_target_retries_and_fails_alone(monkeypatch):
 
 # ---- anchored solves --------------------------------------------------------
 
+def _grid(fam, P, X):
+    """The point set of the rows X of the grid points P, one block of rows
+    per point."""
+    return critpts._point_set(fam, P, np.reshape(X, (len(P), -1, fam.nunk)))[0]
+
+
 def _twisted_cusp_grid(samples):
     """A twisted cusp family, the points P of a circle of radius 1e-2 and,
     per sample, the base points with the first multiplier shifted by h(x):
@@ -546,8 +551,8 @@ def _twisted_cusp_grid(samples):
     twisted = DeformationFamily(inst, twist=(eta, h))
     P = circle(1e-2 * direction_of(inst, 42), samples)
     rng = np.random.default_rng(0)
-    grid, _ = track_circle(base, [solve_family_at(base, P[0], 4, rng)], samples, 4, rng)
-    anchors = grid.X.reshape(samples, 4, 3)
+    X, _ = track_circle(base, P[None], [solve_family_at(base, P[0], 4, rng)], 4, rng)
+    anchors = _grid(base, P, X).X.reshape(samples, 4, 3)
     shift = StackedPolys([h], 2).eval(anchors[:, :, :2].reshape(-1, 2))
     anchors[:, :, 2] += shift.reshape(samples, 4)
     return twisted, P, anchors
@@ -557,11 +562,13 @@ def test_solve_anchored_matches_continuation():
     """One anchored Newton batch gives the point sets of a circle
     continuation of the twisted family."""
     twisted, P, anchors = _twisted_cusp_grid(16)
-    got, got_stats = solve_anchored(twisted, P, anchors, 4, np.random.default_rng(1))
+    X, got_stats = solve_anchored(twisted, P, anchors, 4, np.random.default_rng(1))
     rng = np.random.default_rng(3)
-    want, stats = track_circle(twisted, [solve_family_at(twisted, P[0], 4, rng)], 16, 4, rng)
+    Y, stats = track_circle(twisted, P[None], [solve_family_at(twisted, P[0], 4, rng)], 4, rng)
+    assert X.shape == (16, 4, 3) and Y.shape == (1, 16, 4, 3)
     assert stats["fresh_solves"] == 1
     assert got_stats["fresh_solves"] == 0  # no fresh solve
+    got, want = _grid(twisted, P, X), _grid(twisted, P, Y)
     assert len(got) == len(want) == 16 * 4
     assert np.array_equal(got.p, np.repeat(P, 4, axis=0)) and np.array_equal(want.p, got.p)
     assert np.max(np.abs(got.X - want.X)) < 1e-12
@@ -584,15 +591,15 @@ def test_solve_anchored_falls_back_per_sample(monkeypatch):
 
     monkeypatch.setattr(critpts, "solve_fresh", recording)
     assert solve_warm(twisted, P, anchors, 4)[1].tolist() == [i != 2 for i in range(8)]
-    grid, stats = solve_anchored(twisted, P, anchors, 4, np.random.default_rng(1))
+    X, stats = solve_anchored(twisted, P, anchors, 4, np.random.default_rng(1))
     assert np.array_equal(fresh, P[2:3])
     assert stats["fresh_solves"] == 1
-    assert len(grid) == 8 * 4
-    assert np.array_equal(grid.p, np.repeat(P, 4, axis=0))
+    assert X.shape == (8, 4, 3)
     want = solve_family_at(twisted, P[2], 4, np.random.default_rng(5))
-    assert np.max(np.abs(grid.X[8:12] - want.X)) < 1e-12
+    assert np.max(np.abs(X[2] - want.X)) < 1e-12
     warm, _ = solve_anchored(twisted, P, good, 4, np.random.default_rng(1))
-    assert np.max(np.abs(grid.X - warm.X)) < 1e-12
+    assert np.array_equal(np.delete(X, 2, axis=0), np.delete(warm, 2, axis=0))
+    assert np.max(np.abs(_grid(twisted, P, X).X - _grid(twisted, P, warm).X)) < 1e-12
 
 
 def test_warm_batch_drops_degenerate_samples_alone(monkeypatch):
@@ -611,8 +618,34 @@ def test_warm_batch_drops_degenerate_samples_alone(monkeypatch):
     monkeypatch.setattr(twisted, "jacobian_data", no_chart_in_third_sample)
     got, ok = solve_warm(twisted, P, anchors, 4)
     assert ok.tolist() == [i != 2 for i in range(8)]
-    assert np.array_equal(got.X, want.X[np.repeat(ok, 4)])
-    assert np.array_equal(got.p, want.p[np.repeat(ok, 4)])
+    assert got.shape == want.shape == (8, 4, 3)
+    assert np.array_equal(got[ok], want[ok])
+
+
+def test_solve_warm_evaluates_the_system_only_in_newton(monkeypatch):
+    """A warm batch takes its chart mask from the Jacobians of Newton's
+    last evaluation: every system evaluation is one of Newton's."""
+    twisted, P, anchors = _twisted_cusp_grid(8)
+    newton, system = critpts._newton, DeformationFamily.system
+    depth, inside, outside = [0], [], []
+
+    def tracking(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def recording(self, P, X):
+        (inside if depth[0] else outside).append(len(X))
+        return system(self, P, X)
+
+    monkeypatch.setattr(critpts, "_newton", tracking)
+    monkeypatch.setattr(DeformationFamily, "system", recording)
+    _, ok = solve_warm(twisted, P, anchors, 4)
+    assert ok.all()
+    assert inside and set(inside) == {8 * 4}
+    assert outside == []
 
 
 # ---- Jacobian value ---------------------------------------------------------
@@ -663,11 +696,12 @@ def _solved_grids():
     """(name, family, grid): the circle grids of every corpus instance at
     16 samples (k = 0, 1, 2), and an anchored grid of the twisted cusp."""
     for name, ci in CORPUS.items():
-        sampler = make_sampler(ci.instance(), LimitConfig(samples=16), 42)
+        inst = ci.instance()
+        sampler = make_sampler(inst, LimitConfig(samples=16), 42, index_nu(inst))
         yield name, sampler.family, sampler.grid
     twisted, P, anchors = _twisted_cusp_grid(16)
-    grid, _ = solve_anchored(twisted, P, anchors, 4, np.random.default_rng(1))
-    yield "twisted_cusp", twisted, grid
+    X, _ = solve_anchored(twisted, P, anchors, 4, np.random.default_rng(1))
+    yield "twisted_cusp", twisted, _grid(twisted, P, X)
 
 
 def test_bordered_identity_on_every_block():
@@ -730,7 +764,7 @@ def test_chart_data_with_per_row_t():
     a = solve_family_at(fam, 1e-2 * u, 6, np.random.default_rng(0))
     b = solve_family_at(fam, 2e-2j * u, 6, np.random.default_rng(1))
     X = np.concatenate([a.X, b.X])
-    tr = np.repeat([a.p, b.p], 6, axis=0)
+    tr = np.concatenate([a.p, b.p])
     delta, jt, block, S, chart = fam.jacobian_data(fam.system(tr, X)[1])
     assert chart.all()
     assert len(set(block.tolist())) > 1
@@ -789,9 +823,9 @@ def test_chart_mask_fails_only_the_degenerate_rows(name, expected, near):
     ps = solve_family_at(fam, _point(fam), expected, np.random.default_rng(0))
     zero = np.zeros(fam.nunk)
     near = np.concatenate([near, ps.X[0, fam.n :]])  # with a solution's multipliers
-    dfx = fam.system(ps.p, near[None])[1][0, : fam.k, : fam.n]
+    dfx = fam.system(ps.p[0], near[None])[1][0, : fam.k, : fam.n]
     assert np.argmax([abs(np.linalg.det(dfx[:, list(K)])) for K in fam.blocks]) != 0
-    J = fam.system(ps.p, np.vstack([ps.X, zero, near]))[1]
+    J = fam.system(ps.p[0], np.vstack([ps.X, zero, near]))[1]
     delta, jt, block, S, chart = fam.jacobian_data(J)
     assert chart.tolist() == [True] * expected + [False, False]
     assert all(np.isfinite(a).all() for a in (delta, jt, S))
@@ -800,7 +834,7 @@ def test_chart_mask_fails_only_the_degenerate_rows(name, expected, near):
         assert np.allclose(got[:expected], w, rtol=1e-12, atol=0)
     Xs = np.repeat(ps.X[None], 4, axis=0)
     Xs[1, 0], Xs[2, -1] = zero, near
-    _, ok = critpts._point_set(fam, [ps.p] * 4, Xs)
+    _, ok = critpts._point_set(fam, [ps.p[0]] * 4, Xs)
     assert ok.tolist() == [True, False, False, True]
 
 
@@ -819,7 +853,11 @@ def test_track_circle_counts():
     p = 1e-2 * direction_of(inst, 5)
     fam = DeformationFamily(inst)
     rng = np.random.default_rng(2)
-    grid, stats = track_circle(fam, [solve_family_at(fam, p, 4, rng)], 16, 4, rng)
+    first = solve_family_at(fam, p, 4, rng)
+    X, stats = track_circle(fam, circle(p, 16)[None], [first], 4, rng)
+    assert X.shape == (1, 16, 4, 3)
+    assert np.array_equal(X[0, 0], first.X)
+    grid = _grid(fam, circle(p, 16), X)
     assert len(grid) == 16 * 4
     assert np.array_equal(grid.p, np.repeat(circle(p, 16), 4, axis=0))
     # nondegeneracy of every point on the whole circle
@@ -840,12 +878,14 @@ def test_lockstep_matches_circle_by_circle(name, expected, radii):
     continuing each circle alone."""
     fam = _corpus_family(name)
     firsts, rng = _firsts(fam, radii, expected, 1)
-    grid, stats = track_circle(fam, firsts, 16, expected, rng)
-    alone = [track_circle(fam, [ps], 16, expected, rng) for ps in firsts]
+    P = np.array([circle(ps.p[0], 16) for ps in firsts])
+    X, stats = track_circle(fam, P, firsts, expected, rng)
+    alone = [track_circle(fam, P[c : c + 1], [ps], expected, rng) for c, ps in enumerate(firsts)]
     rows = 16 * expected
-    assert len(grid) == len(radii) * rows
-    for c, (want, want_stats) in enumerate(alone):
-        part = grid.rows(slice(c * rows, c * rows + rows))
+    assert X.shape == (len(radii), 16, expected, fam.nunk)
+    grid = _grid(fam, P.reshape(-1, fam.nunk), X)
+    for c, (Y, want_stats) in enumerate(alone):
+        part, want = grid.rows(slice(c * rows, c * rows + rows)), _grid(fam, P[c], Y)
         assert np.array_equal(part.p, want.p)
         assert np.max(np.abs(part.X - want.X)) < 1e-12
         assert np.array_equal(part.block, want.block)
@@ -865,16 +905,16 @@ def test_lockstep_failed_step_falls_back_alone(monkeypatch, inner):
     fam = _corpus_family("cusp")
     radii = (1e-2, 5e-3)
     firsts, rng = _firsts(fam, radii, 4, 1)
-    want, _ = track_circle(fam, firsts, 16, 4, np.random.default_rng(2))
+    P = np.array([circle(ps.p[0], 16) for ps in firsts])
+    want, _ = track_circle(fam, P, firsts, 4, np.random.default_rng(2))
     warm, solve_fresh = critpts.solve_warm, critpts.solve_fresh
     bad_p = circle(_point(fam, radii[inner]), 16)[5]
     calls, fresh = [], []
 
     def fail_at_bad_p(family, P, starts, expected):
         calls.append(len(P))
-        ps, ok = warm(family, P, starts, expected)
-        keep = (P != bad_p).any(axis=1)
-        return ps.rows(np.repeat(keep[ok], expected)), ok & keep
+        X, ok = warm(family, P, starts, expected)
+        return X, ok & (P != bad_p).any(axis=1)
 
     def recording(family, targets, expected):
         targets = list(targets)
@@ -883,12 +923,13 @@ def test_lockstep_failed_step_falls_back_alone(monkeypatch, inner):
 
     monkeypatch.setattr(critpts, "solve_warm", fail_at_bad_p)
     monkeypatch.setattr(critpts, "solve_fresh", recording)
-    grid, stats = track_circle(fam, firsts, 16, 4, np.random.default_rng(2))
+    X, stats = track_circle(fam, P, firsts, 4, np.random.default_rng(2))
     assert calls == [2] * 15  # one batch per angle step
     assert np.array_equal(fresh, [bad_p])
     assert stats["fresh_solves"] == 3
-    failed = slice(64, None) if inner else slice(0, 64)
-    untouched = slice(0, 64) if inner else slice(64, None)
-    assert np.array_equal(grid.X[untouched], want.X[untouched])
-    assert np.max(np.abs(grid.X[failed] - want.X[failed])) < 1e-12
-    assert np.array_equal(grid.p, want.p)
+    assert X.shape == want.shape == (2, 16, 4, 3)
+    failed, untouched = int(inner), 1 - int(inner)
+    assert np.array_equal(X[untouched], want[untouched])
+    assert np.array_equal(X[failed, :5], want[failed, :5])
+    got_set, want_set = _grid(fam, P[failed], X[failed]), _grid(fam, P[failed], want[failed])
+    assert np.max(np.abs(got_set.X - want_set.X)) < 1e-12

@@ -107,6 +107,20 @@ def test_leibniz(p, q):
         assert (p * q).diff(i) == p.diff(i) * q + p * q.diff(i)
 
 
+def test_coefficients_are_exact_only():
+    """Float, complex and bool coefficients are a TypeError, in the
+    constructor and as scalars; int ones become Fractions."""
+    for c in (0.5, 0.5 + 1j, True):
+        with pytest.raises(TypeError):
+            Poly({(1,): c}, 1)
+        with pytest.raises(TypeError):
+            Poly.one(1) * c
+        with pytest.raises(TypeError):
+            Poly.one(1) + c
+    assert Poly({(1,): 2}, 1).terms == {(1,): Fraction(2)}
+    assert (Poly.one(1) * Fraction(1, 2)).terms == {(0,): Fraction(1, 2)}
+
+
 # ---- evaluation -----------------------------------------------------------
 
 def test_eval_examples():

@@ -231,7 +231,7 @@ def test_qomega_numeric_trivial():
     inst = ProblemInstance(
         2, 1, [parse("x1", VS2)], [Poly.zero(2), Poly.variable(1, 2)]
     )
-    v = qomega_numeric([FormGenerator(Poly.one(2), (1,))], make_sampler(inst, CFG, 42))[0][0]
+    v = qomega_numeric([FormGenerator(Poly.one(2), (1,))], make_sampler(inst, CFG, 42, 1))[0][0]
     assert abs(v - 1.0) < 1e-10
 
 

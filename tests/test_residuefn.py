@@ -31,12 +31,12 @@ def ex1(n, a):
 
 @pytest.fixture(scope="module")
 def ex1_n2_sampler():
-    return make_sampler(ex1(2, (1, 2)), LimitConfig(), 42)
+    return make_sampler(ex1(2, (1, 2)), LimitConfig(), 42, 4)
 
 
 @pytest.fixture(scope="module")
 def ex1_n3_sampler():
-    return make_sampler(ex1(3, (1, 2, 4)), LimitConfig(), 42)
+    return make_sampler(ex1(3, (1, 2, 4)), LimitConfig(), 42, 6)
 
 
 def test_limit_config_validation():
@@ -76,7 +76,7 @@ def test_r_at_closed_form():
     v = _r_at(inst, u, parse("x1^2", VS2), expected=4, seed=3)
     assert abs(v - 0.5) < 1e-12
     # an equation vanishes on the fiber at every deformation
-    v0 = _r_at(inst, u, inst.f[0] - 0.01, expected=4, seed=3)
+    v0 = _r_at(inst, u, inst.f[0] - Fraction(1, 100), expected=4, seed=3)
     assert abs(v0) < 1e-12
 
 
@@ -123,7 +123,7 @@ def test_realness(ex1_n3_sampler):
 
 def test_circle_mean_stability_halved_radius():
     cfg = LimitConfig(radii=(1e-2, 5e-3, 2.5e-3))
-    s = make_sampler(ex1(2, (1, 2)), cfg, 42)
+    s = make_sampler(ex1(2, (1, 2)), cfg, 42, 4)
     sp = StackedPolys([parse("x1^2", VS2)], 2)
     g = s.grid  # the three circles one after another
     means = (sp.eval(g.x)[:, 0] / g.jtilde).reshape(3, -1).sum(axis=1) / cfg.samples
@@ -133,7 +133,7 @@ def test_circle_mean_stability_halved_radius():
 
 def test_non_convergent_reports():
     cfg = LimitConfig(tol_match=1e-18)
-    s = make_sampler(ex1(2, (1, 2)), cfg, 42)
+    s = make_sampler(ex1(2, (1, 2)), cfg, 42, 4)
     with pytest.raises(NonConvergentError) as exc:
         s.r_of([parse("x1^2", VS2)])
     assert len(exc.value.deviations) == 2
@@ -152,7 +152,7 @@ def test_batch_independence(ex1_n2_sampler):
 
 def test_non_convergent_names_probe_in_batch(monkeypatch):
     cfg = LimitConfig(tol_match=1e-18)
-    s = make_sampler(ex1(2, (1, 2)), cfg, 42)
+    s = make_sampler(ex1(2, (1, 2)), cfg, 42, 4)
     for block_rows in (residuefn._BLOCK_ROWS, 7):  # 7 splits a sample's point set
         monkeypatch.setattr(residuefn, "_BLOCK_ROWS", block_rows)
         # the zero probe has identical means at both radii and passes
@@ -204,15 +204,34 @@ def test_base_sampler_makes_one_warm_batch_per_angle_step(monkeypatch):
 
     monkeypatch.setattr(critpts, "solve_warm", counting)
     cfg = LimitConfig(samples=32)
-    make_sampler(ex1(2, (1, 2)), cfg, 42)
+    make_sampler(ex1(2, (1, 2)), cfg, 42, 4)
     assert calls == [2] * (cfg.samples - 1)
+
+
+def test_sampler_makes_one_point_set_per_grid(monkeypatch):
+    """The circles' first samples are one point set each, from their fresh
+    solves, and the finished grid is one more: 3 point sets for two radii,
+    however many samples."""
+    point_set, calls = critpts._point_set, []
+
+    def counting(family, P, Xs, diagnostics=None):
+        calls.append(len(P))
+        return point_set(family, P, Xs, diagnostics)
+
+    monkeypatch.setattr(critpts, "_point_set", counting)
+    s = make_sampler(ex1(2, (1, 2)), LimitConfig(samples=16), 42, 4)
+    assert calls == [1, 1, 2 * 16]
+    assert len(s.grid) == 2 * 16 * 4
+    assert np.array_equal(s.grid.p[::4], np.concatenate(
+        [critpts.circle(r * s.direction, 16) for r in s.cfg.radii]
+    ))
 
 
 def test_r_limit_surface_and_seed_independence():
     """Different seeds use different generic rays; exact limits agree."""
     inst = ex1(2, (1, 2))
     for seed in (7, 123):
-        s = make_sampler(inst, LimitConfig(), seed)
+        s = make_sampler(inst, LimitConfig(), seed, 4)
         v = s.r_of([parse("x1^2", VS2)])[0]
         assert s.rational(v) == Fraction(1, 2)
         assert s.max_probe_deviation < 1e-8
@@ -245,7 +264,7 @@ def test_ideal_vanishing_cusp():
         2, 1, [parse("x^2 - y^3", ["x", "y"])], [Poly.one(2), Poly.zero(2)]
     )
     rep = verify_ideal_vanishing(
-        inst, algebra(inst), make_sampler(inst, LimitConfig(), 42), 42
+        inst, algebra(inst), make_sampler(inst, LimitConfig(), 42, 4), 42
     )
     assert rep.ok
 
@@ -277,7 +296,7 @@ def test_class_invariance_explicit():
     """omega' = omega + f eta + h df leaves every probe unchanged."""
     inst = ex1(2, (1, 2))
     cfg = LimitConfig()
-    base = make_sampler(inst, cfg, 42)
+    base = make_sampler(inst, cfg, 42, 4)
     from singforms.polyring import Poly as P_
 
     probes = [parse(s, VS2) for s in ["1", "x1", "x2", "x1^2"]]
@@ -295,7 +314,7 @@ def test_class_invariance_explicit():
 
 def test_class_invariance_suite():
     inst = ex1(2, (1, 2))
-    sampler = make_sampler(inst, LimitConfig(), 42)
+    sampler = make_sampler(inst, LimitConfig(), 42, 4)
     rep = verify_class_invariance(inst, algebra(inst), sampler, 42, variants=2)
     assert rep.ok
     assert rep.max_deviation < 1e-8
@@ -307,7 +326,7 @@ def test_class_invariance_cusp_cold_start():
         2, 1, [parse("x^2 - y^3", ["x", "y"])], [Poly.one(2), Poly.zero(2)]
     )
     cfg = LimitConfig()
-    base = make_sampler(inst, cfg, 42)
+    base = make_sampler(inst, cfg, 42, 4)
     eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
     h = parse("2*x", ["x", "y"])
     fam = DeformationFamily(inst, twist=(eta, h))
