@@ -111,14 +111,6 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _fmt_exact_matrix(mat) -> list:
-    return [" ".join(str(v) for v in row) for row in mat]
-
-
-def _fmt_numeric_matrix(mat) -> list:
-    return [" ".join(_fmt_float(v) for v in row) for row in mat]
-
-
 def render_report(name: str, res: AnalysisResult) -> str:
     cfg = res.config
     vs = list(res.variables)
@@ -146,20 +138,22 @@ def render_report(name: str, res: AnalysisResult) -> str:
         "basis: "
         + " ".join(to_string(Poly.monomial(m), vs) for m in res.basis)
     )
+
+    def gram(label, form):
+        """The exact Gram when there is one, else the numeric one."""
+        if form.exact is not None:
+            add(f"{label}_exact:")
+            rows = [map(str, row) for row in form.exact]
+        else:
+            add(f"{label}_numeric:")
+            rows = [map(_fmt_float, row) for row in form.numeric]
+        for row in rows:
+            add("  " + " ".join(row))
+
     qa = res.gram_qa
-    if qa.exact is not None:
-        add("gram_qa_exact:")
-        for row in _fmt_exact_matrix(qa.exact):
-            add("  " + row)
-    else:
-        add("gram_qa_numeric:")
-        for row in _fmt_numeric_matrix(qa.numeric):
-            add("  " + row)
-        if qa.failed_entries:
-            add(
-                "gram_qa_unrationalized: "
-                + " ".join(f"({i},{j})" for i, j in qa.failed_entries)
-            )
+    gram("gram_qa", qa)
+    if qa.failed_entries:  # there is no exact Gram then
+        add("gram_qa_unrationalized: " + " ".join(f"({i},{j})" for i, j in qa.failed_entries))
     add(f"rank_qa: {res.rank_qa}")
     add(f"signature_qa: {res.signature_qa}")
     add("generators: " + ", ".join(g.label(vs) for g in res.generators))
@@ -168,14 +162,7 @@ def render_report(name: str, res: AnalysisResult) -> str:
         " K the complementary block, columns ascending, sgn the shuffle sign"
     )
     qo = res.qomega
-    if qo.gram.exact is not None:
-        add("gram_qomega_exact:")
-        for row in _fmt_exact_matrix(qo.gram.exact):
-            add("  " + row)
-    else:
-        add("gram_qomega_numeric:")
-        for row in _fmt_numeric_matrix(qo.gram.numeric):
-            add("  " + row)
+    gram("gram_qomega", qo.gram)
     add(f"rank_qomega: {qo.rank}")
     add(f"im_lambda_dim: {qo.im_lambda_dim}")
     for c in res.checks:
@@ -245,10 +232,24 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if res.all_ok else EXIT_SOLVER
 
 
-def _check_claim(name, expected, computed, rows):
-    ok = expected == computed
-    rows.append((name, str(expected), str(computed), "pass" if ok else "FAIL"))
-    return ok
+def _claim_values(res: AnalysisResult) -> list:
+    """(claim name, computed value) in report order; a value that cannot be
+    computed without exact Grams is None, and the Gram claims are left out
+    then."""
+    qo = res.qomega
+    values = [
+        ("nu", res.nu),
+        ("tau_prime", res.tau),
+        ("rank_qa", res.rank_qa),
+        ("signature_qa", res.signature_qa),
+        ("rank_qomega", qo.rank),
+    ]
+    if qo.gram.exact is not None:
+        values.append(("qomega_diag", [qo.gram.exact[i][i] for i in range(qo.gram.dim)]))
+    if res.gram_qa.exact is not None:
+        values.append(("gram_qa", res.gram_qa.exact))
+    tight = None if None in (res.rank_qa, qo.rank) else res.rank_qa - qo.rank == 2 * res.tau
+    return values + [("tight_gap", tight)]
 
 
 def cmd_verify_corpus(args) -> int:
@@ -281,39 +282,16 @@ def cmd_verify_corpus(args) -> int:
             print(f"{name}: pipeline failure: {exc}")
             all_ok = False
             continue
-        rows = []
-        cl = ci.claims
-        if "nu" in cl:
-            all_ok &= _check_claim("nu", cl["nu"], res.nu, rows)
-        if "tau_prime" in cl:
-            all_ok &= _check_claim("tau_prime", cl["tau_prime"], res.tau, rows)
-        if "rank_qa" in cl:
-            all_ok &= _check_claim("rank_qa", cl["rank_qa"], res.rank_qa, rows)
-        if "signature_qa" in cl:
-            all_ok &= _check_claim(
-                "signature_qa", cl["signature_qa"], res.signature_qa, rows
-            )
-        if "rank_qomega" in cl:
-            all_ok &= _check_claim(
-                "rank_qomega", cl["rank_qomega"], res.qomega.rank, rows
-            )
-        if "qomega_diag" in cl and res.qomega.gram.exact is not None:
-            diag = [
-                res.qomega.gram.exact[i][i]
-                for i in range(res.qomega.gram.dim)
-            ]
-            all_ok &= _check_claim("qomega_diag", cl["qomega_diag"], diag, rows)
-        if "gram_qa" in cl and res.gram_qa.exact is not None:
-            want = [[Fraction(v) for v in row] for row in cl["gram_qa"]]
-            all_ok &= _check_claim("gram_qa", want, res.gram_qa.exact, rows)
-        if "tight_gap" in cl:
-            tight = (res.rank_qa - res.qomega.rank) == 2 * res.tau
-            all_ok &= _check_claim("tight_gap", cl["tight_gap"], tight, rows)
-        ok_checks = res.all_ok
-        all_ok &= ok_checks
-        print(f"instance {name}: claims+checks {'pass' if ok_checks else 'FAIL'}")
-        for rname, want, got, status in rows:
-            print(f"  claim {rname}: expected {want} computed {got} {status}")
+        claims = dict(ci.claims)
+        if "gram_qa" in claims:
+            claims["gram_qa"] = [[Fraction(v) for v in row] for row in claims["gram_qa"]]
+        rows = [(c, claims[c], got) for c, got in _claim_values(res) if c in claims]
+        ok = res.all_ok and all(want == got for _, want, got in rows)
+        all_ok &= ok
+        print(f"instance {name}: claims+checks {'pass' if ok else 'FAIL'}")
+        for c, want, got in rows:
+            status = "pass" if want == got else "FAIL"
+            print(f"  claim {c}: expected {want} computed {got} {status}")
         for c in res.checks:
             status = "pass" if c.ok else "FAIL"
             print(f"  check {c.name}: {status} {c.detail} tol={c.tolerance}")

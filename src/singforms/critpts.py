@@ -27,15 +27,15 @@ the targets of a batch that find the wrong count retry together, up to
 ``_MAX_RETRIES`` times, with a new gamma and start system each.
 
 ``solve_warm`` runs one batched Newton (``_newton``) over the samples of a
-grid, each from its own nearby solutions; a sample passes when three
-masks hold: every row converged, no two rows are within the merge
-tolerance, and its chart, from the Jacobians of Newton's last evaluation,
-is not degenerate.  ``solve_anchored`` is the one recovery rule:
-``solve_warm``, then the samples that fail in one ``solve_fresh`` batch,
-whose rows are written in.  ``track_circle`` calls it once per angle step
-for all circles in lockstep.  Both work on arrays of rows, one block of
-``expected`` rows per sample; the caller makes the finished grid one point
-set with ``_point_set``.
+grid, each from its own nearby solutions; a sample passes when every row
+converged and no two rows are within the merge tolerance.
+``solve_anchored`` is the one recovery rule: ``solve_warm``, then the
+samples that fail in one ``solve_fresh`` batch, whose rows are written in.
+``track_circle`` calls it once per angle step for all circles in lockstep.
+Both work on arrays of rows, one block of ``expected`` rows per sample; the
+caller makes the finished grid one point set with ``_point_set``, which
+tests the chart once per point set: the chart depends on the points at p
+alone, so no Newton batch tests it.
 
 At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
 is selected, Delta_K is that determinant and the fiber chart dx_K = S dx_L
@@ -75,7 +75,8 @@ _MAX_RETRIES = 3
 
 
 class CountMismatchError(RuntimeError):
-    """Solver could not certify the expected number of critical points."""
+    """Solver could not certify the expected number of critical points, or
+    a finished grid of them has a degenerate chart."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -383,9 +384,8 @@ def _solve(J, b):
 
 def _newton(FJ, X, iters, tol):
     """Newton on every row of X (FJ gives all rows' residuals and
-    Jacobians); returns (X, ok, J) per row, J the Jacobians of the last
-    evaluation, which is at the returned X.  ``tol`` is a scalar or one
-    value per row and equation.  A row freezes once every |F_e| < tol_e
+    Jacobians); returns (X, ok) per row.  ``tol`` is a scalar or one value
+    per row and equation.  A row freezes once every |F_e| < tol_e
     (ok), or at a singular Jacobian or non-finite iterate (not ok).  A row
     still moving after ``iters`` steps is ok when every |F_e| < 100 * tol_e.
     Frozen rows stay in the batch and are masked, cheaper than gathering."""
@@ -398,14 +398,14 @@ def _newton(FJ, X, iters, tol):
         ok |= live & small
         live &= ~small
         if not live.any():
-            return X, ok, J
+            return X, ok
         dx, singular = _solve(J, vals)
         step = X - dx
         live &= ~singular & np.isfinite(step).all(axis=1)
         X = np.where(live[:, None], step, X)
-    vals, J = FJ(X)
+    vals, _ = FJ(X)
     ok |= live & (np.abs(vals) < 100 * tol).all(axis=1)
-    return X, ok, J
+    return X, ok
 
 
 @np.errstate(over="ignore", invalid="ignore")  # paths to infinity may overflow
@@ -446,7 +446,7 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
             act, dx, step = act[~singular], dx[~singular], step[~singular]
         s_new, ta = s[act] + step, tgt[act]
         X_pred = X[act] - step[:, None] * dx
-        X_corr, ok, _ = _newton(
+        X_corr, ok = _newton(
             lambda Y: h.eval(Y, s_new, ta)[:2], X_pred, iters=4, tol=1e-11 * h.scale(X_pred)
         )
         acc = act[ok]
@@ -460,7 +460,7 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
         act = np.flatnonzero((status == "tracking") & (s < 1.0))
     # polish on the target system
     fin = np.flatnonzero(status == "tracking")
-    X_fin, ok, _ = _newton(lambda Y: h.eval(Y, 1.0, tgt[fin])[:2], X[fin], iters=12, tol=1e-14)
+    X_fin, ok = _newton(lambda Y: h.eval(Y, 1.0, tgt[fin])[:2], X[fin], iters=12, tol=1e-14)
     ok &= np.abs(X_fin).max(axis=1) < _DIVERGENCE
     X[fin] = X_fin
     status[fin] = "converged"
@@ -469,7 +469,7 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
 
 
 def _newton_family(family, P, X0):
-    """Newton on the family system at P (one point or one per row) for a batch; (X, ok, J)."""
+    """Newton on the family system at P (one point or one per row) for a batch; (X, ok)."""
     return _newton(lambda X: family.system(P, X), X0, iters=14, tol=1e-14)
 
 
@@ -492,26 +492,15 @@ def _distinct(Xs: np.ndarray, tol: np.ndarray) -> np.ndarray:
     return dist.min(axis=(1, 2), initial=np.inf) >= tol
 
 
-def _chart_data(family, J, shape):
-    """(delta, jtilde, block, S) of ``jacobian_data`` on the system
-    Jacobians J, whose rows run sample by sample in ``shape`` (samples, m),
-    and the mask of samples whose chart is not degenerate.  A sample's
-    chart is degenerate when one of its rows has no chart, or its least
-    |Jtilde| is below 1e-10 times its largest."""
-    *data, chart = family.jacobian_data(J)
-    jts = np.abs(data[1]).reshape(shape)
-    ok = chart.reshape(shape).all(axis=1)
-    ok &= jts.min(axis=1, initial=np.inf) >= 1e-10 * jts.max(axis=1, initial=0.0)
-    return data, ok
-
-
 def _point_set(family, P, Xs, diagnostics=None):
-    """(one point set over the samples, one p per row, and the
-    ``_chart_data`` mask of its samples): the rows Xs[i] (shape (samples,
+    """(one point set over the samples, one p per row, and the mask of its
+    samples whose chart is not degenerate): the rows Xs[i] (shape (samples,
     m, n + k)) at P[i], sample after sample, each sample's rows sorted by
     (re, im) of their entries.  One system evaluation serves all rows: the
     residual is max |F| of its values, and its Jacobian gives Jtilde and
-    the chart data."""
+    the chart data of ``jacobian_data``.  A sample's chart is degenerate
+    when one of its rows has no chart, or its least |Jtilde| is below 1e-10
+    times its largest; this is the one chart test of a point set."""
     P = np.asarray(P, dtype=np.complex128)
     Xs = np.asarray(Xs, dtype=np.complex128)
     m = Xs.shape[1]
@@ -520,7 +509,10 @@ def _point_set(family, P, Xs, diagnostics=None):
     X = X[np.lexsort(keys + [np.repeat(np.arange(len(P)), m)])]
     p = np.repeat(P, m, axis=0)
     F, J = family.system(p, X)
-    data, ok = _chart_data(family, J, Xs.shape[:2])
+    *data, chart = family.jacobian_data(J)
+    jts = np.abs(data[1]).reshape(Xs.shape[:2])
+    ok = chart.reshape(Xs.shape[:2]).all(axis=1)
+    ok &= jts.min(axis=1, initial=np.inf) >= 1e-10 * jts.max(axis=1, initial=0.0)
     return CriticalPointSet(p, X, np.abs(F).max(axis=1), *data, diagnostics or {}), ok
 
 
@@ -553,7 +545,7 @@ def solve_fresh(family: DeformationFamily, targets, expected: int) -> list:
         ends, status = _track(h, h.starts, h.target)
         conv, diverged = status == "converged", status == "diverged"
         tc = h.target[conv]
-        X, ok, _ = _newton_family(family, h.p[tc], ends[conv])
+        X, ok = _newton_family(family, h.p[tc], ends[conv])
         failed = []
         for j, i in enumerate(pending):
             p = batch[i][0]
@@ -596,15 +588,13 @@ def solve_warm(family: DeformationFamily, P, starts, expected: int):
     """Newton from the rows starts[i] (``expected`` of them) at P[i] for
     every i in one batch; (the rows, shape (samples, expected, n + k), and
     the mask of samples that pass).  A sample passes when every row
-    converges, no two rows are within ``_merge_tolerance(P[i])`` and its
-    chart, from the Jacobians of Newton's last evaluation, is not
-    degenerate (``_chart_data``)."""
+    converges and no two rows are within ``_merge_tolerance(P[i])``; its
+    chart is tested once, on the finished grid's ``_point_set``."""
     P = np.asarray(P, dtype=np.complex128)
     shape, starts = (len(P), expected), np.reshape(starts, (-1, family.nunk))
-    X, conv, J = _newton_family(family, np.repeat(P, expected, axis=0), starts)
+    X, conv = _newton_family(family, np.repeat(P, expected, axis=0), starts)
     X = X.reshape(*shape, family.nunk)
-    ok = conv.reshape(shape).all(axis=1) & _distinct(X, _merge_tolerance(P))
-    return X, ok & _chart_data(family, J, shape)[1]
+    return X, conv.reshape(shape).all(axis=1) & _distinct(X, _merge_tolerance(P))
 
 
 def solve_anchored(family: DeformationFamily, P, starts, expected: int, rng):

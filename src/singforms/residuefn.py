@@ -104,7 +104,9 @@ class ResidueSampler:
         solutions of shape (radii * samples, expected, n + k) with the radii
         in order, solved in one batch by ``critpts.solve_anchored``; either
         way the finished rows become one point set in one
-        ``critpts._point_set`` call.
+        ``critpts._point_set`` call, the grid's one chart test.  A sample
+        that fails it raises CountMismatchError with ``stats``; it is not
+        solved again, as a fresh solve would find the same points.
 
         Continuation starts from the first sample of each circle, r u,
         solved in one ``critpts.solve_fresh`` batch together with the
@@ -129,7 +131,10 @@ class ResidueSampler:
         else:
             X, self.stats = critpts.solve_anchored(family, points, anchors, expected, rng)
         Xs = X.reshape(len(points), expected, family.nunk)
-        self.grid = critpts._point_set(family, points, Xs)[0]
+        self.grid, ok = critpts._point_set(family, points, Xs)
+        if not ok.all():
+            message = f"chart is degenerate at {int((~ok).sum())} of {len(ok)} samples"
+            raise critpts.CountMismatchError(message, self.stats)
         self.max_probe_deviation = 0.0
         self._basis_values = {}
 

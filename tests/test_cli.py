@@ -274,6 +274,42 @@ def test_count_mismatch_is_a_solver_failure(tmp_path, monkeypatch):
     assert "multistart" not in err and "Traceback" not in err
 
 
+def test_degenerate_grid_is_a_solver_failure(tmp_path, monkeypatch):
+    """A circle grid with a degenerate chart at one sample exits 2 with the
+    sampler's message and its solver counters, without a traceback."""
+    jacobian_data = critpts.DeformationFamily.jacobian_data
+
+    def no_chart_in_one_grid_row(self, J):
+        *data, chart = jacobian_data(self, J)
+        if len(J) == 2 * 16 * 4:  # the whole grid; a fresh target has 4 rows
+            chart[5] = False
+        return (*data, chart)
+
+    monkeypatch.setattr(critpts.DeformationFamily, "jacobian_data", no_chart_in_one_grid_row)
+    path = tmp_path / "ex1.txt"
+    path.write_text(EX1_N2)
+    code, out, err = run_cli(["analyze", str(path), "--samples", "16"])
+    assert (code, out) == (EXIT_SOLVER, "")
+    lines = err.splitlines()
+    assert lines[0] == "solver/limit failure: chart is degenerate at 1 of 32 samples"
+    assert "diag fresh_solves: 2" in lines
+    assert "Traceback" not in err
+
+
+def test_analyze_brieskorn_pham_nu_36(tmp_path):
+    """x^3 + y^4 + z^5 with omega = dx runs through the numeric pipeline at
+    nu = 36 with every check passing; nu = omega_dim = a(b-1)(c-1), tau' =
+    (a-1)(b-1)(c-1) and im_lambda_dim = (b-1)(c-1) for (a, b, c) = (3, 4, 5)."""
+    path = tmp_path / "bp345.txt"
+    path.write_text("variables: x, y, z\nf: x^3 + y^4 + z^5\nomega: 1, 0, 0\n")
+    code, out, err = run_cli(["analyze", str(path)])
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    for line in ("nu: 36", "tau_prime: 24", "omega_dim: 36", "im_lambda_dim: 12"):
+        assert line in lines
+    assert lines[-1] == "all_checks: pass"
+
+
 def test_analyze_non_convergent_radii(tmp_path):
     """An unreachable agreement tolerance reports the limit failure path."""
     path = tmp_path / "ex1.txt"
@@ -334,3 +370,17 @@ def test_verify_corpus_seed_independent():
     code, out, _ = run_cli(["verify-corpus", "--only", "cusp", "--seed", "7"])
     assert code == EXIT_OK
     assert "corpus: all pass" in out
+
+
+def test_verify_corpus_without_exact_grams():
+    """Without exact Grams the claims that need them read None and fail,
+    and so does the instance's header; the run exits 2 without a
+    traceback."""
+    code, out, err = run_cli(["verify-corpus", "--only", "cusp", "--no-exact"])
+    assert code == EXIT_SOLVER
+    lines = out.splitlines()
+    assert lines[0] == "instance cusp: claims+checks FAIL"
+    assert "  claim tight_gap: expected True computed None FAIL" in lines
+    assert "  claim rank_qomega: expected 0 computed None FAIL" in lines
+    assert lines[-1] == "corpus: FAILURES"
+    assert "Traceback" not in err

@@ -362,16 +362,13 @@ def test_newton_freezes_rows_independently():
     """A singular Jacobian fails its own row and leaves the others.  With
     one tolerance per row and equation, a row freezes at the first iterate
     where each of its equations passes its own tolerance; a scalar
-    tolerance gives bitwise the result of that value on every entry.  The
-    Jacobians returned are those at the returned rows, on the early exit
-    and after the last step."""
-    X, ok, J = critpts._newton(
+    tolerance gives bitwise the result of that value on every entry."""
+    X, ok = critpts._newton(
         lambda X: (X**2 - 1, (2 * X)[:, :, None]),
         np.array([[0.0], [2.0]]), iters=14, tol=1e-14,
     )
     assert ok.tolist() == [False, True]
     assert abs(X[1, 0] - 1) < 1e-14
-    assert np.array_equal(J, (2 * X)[:, :, None])
 
     x, iterates = 2.0, []
     for _ in range(4):
@@ -379,21 +376,19 @@ def test_newton_freezes_rows_independently():
         iterates.append(x)
     # |x^2 - 1| at the iterates: 0.56, 0.051, 6.1e-4, 9.3e-8
     tol = np.array([[1e-3, 1e-3], [1e-3, 1e-6], [1e-14, 1e-14]])
-    X, ok, J = critpts._newton(_diagonal_squares, np.full((3, 2), 2.0), iters=14, tol=tol)
+    X, ok = critpts._newton(_diagonal_squares, np.full((3, 2), 2.0), iters=14, tol=tol)
     assert ok.all()
-    assert np.array_equal(J, _diagonal_squares(X)[1])
     assert X[0].tolist() == [iterates[2]] * 2
     assert X[1].tolist() == [iterates[3]] * 2  # the second equation holds it back
     assert np.abs(X[2] ** 2 - 1).max() < 1e-14
-    X, ok, J = critpts._newton(_diagonal_squares, np.full((3, 2), 2.0), iters=1, tol=tol)
+    X, ok = critpts._newton(_diagonal_squares, np.full((3, 2), 2.0), iters=1, tol=tol)
     assert not ok.any() and X.tolist() == [[iterates[0]] * 2] * 3
-    assert np.array_equal(J, _diagonal_squares(X)[1])
 
     X0 = np.array([[2.0, 3.0], [0.5, 1.5], [0.0, 2.0]])
     for tol in (1e-14, 1e-6):
-        Xs, oks, Js = critpts._newton(_diagonal_squares, X0, iters=14, tol=tol)
-        Xa, oka, Ja = critpts._newton(_diagonal_squares, X0, iters=14, tol=np.full(X0.shape, tol))
-        assert np.array_equal(Xs, Xa) and np.array_equal(oks, oka) and np.array_equal(Js, Ja)
+        Xs, oks = critpts._newton(_diagonal_squares, X0, iters=14, tol=tol)
+        Xa, oka = critpts._newton(_diagonal_squares, X0, iters=14, tol=np.full(X0.shape, tol))
+        assert np.array_equal(Xs, Xa) and np.array_equal(oks, oka)
         assert oks.tolist() == [True, True, False]
 
 
@@ -602,29 +597,52 @@ def test_solve_anchored_falls_back_per_sample(monkeypatch):
     assert np.max(np.abs(_grid(twisted, P, X).X - _grid(twisted, P, warm).X)) < 1e-12
 
 
-def test_warm_batch_drops_degenerate_samples_alone(monkeypatch):
-    """A row without a chart fails its own sample of a warm batch, and the
-    other samples keep their points."""
-    twisted, P, anchors = _twisted_cusp_grid(8)
-    want, ok = solve_warm(twisted, P, anchors, 4)
-    assert ok.all()
-    jacobian_data = twisted.jacobian_data
+def test_degenerate_grid_sample_raises_without_re_solve(monkeypatch):
+    """A grid row without a chart fails its own sample in the one chart
+    test of the finished grid: the sampler raises CountMismatchError naming
+    one sample, with the counters of its fresh solves, and solves nothing
+    fresh after the batch of the circles' first samples."""
+    jacobian_data, solve_fresh = DeformationFamily.jacobian_data, critpts.solve_fresh
+    batches = []
 
-    def no_chart_in_third_sample(J):
-        *data, chart = jacobian_data(J)
-        chart[2 * 4] = False  # one row of that sample: the rows run sample by sample
+    def no_chart_in_one_grid_row(self, J):
+        *data, chart = jacobian_data(self, J)
+        if len(J) == 2 * 16 * 4:  # the whole grid; a fresh target has 4 rows
+            chart[5] = False
         return (*data, chart)
 
-    monkeypatch.setattr(twisted, "jacobian_data", no_chart_in_third_sample)
-    got, ok = solve_warm(twisted, P, anchors, 4)
-    assert ok.tolist() == [i != 2 for i in range(8)]
-    assert got.shape == want.shape == (8, 4, 3)
-    assert np.array_equal(got[ok], want[ok])
+    def recording(family, targets, expected):
+        targets = list(targets)
+        batches.append(len(targets))
+        return solve_fresh(family, targets, expected)
+
+    monkeypatch.setattr(DeformationFamily, "jacobian_data", no_chart_in_one_grid_row)
+    monkeypatch.setattr(critpts, "solve_fresh", recording)
+    with pytest.raises(CountMismatchError) as exc:
+        make_sampler(cusp(), LimitConfig(samples=16), 42, 4)
+    assert str(exc.value) == "chart is degenerate at 1 of 32 samples"
+    assert batches == [2]  # the first samples of both circles
+    assert exc.value.diagnostics["fresh_solves"] == 2
+
+
+def test_solve_warm_makes_no_chart_test(monkeypatch):
+    """A warm batch keeps only Newton's masks: it never calls
+    ``jacobian_data``, whose chart test runs on the finished grid."""
+    twisted, P, anchors = _twisted_cusp_grid(8)
+    jacobian_data, calls = DeformationFamily.jacobian_data, []
+
+    def recording(self, J):
+        calls.append(len(J))
+        return jacobian_data(self, J)
+
+    monkeypatch.setattr(DeformationFamily, "jacobian_data", recording)
+    _, ok = solve_warm(twisted, P, anchors, 4)
+    assert ok.all()
+    assert calls == []
 
 
 def test_solve_warm_evaluates_the_system_only_in_newton(monkeypatch):
-    """A warm batch takes its chart mask from the Jacobians of Newton's
-    last evaluation: every system evaluation is one of Newton's."""
+    """Every system evaluation of a warm batch is one of Newton's."""
     twisted, P, anchors = _twisted_cusp_grid(8)
     newton, system = critpts._newton, DeformationFamily.system
     depth, inside, outside = [0], [], []
