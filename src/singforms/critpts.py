@@ -51,12 +51,13 @@ Jtilde = (-1)^(n k) det J at every critical point, so one system evaluation
 gives the residual, Jtilde and the chart data.  For k = 0 this is
 det(dA_i/dx_j)(P).
 
-The point p enters the system as data: it shifts the equations by -p (and,
-for a twisted family, the 1-form by -eps_1 eta), so the symbolic work is
-done once per instance and twist, as one ``StackedPolys`` table of the
-system at p = 0 with its Jacobian, evaluated at one point p or at one p per
-row.  A circle of deformations is a point rotated by exp(2 pi i j /
-samples): the limit in the deformation is approached along the ray of p.
+The point p enters the system as data: it shifts the equations by -p, so
+the symbolic work is done once per instance, as one ``StackedPolys`` table
+of the system at p = 0 with its Jacobian, evaluated at one point p or at
+one p per row.  A twist of the 1-form by f_1 eta + h df_1 is row data too,
+evaluated from the same table.  A circle of deformations is a point rotated
+by exp(2 pi i j / samples): the limit in the deformation is approached
+along the ray of p.
 """
 
 from __future__ import annotations
@@ -128,45 +129,32 @@ class DeformationFamily:
 
     p = (eps, alpha) has k + n complex entries: the first k deform the
     equations (f_i - eps_i), the rest shift the 1-form (A_j - alpha_j).  A
-    twist (eta, h) additionally replaces A_j by A_j + (f_1 - eps_1)*eta_j +
-    h * df_1/dx_j, the deformation pattern of the class-invariance statement.
+    twist (eta, h) of degree at most 1 replaces A_j by A_j + (f_1 - eps_1)*
+    eta_j + h * df_1/dx_j, the deformation pattern of the class-invariance
+    statement; it is data on the rows of P, as p is (``system``).
     """
 
-    def __init__(self, inst, twist=None):
+    def __init__(self, inst):
         self.inst = inst
         n, k = inst.n, inst.k
         self.n, self.k = n, k
         self.nunk = n + k
-        self.twist = twist
-
-        df = [[inst.f[i].diff(j) for j in range(n)] for i in range(k)]
-        A, etas = list(inst.A), []
-        adeg = [a.degree() for a in A]
-        if twist is not None:
-            eta, h = twist
-            if k == 0:
-                raise ValueError("twists need k >= 1")
-            A = [A[j] + inst.f[0] * eta[j] + h * df[0][j] for j in range(n)]
-            etas = [e.lift(self.nunk) for e in eta]
-            adeg = [max(a.degree(), e.degree()) for a, e in zip(A, eta)]  # with -eps_1 eta_j
 
         # multiplier system at p = 0 in n + k variables (x_1..x_n, lambda_1..lambda_k)
+        df = [[inst.f[i].diff(j) for j in range(n)] for i in range(k)]
         eqs = [f.lift(self.nunk) for f in inst.f]
         for j in range(n):
-            e = A[j].lift(self.nunk)
+            e = inst.A[j].lift(self.nunk)
             for i in range(k):
                 e = e - Poly.variable(n + i, self.nunk) * df[i][j].lift(self.nunk)
             eqs.append(e)
         # (x-degree, lambda-degree) of each equation, for the start system
         dfdeg = [max([0] + [df[i][j].degree() for i in range(k)]) for j in range(n)]
         self.bidegrees = [(max(f.degree(), 1), 0) for f in inst.f] + [
-            (max(a, d, int(k == 0)), int(k > 0)) for a, d in zip(adeg, dfdeg)
+            (max(a.degree(), d, int(k == 0)), int(k > 0)) for a, d in zip(inst.A, dfdeg)
         ]
-        # values, then the Jacobian row-major, of the system and the eta_j
-        polys = eqs + etas
-        self._table = StackedPolys(
-            polys + [e.diff(v) for e in polys for v in range(self.nunk)], self.nunk
-        )
+        # values, then the Jacobian row-major
+        self._table = StackedPolys(eqs + [e.diff(v) for e in eqs for v in range(self.nunk)], self.nunk)
         # the k-column blocks of df, index sets in _K and complements in _L
         self.blocks = list(itertools.combinations(range(n), k))
         self._K = np.array(self.blocks, dtype=np.int64)
@@ -176,17 +164,32 @@ class DeformationFamily:
 
     def system(self, P, X: np.ndarray):
         """Values (m, n+k) and Jacobian (m, n+k, n+k) of the multiplier
-        system at the rows of X; P is one point p or one per row."""
-        nu, k = self.nunk, self.k
+        system at the rows of X; P is one point p or one per row.
+
+        A row of P may go on after its n + k entries with a twist: the
+        coefficients of 1, x_1..x_n (columns) of eta_1..eta_n, h (rows),
+        flattened.  The twisted system at (x, lambda) is the untwisted one
+        at Y = (x, lambda_1 - h(x), lambda_2, ..) plus (f_1 - eps_1) eta_j
+        on the rows of A, its Jacobian J(Y) dY/dX plus eta_j df_1/dx_l +
+        (f_1 - eps_1) d eta_j/dx_l there.  No caller passes a twisted p to
+        ``solve_fresh``, whose start systems use the untwisted bidegrees."""
+        nu, n, k = self.nunk, self.n, self.k
+        P = np.asarray(P)
+        twisted = P.shape[-1] > nu
+        if twisted:  # rows eta_1..eta_n, h and columns 1, x_1..x_n
+            C = P[..., nu:].reshape(*P.shape[:-1], n + 1, n + 1)
+            X = np.array(X, dtype=np.complex128)
+            lin = (C @ np.concatenate([np.ones((len(X), 1)), X[:, :n]], axis=1)[..., None])[..., 0]
+            X[:, n] -= lin[:, n]  # Y: lambda_1 - h(x)
+            P = P[..., :nu]
         out = self._table.eval(X)
-        r = out.shape[1] // (nu + 1)  # polynomials in the table
-        vals, J = out[:, :r], out[:, r:].reshape(len(X), r, nu)
-        F = vals[:, :nu] - P
-        if self.twist is not None:  # (f_1 - eps_1) eta_j: less eps_1 eta_j and its gradient
-            eps1 = np.asarray(P)[..., :1]
-            F[:, k:] -= eps1 * vals[:, nu:]
-            J[:, k:nu] -= eps1[..., None] * J[:, nu:]
-        return F, J[:, :nu]
+        F, J = out[:, :nu] - P, out[:, nu:].reshape(len(X), nu, nu)
+        if not twisted:
+            return F, J
+        J[:, k:, :n] += lin[:, :n, None] * J[:, :1, :n] + F[:, :1, None] * C[..., :n, 1:]
+        J[:, :, :n] -= J[:, :, n, None] * C[..., None, n, 1:]  # dY/dX
+        F[:, k:] += F[:, :1] * lin[:, :n]
+        return F, J
 
     # -- chart-free Jacobian value ------------------------------------------
 
@@ -222,8 +225,9 @@ class CriticalPointSet:
     """Critical points, one row per point: those at one deformation point,
     or the samples of a circle grid, one after another.
 
-    ``p`` holds the deformation point of each row and ``X`` its x-part and
-    then its multipliers, both of shape (m, n + k); ``residual`` is the
+    ``p`` holds the deformation point of each row, with its twist after it
+    if it has one (``DeformationFamily.system``), and ``X`` (shape
+    (m, n + k)) its x-part and then its multipliers; ``residual`` is the
     max-norm of the system there, ``jtilde`` the chart-free Jacobian value
     (-1)^(n k) det J of the system Jacobian J, ``block`` indexes the
     family's ``blocks``, ``delta`` is Delta_K on that block and ``S``
@@ -594,7 +598,7 @@ def solve_warm(family: DeformationFamily, P, starts, expected: int):
     shape, starts = (len(P), expected), np.reshape(starts, (-1, family.nunk))
     X, conv = _newton_family(family, np.repeat(P, expected, axis=0), starts)
     X = X.reshape(*shape, family.nunk)
-    return X, conv.reshape(shape).all(axis=1) & _distinct(X, _merge_tolerance(P))
+    return X, conv.reshape(shape).all(axis=1) & _distinct(X, _merge_tolerance(P[:, : family.nunk]))
 
 
 def solve_anchored(family: DeformationFamily, P, starts, expected: int, rng):

@@ -17,12 +17,14 @@ the vector r = (R(e_c))_c over the basis monomials of the algebra;
 are rationalized (``rational``, a continued-fraction reconstruction).
 Ideal vanishing checks R on ideal generators times monomials and on the
 differences e_a e_b - NF(e_a e_b) on which ``Q^A`` relies.  Class
-invariance solves each twisted family at all samples in one anchored
-Newton batch, along the base sampler's direction and from its points with
-the first multiplier shifted, and compares its basis vector with r.
+invariance confirms each twist's critical points, the base grid's with the
+first multiplier shifted, in one Newton batch on the same family, the twist
+carried on the rows of P, and compares the twisted grid's basis vector with
+r.
 
-``make_sampler`` builds the one sampler of an analysis; the verification
-suites take it, and read the limit settings from ``sampler.cfg``.
+``make_sampler`` solves the grids of an analysis, on its one family, and
+builds the one sampler that holds them; the verification suites take it,
+and read the limit settings from ``sampler.cfg``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ from .ratlinalg import reconstruct_rational
 # rows of a grid evaluated at once by a limit: bounds the probe tables'
 # memory while keeping the number of evaluations per limit small
 _BLOCK_ROWS = 256
+# random monomial multipliers per ideal generator in ideal vanishing, and
+# twists of the 1-form in class invariance
+_MULTIPLIERS = 10
+_VARIANTS = 5
 
 
 class NonConvergentError(RuntimeError):
@@ -78,63 +84,24 @@ def _rel_dev(a: complex, b: complex) -> float:
 
 
 class ResidueSampler:
-    """Solved circle grids of one deformation family along one direction,
-    shared by all probes.
+    """One finished grid of critical points, shared by all probes.
 
     The circle of radius r is the points r u exp(2 pi i j / samples), u the
-    unit ``direction`` in C^(k+n).  The expensive part (path tracking)
-    happens once; evaluating R for a probe polynomial is then a cheap sum
-    over cached critical points.  ``grid`` holds every circle's samples,
-    circle after circle in the order of ``cfg.radii``, ``expected`` rows
-    each, and ``stats`` the ``critpts.solve_stats`` of its fresh solves.
+    unit ``direction`` in C^(k+n).  ``grid`` is the point set of every
+    circle's samples, circle after circle in the order of ``cfg.radii``,
+    ``expected`` rows each.  ``stats`` holds the ``critpts.solve_stats`` of
+    the analysis's fresh solves, ``fresh`` the outcomes (a point set or a
+    CountMismatchError each) of ``make_sampler``'s further fresh targets.
     """
 
-    def __init__(
-        self,
-        family: DeformationFamily,
-        direction,
-        expected: int,
-        cfg: LimitConfig,
-        rng: np.random.Generator,
-        anchors=None,
-        fresh=(),
-    ):
-        """The grid points P, every circle's samples, are built once.  Their
-        rows are tracked by continuation, or with ``anchors``, nearby
-        solutions of shape (radii * samples, expected, n + k) with the radii
-        in order, solved in one batch by ``critpts.solve_anchored``; either
-        way the finished rows become one point set in one
-        ``critpts._point_set`` call, the grid's one chart test.  A sample
-        that fails it raises CountMismatchError with ``stats``; it is not
-        solved again, as a fresh solve would find the same points.
-
-        Continuation starts from the first sample of each circle, r u,
-        solved in one ``critpts.solve_fresh`` batch together with the
-        further fresh targets ``fresh`` (p, rng) of the same family and
-        expected count, whose outcomes (a point set or a CountMismatchError
-        each) are kept in ``self.fresh``; a failed first sample raises its
-        error."""
+    def __init__(self, family, direction, expected, cfg, grid, stats, fresh=()):
         self.family = family
-        self.direction = direction = np.asarray(direction, dtype=np.complex128)
+        self.direction = np.asarray(direction, dtype=np.complex128)
         self.expected = expected
         self.cfg = cfg
-        P = np.array([critpts.circle(r * direction, cfg.samples) for r in cfg.radii])
-        points = P.reshape(-1, family.nunk)
-        if anchors is None:
-            starts = [(Pc[0], rng) for Pc in P]
-            solved = critpts.solve_fresh(family, itertools.chain(starts, fresh), expected)
-            firsts, self.fresh = solved[: len(starts)], solved[len(starts) :]
-            for ps in firsts:
-                if isinstance(ps, critpts.CountMismatchError):
-                    raise ps
-            X, self.stats = critpts.track_circle(family, P, firsts, expected, rng)
-        else:
-            X, self.stats = critpts.solve_anchored(family, points, anchors, expected, rng)
-        Xs = X.reshape(len(points), expected, family.nunk)
-        self.grid, ok = critpts._point_set(family, points, Xs)
-        if not ok.all():
-            message = f"chart is degenerate at {int((~ok).sum())} of {len(ok)} samples"
-            raise critpts.CountMismatchError(message, self.stats)
+        self.grid = grid
+        self.stats = stats
+        self.fresh = fresh
         self.max_probe_deviation = 0.0
         self._basis_values = {}
 
@@ -198,14 +165,42 @@ class ResidueSampler:
         return reconstruct_rational(value.real, den, tol) if abs(value.imag) < tol else None
 
 
+def _circles(direction, cfg) -> np.ndarray:
+    """The grid points, every circle's samples, shape (radii, samples, n + k)."""
+    return np.array([critpts.circle(r * direction, cfg.samples) for r in cfg.radii])
+
+
+def _grid(family, P, X, stats):
+    """The rows X (shape (..., expected, n + k)) at the grid points P (shape
+    (..., width)) as one point set, whose ``critpts._point_set`` is the
+    grid's one chart test.  A failed sample raises CountMismatchError with
+    ``stats``; a fresh solve would find the same points, so none is made."""
+    P = np.reshape(P, (-1, P.shape[-1]))
+    grid, ok = critpts._point_set(family, P, np.reshape(X, (len(P), *X.shape[-2:])))
+    if not ok.all():
+        message = f"chart is degenerate at {int((~ok).sum())} of {len(ok)} samples"
+        raise critpts.CountMismatchError(message, stats)
+    return grid
+
+
 def make_sampler(inst, cfg, seed, expected, fresh=()):
-    """Standard sampler for an instance: its untwisted family, a seeded
-    generic direction, solved grids of ``expected`` rows per sample;
-    ``fresh`` targets (p, rng) of that family join the batch of the
-    circles' first samples."""
+    """Standard sampler for an instance: its one family, a seeded generic
+    direction, and the circle grids of ``expected`` rows per sample.  The
+    circles' first samples r u and the targets ``fresh`` (p, rng) are solved
+    in one ``critpts.solve_fresh`` batch, and ``track_circle`` continues the
+    circles; a failed first sample raises."""
     rng = np.random.default_rng(seed)
     direction = critpts.generic_direction(rng, inst.n + inst.k)
-    return ResidueSampler(DeformationFamily(inst), direction, expected, cfg, rng, fresh=fresh)
+    family = DeformationFamily(inst)
+    P = _circles(direction, cfg)
+    starts = [(Pc[0], rng) for Pc in P]
+    solved = critpts.solve_fresh(family, itertools.chain(starts, fresh), expected)
+    for ps in solved[: len(starts)]:
+        if isinstance(ps, critpts.CountMismatchError):
+            raise ps
+    X, stats = critpts.track_circle(family, P, solved[: len(starts)], expected, rng)
+    grid = _grid(family, P, X, stats)
+    return ResidueSampler(family, direction, expected, cfg, grid, stats, solved[len(starts) :])
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +217,12 @@ class ProbeReport:
     entries: list = field(default_factory=list)
 
 
-def verify_ideal_vanishing(
-    inst, alg, sampler: ResidueSampler, seed=0, multipliers: int = 10
-) -> ProbeReport:
+def verify_ideal_vanishing(inst, alg, sampler: ResidueSampler, seed=0) -> ProbeReport:
     """|R(p)| below tolerance for every probe p of the ideal: each ideal
-    generator g times random monomials h of degree <= 2, and every product
-    of basis classes less its normal form, e_a e_b - NF(e_a e_b), over the
-    ``alg.basis_product`` coordinates that ``Q^A`` is built from."""
+    generator g times ``_MULTIPLIERS`` random monomials h of degree <= 2,
+    and every product of basis classes less its normal form,
+    e_a e_b - NF(e_a e_b), over the ``alg.basis_product`` coordinates that
+    ``Q^A`` is built from."""
     from .icis import build_ideal
     from .localalg import monomials_below
 
@@ -236,7 +230,7 @@ def verify_ideal_vanishing(
     monos = monomials_below(inst.n, 3)
     probes, labels, names = [], [], []
     for gi, g in enumerate(build_ideal(inst)):
-        for pi in rng.integers(0, len(monos), size=multipliers):
+        for pi in rng.integers(0, len(monos), size=_MULTIPLIERS):
             h = monos[int(pi)]
             probes.append(Poly.monomial(h) * g)
             labels.append(f"prop1 g{gi} h{h}")
@@ -260,54 +254,37 @@ def verify_ideal_vanishing(
     )
 
 
-def _random_small_poly(rng, nvars: int, deg: int) -> Poly:
-    """Random polynomial with small integer coefficients, degree <= deg."""
-    from .localalg import monomials_below
-
-    terms = {}
-    for m in monomials_below(nvars, deg + 1):
-        c = int(rng.integers(-2, 3))
-        if c:
-            terms[m] = Fraction(c)
-    if not terms:
-        terms[(0,) * nvars] = Fraction(1)
-    return Poly(terms, nvars)
-
-
-def verify_class_invariance(
-    inst, alg, sampler: ResidueSampler, seed=0, variants: int = 5
-) -> ProbeReport:
+def verify_class_invariance(inst, alg, sampler: ResidueSampler, seed=0) -> ProbeReport:
     """R is unchanged under omega -> omega + f_1 eta + h df_1.
 
-    The twisted 1-form is deformed with f_1 - eps_1 in place of f_1 (the
-    deformation pattern under which the two restrictions to the fiber agree),
-    and its vector of R over the basis monomials of the algebra ``alg`` is
-    compared against the base sampler's.
+    Each of ``_VARIANTS`` twists draws the coefficients of 1, x_1..x_n in
+    eta_1..eta_n and h from -2..2.  The twisted 1-form is deformed with
+    f_1 - eps_1 in place of f_1, so its critical points are exactly the base
+    grid's with lambda_1 shifted by h(x).  One ``critpts.solve_warm`` batch
+    on the base family, the twist on the rows of P, confirms them, and the
+    twisted grid's R over the basis of ``alg`` is compared with the base's.
+    A failed sample raises CountMismatchError: a fresh solve at the same p
+    would end at the same exact zeros, so none is made.
     """
     if inst.k < 1:
         raise ValueError("class invariance needs k >= 1")
-    cfg = sampler.cfg
+    n, family, cfg, expected = inst.n, sampler.family, sampler.cfg, sampler.expected
     base = sampler.basis_values(alg.basis)
-    rng = np.random.default_rng(seed + 202)
-    X = sampler.grid.X.reshape(len(cfg.radii) * cfg.samples, sampler.expected, inst.n + inst.k)
-    x = X[:, :, : inst.n].reshape(-1, inst.n)
-    entries = []
-    worst = 0.0
-    for v in range(variants):
-        eta = [_random_small_poly(rng, inst.n, 1) for _ in range(inst.n)]
-        h = _random_small_poly(rng, inst.n, 1)
-        # on the fiber the twisted form has the same zeros with the first multiplier
-        # shifted by h(x): Newton from there replaces homotopy and continuation
+    # per variant, rows eta_1..eta_n, h and columns 1, x_1..x_n
+    twists = np.random.default_rng(seed + 202).integers(-2, 3, size=(_VARIANTS, n + 1, n + 1))
+    points = _circles(sampler.direction, cfg).reshape(-1, family.nunk)
+    X = sampler.grid.X.reshape(len(points), expected, family.nunk)
+    entries, worst = [], 0.0
+    for v, C in enumerate(twists):
         anchors = X.copy()
-        anchors[:, :, inst.n] += StackedPolys([h], inst.n).eval(x).reshape(X.shape[:2])
-        twisted = ResidueSampler(
-            DeformationFamily(inst, twist=(eta, h)),
-            sampler.direction,
-            sampler.expected,
-            cfg,
-            np.random.default_rng(seed + 300 + v),
-            anchors=anchors,
-        )
+        anchors[:, :, n] += C[n, 0] + X[:, :, :n] @ C[n, 1:]  # h(x)
+        P = np.hstack([points, np.tile(C.ravel(), (len(points), 1))])
+        Xv, ok = critpts.solve_warm(family, P, anchors, expected)
+        if not ok.all():
+            message = f"class invariance: variant {v} failed at {int((~ok).sum())} of {len(ok)} samples"
+            raise critpts.CountMismatchError(message, sampler.stats)
+        grid = _grid(family, P, Xv, sampler.stats)
+        twisted = ResidueSampler(family, sampler.direction, expected, cfg, grid, sampler.stats)
         for m, b, val in zip(alg.basis, base, twisted.basis_values(alg.basis)):
             dev = abs(val - b)
             worst = max(worst, dev)

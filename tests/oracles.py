@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths they check: the truncated
 Macaulay dimension uses its own dense rational elimination, and the
 finite-difference Jacobian oracle restricts the 1-form to the fiber through
-the implicit function theorem with plain polynomial evaluation.
+the implicit function theorem with plain polynomial evaluation.  The two
+instance builders ``ex1`` and ``cusp`` are shared by the test modules.
 """
 
 from __future__ import annotations
@@ -13,7 +14,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from singforms.polyring import Poly
+from singforms.icis import ProblemInstance
+from singforms.polyring import Poly, parse
+
+
+def ex1(n, a):
+    """The quadric instance f = sum x_i^2, omega = sum a_i x_i dx_i."""
+    vs = [f"x{i+1}" for i in range(n)]
+    f = parse(" + ".join(f"x{i+1}^2" for i in range(n)), vs)
+    A = [a[i] * Poly.variable(i, n) for i in range(n)]
+    return ProblemInstance(n, 1, [f], A)
+
+
+def cusp():
+    """The cusp f = x^2 - y^3 with omega = dx."""
+    return ProblemInstance(2, 1, [parse("x^2 - y^3", ["x", "y"])], [Poly.one(2), Poly.zero(2)])
 
 
 def monomials_below(nvars, degree):

@@ -24,22 +24,9 @@ from singforms.icis import ProblemInstance, index_nu
 from singforms.polyring import Poly, parse
 from singforms.residuefn import LimitConfig, make_sampler
 
-from oracles import ex1_closed_form, fd_restricted_jacobian
+from oracles import cusp, ex1, ex1_closed_form, fd_restricted_jacobian
 
 VS2 = ["x1", "x2"]
-
-
-def ex1(n, a):
-    vs = [f"x{i+1}" for i in range(n)]
-    f = parse(" + ".join(f"x{i+1}^2" for i in range(n)), vs)
-    A = [a[i] * Poly.variable(i, n) for i in range(n)]
-    return ProblemInstance(n, 1, [f], A)
-
-
-def cusp():
-    return ProblemInstance(
-        2, 1, [parse("x^2 - y^3", ["x", "y"])], [Poly.one(2), Poly.zero(2)]
-    )
 
 
 def direction_of(inst, seed):
@@ -48,24 +35,30 @@ def direction_of(inst, seed):
 
 # ---- the multiplier system --------------------------------------------------
 
-def _check_system(fam, vs, equations, seed):
+# the cusp twist (eta, h) = ((y, 1 - x), 2x): the coefficients of 1, x, y
+# (columns) of eta_1, eta_2, h (rows)
+TWIST = np.array([[0, 0, 1], [1, -1, 0], [0, 2, 0]])
+
+
+def _check_system(fam, vs, equations, seed, twist=()):
     """Values and Jacobian of ``fam.system`` at seeded complex points X and
     deformation points P, one per row of X: at each p for all rows against
     ``equations``, the multiplier system written out by hand over the
     unknowns ``vs`` and p = (p1, p2, ...), evaluated with ``Poly.eval_at``
     at (x, p) and differentiated in the unknowns with ``Poly.diff``; and
     with one p per row, where row i must match row i at P[i] alone to
-    1e-14 relative."""
+    1e-14 relative.  The entries ``twist`` follow p on every row of P."""
     eqs = [parse(e, vs + [f"p{i + 1}" for i in range(fam.nunk)]) for e in equations]
     assert len(eqs) == len(vs) == fam.nunk
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((4, fam.nunk)) + 1j * rng.standard_normal((4, fam.nunk))
     P = rng.standard_normal((4, fam.nunk)) + 1j * rng.standard_normal((4, fam.nunk))
+    P = np.hstack([P, np.tile(np.ravel(twist), (4, 1))])
     per_row = fam.system(P, X)
     for i, p in enumerate(P):
         vals, J = fam.system(p, X)
         for x, v, Jx in zip(X, vals, J):
-            at = list(x) + list(p)
+            at = list(x) + list(p[: fam.nunk])
             want = np.array([e.eval_at(at) for e in eqs])
             want_J = np.array([[e.diff(c).eval_at(at) for c in range(fam.nunk)] for e in eqs])
             assert np.allclose(v, want, rtol=1e-12, atol=1e-12)
@@ -97,15 +90,15 @@ def test_critical_system_cusp():
 
 
 def test_critical_system_twisted_cusp():
-    """The twist (eta, h) = ((y, 1 - x), 2x) gives
-    A_j + (f - eps) eta_j + h df/dx_j - alpha_j - lambda df/dx_j; with one
-    p per row, each row keeps its own -eps eta_j term."""
+    """The twist (eta, h) = ((y, 1 - x), 2x), carried on the rows of P,
+    gives A_j + (f - eps) eta_j + h df/dx_j - alpha_j - lambda df/dx_j; with
+    one p per row, each row keeps its own -eps eta_j term."""
     fe = "(x^2 - y^3 - p1)"
-    _check_system(_twisted_cusp_family(), ["x", "y", "l"], [
+    _check_system(DeformationFamily(cusp()), ["x", "y", "l"], [
         fe,
         f"1 + 4*x^2 - 2*l*x + {fe}*y - p2",
         f"-6*x*y^2 + 3*l*y^2 + {fe}*(1 - x) - p3",
-    ], seed=4)
+    ], seed=4, twist=TWIST)
 
 
 # ---- closed-form oracle -----------------------------------------------------
@@ -169,11 +162,6 @@ def test_count_mismatch_raises():
 
 # ---- the 2-homogeneous start system ---------------------------------------------
 
-def _twisted_cusp_family():
-    eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
-    return DeformationFamily(cusp(), twist=(eta, parse("2*x", ["x", "y"])))
-
-
 def _k2_family():
     """The k = 2 input f = (x^2 + y^2 + z^3, x*y + z^2), omega = dz."""
     vs = ["x", "y", "z"]
@@ -204,7 +192,6 @@ BEZOUT = [
     (lambda: _corpus_family("ex1_n4"), 8),
     (lambda: _corpus_family("smooth_line"), 1),
     (lambda: _corpus_family("elkh_identity"), 1),
-    (_twisted_cusp_family, 24),
     (_k2_family, 24),
 ]
 
@@ -475,13 +462,12 @@ def _count_runs(fam, rng, ts):
     return ((t * generic_direction(rng, fam.nunk), rng) for t in ts)
 
 
-@pytest.mark.parametrize("name", ["ex2_n3", "cusp", "twisted_cusp"])
+@pytest.mark.parametrize("name", ["ex2_n3", "cusp"])
 def test_batch_matches_one_target_solves(name):
     """One batch gives each target the points and solver counters of its
-    one-target solve with the same draws; all three families have
-    diverging paths, and the targets differ in direction and radius, also
-    on the twisted family, whose system depends on eps_1 through eta."""
-    fam = _twisted_cusp_family() if name == "twisted_cusp" else _corpus_family(name)
+    one-target solve with the same draws; both families have diverging
+    paths, and the targets differ in direction and radius."""
+    fam = _corpus_family(name)
     ts = [1e-2, 5e-3, 1e-2, 2e-3j]
     got = critpts.solve_fresh(fam, _count_runs(fam, np.random.default_rng(77), ts), 4)
     rng = np.random.default_rng(77)
@@ -535,35 +521,38 @@ def _grid(fam, P, X):
     return critpts._point_set(fam, P, np.reshape(X, (len(P), -1, fam.nunk)))[0]
 
 
-def _twisted_cusp_grid(samples):
-    """A twisted cusp family, the points P of a circle of radius 1e-2 and,
-    per sample, the base points with the first multiplier shifted by h(x):
-    the twisted zeros."""
-    inst = cusp()
-    base = DeformationFamily(inst)
-    eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
-    h = parse("2*x", ["x", "y"])
-    twisted = DeformationFamily(inst, twist=(eta, h))
-    P = circle(1e-2 * direction_of(inst, 42), samples)
+def _cusp_grid(samples):
+    """The cusp family, the points P of a circle of radius 1e-2 and, per
+    sample, its critical points from a circle continuation."""
+    fam = DeformationFamily(cusp())
+    P = circle(1e-2 * direction_of(fam.inst, 42), samples)
     rng = np.random.default_rng(0)
-    X, _ = track_circle(base, P[None], [solve_family_at(base, P[0], 4, rng)], 4, rng)
-    anchors = _grid(base, P, X).X.reshape(samples, 4, 3)
-    shift = StackedPolys([h], 2).eval(anchors[:, :, :2].reshape(-1, 2))
-    anchors[:, :, 2] += shift.reshape(samples, 4)
-    return twisted, P, anchors
+    X, _ = track_circle(fam, P[None], [solve_family_at(fam, P[0], 4, rng)], 4, rng)
+    return fam, P, _grid(fam, P, X).X.reshape(samples, 4, 3)
+
+
+def _twisted_cusp_grid(samples):
+    """The cusp family, the points P of a circle of radius 1e-2 with
+    ``TWIST`` after p on every row and, per sample, the base points with
+    the first multiplier shifted by h(x) = 2x: the twisted zeros."""
+    fam, P, anchors = _cusp_grid(samples)
+    anchors[:, :, 2] += 2 * anchors[:, :, 0]
+    return fam, np.hstack([P, np.tile(TWIST.ravel(), (samples, 1))]), anchors
 
 
 def test_solve_anchored_matches_continuation():
-    """One anchored Newton batch gives the point sets of a circle
-    continuation of the twisted family."""
-    twisted, P, anchors = _twisted_cusp_grid(16)
-    X, got_stats = solve_anchored(twisted, P, anchors, 4, np.random.default_rng(1))
+    """One anchored Newton batch, from the points of a circle continuation
+    moved by up to 1e-6, gives the point sets of a continuation with other
+    draws."""
+    fam, P, anchors = _cusp_grid(16)
+    noise = np.random.default_rng(2).uniform(-1e-6, 1e-6, anchors.shape)
+    X, got_stats = solve_anchored(fam, P, anchors + noise, 4, np.random.default_rng(1))
     rng = np.random.default_rng(3)
-    Y, stats = track_circle(twisted, P[None], [solve_family_at(twisted, P[0], 4, rng)], 4, rng)
+    Y, stats = track_circle(fam, P[None], [solve_family_at(fam, P[0], 4, rng)], 4, rng)
     assert X.shape == (16, 4, 3) and Y.shape == (1, 16, 4, 3)
     assert stats["fresh_solves"] == 1
     assert got_stats["fresh_solves"] == 0  # no fresh solve
-    got, want = _grid(twisted, P, X), _grid(twisted, P, Y)
+    got, want = _grid(fam, P, X), _grid(fam, P, Y)
     assert len(got) == len(want) == 16 * 4
     assert np.array_equal(got.p, np.repeat(P, 4, axis=0)) and np.array_equal(want.p, got.p)
     assert np.max(np.abs(got.X - want.X)) < 1e-12
@@ -574,7 +563,7 @@ def test_solve_anchored_falls_back_per_sample(monkeypatch):
     """A sample failing the warm tests, and only that one, is solved fresh,
     and its rows keep their place in the grid.  Two rows of the third
     sample start at one point, so its Newton rows coincide."""
-    twisted, P, anchors = _twisted_cusp_grid(8)
+    fam, P, anchors = _cusp_grid(8)
     good = anchors.copy()
     anchors[2, 1] = anchors[2, 0]
     solve_fresh, fresh = critpts.solve_fresh, []
@@ -585,16 +574,16 @@ def test_solve_anchored_falls_back_per_sample(monkeypatch):
         return solve_fresh(family, targets, expected)
 
     monkeypatch.setattr(critpts, "solve_fresh", recording)
-    assert solve_warm(twisted, P, anchors, 4)[1].tolist() == [i != 2 for i in range(8)]
-    X, stats = solve_anchored(twisted, P, anchors, 4, np.random.default_rng(1))
+    assert solve_warm(fam, P, anchors, 4)[1].tolist() == [i != 2 for i in range(8)]
+    X, stats = solve_anchored(fam, P, anchors, 4, np.random.default_rng(1))
     assert np.array_equal(fresh, P[2:3])
     assert stats["fresh_solves"] == 1
     assert X.shape == (8, 4, 3)
-    want = solve_family_at(twisted, P[2], 4, np.random.default_rng(5))
+    want = solve_family_at(fam, P[2], 4, np.random.default_rng(5))
     assert np.max(np.abs(X[2] - want.X)) < 1e-12
-    warm, _ = solve_anchored(twisted, P, good, 4, np.random.default_rng(1))
+    warm, _ = solve_anchored(fam, P, good, 4, np.random.default_rng(1))
     assert np.array_equal(np.delete(X, 2, axis=0), np.delete(warm, 2, axis=0))
-    assert np.max(np.abs(_grid(twisted, P, X).X - _grid(twisted, P, warm).X)) < 1e-12
+    assert np.max(np.abs(_grid(fam, P, X).X - _grid(fam, P, warm).X)) < 1e-12
 
 
 def test_degenerate_grid_sample_raises_without_re_solve(monkeypatch):
@@ -628,7 +617,7 @@ def test_degenerate_grid_sample_raises_without_re_solve(monkeypatch):
 def test_solve_warm_makes_no_chart_test(monkeypatch):
     """A warm batch keeps only Newton's masks: it never calls
     ``jacobian_data``, whose chart test runs on the finished grid."""
-    twisted, P, anchors = _twisted_cusp_grid(8)
+    fam, P, anchors = _twisted_cusp_grid(8)
     jacobian_data, calls = DeformationFamily.jacobian_data, []
 
     def recording(self, J):
@@ -636,14 +625,14 @@ def test_solve_warm_makes_no_chart_test(monkeypatch):
         return jacobian_data(self, J)
 
     monkeypatch.setattr(DeformationFamily, "jacobian_data", recording)
-    _, ok = solve_warm(twisted, P, anchors, 4)
+    _, ok = solve_warm(fam, P, anchors, 4)
     assert ok.all()
     assert calls == []
 
 
 def test_solve_warm_evaluates_the_system_only_in_newton(monkeypatch):
     """Every system evaluation of a warm batch is one of Newton's."""
-    twisted, P, anchors = _twisted_cusp_grid(8)
+    fam, P, anchors = _twisted_cusp_grid(8)
     newton, system = critpts._newton, DeformationFamily.system
     depth, inside, outside = [0], [], []
 
@@ -660,7 +649,7 @@ def test_solve_warm_evaluates_the_system_only_in_newton(monkeypatch):
 
     monkeypatch.setattr(critpts, "_newton", tracking)
     monkeypatch.setattr(DeformationFamily, "system", recording)
-    _, ok = solve_warm(twisted, P, anchors, 4)
+    _, ok = solve_warm(fam, P, anchors, 4)
     assert ok.all()
     assert inside and set(inside) == {8 * 4}
     assert outside == []
@@ -712,14 +701,16 @@ def test_block_independence_cusp():
 
 def _solved_grids():
     """(name, family, grid): the circle grids of every corpus instance at
-    16 samples (k = 0, 1, 2), and an anchored grid of the twisted cusp."""
+    16 samples (k = 0, 1, 2), and a warm grid of the cusp with ``TWIST`` on
+    the rows of P."""
     for name, ci in CORPUS.items():
         inst = ci.instance()
         sampler = make_sampler(inst, LimitConfig(samples=16), 42, index_nu(inst))
         yield name, sampler.family, sampler.grid
-    twisted, P, anchors = _twisted_cusp_grid(16)
-    X, _ = solve_anchored(twisted, P, anchors, 4, np.random.default_rng(1))
-    yield "twisted_cusp", twisted, _grid(twisted, P, X)
+    fam, P, anchors = _twisted_cusp_grid(16)
+    X, ok = solve_warm(fam, P, anchors, 4)
+    assert ok.all()
+    yield "twisted_cusp", fam, _grid(fam, P, X)
 
 
 def test_bordered_identity_on_every_block():

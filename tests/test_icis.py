@@ -16,24 +16,10 @@ from singforms.icis import (
 from singforms.localalg import INFINITE
 from singforms.polyring import Poly, parse
 
-from oracles import macaulay_quotient_dim
+from oracles import cusp, ex1, macaulay_quotient_dim
 
 VS2 = ["x1", "x2"]
 VS3 = ["x1", "x2", "x3"]
-
-
-def ex1(n, a):
-    vs = [f"x{i+1}" for i in range(n)]
-    f = parse(" + ".join(f"x{i+1}^2" for i in range(n)), vs)
-    A = [a[i] * Poly.variable(i, n) for i in range(n)]
-    return ProblemInstance(n, 1, [f], A)
-
-
-def cusp():
-    return ProblemInstance(
-        2, 1, [parse("x^2 - y^3", ["x", "y"])],
-        [Poly.one(2), Poly.zero(2)],
-    )
 
 
 def test_instance_validation():

@@ -22,22 +22,11 @@ from singforms.quadforms import (
 )
 from singforms.residuefn import LimitConfig, make_sampler
 
+from oracles import cusp, ex1
+
 VS2 = ["x1", "x2"]
 VS3 = ["x1", "x2", "x3"]
 CFG = LimitConfig()
-
-
-def ex1(n, a):
-    vs = [f"x{i+1}" for i in range(n)]
-    f = parse(" + ".join(f"x{i+1}^2" for i in range(n)), vs)
-    A = [a[i] * Poly.variable(i, n) for i in range(n)]
-    return ProblemInstance(n, 1, [f], A)
-
-
-def cusp():
-    return ProblemInstance(
-        2, 1, [parse("x^2 - y^3", ["x", "y"])], [Poly.one(2), Poly.zero(2)]
-    )
 
 
 def alpha_beta_generators(n):

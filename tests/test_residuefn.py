@@ -7,26 +7,21 @@ import pytest
 from singforms import critpts, residuefn
 from singforms.critpts import DeformationFamily, StackedPolys, solve_family_at
 from singforms.icis import ProblemInstance, algebra, build_ideal
+from singforms.pipeline import AnalysisConfig, analyze
 from singforms.polyring import Poly, parse
 from singforms.quadforms import FormGenerator, gram_qa, qomega_numeric
 from singforms.residuefn import (
     LimitConfig,
     NonConvergentError,
-    ResidueSampler,
     make_sampler,
     verify_class_invariance,
     verify_ideal_vanishing,
 )
 
+from oracles import cusp, ex1
+
 VS2 = ["x1", "x2"]
 VS3 = ["x1", "x2", "x3"]
-
-
-def ex1(n, a):
-    vs = [f"x{i+1}" for i in range(n)]
-    f = parse(" + ".join(f"x{i+1}^2" for i in range(n)), vs)
-    A = [a[i] * Poly.variable(i, n) for i in range(n)]
-    return ProblemInstance(n, 1, [f], A)
 
 
 @pytest.fixture(scope="module")
@@ -260,9 +255,7 @@ def test_ideal_vanishing_ex1(ex1_n2_sampler):
 
 
 def test_ideal_vanishing_cusp():
-    inst = ProblemInstance(
-        2, 1, [parse("x^2 - y^3", ["x", "y"])], [Poly.one(2), Poly.zero(2)]
-    )
+    inst = cusp()
     rep = verify_ideal_vanishing(
         inst, algebra(inst), make_sampler(inst, LimitConfig(), 42, 4), 42
     )
@@ -292,46 +285,83 @@ def test_ideal_vanishing_catches_a_wrong_structure_constant(monkeypatch, ex1_n2_
     assert rep.max_deviation > 0.4
 
 
-def test_class_invariance_explicit():
-    """omega' = omega + f eta + h df leaves every probe unchanged."""
-    inst = ex1(2, (1, 2))
-    cfg = LimitConfig()
-    base = make_sampler(inst, cfg, 42, 4)
-    from singforms.polyring import Poly as P_
+def _twisted(inst, eta, h):
+    """The instance with A_j + f_1 eta_j + h df_1/dx_j in place of A_j."""
+    f = inst.f[0]
+    A = [a + f * e + h * f.diff(j) for j, (a, e) in enumerate(zip(inst.A, eta))]
+    return ProblemInstance(inst.n, inst.k, inst.f, A)
 
+
+def test_class_invariance_explicit():
+    """omega' = omega + f eta + h df leaves every probe unchanged: the
+    twisted instance, solved cold, gives the base instance's R."""
+    inst = ex1(2, (1, 2))
     probes = [parse(s, VS2) for s in ["1", "x1", "x2", "x1^2"]]
-    base_vals = [base.r_of([p])[0] for p in probes]
+    base = make_sampler(inst, LimitConfig(), 42, 4).r_of(probes)
     # eta = dx1 (coefficients (1, 0)), then eta = 0 with h = x2
     for eta, h in [
-        ([P_.one(2), P_.zero(2)], P_.zero(2)),
-        ([P_.zero(2), P_.zero(2)], Poly.variable(1, 2)),
+        ([Poly.one(2), Poly.zero(2)], Poly.zero(2)),
+        ([Poly.zero(2), Poly.zero(2)], Poly.variable(1, 2)),
     ]:
-        fam = DeformationFamily(inst, twist=(eta, h))
-        tw = ResidueSampler(fam, base.direction, 4, cfg, np.random.default_rng(1))
-        for p, b in zip(probes, base_vals):
-            assert abs(tw.r_of([p])[0] - b) < 1e-8
+        twisted = make_sampler(_twisted(inst, eta, h), LimitConfig(), 42, 4)
+        assert np.abs(twisted.r_of(probes) - base).max() < 1e-8
 
 
-def test_class_invariance_suite():
+def test_class_invariance_suite(monkeypatch):
+    monkeypatch.setattr(residuefn, "_VARIANTS", 2)
     inst = ex1(2, (1, 2))
     sampler = make_sampler(inst, LimitConfig(), 42, 4)
-    rep = verify_class_invariance(inst, algebra(inst), sampler, 42, variants=2)
+    rep = verify_class_invariance(inst, algebra(inst), sampler, 42)
     assert rep.ok
     assert rep.max_deviation < 1e-8
+    assert len(rep.entries) == 2 * 4  # two variants, four basis monomials
 
 
 def test_class_invariance_cusp_cold_start():
-    """Twisted sampler solved from scratch (no warm starts) on the cusp."""
-    inst = ProblemInstance(
-        2, 1, [parse("x^2 - y^3", ["x", "y"])], [Poly.one(2), Poly.zero(2)]
-    )
-    cfg = LimitConfig()
-    base = make_sampler(inst, cfg, 42, 4)
-    eta = [parse("y", ["x", "y"]), parse("1 - x", ["x", "y"])]
-    h = parse("2*x", ["x", "y"])
-    fam = DeformationFamily(inst, twist=(eta, h))
-    cold = ResidueSampler(fam, base.direction, 4, cfg, np.random.default_rng(3))
-    for m in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        b = base.r_of([Poly.monomial(m)])[0]
-        t = cold.r_of([Poly.monomial(m)])[0]
-        assert abs(b - t) < 1e-8
+    """The cusp twisted by (eta, h) = ((y, 1 - x), 2x), a plain instance
+    solved from scratch, gives the base R on every basis monomial."""
+    vs = ["x", "y"]
+    twisted = _twisted(cusp(), [parse("y", vs), parse("1 - x", vs)], parse("2*x", vs))
+    probes = [Poly.monomial(m) for m in [(0, 0), (1, 0), (0, 1), (1, 1)]]
+    base, cold = (make_sampler(inst, LimitConfig(), 42, 4).r_of(probes) for inst in (cusp(), twisted))
+    assert np.abs(cold - base).max() < 1e-8
+
+
+def test_one_family_per_analysis(monkeypatch):
+    """An analysis of the cusp, class invariance included, builds one
+    DeformationFamily: the twists are row data of that family."""
+    init, built = DeformationFamily.__init__, []
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DeformationFamily, "__init__", counting)
+    res = analyze(cusp(), AnalysisConfig(limit=LimitConfig(samples=16)))
+    assert [c.ok for c in res.checks if c.name == "class_invariance"] == [True]
+    assert len(built) == 1
+
+
+def test_class_invariance_failed_sample_raises_without_fresh_solve(monkeypatch):
+    """A twisted sample that fails its warm Newton batch raises
+    CountMismatchError naming the failed samples; nothing is solved fresh,
+    as a fresh solve would end at the same exact zeros."""
+    inst = cusp()
+    sampler = make_sampler(inst, LimitConfig(samples=16), 42, 4)
+    warm, solve_fresh, fresh = critpts.solve_warm, critpts.solve_fresh, []
+
+    def failing_one(family, P, starts, expected):
+        X, ok = warm(family, P, starts, expected)
+        return X, ok & (np.arange(len(ok)) != 3)
+
+    def recording(family, targets, expected):
+        targets = list(targets)
+        fresh.extend(targets)
+        return solve_fresh(family, targets, expected)
+
+    monkeypatch.setattr(critpts, "solve_warm", failing_one)
+    monkeypatch.setattr(critpts, "solve_fresh", recording)
+    with pytest.raises(critpts.CountMismatchError) as exc:
+        verify_class_invariance(inst, algebra(inst), sampler, 42)
+    assert "failed at 1 of 32 samples" in str(exc.value)
+    assert fresh == []
