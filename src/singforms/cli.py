@@ -216,12 +216,10 @@ def cmd_analyze(args) -> int:
         return EXIT_SOLVER
     except (CountMismatchError, NonConvergentError) as exc:
         print(f"solver/limit failure: {exc}", file=sys.stderr)
-        if isinstance(exc, CountMismatchError) and exc.diagnostics:
-            for k, v in sorted(exc.diagnostics.items()):
-                print(f"diag {k}: {v}", file=sys.stderr)
-        if isinstance(exc, NonConvergentError):
-            for r, m in exc.deviations:
-                print(f"diag circle_mean radius={r:g}: {m}", file=sys.stderr)
+        for k, v in sorted(getattr(exc, "diagnostics", {}).items()):
+            print(f"diag {k}: {v}", file=sys.stderr)
+        for r, m in getattr(exc, "deviations", []):
+            print(f"diag circle_mean radius={r:g}: {m}", file=sys.stderr)
         return EXIT_SOLVER
     report = render_report(args.file, res)
     if args.out:

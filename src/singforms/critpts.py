@@ -23,8 +23,10 @@ path that ends otherwise without converging is diverged when |x| > 1e2.  An
 analysis solves the first sample of both circles and the
 count-certification runs in one batch, and ``solve_family_at`` is the
 one-target case.  Points closer than ``_merge_tolerance(p)`` are one point;
-the targets of a batch that find the wrong count retry together, up to
-``_MAX_RETRIES`` times, with a new gamma and start system each.
+the targets of a batch that find another count than ``expected`` retry
+together, up to ``_MAX_RETRIES`` times, with a new gamma and start system
+each, and a solve returns the rows it found, whatever their count: a caller
+that needs the count requires it with ``_require_count``.
 
 ``solve_warm`` runs one batched Newton (``_newton``) over the samples of a
 grid, each from its own nearby solutions; a sample passes when every row
@@ -33,9 +35,9 @@ converged and no two rows are within the merge tolerance.
 samples that fail in one ``solve_fresh`` batch, whose rows are written in.
 ``track_circle`` calls it once per angle step for all circles in lockstep.
 Both work on arrays of rows, one block of ``expected`` rows per sample; the
-caller makes the finished grid one point set with ``_point_set``, which
-tests the chart once per point set: the chart depends on the points at p
-alone, so no Newton batch tests it.
+chart is tested once per point set, by ``_point_set``, where rows become
+one: the chart depends on the points at p alone, so no Newton batch and no
+fresh solve tests it.
 
 At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
 is selected, Delta_K is that determinant and the fiber chart dx_K = S dx_L
@@ -76,8 +78,8 @@ _MAX_RETRIES = 3
 
 
 class CountMismatchError(RuntimeError):
-    """Solver could not certify the expected number of critical points, or
-    a finished grid of them has a degenerate chart."""
+    """A fresh solve found another number of critical points than required,
+    or a point set of them has a degenerate chart."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -524,24 +526,21 @@ _COUNTERS = ("paths_tracked", "paths_diverged", "path_failures", "retries")
 
 
 def solve_fresh(family: DeformationFamily, targets, expected: int) -> list:
-    """All critical points of the family at each target (p, rng),
-    ``expected`` of them, by one 2-homogeneous homotopy batch; per target
-    its point set, or the CountMismatchError it failed with.
+    """The critical points of the family at each target (p, rng), by one
+    2-homogeneous homotopy batch; per target (p, its rows, its solver
+    counters), whatever the count of the rows.
 
     ``targets`` is read as ``_Homotopy`` reads it.  After tracking, each
-    target is deduplicated, chart-checked and counted on its own; the
-    targets that fail retry together in a new batch with a fresh gamma and
-    start system from their own rng, up to ``_MAX_RETRIES`` times.  Solver
-    counters are per target.
+    target is deduplicated and counted on its own; the targets whose count
+    is not ``expected`` retry together in a new batch with a fresh gamma and
+    start system from their own rng, up to ``_MAX_RETRIES`` times, and keep
+    the rows of their last attempt.  No chart is tested here.
     """
     if expected == 0:
-        return [
-            _point_set(family, [p], np.zeros((1, 0, family.nunk)), dict.fromkeys(_COUNTERS, 0))[0]
-            for p, _ in targets
-        ]
+        return [(p, np.zeros((0, family.nunk)), dict.fromkeys(_COUNTERS, 0)) for p, _ in targets]
     h = _Homotopy(family, targets)
     batch, pending = h.targets, list(range(len(h.targets)))
-    out, found = [None] * len(batch), [None] * len(batch)
+    found = [None] * len(batch)
     diags = [dict.fromkeys(_COUNTERS, 0) for _ in batch]
     for attempt in range(_MAX_RETRIES + 1):
         if attempt:
@@ -550,42 +549,47 @@ def solve_fresh(family: DeformationFamily, targets, expected: int) -> list:
         conv, diverged = status == "converged", status == "diverged"
         tc = h.target[conv]
         X, ok = _newton_family(family, h.p[tc], ends[conv])
-        failed = []
         for j, i in enumerate(pending):
-            p = batch[i][0]
             mine = h.target == j
             diags[i]["paths_tracked"] += int(mine.sum())
             diags[i]["paths_diverged"] += int((mine & diverged).sum())
             diags[i]["path_failures"] += int((mine & ~conv & ~diverged).sum())
-            found[i] = _dedup(X[ok & (tc == j)], _merge_tolerance(p))
-            if len(found[i]) == expected:
-                ps, chart = _point_set(family, [p], found[i][None], diags[i])
-                if chart[0]:
-                    out[i] = ps
-                    continue
-            diags[i]["retries"] += 1
-            failed.append(i)
-        pending = failed
+            found[i] = _dedup(X[ok & (tc == j)], _merge_tolerance(batch[i][0]))
+            diags[i]["retries"] += int(len(found[i]) != expected)
+        pending = [i for i in pending if len(found[i]) != expected]
         if not pending:
             break
-    for i in pending:
-        message = f"found {len(found[i])} critical points, expected {expected}"
-        out[i] = CountMismatchError(message, diags[i])
-    return out
+    return [(p, rows, counters) for (p, _), rows, counters in zip(batch, found, diags)]
 
 
-def solve_family_at(
-    family: DeformationFamily,
-    p,
-    expected: int,
-    rng: np.random.Generator,
-) -> CriticalPointSet:
-    """All critical points at the deformation point p: ``solve_fresh`` of
-    one target, raising its CountMismatchError."""
-    (got,) = solve_fresh(family, [(p, rng)], expected)
-    if isinstance(got, CountMismatchError):
-        raise got
-    return got
+def _require_count(found, expected: int) -> list:
+    """The rows of each fresh solve (p, rows, counters) in ``found``;
+    CountMismatchError with its counters at the first one whose count is not
+    ``expected``."""
+    for _, rows, counters in found:
+        if len(rows) != expected:
+            raise CountMismatchError(f"found {len(rows)} critical points, expected {expected}", counters)
+    return [rows for _, rows, _ in found]
+
+
+def _require_chart(ok, diagnostics):
+    """CountMismatchError with ``diagnostics`` if a sample of the mask ``ok``
+    (from ``_point_set``) has a degenerate chart."""
+    if not ok.all():
+        message = f"chart is degenerate at {int((~ok).sum())} of {len(ok)} samples"
+        raise CountMismatchError(message, diagnostics)
+
+
+def solve_family_at(family: DeformationFamily, p, expected: int, rng: np.random.Generator) -> CriticalPointSet:
+    """All critical points at the deformation point p as one point set,
+    with the solver counters of its one-target ``solve_fresh``;
+    CountMismatchError if their count is not ``expected`` or their chart is
+    degenerate."""
+    found = solve_fresh(family, [(p, rng)], expected)
+    (rows,) = _require_count(found, expected)
+    ps, ok = _point_set(family, [p], rows[None], found[0][2])
+    _require_chart(ok, ps.diagnostics)
+    return ps
 
 
 def solve_warm(family: DeformationFamily, P, starts, expected: int):
@@ -607,14 +611,12 @@ def solve_anchored(family: DeformationFamily, P, starts, expected: int, rng):
     own nearby solutions starts[i], all samples in one batch.  This is the
     one recovery rule for a failed warm sample: the samples that fail are
     solved fresh in one ``solve_fresh`` batch with rng, and their rows
-    written in; CountMismatchError if one of them fails."""
+    written in; CountMismatchError if one of them finds another count."""
     X, ok = solve_warm(family, P, starts, expected)
     missing = np.flatnonzero(~ok)
     fresh = solve_fresh(family, [(P[i], rng) for i in missing], expected) if len(missing) else []
-    for i, ps in zip(missing, fresh):
-        if isinstance(ps, CountMismatchError):
-            raise ps
-        X[i] = ps.X
+    for i, rows in zip(missing, _require_count(fresh, expected)):
+        X[i] = rows
     return X, solve_stats(fresh)
 
 
@@ -623,25 +625,27 @@ def circle(p, samples: int) -> np.ndarray:
     return np.exp(1j * (2 * np.pi * np.arange(samples) / samples))[:, None] * p
 
 
-def solve_stats(sets) -> dict:
-    """Fresh solves among the sets (those with solver counters) and the counters summed."""
-    stats = Counter(fresh_solves=sum(1 for s in sets if s.diagnostics))
-    for s in sets:
-        stats.update(s.diagnostics)
+def solve_stats(found) -> dict:
+    """The number of fresh solves (p, rows, counters) in ``found`` and their
+    counters summed."""
+    stats = Counter(fresh_solves=len(found))
+    for _, _, counters in found:
+        stats.update(counters)
     return dict(stats)
 
 
 def track_circle(family: DeformationFamily, P, firsts, expected: int, rng: np.random.Generator):
     """(the rows of the circle grids, shape (circles, samples, expected,
     n + k), and ``solve_stats``): per circle c its samples P[c], from the
-    solved first sample ``firsts[c]`` at P[c, 0].
+    fresh solve ``firsts[c]`` (p, rows, counters) at P[c, 0], whose count
+    is required.
 
     All circles advance in lockstep, one ``solve_anchored`` per angle step
     continuing each circle's previous solutions by Newton; a circle whose
     step fails is solved fresh at that angle, as its first sample was.
     """
     X = np.empty((*P.shape[:2], expected, family.nunk), dtype=np.complex128)
-    X[:, 0] = [ps.X for ps in firsts]
+    X[:, 0] = _require_count(firsts, expected)
     stats = Counter(solve_stats(firsts))
     for j in range(1, P.shape[1]):
         X[:, j], fresh = solve_anchored(family, P[:, j], X[:, j - 1], expected, rng)

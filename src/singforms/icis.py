@@ -92,12 +92,9 @@ def build_ideal(inst: ProblemInstance):
 
 
 def algebra(inst: ProblemInstance) -> QuotientAlgebra:
+    """The local algebra of the minor ideal; its colength is nu, INFINITE
+    for a non-isolated instance."""
     return QuotientAlgebra(build_ideal(inst), inst.n)
-
-
-def index_nu(inst: ProblemInstance):
-    """Colength of the minor ideal; INFINITE marks a non-isolated instance."""
-    return algebra(inst).colength
 
 
 def tau_prime(inst: ProblemInstance) -> int:

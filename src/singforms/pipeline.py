@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from . import icis, quadforms, residuefn
-from .critpts import CountMismatchError, generic_direction
+from . import critpts, icis, quadforms, residuefn
+from .critpts import generic_direction
 from .critpts import solve_family_at  # noqa: F401  perfbench/tracer.py wraps this binding
 from .icis import ProblemInstance
 from .localalg import INFINITE
@@ -149,12 +149,15 @@ def analyze(
             "exact",
         )
 
-    # count certification: a failed run fails the check
-    runs = [ps for ps in sampler.fresh if not isinstance(ps, CountMismatchError)]
-    worst_res = max((float(ps.residual.max(initial=0.0)) for ps in runs), default=0.0)
+    # count certification: the runs that found nu rows are one point set; a
+    # run with another count or a degenerate chart fails the check
+    runs = [(p, rows) for p, rows, _ in sampler.fresh if len(rows) == nu]
+    P = np.reshape([p for p, _ in runs], (-1, m))
+    certified, chart = critpts._point_set(sampler.family, P, np.reshape([X for _, X in runs], (len(P), nu, m)))
+    worst_res = float(certified.residual.max(initial=0.0))
     check(
         "count_certification",
-        len(runs) == _COUNT_RUNS and worst_res < 1e-10,
+        len(runs) == _COUNT_RUNS and chart.all() and worst_res < 1e-10,
         f"runs={_COUNT_RUNS} expected={nu} max_residual={worst_res:.3e}",
         "1e-10",
     )

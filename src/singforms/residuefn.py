@@ -90,8 +90,9 @@ class ResidueSampler:
     unit ``direction`` in C^(k+n).  ``grid`` is the point set of every
     circle's samples, circle after circle in the order of ``cfg.radii``,
     ``expected`` rows each.  ``stats`` holds the ``critpts.solve_stats`` of
-    the analysis's fresh solves, ``fresh`` the outcomes (a point set or a
-    CountMismatchError each) of ``make_sampler``'s further fresh targets.
+    the analysis's fresh solves, ``fresh`` the fresh solves (p, rows, solver
+    counters) of ``make_sampler``'s further targets, whatever their counts:
+    their caller requires the count and tests the chart.
     """
 
     def __init__(self, family, direction, expected, cfg, grid, stats, fresh=()):
@@ -177,9 +178,7 @@ def _grid(family, P, X, stats):
     ``stats``; a fresh solve would find the same points, so none is made."""
     P = np.reshape(P, (-1, P.shape[-1]))
     grid, ok = critpts._point_set(family, P, np.reshape(X, (len(P), *X.shape[-2:])))
-    if not ok.all():
-        message = f"chart is degenerate at {int((~ok).sum())} of {len(ok)} samples"
-        raise critpts.CountMismatchError(message, stats)
+    critpts._require_chart(ok, stats)
     return grid
 
 
@@ -188,16 +187,14 @@ def make_sampler(inst, cfg, seed, expected, fresh=()):
     direction, and the circle grids of ``expected`` rows per sample.  The
     circles' first samples r u and the targets ``fresh`` (p, rng) are solved
     in one ``critpts.solve_fresh`` batch, and ``track_circle`` continues the
-    circles; a failed first sample raises."""
+    circles, raising if a first sample found another count; the further
+    targets' fresh solves are kept as they are."""
     rng = np.random.default_rng(seed)
     direction = critpts.generic_direction(rng, inst.n + inst.k)
     family = DeformationFamily(inst)
     P = _circles(direction, cfg)
     starts = [(Pc[0], rng) for Pc in P]
     solved = critpts.solve_fresh(family, itertools.chain(starts, fresh), expected)
-    for ps in solved[: len(starts)]:
-        if isinstance(ps, critpts.CountMismatchError):
-            raise ps
     X, stats = critpts.track_circle(family, P, solved[: len(starts)], expected, rng)
     grid = _grid(family, P, X, stats)
     return ResidueSampler(family, direction, expected, cfg, grid, stats, solved[len(starts) :])

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from singforms import critpts
+from singforms import critpts, pipeline
 from singforms.corpus import CORPUS
 from singforms.icis import algebra as icis_algebra
 from singforms.pipeline import AnalysisConfig, analyze
@@ -79,13 +79,47 @@ def test_criterion_2_one_failed_run_fails_the_check(monkeypatch):
     def third_run_fails(family, targets, expected):
         got = solve_fresh(family, targets, expected)
         if len(got) > 2:  # the two circle starts, then the five runs
-            got[4] = critpts.CountMismatchError("found 0 critical points, expected 1")
+            p, rows, counters = got[4]
+            got[4] = (p, rows[:0], counters)  # found 0 critical points, expected 1
         return got
 
     monkeypatch.setattr(critpts, "solve_fresh", third_run_fails)
     ci = CORPUS["smooth_line"]
     res = analyze(ci.instance(), AnalysisConfig(), mode=ci.mode, variables=ci.variables)
     assert [c.name for c in res.checks if not c.ok] == ["count_certification"]
+
+
+def test_criterion_2_degenerate_run_fails_the_check(monkeypatch):
+    """A count-certification run that finds the count but has a degenerate
+    chart fails the check and nothing else."""
+    jacobian_data = critpts.DeformationFamily.jacobian_data
+
+    def no_chart_in_the_third_run(self, J):
+        *data, chart = jacobian_data(self, J)
+        if len(J) == pipeline._COUNT_RUNS:  # the runs' one point set, one row each
+            chart[2] = False
+        return (*data, chart)
+
+    monkeypatch.setattr(critpts.DeformationFamily, "jacobian_data", no_chart_in_the_third_run)
+    ci = CORPUS["smooth_line"]
+    res = analyze(ci.instance(), AnalysisConfig(), mode=ci.mode, variables=ci.variables)
+    assert [c.name for c in res.checks if not c.ok] == ["count_certification"]
+
+
+def test_count_certification_makes_one_point_set(monkeypatch):
+    """The runs' fresh solves return rows, and count certification makes
+    them one point set, after the grid's: two point sets per analysis."""
+    point_set, calls = critpts._point_set, []
+
+    def counting(family, P, Xs, diagnostics=None):
+        calls.append(len(P))
+        return point_set(family, P, Xs, diagnostics)
+
+    monkeypatch.setattr(critpts, "_point_set", counting)
+    ci = CORPUS["elkh_identity"]
+    res = analyze(ci.instance(), AnalysisConfig(), mode=ci.mode, variables=ci.variables)
+    assert res.all_ok
+    assert calls == [2 * res.config.limit.samples, pipeline._COUNT_RUNS]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 
 from singforms import cli, critpts, localalg
@@ -293,6 +294,28 @@ def test_degenerate_grid_is_a_solver_failure(tmp_path, monkeypatch):
     lines = err.splitlines()
     assert lines[0] == "solver/limit failure: chart is degenerate at 1 of 32 samples"
     assert "diag fresh_solves: 2" in lines
+    assert "Traceback" not in err
+
+
+def test_degenerate_circle_start_is_a_solver_failure(tmp_path, monkeypatch):
+    """A circle start whose chart is degenerate exits 2 with the grid's
+    chart message: its fresh solve tests no chart and is not retried, and
+    the finished grid's one chart test fails that sample alone."""
+    point_set = critpts._point_set
+    first = 1e-2 * critpts.generic_direction(np.random.default_rng(42), 3)  # outer circle, seed 42
+
+    def no_chart_at_the_first_start(family, P, Xs, diagnostics=None):
+        ps, ok = point_set(family, P, Xs, diagnostics)
+        return ps, ok & (np.asarray(P) != first).any(axis=1)
+
+    monkeypatch.setattr(critpts, "_point_set", no_chart_at_the_first_start)
+    path = tmp_path / "ex1.txt"
+    path.write_text(EX1_N2)
+    code, out, err = run_cli(["analyze", str(path), "--samples", "16"])
+    assert (code, out) == (EXIT_SOLVER, "")
+    lines = err.splitlines()
+    assert lines[0] == "solver/limit failure: chart is degenerate at 1 of 32 samples"
+    assert "diag retries: 0" in lines and "diag fresh_solves: 2" in lines
     assert "Traceback" not in err
 
 

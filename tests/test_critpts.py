@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singforms import critpts
+from singforms.cli import parse_problem_file, problem_to_instance
 from singforms.critpts import (
     CountMismatchError,
     DeformationFamily,
@@ -20,7 +21,7 @@ from singforms.critpts import (
     track_circle,
 )
 from singforms.corpus import CORPUS
-from singforms.icis import ProblemInstance, index_nu
+from singforms.icis import ProblemInstance, algebra
 from singforms.polyring import Poly, parse
 from singforms.residuefn import LimitConfig, make_sampler
 
@@ -471,18 +472,20 @@ def test_batch_matches_one_target_solves(name):
     ts = [1e-2, 5e-3, 1e-2, 2e-3j]
     got = critpts.solve_fresh(fam, _count_runs(fam, np.random.default_rng(77), ts), 4)
     rng = np.random.default_rng(77)
-    for ps, t in zip(got, ts):
+    for (p, rows, counters), t in zip(got, ts):
         want = solve_family_at(fam, t * generic_direction(rng, fam.nunk), 4, rng)
+        ps = _grid(fam, [p], rows)
         assert np.array_equal(ps.p, want.p) and len(ps) == len(want) == 4
         assert np.max(np.abs(ps.X - want.X)) < 1e-12
-        assert ps.diagnostics == want.diagnostics
-    assert not np.allclose(got[0].p / ts[0], got[1].p / ts[1])  # two directions
-    assert sum(ps.diagnostics["paths_diverged"] for ps in got) > 0
+        assert counters == want.diagnostics
+    assert not np.allclose(got[0][0] / ts[0], got[1][0] / ts[1])  # two directions
+    assert sum(counters["paths_diverged"] for _, _, counters in got) > 0
 
 
 def test_failing_target_retries_and_fails_alone(monkeypatch):
     """A target that keeps finding one point too few is the only one to
-    retry, and the only one to fail; the others certify on the first batch."""
+    retry, and the only one whose count fails when it is required; the
+    others find their count on the first batch."""
     fam = DeformationFamily(ex1(2, (1, 2)))
     bad_t = 2e-2
     dedup, track = critpts._dedup, critpts._track
@@ -503,14 +506,48 @@ def test_failing_target_retries_and_fails_alone(monkeypatch):
     assert [len(b) for b in batches] == [3] + [1] * critpts._MAX_RETRIES
     assert np.allclose(batches[0], ts, rtol=1e-12, atol=0)
     assert all(np.isclose(b[0], bad_t, rtol=1e-12, atol=0) for b in batches[1:])
-    assert isinstance(got[1], CountMismatchError)
-    assert "found 3 critical points, expected 4" in str(got[1])
-    assert got[1].diagnostics["retries"] == critpts._MAX_RETRIES + 1
-    assert got[1].diagnostics["paths_tracked"] == 4 * (critpts._MAX_RETRIES + 1)
+    assert len(got[1][1]) == 3  # the rows of its last attempt
+    with pytest.raises(CountMismatchError) as exc:
+        critpts._require_count(got, 4)
+    assert str(exc.value) == "found 3 critical points, expected 4"
+    assert exc.value.diagnostics is got[1][2]
+    assert got[1][2]["retries"] == critpts._MAX_RETRIES + 1
+    assert got[1][2]["paths_tracked"] == 4 * (critpts._MAX_RETRIES + 1)
     for i in (0, 2):
-        assert len(got[i]) == 4
-        assert got[i].diagnostics["retries"] == 0
-        assert got[i].diagnostics["paths_tracked"] == 4
+        assert len(got[i][1]) == 4
+        assert got[i][2]["retries"] == 0
+        assert got[i][2]["paths_tracked"] == 4
+
+
+@pytest.mark.parametrize(
+    "text,nu,found",
+    [
+        ("variables: x, y\nf: x^2 - y^2 + y^3\nomega: 0, 1\n", 2, 3),
+        ("mode: elkh\nvariables: x, y\nomega: x^5 + x*y^2, y^4 - x^2*y\n", 12, 20),
+        ("variables: x, y, z\nf: x^2 + y^2 + z^3, x*y + z^2\nomega: 0, 0, 1\n", 8, 12),
+    ],
+    ids=["nodal_cubic", "elkh_quintic", "k2_space_curve"],
+)
+def test_fresh_solve_returns_the_rows_it_found(text, nu, found):
+    """On inputs with critical points away from the origin, the fresh solve
+    of the first circle sample at seed 42 finds more than nu points on
+    every attempt and returns those of its last, each a zero of the system
+    and no two merged; requiring the count raises with its counters."""
+    inst = problem_to_instance(parse_problem_file(text))
+    assert algebra(inst).colength == nu
+    fam = DeformationFamily(inst)
+    rng = np.random.default_rng(42)
+    p = LimitConfig().radii[0] * generic_direction(rng, fam.nunk)
+    got = critpts.solve_fresh(fam, [(p, rng)], nu)
+    ((q, rows, counters),) = got
+    assert np.array_equal(q, p) and rows.shape == (found, fam.nunk)
+    assert np.abs(fam.system(p, rows)[0]).max() < 1e-10
+    assert critpts._distinct(rows[None], critpts._merge_tolerance(p[None])).all()
+    assert counters["retries"] == critpts._MAX_RETRIES + 1
+    with pytest.raises(CountMismatchError) as exc:
+        critpts._require_count(got, nu)
+    assert str(exc.value) == f"found {found} critical points, expected {nu}"
+    assert exc.value.diagnostics is counters
 
 
 # ---- anchored solves --------------------------------------------------------
@@ -527,7 +564,7 @@ def _cusp_grid(samples):
     fam = DeformationFamily(cusp())
     P = circle(1e-2 * direction_of(fam.inst, 42), samples)
     rng = np.random.default_rng(0)
-    X, _ = track_circle(fam, P[None], [solve_family_at(fam, P[0], 4, rng)], 4, rng)
+    X, _ = track_circle(fam, P[None], critpts.solve_fresh(fam, [(P[0], rng)], 4), 4, rng)
     return fam, P, _grid(fam, P, X).X.reshape(samples, 4, 3)
 
 
@@ -548,7 +585,7 @@ def test_solve_anchored_matches_continuation():
     noise = np.random.default_rng(2).uniform(-1e-6, 1e-6, anchors.shape)
     X, got_stats = solve_anchored(fam, P, anchors + noise, 4, np.random.default_rng(1))
     rng = np.random.default_rng(3)
-    Y, stats = track_circle(fam, P[None], [solve_family_at(fam, P[0], 4, rng)], 4, rng)
+    Y, stats = track_circle(fam, P[None], critpts.solve_fresh(fam, [(P[0], rng)], 4), 4, rng)
     assert X.shape == (16, 4, 3) and Y.shape == (1, 16, 4, 3)
     assert stats["fresh_solves"] == 1
     assert got_stats["fresh_solves"] == 0  # no fresh solve
@@ -580,7 +617,7 @@ def test_solve_anchored_falls_back_per_sample(monkeypatch):
     assert stats["fresh_solves"] == 1
     assert X.shape == (8, 4, 3)
     want = solve_family_at(fam, P[2], 4, np.random.default_rng(5))
-    assert np.max(np.abs(X[2] - want.X)) < 1e-12
+    assert np.max(np.abs(_grid(fam, P[2:3], X[2]).X - want.X)) < 1e-12
     warm, _ = solve_anchored(fam, P, good, 4, np.random.default_rng(1))
     assert np.array_equal(np.delete(X, 2, axis=0), np.delete(warm, 2, axis=0))
     assert np.max(np.abs(_grid(fam, P, X).X - _grid(fam, P, warm).X)) < 1e-12
@@ -705,7 +742,7 @@ def _solved_grids():
     the rows of P."""
     for name, ci in CORPUS.items():
         inst = ci.instance()
-        sampler = make_sampler(inst, LimitConfig(samples=16), 42, index_nu(inst))
+        sampler = make_sampler(inst, LimitConfig(samples=16), 42, algebra(inst).colength)
         yield name, sampler.family, sampler.grid
     fam, P, anchors = _twisted_cusp_grid(16)
     X, ok = solve_warm(fam, P, anchors, 4)
@@ -862,10 +899,10 @@ def test_track_circle_counts():
     p = 1e-2 * direction_of(inst, 5)
     fam = DeformationFamily(inst)
     rng = np.random.default_rng(2)
-    first = solve_family_at(fam, p, 4, rng)
-    X, stats = track_circle(fam, circle(p, 16)[None], [first], 4, rng)
+    first = critpts.solve_fresh(fam, [(p, rng)], 4)
+    X, stats = track_circle(fam, circle(p, 16)[None], first, 4, rng)
     assert X.shape == (1, 16, 4, 3)
-    assert np.array_equal(X[0, 0], first.X)
+    assert np.array_equal(X[0, 0], first[0][1])
     grid = _grid(fam, circle(p, 16), X)
     assert len(grid) == 16 * 4
     assert np.array_equal(grid.p, np.repeat(circle(p, 16), 4, axis=0))
@@ -875,7 +912,8 @@ def test_track_circle_counts():
 
 
 def _firsts(fam, radii, expected, seed):
-    """The solved first samples of circles of the given radii, one batch."""
+    """The fresh solves (p, rows, counters) of the first samples of circles
+    of the given radii, one batch."""
     rng = np.random.default_rng(seed)
     return critpts.solve_fresh(fam, [(_point(fam, r), rng) for r in radii], expected), rng
 
@@ -887,9 +925,9 @@ def test_lockstep_matches_circle_by_circle(name, expected, radii):
     continuing each circle alone."""
     fam = _corpus_family(name)
     firsts, rng = _firsts(fam, radii, expected, 1)
-    P = np.array([circle(ps.p[0], 16) for ps in firsts])
+    P = np.array([circle(p, 16) for p, _, _ in firsts])
     X, stats = track_circle(fam, P, firsts, expected, rng)
-    alone = [track_circle(fam, P[c : c + 1], [ps], expected, rng) for c, ps in enumerate(firsts)]
+    alone = [track_circle(fam, P[c : c + 1], [first], expected, rng) for c, first in enumerate(firsts)]
     rows = 16 * expected
     assert X.shape == (len(radii), 16, expected, fam.nunk)
     grid = _grid(fam, P.reshape(-1, fam.nunk), X)
@@ -914,7 +952,7 @@ def test_lockstep_failed_step_falls_back_alone(monkeypatch, inner):
     fam = _corpus_family("cusp")
     radii = (1e-2, 5e-3)
     firsts, rng = _firsts(fam, radii, 4, 1)
-    P = np.array([circle(ps.p[0], 16) for ps in firsts])
+    P = np.array([circle(p, 16) for p, _, _ in firsts])
     want, _ = track_circle(fam, P, firsts, 4, np.random.default_rng(2))
     warm, solve_fresh = critpts.solve_warm, critpts.solve_fresh
     bad_p = circle(_point(fam, radii[inner]), 16)[5]

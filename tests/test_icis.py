@@ -7,8 +7,8 @@ from singforms.corpus import CORPUS
 from singforms.icis import (
     OmegaDimInconclusive,
     ProblemInstance,
+    algebra,
     build_ideal,
-    index_nu,
     minor,
     omega_module_dim,
     tau_prime,
@@ -86,19 +86,19 @@ def test_minor_alternating_in_columns():
 # ---- dimensions -------------------------------------------------------------
 
 def test_index_nu_values():
-    assert index_nu(ex1(3, (1, 2, 4))) == 6
-    assert index_nu(cusp()) == 4
+    assert algebra(ex1(3, (1, 2, 4))).colength == 6
+    assert algebra(cusp()).colength == 4
     smooth = ProblemInstance(
         2, 1, [parse("x1", VS2)], [Poly.zero(2), Poly.variable(1, 2)]
     )
-    assert index_nu(smooth) == 1
+    assert algebra(smooth).colength == 1
 
 
 def test_index_nu_infinite():
     bad = ProblemInstance(
         2, 1, [parse("x1^2", VS2)], [Poly.one(2), Poly.zero(2)]
     )
-    assert index_nu(bad) == INFINITE
+    assert algebra(bad).colength == INFINITE
 
 
 def test_tau_prime_values():
@@ -120,7 +120,7 @@ def test_omega_module_dim_matches_nu():
         ProblemInstance(2, 1, [parse("x1", VS2)], [Poly.zero(2), Poly.variable(1, 2)]),
         ProblemInstance(2, 0, [], [Poly.variable(0, 2), Poly.variable(1, 2)]),
     ]:
-        assert omega_module_dim(inst) == index_nu(inst)
+        assert omega_module_dim(inst) == algebra(inst).colength
 
 
 def brieskorn_pham(a, b, c):
@@ -160,7 +160,7 @@ def test_omega_module_dim_needs_cap_above_default(abc):
     ids=list(CORPUS) + ["bp_%d_%d_%d" % abc for abc in SURFACES],
 )
 def test_tau_prime_at_most_nu(inst):
-    assert tau_prime(inst) <= index_nu(inst)
+    assert tau_prime(inst) <= algebra(inst).colength
 
 
 def test_nu_invariant_under_equation_mixing():
@@ -171,7 +171,7 @@ def test_nu_invariant_under_equation_mixing():
         [parse("x1^2+x2^2+x3^2", VS3), parse("x1*x2", VS3)],
         [Poly.zero(3), Poly.zero(3), Poly.one(3)],
     )
-    base = index_nu(inst)
+    base = algebra(inst).colength
     mixes = [
         ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1))),
         ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1))),
@@ -183,7 +183,7 @@ def test_nu_invariant_under_equation_mixing():
             m[1][0] * inst.f[0] + m[1][1] * inst.f[1],
         ]
         mixed = ProblemInstance(3, 2, f_new, inst.A)
-        assert index_nu(mixed) == base
+        assert algebra(mixed).colength == base
 
 
 def test_tau_prime_ideal_against_oracle():

@@ -204,9 +204,9 @@ def test_base_sampler_makes_one_warm_batch_per_angle_step(monkeypatch):
 
 
 def test_sampler_makes_one_point_set_per_grid(monkeypatch):
-    """The circles' first samples are one point set each, from their fresh
-    solves, and the finished grid is one more: 3 point sets for two radii,
-    however many samples."""
+    """The circles' first samples make no point set, as their fresh solves
+    return rows, and the finished grid is the one point set, for two radii
+    and however many samples."""
     point_set, calls = critpts._point_set, []
 
     def counting(family, P, Xs, diagnostics=None):
@@ -215,7 +215,7 @@ def test_sampler_makes_one_point_set_per_grid(monkeypatch):
 
     monkeypatch.setattr(critpts, "_point_set", counting)
     s = make_sampler(ex1(2, (1, 2)), LimitConfig(samples=16), 42, 4)
-    assert calls == [1, 1, 2 * 16]
+    assert calls == [2 * 16]
     assert len(s.grid) == 2 * 16 * 4
     assert np.array_equal(s.grid.p[::4], np.concatenate(
         [critpts.circle(r * s.direction, 16) for r in s.cfg.radii]
