@@ -39,19 +39,19 @@ chart is tested once per point set, by ``_point_set``, where rows become
 one: the chart depends on the points at p alone, so no Newton batch and no
 fresh solve tests it.
 
-At each solution P the block K of columns maximizing |det (df_i/dx_j)_{j in K}|
-is selected, Delta_K is that determinant and the fiber chart dx_K = S dx_L
-(L the complement) solves df_K S = -df_L.  The chart-free Jacobian value
+At a solution P, every k-column block K of df with Delta_K = det
+(df_i/dx_j)_{j in K} nonzero gives the fiber a chart dx = T_K dx_L in the
+coordinates of the complement L.  The chart-free Jacobian value
 
     Jtilde(P) = Delta_K^2 * det(T_K^T H T_K),   H = dA - sum_i lambda_i d^2 f_i,
 
-with dx = T_K dx_L on the fiber, is Delta^2 times the Hessian determinant of
-the restricted 1-form in the chart of the L-coordinates, independent of the
-block.  The Jacobian of the multiplier system in (x, lambda) is
-J = [[df, 0], [H, -df^T]], and by the bordered-Hessian identity
-Jtilde = (-1)^(n k) det J at every critical point, so one system evaluation
-gives the residual, Jtilde and the chart data.  For k = 0 this is
-det(dA_i/dx_j)(P).
+is Delta_K^2 times the Hessian determinant of the restricted 1-form in that
+chart, the same on every such block.  The Jacobian of the multiplier system
+in (x, lambda) is J = [[df, 0], [H, -df^T]], and by the bordered-Hessian
+identity Jtilde = (-1)^(n k) det J at every critical point, so one system
+evaluation gives the residual, Jtilde and df, and no chart is solved for:
+the chart test asks only that some |Delta_K| be nonzero beyond rounding.
+For k = 0, Jtilde is det(dA_i/dx_j)(P).
 
 The point p enters the system as data: it shifts the equations by -p, so
 the symbolic work is done once per instance, as one ``StackedPolys`` table
@@ -157,10 +157,8 @@ class DeformationFamily:
         ]
         # values, then the Jacobian row-major
         self._table = StackedPolys(eqs + [e.diff(v) for e in eqs for v in range(self.nunk)], self.nunk)
-        # the k-column blocks of df, index sets in _K and complements in _L
-        self.blocks = list(itertools.combinations(range(n), k))
-        self._K = np.array(self.blocks, dtype=np.int64)
-        self._L = np.array([[j for j in range(n) if j not in K] for K in self.blocks])
+        # the column index sets K of the k x k minors Delta_K of df
+        self._K = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
 
     # -- system evaluation -------------------------------------------------
 
@@ -196,30 +194,16 @@ class DeformationFamily:
     # -- chart-free Jacobian value ------------------------------------------
 
     def jacobian_data(self, J: np.ndarray):
-        """(delta, jtilde, block, S, chart) from the system Jacobians J
-        (shape (m, n+k, n+k)) at critical points.
-
-        Per row, ``block`` indexes the block K of ``blocks`` maximizing
-        |Delta_K| for df = J[:, :k, :n], ``delta`` is Delta_K, ``S`` (shape
-        (m, k, n-k)) the fiber chart dx_K = S dx_L, the solution of
-        df_K S = -df_L, and ``jtilde`` = (-1)^(n k) det J.  ``chart`` is
-        False where even the best |Delta_K| is at most ``_CHART_TOL`` *
-        (1 + max |df|): there delta and S are taken on blocks[0] of the
-        stand-in df = eye(k, n), finite and meaningless.
+        """(jtilde, chart) from the system Jacobians J (shape (m, n+k, n+k))
+        at critical points: ``jtilde`` = (-1)^(n k) det J, and ``chart`` is
+        False where every k x k block Delta_K of df = J[:, :k, :n] has
+        |Delta_K| at most ``_CHART_TOL`` * (1 + max |df|).
         """
         n, k = self.n, self.k
-        dfx = J[:, :k, :n]
-        dets = np.abs(np.linalg.det(dfx[:, :, self._K].transpose(0, 2, 1, 3)))
-        block = np.argmax(dets, axis=1)
-        scale = 1.0 + np.abs(dfx).max(axis=(1, 2), initial=0.0)
-        chart = dets[np.arange(len(J)), block] > _CHART_TOL * scale
-        dfx = np.where(chart[:, None, None], dfx, np.eye(k, n))
-        block = np.where(chart, block, 0)
-        r = np.arange(len(J))[:, None]
-        dfK = dfx[r, :, self._K[block]].transpose(0, 2, 1)
-        dfL = dfx[r, :, self._L[block]].transpose(0, 2, 1)
-        jtilde = (-1) ** (n * k) * np.linalg.det(J)
-        return np.linalg.det(dfK), jtilde, block, -np.linalg.solve(dfK, dfL), chart
+        df = J[:, :k, :n]
+        dets = np.abs(np.linalg.det(df[:, :, self._K].transpose(0, 2, 1, 3)))
+        scale = 1.0 + np.abs(df).max(axis=(1, 2), initial=0.0)
+        return (-1) ** (n * k) * np.linalg.det(J), dets.max(axis=1) > _CHART_TOL * scale
 
 
 @dataclass
@@ -231,18 +215,15 @@ class CriticalPointSet:
     if it has one (``DeformationFamily.system``), and ``X`` (shape
     (m, n + k)) its x-part and then its multipliers; ``residual`` is the
     max-norm of the system there, ``jtilde`` the chart-free Jacobian value
-    (-1)^(n k) det J of the system Jacobian J, ``block`` indexes the
-    family's ``blocks``, ``delta`` is Delta_K on that block and ``S``
-    (shape (m, k, n-k)) the fiber chart dx_K = S dx_L.
+    (-1)^(n k) det J of the system Jacobian J, and ``df`` (shape (m, k, n))
+    the Jacobian of f, J[:, :k, :n].
     """
 
     p: np.ndarray
     X: np.ndarray
     residual: np.ndarray
-    delta: np.ndarray
     jtilde: np.ndarray
-    block: np.ndarray
-    S: np.ndarray
+    df: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -251,11 +232,11 @@ class CriticalPointSet:
     @property
     def x(self) -> np.ndarray:
         """The x-parts of the points, shape (m, n)."""
-        return self.X[:, : self.X.shape[1] - self.S.shape[1]]
+        return self.X[:, : self.df.shape[2]]
 
     def rows(self, index) -> "CriticalPointSet":
         """The rows at ``index`` (a slice or index array)."""
-        cols = (self.p, self.X, self.residual, self.delta, self.jtilde, self.block, self.S)
+        cols = (self.p, self.X, self.residual, self.jtilde, self.df)
         return CriticalPointSet(*(c[index] for c in cols))
 
 
@@ -503,8 +484,8 @@ def _point_set(family, P, Xs, diagnostics=None):
     samples whose chart is not degenerate): the rows Xs[i] (shape (samples,
     m, n + k)) at P[i], sample after sample, each sample's rows sorted by
     (re, im) of their entries.  One system evaluation serves all rows: the
-    residual is max |F| of its values, and its Jacobian gives Jtilde and
-    the chart data of ``jacobian_data``.  A sample's chart is degenerate
+    residual is max |F| of its values, and its Jacobian gives df and the
+    Jtilde and chart of ``jacobian_data``.  A sample's chart is degenerate
     when one of its rows has no chart, or its least |Jtilde| is below 1e-10
     times its largest; this is the one chart test of a point set."""
     P = np.asarray(P, dtype=np.complex128)
@@ -515,11 +496,12 @@ def _point_set(family, P, Xs, diagnostics=None):
     X = X[np.lexsort(keys + [np.repeat(np.arange(len(P)), m)])]
     p = np.repeat(P, m, axis=0)
     F, J = family.system(p, X)
-    *data, chart = family.jacobian_data(J)
-    jts = np.abs(data[1]).reshape(Xs.shape[:2])
+    jtilde, chart = family.jacobian_data(J)
+    jts = np.abs(jtilde).reshape(Xs.shape[:2])
     ok = chart.reshape(Xs.shape[:2]).all(axis=1)
     ok &= jts.min(axis=1, initial=np.inf) >= 1e-10 * jts.max(axis=1, initial=0.0)
-    return CriticalPointSet(p, X, np.abs(F).max(axis=1), *data, diagnostics or {}), ok
+    df = J[:, : family.k, : family.n].copy()  # not a view that keeps J
+    return CriticalPointSet(p, X, np.abs(F).max(axis=1), jtilde, df, diagnostics or {}), ok
 
 
 _COUNTERS = ("paths_tracked", "paths_diverged", "path_failures", "retries")

@@ -3,8 +3,8 @@
 A monomial is a plain tuple of non-negative integer exponents, one entry per
 ambient variable.  Coefficients are exact ``fractions.Fraction`` values;
 int coefficients are converted, and float, complex and bool ones are a
-TypeError.  Floats only appear when the caller evaluates at an inexact point
-(``eval_at``), or when the numeric layer evaluates a ``Poly`` table.
+TypeError.  Floats only appear when the numeric layer evaluates a ``Poly``
+table (``critpts.StackedPolys``).
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -199,37 +199,6 @@ class Poly:
             terms[m2] = terms.get(m2, 0) + c * e
         return Poly(terms, self.nvars)
 
-    def eval_at(self, point: Sequence):
-        """Evaluate at a point; exact rational coefficients convert on the fly.
-
-        With complex entries the result is complex; with Fraction entries it
-        stays exact.
-        """
-        if len(point) != self.nvars:
-            raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
-        inexact = _has_inexact(point)
-        # per-variable power cache keyed by exponent
-        caches = [dict() for _ in range(self.nvars)]
-
-        def power(i, e):
-            if e == 0:
-                return 1
-            cache = caches[i]
-            v = cache.get(e)
-            if v is None:
-                v = point[i] ** e
-                cache[e] = v
-            return v
-
-        total = 0
-        for m, c in self.terms.items():
-            val = complex(c) if inexact else c
-            for i, e in enumerate(m):
-                if e:
-                    val = val * power(i, e)
-            total = total + val
-        return total
-
     def lift(self, nvars: int) -> "Poly":
         """Embed into a ring with more variables, appended after the old ones."""
         if self.nvars > nvars:
@@ -245,10 +214,6 @@ class Poly:
     def __repr__(self):
         names = [f"x{i+1}" for i in range(self.nvars)]
         return f"Poly({self.to_string(names)})"
-
-
-def _has_inexact(point) -> bool:
-    return any(isinstance(v, (complex, float)) for v in point)
 
 
 # ---------------------------------------------------------------------------

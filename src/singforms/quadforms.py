@@ -12,12 +12,12 @@ where K is the complementary column block of the Jacobian of f, realizing
 pullback of Q^A along this map (the congruence C Q^A C^T over the generators'
 coordinates), its rank is computed intrinsically on the image subspace.
 ``qomega_numeric`` evaluates the same pairing directly on the deformed fibers
-for all generator pairs in one batched limit: restrict every generator to the
-fiber in the chart of the selected block, divide each product of two chart
-coefficients by the chart Hessian Jtilde / Delta^2, and take the
-circle-mean limit.  The agreement of the two routes is a test target, not an
-assumption.  The numeric stages take the algebra, the ``ResidueSampler`` and
-``Q^A`` from their caller (``pipeline.analyze``, or ``elkh`` for k = 0).
+for all generator pairs in one batched limit, with Lambda evaluated from its
+definition, h det[df; e_L], at each critical point: each product of two
+values over Jtilde is the fiber chart's product, whatever the chart.  The
+agreement of the two routes is a test target, not an assumption.  The
+numeric stages take the algebra, the ``ResidueSampler`` and ``Q^A`` from
+their caller, ``pipeline.analyze``.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ import numpy as np
 
 from . import ratlinalg
 from .critpts import StackedPolys
-from .icis import ProblemInstance, algebra as icis_algebra, block_minor
+from .icis import ProblemInstance, block_minor
 from .localalg import QuotientAlgebra
 from .polyring import Poly
-from .residuefn import LimitConfig, ResidueSampler, make_sampler
+from .residuefn import ResidueSampler
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def lambda_map(inst: ProblemInstance, gen: FormGenerator, alg: QuotientAlgebra):
 def im_lambda_basis(inst: ProblemInstance, alg: QuotientAlgebra):
     """Echelon basis (rows) of the image subspace of the comparison map.
 
-    The image is spanned by the classes of Delta_K * b over all k-blocks K
+    The image is spanned by the classes of Delta_K * b over all k-subsets K
     and basis monomials b.
     """
     rows = []
@@ -209,32 +209,27 @@ def qomega_numeric(generators, sampler: ResidueSampler) -> np.ndarray:
     """Independent evaluation of the module pairing on the deformed fibers.
 
     Returns the symmetric complex G x G table over all generator pairs, from
-    one batched limit.  At each critical point every generator is restricted to
-    the fiber in the chart of the point's block: with dx = T dx_L on the
-    fiber (the rows of T are unit rows on L and the point's chart S on K),
-    h dx_G restricts to h det(T[G]) dx_L.  The product of two chart
-    coefficients is divided by the chart Hessian Jtilde / Delta^2, with the
-    point set's Jtilde = (-1)^(n k) det of the system Jacobian, so the pair
-    table summed over a block of grid rows, a the rows' coefficients, is
-    (a Delta^2 / Jtilde)^T a.
+    one batched limit.  At a critical point, Lambda of h dx_G is h det[df;
+    e_G] by its definition: df stacked over the unit rows e_g, g in G.  In
+    the fiber chart dx = T dx_L of any block K with Delta_K != 0 (L its
+    complement), h dx_G restricts to h det(T[G]) dx_L, and det[df; e_G] =
+    sgn(K, L) Delta_K det(T[G]): the sign cancels in a product, so over the
+    rows' values a the table (a / Jtilde)^T a is the sum of the products of
+    chart coefficients over the chart Hessian Jtilde / Delta_K^2.
     """
     fam = sampler.family
     n, k = fam.n, fam.k
     coeffs = StackedPolys([g.coeff for g in generators], n)
     index_sets = list(dict.fromkeys(g.index_set for g in generators))
     which = [index_sets.index(g.index_set) for g in generators]
-    charts = [(list(K), [j for j in range(n) if j not in K]) for K in fam.blocks]
+    E = np.eye(n)[np.reshape(index_sets, (len(index_sets), n - k)).astype(np.int64)]  # e_G
     pairs = np.triu_indices(len(generators))
 
     def values(ps):
-        T = np.zeros((len(ps), n, n - k), dtype=np.complex128)
-        for b, (K, L) in enumerate(charts):
-            rows = ps.block == b
-            T[np.ix_(rows, L)] = np.eye(n - k)
-            T[np.ix_(rows, K)] = ps.S[rows]
-        dets = np.stack([np.linalg.det(T[:, list(G)]) for G in index_sets], axis=-1)
-        a = coeffs.eval(ps.x) * dets[:, which]
-        return ((a * (ps.delta**2 / ps.jtilde)[:, None]).T @ a)[pairs]
+        M = np.empty((len(ps), len(E), n, n), dtype=np.complex128)
+        M[:, :, :k], M[:, :, k:] = ps.df[:, None], E
+        a = coeffs.eval(ps.x) * np.linalg.det(M)[:, which]
+        return ((a / ps.jtilde[:, None]).T @ a)[pairs]
 
     labels = [
         f"qomega[{generators[i].label()},{generators[j].label()}]" for i, j in zip(*pairs)
@@ -245,7 +240,7 @@ def qomega_numeric(generators, sampler: ResidueSampler) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# inequalities and the classical case
+# inequalities
 # ---------------------------------------------------------------------------
 
 
@@ -261,44 +256,3 @@ def rank_inequalities_hold(
         and 0 <= gap <= 2 * tau
         and im_lambda_dim == nu - tau
     )
-
-
-def mult_operator_rank(alg: QuotientAlgebra, p: Poly) -> int:
-    """Exact rank of multiplication by p on the quotient algebra."""
-    if alg.colength == 0:
-        return 0
-    return ratlinalg.rank(alg.multiplication_matrix(p))
-
-
-def elkh(maps, cfg: LimitConfig, seed=0):
-    """The classical nondegenerate form of a finite map germ (the k = 0 case).
-
-    Returns (GramForm, algebra, sampler); the Gram is [R(e_a e_b)] for the
-    1-form with coefficients the components of the map, whose signature is the
-    local degree of the real map for real input.
-    """
-    n = maps[0].nvars
-    inst = ProblemInstance(n, 0, [], list(maps))
-    alg = icis_algebra(inst)
-    if alg.colength == float("inf"):
-        raise ValueError("map is not finite")
-    sampler = make_sampler(inst, cfg, seed, expected=alg.colength)
-    gram = gram_qa(inst, alg, sampler)
-    return gram, alg, sampler
-
-
-def example2_bridge_map(inst: ProblemInstance):
-    """The finite map (f, m_2, .., m_n) matched by the algebra of (f, dx_1).
-
-    The minors m_j are taken on columns (1, j) with the sign conventions of
-    the ideal construction, which makes the comparison exact including signs.
-    """
-    if inst.k != 1:
-        raise ValueError("the bridge needs k = 1")
-    if inst.A[0] != Poly.one(inst.n) or any(
-        not a.is_zero() for a in inst.A[1:]
-    ):
-        raise ValueError("the bridge needs omega = dx_1")
-    from .icis import minor
-
-    return [inst.f[0]] + [minor(inst, (0, j)) for j in range(1, inst.n)]

@@ -3,8 +3,11 @@
 These deliberately avoid the production code paths they check: the truncated
 Macaulay dimension uses its own dense rational elimination, and the
 finite-difference Jacobian oracle restricts the 1-form to the fiber through
-the implicit function theorem with plain polynomial evaluation.  The two
-instance builders ``ex1`` and ``cusp`` are shared by the test modules.
+the implicit function theorem with plain polynomial evaluation
+(``eval_at``, term by term).  The two instance builders ``ex1`` and ``cusp``
+are shared by the test modules, as are three helpers that only tests call:
+the classical map-germ form ``elkh`` (``make_sampler`` and ``gram_qa`` on a
+k = 0 instance), the bridge map of Example 2 and ``mult_operator_rank``.
 """
 
 from __future__ import annotations
@@ -14,8 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from singforms.icis import ProblemInstance
+from singforms import ratlinalg
+from singforms.icis import ProblemInstance, algebra, minor
+from singforms.localalg import QuotientAlgebra
 from singforms.polyring import Poly, parse
+from singforms.quadforms import gram_qa
+from singforms.residuefn import LimitConfig, make_sampler
 
 
 def ex1(n, a):
@@ -29,6 +36,78 @@ def ex1(n, a):
 def cusp():
     """The cusp f = x^2 - y^3 with omega = dx."""
     return ProblemInstance(2, 1, [parse("x^2 - y^3", ["x", "y"])], [Poly.one(2), Poly.zero(2)])
+
+
+def eval_at(poly: Poly, point):
+    """Evaluate a polynomial at a point, term by term; exact rational
+    coefficients convert on the fly.
+
+    With complex entries the result is complex; with Fraction entries it
+    stays exact.
+    """
+    if len(point) != poly.nvars:
+        raise ValueError(f"point has length {len(point)}, expected {poly.nvars}")
+    inexact = any(isinstance(v, (complex, float)) for v in point)
+    # per-variable power cache keyed by exponent
+    caches = [dict() for _ in range(poly.nvars)]
+
+    def power(i, e):
+        if e == 0:
+            return 1
+        cache = caches[i]
+        v = cache.get(e)
+        if v is None:
+            v = point[i] ** e
+            cache[e] = v
+        return v
+
+    total = 0
+    for m, c in poly.terms.items():
+        val = complex(c) if inexact else c
+        for i, e in enumerate(m):
+            if e:
+                val = val * power(i, e)
+        total = total + val
+    return total
+
+
+def elkh(maps, cfg: LimitConfig, seed=0):
+    """The classical nondegenerate form of a finite map germ (the k = 0 case).
+
+    Returns (GramForm, algebra, sampler); the Gram is [R(e_a e_b)] for the
+    1-form with coefficients the components of the map, whose signature is the
+    local degree of the real map for real input.
+    """
+    n = maps[0].nvars
+    inst = ProblemInstance(n, 0, [], list(maps))
+    alg = algebra(inst)
+    if alg.colength == float("inf"):
+        raise ValueError("map is not finite")
+    sampler = make_sampler(inst, cfg, seed, expected=alg.colength)
+    gram = gram_qa(inst, alg, sampler)
+    return gram, alg, sampler
+
+
+def example2_bridge_map(inst: ProblemInstance):
+    """The finite map (f, m_2, .., m_n) matched by the algebra of (f, dx_1).
+
+    The minors m_j are taken on columns (1, j) with the sign conventions of
+    the ideal construction, which makes the comparison exact including signs.
+    """
+    if inst.k != 1:
+        raise ValueError("the bridge needs k = 1")
+    if inst.A[0] != Poly.one(inst.n) or any(
+        not a.is_zero() for a in inst.A[1:]
+    ):
+        raise ValueError("the bridge needs omega = dx_1")
+    return [inst.f[0]] + [minor(inst, (0, j)) for j in range(1, inst.n)]
+
+
+def mult_operator_rank(alg: QuotientAlgebra, p: Poly) -> int:
+    """Exact rank of multiplication by p on the quotient algebra."""
+    if alg.colength == 0:
+        return 0
+    return ratlinalg.rank(alg.multiplication_matrix(p))
 
 
 def monomials_below(nvars, degree):
@@ -163,12 +242,12 @@ def fd_restricted_jacobian(inst, direction, t, x, block, h=1e-6):
             full[j] = c
         for _ in range(60):
             vals = np.array(
-                [inst.f[i].eval_at(full) - eps[i] for i in range(k)]
+                [eval_at(inst.f[i], full) - eps[i] for i in range(k)]
             )
             if np.abs(vals).max(initial=0.0) < 1e-14:  # k = 0: no fiber to solve
                 break
             jac = np.array(
-                [[inst.f[i].diff(j).eval_at(full) for j in K] for i in range(k)]
+                [[eval_at(inst.f[i].diff(j), full) for j in K] for i in range(k)]
             )
             dx = np.linalg.solve(jac, vals)
             for idx, j in enumerate(K):
@@ -177,12 +256,12 @@ def fd_restricted_jacobian(inst, direction, t, x, block, h=1e-6):
 
     def restricted(xl):
         full = solve_fiber(xl)
-        a_t = np.array([inst.A[j].eval_at(full) - alpha[j] for j in range(n)])
+        a_t = np.array([eval_at(inst.A[j], full) - alpha[j] for j in range(n)])
         dfK = np.array(
-            [[inst.f[i].diff(j).eval_at(full) for j in K] for i in range(k)]
+            [[eval_at(inst.f[i].diff(j), full) for j in K] for i in range(k)]
         )
         dfL = np.array(
-            [[inst.f[i].diff(j).eval_at(full) for j in L] for i in range(k)]
+            [[eval_at(inst.f[i].diff(j), full) for j in L] for i in range(k)]
         )
         if k:
             dxk = -np.linalg.solve(dfK, dfL)  # rows K, cols L
@@ -204,7 +283,7 @@ def fd_restricted_jacobian(inst, direction, t, x, block, h=1e-6):
     full = solve_fiber(xl0)
     if k:
         dfK = np.array(
-            [[inst.f[i].diff(j).eval_at(full) for j in K] for i in range(k)]
+            [[eval_at(inst.f[i].diff(j), full) for j in K] for i in range(k)]
         )
         delta = np.linalg.det(dfK)
     else:

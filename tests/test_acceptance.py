@@ -10,11 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from singforms import critpts, pipeline
+from singforms import critpts, pipeline, quadforms
 from singforms.corpus import CORPUS
-from singforms.icis import algebra as icis_algebra
+from singforms.icis import ProblemInstance, algebra as icis_algebra
 from singforms.pipeline import AnalysisConfig, analyze
-from singforms.quadforms import example2_bridge_map, mult_operator_rank
+from singforms.polyring import parse
+
+from oracles import elkh, example2_bridge_map, mult_operator_rank
 
 ICIS_NAMES = [
     "ex1_n2",
@@ -143,6 +145,23 @@ def test_criterion_5_two_route_qomega(corpus_analysis, name):
     _report(f"5[{name}]", c.ok, f"{c.detail} tol=1e-06 (relative)")
 
 
+def test_criterion_5_two_route_qomega_sees_the_lambda_sign(monkeypatch):
+    """The numeric route takes Lambda's sign from det[df; e_L], the map
+    route from ``shuffle_sign``: with that sign forced to +1 the routes
+    disagree.  The quadric's 1-form couples x and y, so Q^Omega pairs dx^dz
+    with dy^dz, a pair of generators whose index sets have opposite signs."""
+    vs = ["x", "y", "z"]
+    inst = ProblemInstance(
+        3, 1, [parse("x^2 + y^2 + z^2", vs)], [parse(a, vs) for a in ("2*x + y", "x + 3*y", "5*z")]
+    )
+    clean = _check(analyze(inst, AnalysisConfig()), "two_route_qomega")
+    monkeypatch.setattr(quadforms, "shuffle_sign", lambda K, L: 1)
+    corrupted = _check(analyze(inst, AnalysisConfig()), "two_route_qomega")
+    dev = float(corrupted.detail.removeprefix("max_rel_dev="))
+    _report("5[sign]", clean.ok and not corrupted.ok, f"clean: {clean.detail}; sign +1: {corrupted.detail}")
+    assert dev > 0.1
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_criterion_6_module_dim_equality(corpus_analysis, name):
     _, res, _ = corpus_analysis(name)
@@ -176,7 +195,6 @@ def test_criterion_7_inequalities(corpus_analysis, name):
 def test_criterion_8_bridge_identity(corpus_analysis, name):
     """Q^A(phi1, phi2) = Q_map((df/dx1)^{n-2} phi1, phi2) on all basis pairs;
     entrywise coincidence for n = 2."""
-    from singforms.quadforms import elkh
     from singforms.polyring import Poly
     from singforms.residuefn import LimitConfig
 

@@ -22,10 +22,12 @@ from singforms.critpts import (
 )
 from singforms.corpus import CORPUS
 from singforms.icis import ProblemInstance, algebra
+from singforms.pipeline import default_generators
 from singforms.polyring import Poly, parse
+from singforms.quadforms import qomega_numeric
 from singforms.residuefn import LimitConfig, make_sampler
 
-from oracles import cusp, ex1, ex1_closed_form, fd_restricted_jacobian
+from oracles import cusp, eval_at, ex1, ex1_closed_form, fd_restricted_jacobian
 
 VS2 = ["x1", "x2"]
 
@@ -45,7 +47,7 @@ def _check_system(fam, vs, equations, seed, twist=()):
     """Values and Jacobian of ``fam.system`` at seeded complex points X and
     deformation points P, one per row of X: at each p for all rows against
     ``equations``, the multiplier system written out by hand over the
-    unknowns ``vs`` and p = (p1, p2, ...), evaluated with ``Poly.eval_at``
+    unknowns ``vs`` and p = (p1, p2, ...), evaluated with ``eval_at``
     at (x, p) and differentiated in the unknowns with ``Poly.diff``; and
     with one p per row, where row i must match row i at P[i] alone to
     1e-14 relative.  The entries ``twist`` follow p on every row of P."""
@@ -60,8 +62,8 @@ def _check_system(fam, vs, equations, seed, twist=()):
         vals, J = fam.system(p, X)
         for x, v, Jx in zip(X, vals, J):
             at = list(x) + list(p[: fam.nunk])
-            want = np.array([e.eval_at(at) for e in eqs])
-            want_J = np.array([[e.diff(c).eval_at(at) for c in range(fam.nunk)] for e in eqs])
+            want = np.array([eval_at(e, at) for e in eqs])
+            want_J = np.array([[eval_at(e.diff(c), at) for c in range(fam.nunk)] for e in eqs])
             assert np.allclose(v, want, rtol=1e-12, atol=1e-12)
             assert np.allclose(Jx, want_J, rtol=1e-12, atol=1e-12)
         for got, want in zip(per_row, (vals, J)):
@@ -393,7 +395,7 @@ def _random_poly(rng, nvars, deg, terms):
 def test_stacked_eval_matches_exact_evaluation():
     """Random and zero items agree with exact evaluation at dyadic points,
     one row at a time gives the rows of the batch, and complex points agree
-    with ``Poly.eval_at``."""
+    with the oracle ``eval_at``."""
     rng = np.random.default_rng(0)
     nv = 3
     items = [_random_poly(rng, nv, 4, 6) for _ in range(5)] + [Poly.zero(nv)]
@@ -406,14 +408,14 @@ def test_stacked_eval_matches_exact_evaluation():
     for i, p in enumerate(pts):
         assert np.allclose(sp.eval(X[i : i + 1])[0], got[i], rtol=1e-14, atol=1e-12)
         for j, item in enumerate(items):
-            want = item.eval_at(p)
+            want = eval_at(item, p)
             assert abs(got[i, j] - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
-    # complex points against the term-by-term evaluation of Poly.eval_at
+    # complex points against the term-by-term evaluation of eval_at
     Z = X + 1j * np.array(pts[::-1], dtype=float)
     got = sp.eval(Z)
     for i, z in enumerate(Z):
         for j, item in enumerate(items):
-            want = item.eval_at(list(z))
+            want = eval_at(item, list(z))
             assert abs(got[i, j] - want) <= 1e-12 * max(1.0, abs(want))
     zero = StackedPolys([Poly.zero(nv), Poly.zero(nv)], nv)
     assert np.array_equal(zero.eval(X), np.zeros((len(pts), 2)))
@@ -726,7 +728,7 @@ def test_block_independence_cusp():
     rng = np.random.default_rng(0)
     ps = solve_family_at(fam, 1e-2 * direction_of(inst, 42), 4, rng)
     J = fam.system(ps.p, ps.X)[1]
-    jt = fam.jacobian_data(J)[1]
+    jt = fam.jacobian_data(J)[0]
     checked = 0
     for ((_, j0), (_, j1)), want in zip(_block_values(J, 2, 1), jt):
         if j0 is not None and j1 is not None:
@@ -753,15 +755,15 @@ def _solved_grids():
 def test_bordered_identity_on_every_block():
     """At every grid point the point set's Jtilde, (-1)^(n k) det J of the
     system Jacobian J, equals Delta_K^2 det(T_K^T H T_K) on every block K
-    with |Delta_K| > 1e-6, and its delta is Delta_K on the row's block.
-    The sign is +1 both on ex1_n2, where (-1)^k is -1, and on four_lines,
-    where (-1)^n is -1."""
+    with |Delta_K| > 1e-6, and its df is J[:, :k, :n].  The sign is +1
+    both on ex1_n2, where (-1)^k is -1, and on four_lines, where (-1)^n is
+    -1."""
     ks = set()
     for name, fam, grid in _solved_grids():
         J = fam.system(grid.p, grid.X)[1]
+        assert np.array_equal(grid.df, J[:, : fam.k, : fam.n]), name
         checked = 0
-        for row, jt, b, delta in zip(_block_values(J, fam.n, fam.k), grid.jtilde, grid.block, grid.delta):
-            assert abs(row[b][0] - delta) <= 1e-12 * abs(delta), name
+        for row, jt in zip(_block_values(J, fam.n, fam.k), grid.jtilde):
             for _, value in row:
                 if value is not None:
                     assert abs(value - jt) <= 1e-9 * abs(value), name
@@ -771,55 +773,103 @@ def test_bordered_identity_on_every_block():
     assert ks == {0, 1, 2}
 
 
-def test_batched_chart_data_matches_rowwise():
-    """jacobian_data on all rows agrees with jacobian_data row by row, delta
-    is det df_K on each row's chosen block, and S is the fiber chart:
-    dfK @ S = -dfL.
+class _KeepValues:
+    """A sampler stand-in for ``qomega_numeric``: ``limit`` keeps the
+    function of point sets it is given."""
 
-    On the cusp with omega = dx every point picks the same block (the ratio
-    of the two partials is fixed by the constant form); the quadric points
-    sit in pairs on the coordinate axes, one block per pair.
+    def __init__(self, family):
+        self.family = family
+
+    def limit(self, values, labels):
+        self.values = values
+        return np.zeros(len(labels))
+
+
+def test_lambda_product_is_the_chart_product_on_every_block():
+    """qomega_numeric's summand at a grid row, h h' det[df; e_G] det[df;
+    e_G'] / Jtilde for generators h dx_G and h' dx_G', is the chart
+    product a a' Delta_K^2 / Jtilde, a = h det(T_K[G]) with T_K the fiber
+    chart of the test's own solve, on every block K with |Delta_K| > 1e-6:
+    det[df; e_G] = sgn(K, L) Delta_K det(T_K[G]), and the sign cancels.
+    Each block is compared row by row, on the rows where it is a chart: a
+    sum over a circle grid cancels the pairs whose limit is 0."""
+    ks = set()
+    for name, fam, grid in _solved_grids():
+        n, k = fam.n, fam.k
+        gens = default_generators(fam.inst)
+        kept = _KeepValues(fam)
+        qomega_numeric(gens, kept)
+        pairs = np.triu_indices(len(gens))
+        h = StackedPolys([g.coeff for g in gens], n).eval(grid.x)
+        checked = 0
+        for K in map(list, itertools.combinations(range(n), k)):
+            L = [j for j in range(n) if j not in K]
+            rows = np.flatnonzero(np.abs(np.linalg.det(grid.df[:, :, K])) > 1e-6)
+            ps = grid.rows(rows)
+            delta = np.linalg.det(ps.df[:, :, K])
+            T = np.zeros((len(ps), n, n - k), dtype=complex)
+            T[:, L] = np.eye(n - k)
+            if k:
+                T[:, K] = -np.linalg.solve(ps.df[:, :, K], ps.df[:, :, L])
+            a = h[rows] * np.stack([np.linalg.det(T[:, list(g.index_set)]) for g in gens], axis=1)
+            want = a[:, pairs[0]] * a[:, pairs[1]] * (delta**2 / ps.jtilde)[:, None]
+            got = np.array([kept.values(ps.rows([i])) for i in range(len(ps))]).reshape(want.shape)
+            size = np.abs(want).max(axis=1, initial=0.0)[:, None]
+            assert np.all(np.abs(got - want) <= 1e-9 * size), (name, K)
+            checked += len(rows)
+        assert checked >= len(grid) > 0, name
+        ks.add(k)
+    assert ks == {0, 1, 2}
+
+
+def _best_blocks(df):
+    """Per row of df (shape (m, k, n)), the k-block K maximizing
+    |Delta_K|, in the order of ``itertools.combinations``."""
+    blocks = list(itertools.combinations(range(df.shape[2]), df.shape[1]))
+    dets = [np.abs(np.linalg.det(df[:, :, list(K)])) for K in blocks]
+    return [blocks[b] for b in np.argmax(dets, axis=0)]
+
+
+def test_batched_chart_data_matches_rowwise():
+    """jacobian_data on all rows agrees with jacobian_data row by row, and
+    the point set's df is the Jacobian of f at its rows.
+
+    The quadric points sit in pairs on the coordinate axes, so each block
+    of df is the largest at one pair: the chart test looks at every block.
     """
     inst = ex1(3, (1, 2, 4))
     fam = DeformationFamily(inst)
     ps = solve_family_at(fam, 1e-2 * direction_of(inst, 42), 6, np.random.default_rng(0))
-    assert set(ps.block.tolist()) == {0, 1, 2}  # every block is chosen
+    assert set(_best_blocks(ps.df)) == {(0,), (1,), (2,)}
     J = fam.system(ps.p, ps.X)[1]
-    delta, jt, block, S, chart = fam.jacobian_data(J)
+    assert np.array_equal(ps.df, J[:, : inst.k, : inst.n])
+    jt, chart = fam.jacobian_data(J)
     assert chart.all()
-    assert np.array_equal(block, ps.block)
-    for i, b in enumerate(block):
-        d1, j1, b1, S1, c1 = fam.jacobian_data(J[i : i + 1])
-        assert c1[0] and b1[0] == b
-        assert abs(d1[0] - delta[i]) <= 1e-12 * abs(delta[i])
+    for i in range(len(J)):
+        j1, c1 = fam.jacobian_data(J[i : i + 1])
+        assert c1[0]
         assert abs(j1[0] - jt[i]) <= 1e-12 * abs(jt[i])
-        assert np.allclose(S1[0], S[i], rtol=1e-12, atol=0)
-        K = list(fam.blocks[b])
-        L = [j for j in range(inst.n) if j not in K]
-        dfx = J[i, : inst.k, : inst.n]
-        assert abs(np.linalg.det(dfx[:, K]) - delta[i]) <= 1e-12 * abs(delta[i])
-        assert np.allclose(dfx[:, K] @ ps.S[i], -dfx[:, L], rtol=1e-10, atol=1e-14)
 
 
 def test_chart_data_with_per_row_t():
     """jacobian_data on the system Jacobian with one p per row, over the
-    points of two deformation points and several blocks, equals
-    jacobian_data at each row's own p."""
+    points of two deformation points and several best blocks, equals
+    jacobian_data at each row's own p, and the rows' df are those of the
+    two point sets."""
     inst = ex1(3, (1, 2, 4))
     fam, u = DeformationFamily(inst), direction_of(inst, 42)
     a = solve_family_at(fam, 1e-2 * u, 6, np.random.default_rng(0))
     b = solve_family_at(fam, 2e-2j * u, 6, np.random.default_rng(1))
     X = np.concatenate([a.X, b.X])
     tr = np.concatenate([a.p, b.p])
-    delta, jt, block, S, chart = fam.jacobian_data(fam.system(tr, X)[1])
+    J = fam.system(tr, X)[1]
+    jt, chart = fam.jacobian_data(J)
     assert chart.all()
-    assert len(set(block.tolist())) > 1
-    assert np.array_equal(block, np.concatenate([a.block, b.block]))
+    assert len(set(_best_blocks(J[:, : inst.k, : inst.n]))) > 1
+    assert np.array_equal(J[:, : inst.k, : inst.n], np.concatenate([a.df, b.df]))
     for i in range(len(X)):
-        d1, j1, _, S1, _ = fam.jacobian_data(fam.system(tr[i], X[i : i + 1])[1])
-        assert abs(d1[0] - delta[i]) <= 1e-12 * abs(delta[i])
+        j1, _ = fam.jacobian_data(fam.system(tr[i], X[i : i + 1])[1])
         assert abs(j1[0] - jt[i]) <= 1e-12 * abs(jt[i])
-        assert np.allclose(S1[0], S[i], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -839,8 +889,8 @@ def test_jtilde_against_finite_differences(inst_builder, expected):
     rng = np.random.default_rng(1)
     t = 1e-2
     ps = solve_family_at(fam, t * u, expected, rng)
-    for x, b, jt in list(zip(ps.x, ps.block, ps.jtilde))[:3]:
-        fd = fd_restricted_jacobian(inst, u, t, tuple(x), fam.blocks[b])
+    for x, K, jt in list(zip(ps.x, _best_blocks(ps.df), ps.jtilde))[:3]:
+        fd = fd_restricted_jacobian(inst, u, t, tuple(x), K)
         assert abs(fd - jt) < 1e-4 * max(abs(jt), 1e-12)
 
 
@@ -848,11 +898,10 @@ def test_jacobian_value_spec_surface():
     eps = 0.01
     fam = DeformationFamily(ex1(2, (1, 2)))
     J = fam.system(np.array([eps, 0.0, 0.0]), np.array([[eps**0.5, 0.0, 0.5]]))[1]  # lambda = a1 / 2
-    delta, jt, block, _, chart = fam.jacobian_data(J)
+    jt, chart = fam.jacobian_data(J)
     assert chart.tolist() == [True]
-    assert abs(delta[0] - 2 * eps**0.5) < 1e-12
+    assert abs(J[0, 0, 0] - 2 * eps**0.5) < 1e-12  # df/dx at the point
     assert abs(jt[0] - 4 * eps * 1.0) < 1e-12  # 4 eps (a2 - a1)
-    assert fam.blocks[block[0]] == (0,)
 
 
 @pytest.mark.parametrize(
@@ -862,21 +911,21 @@ def test_jacobian_value_spec_surface():
 )
 def test_chart_mask_fails_only_the_degenerate_rows(name, expected, near):
     """Rows with df = 0 and with every k x k block near-singular, the best
-    not blocks[0], have no chart; jacobian_data still returns finite data,
-    and the other rows' data as without them.  In ``_point_set`` such a
-    row fails its own sample only."""
+    not the first, have no chart; jacobian_data still returns a finite
+    Jtilde, and the other rows' data as without them.  In ``_point_set``
+    such a row fails its own sample only."""
     fam = _corpus_family(name)
     ps = solve_family_at(fam, _point(fam), expected, np.random.default_rng(0))
     zero = np.zeros(fam.nunk)
     near = np.concatenate([near, ps.X[0, fam.n :]])  # with a solution's multipliers
     dfx = fam.system(ps.p[0], near[None])[1][0, : fam.k, : fam.n]
-    assert np.argmax([abs(np.linalg.det(dfx[:, list(K)])) for K in fam.blocks]) != 0
+    assert _best_blocks(dfx[None]) != [tuple(range(fam.k))]
     J = fam.system(ps.p[0], np.vstack([ps.X, zero, near]))[1]
-    delta, jt, block, S, chart = fam.jacobian_data(J)
+    jt, chart = fam.jacobian_data(J)
     assert chart.tolist() == [True] * expected + [False, False]
-    assert all(np.isfinite(a).all() for a in (delta, jt, S))
+    assert np.isfinite(jt).all()
     want = fam.jacobian_data(J[:expected])
-    for got, w in zip((delta, jt, block, S), want):
+    for got, w in zip((jt, chart), want):
         assert np.allclose(got[:expected], w, rtol=1e-12, atol=0)
     Xs = np.repeat(ps.X[None], 4, axis=0)
     Xs[1, 0], Xs[2, -1] = zero, near
@@ -935,7 +984,7 @@ def test_lockstep_matches_circle_by_circle(name, expected, radii):
         part, want = grid.rows(slice(c * rows, c * rows + rows)), _grid(fam, P[c], Y)
         assert np.array_equal(part.p, want.p)
         assert np.max(np.abs(part.X - want.X)) < 1e-12
-        assert np.array_equal(part.block, want.block)
+        assert np.allclose(part.df, want.df, rtol=1e-12, atol=0)
         assert np.allclose(part.jtilde, want.jtilde, rtol=1e-12, atol=0)
     total = Counter()
     for _, s in alone:

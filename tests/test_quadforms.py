@@ -8,21 +8,18 @@ from singforms.polyring import Poly, parse
 from singforms.quadforms import (
     FormGenerator,
     GramForm,
-    elkh,
-    example2_bridge_map,
     gram_qa,
     gram_qomega,
     im_lambda_basis,
     lambda_map,
     lambda_poly,
-    mult_operator_rank,
     qomega_numeric,
     rank_inequalities_hold,
     shuffle_sign,
 )
 from singforms.residuefn import LimitConfig, make_sampler
 
-from oracles import cusp, ex1
+from oracles import cusp, elkh, example2_bridge_map, ex1, mult_operator_rank
 
 VS2 = ["x1", "x2"]
 VS3 = ["x1", "x2", "x3"]
