@@ -9,15 +9,17 @@ orders.
 Canonical normal forms do not come from Mora division (that only yields weak
 normal forms up to a unit).  Instead, once the truncation degree N with
 m^N contained in the ideal is known, the quotient is modelled exactly as
-Q[x]/(I + m^N) and classes are reduced by exact linear algebra against a
-reduced echelon basis of the truncated ideal image.
+Q[x]/(I + m^N), and classes are reduced by the ``ratlinalg.rref`` rows of
+the truncated monomial multiples of the generators.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
+from . import ratlinalg
 from .polyring import Poly
 
 INFINITE = float("inf")
@@ -170,7 +172,7 @@ def _pure_power_bounds(lead_mins, nvars):
     for i in range(nvars):
         best = None
         for m in lead_mins:
-            if m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i):
+            if all(e == 0 for j, e in enumerate(m) if j != i):
                 best = m[i] if best is None else min(best, m[i])
         if best is None:
             return None
@@ -203,24 +205,13 @@ class QuotientAlgebra:
         self.nvars = nvars
         self.std_basis = standard_basis(self.generators)
         self.leading_ideal = minimal_lead_gens(self.std_basis)
-        if self.leading_ideal and self.leading_ideal[0] == (0,) * nvars:
-            # unit ideal: the quotient is zero
-            self.finite = True
-            self.basis = []
-            self.N = 0
-            self._rows = {}
-            self._index = {}
-            self._product_cache = {}
-            return
         bounds = _pure_power_bounds(self.leading_ideal, nvars)
-        if bounds is None:
-            self.finite = False
+        self.finite = bounds is not None
+        if not self.finite:
             self.basis = None
             self.N = None
-            self._rows = None
             self._index = None
             return
-        self.finite = True
         std = [
             m
             for m in itertools.product(*[range(b) for b in bounds])
@@ -229,76 +220,34 @@ class QuotientAlgebra:
         self.basis = sorted(std, key=order_key, reverse=True)
         self.N = (max(sum(m) for m in self.basis) + 1) if self.basis else 0
         self._index = {m: i for i, m in enumerate(self.basis)}
-        self._rows = self._build_nf_rows()
         self._product_cache = {}
-
-    # -- construction helpers -------------------------------------------
 
     def _truncate(self, p: Poly):
         return {m: c for m, c in p.terms.items() if sum(m) < self.N}
 
-    def _build_nf_rows(self):
-        """Reduced echelon rows of the ideal image inside Q[x]/m^N.
+    @functools.cached_property
+    def _rows(self):
+        """Reduced echelon rows of the ideal image inside Q[x]/m^N, built on
+        the first normal form.
 
-        Pivots are chosen along the local order, so the pivot set is exactly
-        the set of non-standard monomials of degree < N; each stored row maps
-        its pivot to a tail supported on standard monomials only.
+        Columns follow the local order, so each row's pivot is its leading
+        monomial, the pivots are the non-standard monomials of degree < N,
+        and each row maps its pivot to a tail on standard monomials only.
         """
-        rows = {}
-
-        def reduce_row(vec):
-            vec = dict(vec)
-            while vec:
-                lead = max(vec, key=order_key)
-                if lead not in rows:
-                    return vec, lead
-                c = vec.pop(lead)
-                for m, cc in rows[lead].items():
-                    s = vec.get(m, 0) - c * cc
-                    if s == 0:
-                        vec.pop(m, None)
-                    else:
-                        vec[m] = s
-            return None, None
-
-        raw = []
-        for g in self.generators + self.std_basis:
-            og = g.order()
-            if og == float("inf"):
-                continue
-            max_extra = self.N - 1 - int(og)
-            for beta in monomials_below(self.nvars, max(max_extra + 1, 0)):
-                vec = self._truncate(_mono_mul_poly(beta, Fraction(1), g))
-                if vec:
-                    raw.append(vec)
-        for vec in raw:
-            red, lead = reduce_row(vec)
-            if red is None:
-                continue
-            inv = Fraction(1) / red[lead]
-            rows[lead] = {m: c * inv for m, c in red.items() if m != lead}
-        # back-substitute so every tail is supported on standard monomials:
-        # a row means lead + tail lies in the ideal, so a pivot monomial m in
-        # the tail is replaced by -tail_m (subtracting c times the m-row)
-        for lead in sorted(rows, key=order_key):
-            tail = rows[lead]
-            changed = True
-            while changed:
-                changed = False
-                for m in list(tail):
-                    if m in rows:
-                        c = tail.pop(m)
-                        for m2, c2 in rows[m].items():
-                            s = tail.get(m2, 0) - c * c2
-                            if s == 0:
-                                tail.pop(m2, None)
-                            else:
-                                tail[m2] = s
-                        changed = True
-        nonstd = {
-            m for m in monomials_below(self.nvars, self.N) if m not in self._index
+        monos = sorted(monomials_below(self.nvars, self.N), key=order_key, reverse=True)
+        col = {m: i for i, m in enumerate(monos)}
+        multiples = (
+            self._truncate(_mono_mul_poly(beta, Fraction(1), g))
+            for g in self.generators
+            if not g.is_zero()
+            for beta in monomials_below(self.nvars, self.N - int(g.order()))
+        )
+        pivots = ratlinalg.rref({col[m]: c for m, c in v.items()} for v in multiples)
+        rows = {
+            monos[c]: {monos[cc]: v for cc, v in row.items() if cc != c}
+            for c, row in pivots.items()
         }
-        if set(rows) != nonstd:
+        if set(rows) != {m for m in monos if m not in self._index}:
             raise AssertionError(
                 "truncated ideal pivots disagree with the leading ideal"
             )
@@ -314,12 +263,8 @@ class QuotientAlgebra:
         """Exact coordinates of the class of p over ``basis``."""
         if not self.finite:
             raise ValueError("normal form needs finite colength")
-        vec = self._truncate(p)
         out = [Fraction(0)] * len(self.basis)
-        for m in sorted(vec, key=order_key, reverse=True):
-            c = vec[m]
-            if c == 0:
-                continue
+        for m, c in self._truncate(p).items():
             if m in self._index:
                 out[self._index[m]] += c
             else:

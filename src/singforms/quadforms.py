@@ -159,11 +159,10 @@ def im_lambda_basis(inst: ProblemInstance, alg: QuotientAlgebra):
     for K in itertools.combinations(range(inst.n), inst.k):
         dseta = block_minor(inst, K)
         for m in alg.basis:
-            rows.append(alg.normal_form(dseta * Poly.monomial(m)))
-    if not rows:
-        return []
-    ech, _ = ratlinalg.rref(rows)
-    return ech
+            nf = alg.normal_form(dseta * Poly.monomial(m))
+            rows.append({c: v for c, v in enumerate(nf) if v})
+    ech = ratlinalg.rref(rows)
+    return [[ech[c].get(j, Fraction(0)) for j in range(len(alg.basis))] for c in sorted(ech)]
 
 
 def _congruence(B, G):

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals, plus small numeric helpers.
 
-Dense matrices are lists of lists of Fraction at desk scale (tens of rows),
-so plain Gaussian elimination is fine; the module-dimension rank takes
-thousands of sparse integer rows ({column: int}) and eliminates them mod p.
+One sparse elimination, ``echelon``, runs on rows {column: value} over Q or
+mod p: ``rref`` back-substitutes it for the quotient algebra's normal forms
+and the image of Lambda, and the module-dimension rank eliminates thousands
+of integer rows mod p.  Symmetric matrices are diagonalized by congruence.
 """
 
 from __future__ import annotations
@@ -15,36 +16,56 @@ import numpy as np
 RANK_PRIMES = (2147483647, 2147483629)
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_cols); zero rows dropped."""
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                piv = i
+def _subtract(row, f, pivot, p):
+    """row -= f * pivot in place, modulo p unless p is None; zeros are dropped."""
+    for c, v in pivot.items():
+        nv = row.get(c, 0) - f * v
+        if p:
+            nv %= p
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+
+
+def echelon(rows, p=None):
+    """Echelon form of sparse rows ({column: value}) modulo the prime p.
+
+    Returns ``{leading column: row led by 1}``.  An incoming row is reduced by
+    the pivot at its smallest column until it vanishes or takes a new pivot.
+    ``p=None`` runs the loop over Fraction.
+    """
+    red = (lambda v: v % p) if p else Fraction
+    pivots = {}
+    for row in rows:
+        row = {c: red(v) for c, v in row.items() if red(v)}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                inv = pow(row[c], -1, p) if p else 1 / row[c]
+                pivots[c] = {cc: red(v * inv) for cc, v in row.items()}
                 break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+            _subtract(row, row[c], pivots[c], p)
+    return pivots
+
+
+def rref(rows):
+    """Reduced row echelon form of sparse rows ({column: value}) over Q.
+
+    Returns ``{pivot column: row}``: each row leads with 1 at its pivot and is
+    0 at every other pivot column.  Back-substitution runs from the last pivot
+    to the first, so each row is cleared against rows already reduced.
+    """
+    pivots = echelon(rows)
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for cc in [cc for cc in row if cc != c and cc in pivots]:
+            _subtract(row, row[cc], pivots[cc], None)
+    return pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return len(echelon({c: v for c, v in enumerate(row) if v} for row in rows))
 
 
 def congruence_diagonalize(sym):
@@ -134,40 +155,13 @@ def numeric_rank_bounds(mat: np.ndarray, threshold: float = 1e-8):
     return sure, maybe
 
 
-def rank_mod_p(rows, p) -> int:
-    """Rank of sparse integer rows ({column: int}) modulo the prime p.
-
-    ``pivots`` maps each leading column to its row, scaled to lead with 1; an
-    incoming row is reduced by the pivot at its smallest column until it
-    vanishes or takes a new pivot.  ``p=None`` runs the loop over Fraction.
-    """
-    red = (lambda v: v % p) if p else Fraction
-    pivots = {}
-    for row in rows:
-        row = {c: red(v) for c, v in row.items() if red(v)}
-        while row:
-            c = min(row)
-            if c not in pivots:
-                inv = pow(row[c], -1, p) if p else 1 / row[c]
-                pivots[c] = {cc: red(v * inv) for cc, v in row.items()}
-                break
-            f = row[c]
-            for cc, v in pivots[c].items():
-                nv = red(row.get(cc, 0) - f * v)
-                if nv:
-                    row[cc] = nv
-                else:
-                    del row[cc]
-    return len(pivots)
-
-
 def int_rank(rows) -> int:
     """Rank of sparse integer rows via two fixed primes; exact on mismatch."""
-    r1 = rank_mod_p(rows, RANK_PRIMES[0])
-    r2 = rank_mod_p(rows, RANK_PRIMES[1])
+    r1 = len(echelon(rows, RANK_PRIMES[0]))
+    r2 = len(echelon(rows, RANK_PRIMES[1]))
     if r1 == r2:
         return r1
-    return rank_mod_p(rows, None)
+    return len(echelon(rows))
 
 
 def reconstruct_rational(x: float, max_denominator: int, tol: float, gap: float = 1e3):

@@ -122,8 +122,11 @@ def monomials_below(nvars, degree):
 
 
 def _gauss_rank(rows):
+    """Gauss-Jordan elimination of dense rows: (reduced nonzero rows, pivot
+    columns), so the rank is the number of pivots."""
     mat = [list(r) for r in rows]
     ncols = len(mat[0]) if mat else 0
+    pivots = []
     rank = 0
     for c in range(ncols):
         piv = None
@@ -140,10 +143,11 @@ def _gauss_rank(rows):
             if i != rank and mat[i][c] != 0:
                 f = mat[i][c]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        pivots.append(c)
         rank += 1
         if rank == len(mat):
             break
-    return rank
+    return mat[:rank], pivots
 
 
 def macaulay_quotient_dim(gens, nvars, degree):
@@ -162,7 +166,7 @@ def macaulay_quotient_dim(gens, nvars, degree):
                     nonzero = True
             if nonzero:
                 rows.append(row)
-    return len(monos) - (_gauss_rank(rows) if rows else 0)
+    return len(monos) - len(_gauss_rank(rows)[1])
 
 
 def ex1_closed_form(n, a, eps):

@@ -1,19 +1,23 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
+from singforms import quadforms, ratlinalg
 from singforms.corpus import CORPUS
 from singforms.icis import (
     OmegaDimInconclusive,
     ProblemInstance,
     algebra,
+    block_minor,
     build_ideal,
     minor,
     omega_module_dim,
     tau_prime,
 )
-from singforms.localalg import INFINITE
+from singforms.localalg import INFINITE, QuotientAlgebra
 from singforms.polyring import Poly, parse
 
 from oracles import cusp, ex1, macaulay_quotient_dim
@@ -192,3 +196,62 @@ def test_tau_prime_ideal_against_oracle():
     gens = [c.f[0], c.f[0].diff(0), c.f[0].diff(1)]
     # ideal (f, 2x, -3y^2) has basis {1, y}
     assert tau_prime(c) == macaulay_quotient_dim(gens, 2, 4)
+
+
+def _tau_prime_ideal(inst):
+    return list(inst.f) + [
+        block_minor(inst, K) for K in itertools.combinations(range(inst.n), inst.k)
+    ]
+
+
+_PREMISE = [(name, ci.instance()) for name, ci in CORPUS.items()] + [
+    ("bp_%d_%d_%d" % abc, brieskorn_pham(*abc)) for abc in [(2, 3, 4), (3, 4, 5)]
+]
+
+
+@pytest.mark.parametrize(
+    "gens,nvars",
+    [(build_ideal(inst), inst.n) for _, inst in _PREMISE]
+    + [(_tau_prime_ideal(inst), inst.n) for _, inst in _PREMISE if inst.k],
+    ids=[name for name, _ in _PREMISE]
+    + [f"{name}_tau" for name, inst in _PREMISE if inst.k],
+)
+def test_generators_alone_span_the_truncated_ideal(gens, nvars):
+    """The normal-form rows come from the generators' monomial multiples
+    only: the standard basis, added in front of the reversed generators,
+    changes no row and no product."""
+    q = QuotientAlgebra(gens, nvars)
+    ref = QuotientAlgebra(list(reversed(gens)) + q.std_basis, nvars)
+    assert (q.basis, q.N, q._rows) == (ref.basis, ref.N, ref._rows)
+    for i in range(len(q.basis)):
+        for j in range(i, len(q.basis)):
+            assert q.basis_product(i, j) == ref.basis_product(i, j)
+
+
+class _UnitSampler:
+    """R = 1 on every basis monomial: enough for gram_qa to run its normal
+    forms."""
+
+    def basis_values(self, basis):
+        return np.ones(len(basis), dtype=complex)
+
+    def rational(self, value):
+        return Fraction(1)
+
+
+def test_normal_form_rows_are_built_once_on_first_use(monkeypatch):
+    """tau' reads only the colength, so it eliminates nothing; an algebra
+    builds its rows in one rref, on the first of gram_qa's normal forms."""
+    calls = []
+    rref = ratlinalg.rref
+    monkeypatch.setattr(ratlinalg, "rref", lambda rows: calls.append(1) or rref(rows))
+    insts = [cusp(), CORPUS["four_lines"].instance(), brieskorn_pham(3, 4, 5)]
+    for inst in insts:
+        tau_prime(inst)
+    assert calls == []
+    for inst in insts:
+        alg = algebra(inst)
+        assert calls == []
+        quadforms.gram_qa(inst, alg, _UnitSampler())
+        assert len(calls) == 1
+        calls.clear()

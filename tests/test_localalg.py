@@ -97,6 +97,9 @@ def test_unit_ideal():
     q = QuotientAlgebra([P("1 + x")], 2)
     assert q.colength == 0
     assert q.basis == []
+    assert q.N == 0
+    for s in ("0", "1", "x", "3 - x*y^2 + y^5"):
+        assert q.normal_form(P(s)) == []
 
 
 def test_truncation_order_examples():

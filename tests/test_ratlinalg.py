@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from singforms import ratlinalg
 
+import oracles
+
 
 frac = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4)
 
@@ -93,19 +95,19 @@ def test_rank_signature_basis_change(data):
 
 def test_rref_and_rank():
     rows = [
-        [Fraction(1), Fraction(2), Fraction(3)],
-        [Fraction(2), Fraction(4), Fraction(6)],
-        [Fraction(0), Fraction(1), Fraction(1)],
+        {0: Fraction(1), 1: Fraction(2), 2: Fraction(3)},
+        {0: Fraction(2), 1: Fraction(4), 2: Fraction(6)},
+        {1: Fraction(1), 2: Fraction(1)},
     ]
-    ech, pivots = ratlinalg.rref(rows)
-    assert pivots == [0, 1]
-    assert ratlinalg.rank(rows) == 2
+    # keys are the pivots, values the reduced rows
+    assert ratlinalg.rref(rows) == {0: {0: 1, 2: 1}, 1: {1: 1, 2: 1}}
+    assert ratlinalg.rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
 
 
 def test_int_rank_matches_exact():
     rows = [{0: 2, 1: 4, 2: 6}, {0: 1, 1: 2, 2: 3}, {1: 5, 2: 1}]
     assert ratlinalg.int_rank(rows) == 2
-    assert ratlinalg.rank_mod_p(rows, ratlinalg.RANK_PRIMES[0]) == 2
+    assert len(ratlinalg.echelon(rows, ratlinalg.RANK_PRIMES[0])) == 2
 
 
 @st.composite
@@ -126,20 +128,34 @@ def sparse_int_rows(draw):
     return ncols, rows
 
 
+def _dense(ncols, rows):
+    return [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+
+
 @given(sparse_int_rows())
 @settings(max_examples=80, deadline=None)
 def test_int_rank_sparse_matches_dense_fraction_rank(data):
     ncols, rows = data
-    dense = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
-    assert ratlinalg.int_rank(rows) == ratlinalg.rank(dense)
-    assert ratlinalg.rank_mod_p(rows, None) == ratlinalg.rank(dense)
+    _, pivots = oracles._gauss_rank(_dense(ncols, rows))
+    assert ratlinalg.int_rank(rows) == len(pivots)
+    assert len(ratlinalg.echelon(rows)) == len(pivots)
+
+
+@given(sparse_int_rows())
+@settings(max_examples=80, deadline=None)
+def test_rref_matches_gauss_jordan(data):
+    ncols, rows = data
+    ech = ratlinalg.rref(rows)
+    expect, pivots = oracles._gauss_rank(_dense(ncols, rows))
+    assert sorted(ech) == pivots
+    assert _dense(ncols, [ech[c] for c in pivots]) == expect
 
 
 def test_int_rank_exact_fallback():
     p, q = ratlinalg.RANK_PRIMES
     rows = [{0: p}]  # vanishes mod the first prime only
-    assert ratlinalg.rank_mod_p(rows, p) == 0
-    assert ratlinalg.rank_mod_p(rows, q) == 1
+    assert len(ratlinalg.echelon(rows, p)) == 0
+    assert len(ratlinalg.echelon(rows, q)) == 1
     assert ratlinalg.int_rank(rows) == 1
 
 
