@@ -14,7 +14,8 @@ paths, not its total degree.  ``solve_fresh`` solves a batch of targets
 (p, rng) of one family at once: the paths of all targets, each with its own
 step and its target's gamma and start system, share one batched Euler
 predictor and Newton corrector per round, with one stacked system
-evaluation for all rows, and a Newton polish at the end; the gamma trick
+evaluation for all rows, and a Newton polish on F - p at the end (the
+predictor reuses each path's last corrector evaluation); the gamma trick
 makes the paths independent, so a batch changes no path.  The corrector's
 test is relative to the size of each equation's terms, 1e-11 * max(1,
 |x|)^dx_e * max(1, |lambda|)^dl_e for an equation of bidegree (dx_e, dl_e),
@@ -30,10 +31,14 @@ that needs the count requires it with ``_require_count``.
 
 ``solve_warm`` runs one batched Newton (``_newton``) over the samples of a
 grid, each from its own nearby solutions; a sample passes when every row
-converged and no two rows are within the merge tolerance.
-``solve_anchored`` is the one recovery rule: ``solve_warm``, then the
-samples that fail in one ``solve_fresh`` batch, whose rows are written in.
-``track_circle`` calls it once per angle step for all circles in lockstep.
+converged and no two rows are within the merge tolerance, i.e. it holds
+``expected`` distinct critical points, all of them where the fresh count
+holds.  ``solve_anchored`` is the one recovery rule: ``solve_warm``, then
+the samples that fail in one ``solve_fresh`` batch, whose rows are written
+in.  A sample needs only its set of rows, not a path to it: ``track_circle``
+calls ``solve_anchored`` once per step of a chain of ``_CHAIN_ANGLES``
+angles for all circles in lockstep, then once for every other sample of
+every circle, each from its nearest chain sample.
 Both work on arrays of rows, one block of ``expected`` rows per sample; the
 chart is tested once per point set, by ``_point_set``, where rows become
 one: the chart depends on the points at p alone, so no Newton batch and no
@@ -75,6 +80,11 @@ from .polyring import Poly
 _CHART_TOL = 1e-12
 _DIVERGENCE = 1e8
 _MAX_RETRIES = 3
+# angles of a circle's continuation chain, pi/8 apart: near enough that
+# Newton from one chain sample's rows finds the next's, and every sample
+# between them from the nearer one's, so a circle takes 15 sequential warm
+# batches and one for all its other samples, whatever their number
+_CHAIN_ANGLES = 16
 
 
 class CountMismatchError(RuntimeError):
@@ -337,21 +347,28 @@ class _Homotopy:
         lam = a[:, self.n :].max(axis=1, initial=1.0)[:, None]
         return x ** self.bideg[:, 0] * lam ** self.bideg[:, 1]
 
-    def eval(self, X, s, tgt):
-        """(H, dH/dx, dH/ds) at the rows of X, row i of target tgt[i]; s is
-        a scalar or one value per row."""
-        s = np.asarray(s, dtype=np.complex128)[..., None]
-        f, J = self.family.system(self.p[tgt], X)
-        Lf, Mf = self.Lf[tgt], self.Mf[tgt]
-        L = np.einsum("rij,rj->ri", Lf, X)
-        Ld = L**self.dx1
-        M = np.einsum("rij,rj->ri", Mf, X) - self.c[tgt]
-        gP = self.gamma[tgt, None] * (Ld * L - self.b[tgt])
-        gG = gP * M
-        dG = (M * self.gdx[tgt] * Ld)[..., None] * Lf + gP[..., None] * Mf
-        c = 1.0 - s
-        J = s[..., None] * J + c[..., None] * dG
-        return c * gG + s * f, J, f - gG
+    def rows(self, tgt):
+        """H on rows of the targets tgt[i]: a function (X, s) -> (H, dH/dx,
+        dH/ds) at the rows of X, s a scalar or one value per row.  The
+        targets' parameters are gathered once, for every evaluation on those
+        rows (a round's corrector iterations, or the polish)."""
+        p, Lf, Mf, c = self.p[tgt], self.Lf[tgt], self.Mf[tgt], self.c[tgt]
+        b, gamma, gdx = self.b[tgt], self.gamma[tgt, None], self.gdx[tgt]
+
+        def at(X, s):
+            s = np.asarray(s, dtype=np.complex128)[..., None]
+            f, J = self.family.system(p, X)
+            L = np.einsum("rij,rj->ri", Lf, X)
+            Ld = L**self.dx1
+            M = np.einsum("rij,rj->ri", Mf, X) - c
+            gP = gamma * (Ld * L - b)
+            gG = gP * M
+            dG = (M * gdx * Ld)[..., None] * Lf + gP[..., None] * Mf
+            t = 1.0 - s
+            J = s[..., None] * J + t[..., None] * dG
+            return t * gG + s * f, J, f - gG
+
+        return at
 
 
 def _solve(J, b):
@@ -400,16 +417,20 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
     """Track all start points from s = 0 to s = 1 at once, start i on the
     homotopy of target tgt[i]; returns the endpoints and a status per path
     ("converged", "diverged", "stalled", "polish_failed") in start order.
-    One ``h.eval`` serves all paths of a round, so a batch takes as many
-    rounds as its slowest path.  Each path keeps its own s and step ds: an
-    accepted step grows ds by 1.7 up to 0.1, a failed corrector shrinks
-    it by 0.4, a singular predictor halves it.  The corrector accepts a
-    row when every |H_e| < 1e-11 * ``h.scale`` at the predicted point, a
-    test relative to the size of the terms of H_e: on a path to infinity an
-    absolute test is below their rounding error, so no step would pass and
-    the step would walk down for hundreds of rounds; scaled, the path grows
-    past |x| > ``_DIVERGENCE`` and ends as diverged.  Endpoints are
-    polished on the target system.  A path that ends otherwise without
+    One evaluation of ``h.rows`` serves all paths of a round, so a batch
+    takes as many rounds as its slowest path.  Each path keeps its own s and
+    step ds: an accepted step grows ds by 1.7 up to 0.1, a failed corrector
+    shrinks it by 0.4, a singular predictor halves it.  Each path also keeps
+    (dH/dx, dH/ds) at its current point for its Euler predictor: from the
+    corrector's last evaluation, at the point ``_newton`` returns, after an
+    accepted step, and unchanged after a rejected one, so a round evaluates
+    H only in its corrector.  The corrector accepts a row when every |H_e| <
+    1e-11 * ``h.scale`` at the predicted point, a test relative to the size
+    of the terms of H_e: on a path to infinity an absolute test is below
+    their rounding error, so no step would pass and the step would walk
+    down for hundreds of rounds; scaled, the path grows past |x| >
+    ``_DIVERGENCE`` and ends as diverged.  Endpoints are polished on the
+    target system H(., 1) = F - p.  A path that ends otherwise without
     converging (its step below 1e-12, or a failed polish) is diverged if
     |x| > 1e2, else "stalled" or "polish_failed".
     """
@@ -417,6 +438,7 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
     s, ds = np.zeros(len(X)), np.full(len(X), 0.05)
     status = np.full(len(X), "tracking", dtype="<U13")
     act = np.arange(len(X))
+    _, J, Hs = h.rows(tgt)(X, s)  # the predictor's data at each path's point
 
     def fail(idx, why):
         status[idx] = np.where(np.abs(X[idx]).max(axis=1) > 1e2, "diverged", why)
@@ -424,20 +446,22 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
     while len(act):
         step = np.minimum(ds[act], 1.0 - s[act])
         # Euler predictor
-        _, J, Hs = h.eval(X[act], s[act], tgt[act])
-        dx, singular = _solve(J, Hs)
+        dx, singular = _solve(J[act], Hs[act])
         if singular.any():
             cut = act[singular]
             ds[cut] *= 0.5
             fail(cut[ds[cut] < 1e-12], "stalled")
             act, dx, step = act[~singular], dx[~singular], step[~singular]
-        s_new, ta = s[act] + step, tgt[act]
+        s_new, H, last = s[act] + step, h.rows(tgt[act]), []
         X_pred = X[act] - step[:, None] * dx
-        X_corr, ok = _newton(
-            lambda Y: h.eval(Y, s_new, ta)[:2], X_pred, iters=4, tol=1e-11 * h.scale(X_pred)
-        )
+
+        def corrector(Y):
+            last[:] = H(Y, s_new)
+            return last[:2]
+
+        X_corr, ok = _newton(corrector, X_pred, iters=4, tol=1e-11 * h.scale(X_pred))
         acc = act[ok]
-        X[acc], s[acc] = X_corr[ok], s_new[ok]
+        X[acc], s[acc], J[acc], Hs[acc] = X_corr[ok], s_new[ok], last[1][ok], last[2][ok]
         ds[acc] = np.minimum(ds[acc] * 1.7, 0.1)
         status[acc[np.abs(X[acc]).max(axis=1) > _DIVERGENCE]] = "diverged"
         if not ok.all():
@@ -447,17 +471,13 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
         act = np.flatnonzero((status == "tracking") & (s < 1.0))
     # polish on the target system
     fin = np.flatnonzero(status == "tracking")
-    X_fin, ok = _newton(lambda Y: h.eval(Y, 1.0, tgt[fin])[:2], X[fin], iters=12, tol=1e-14)
+    H = h.rows(tgt[fin])
+    X_fin, ok = _newton(lambda Y: H(Y, 1.0)[:2], X[fin], iters=12, tol=1e-14)
     ok &= np.abs(X_fin).max(axis=1) < _DIVERGENCE
     X[fin] = X_fin
     status[fin] = "converged"
     fail(fin[~ok], "polish_failed")
     return X, status
-
-
-def _newton_family(family, P, X0):
-    """Newton on the family system at P (one point or one per row) for a batch; (X, ok)."""
-    return _newton(lambda X: family.system(P, X), X0, iters=14, tol=1e-14)
 
 
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
@@ -529,14 +549,13 @@ def solve_fresh(family: DeformationFamily, targets, expected: int) -> list:
             h = _Homotopy(family, [batch[i] for i in pending])
         ends, status = _track(h, h.starts, h.target)
         conv, diverged = status == "converged", status == "diverged"
-        tc = h.target[conv]
-        X, ok = _newton_family(family, h.p[tc], ends[conv])
+        X, tc = ends[conv], h.target[conv]  # polished on F - p by _track
         for j, i in enumerate(pending):
             mine = h.target == j
             diags[i]["paths_tracked"] += int(mine.sum())
             diags[i]["paths_diverged"] += int((mine & diverged).sum())
             diags[i]["path_failures"] += int((mine & ~conv & ~diverged).sum())
-            found[i] = _dedup(X[ok & (tc == j)], _merge_tolerance(batch[i][0]))
+            found[i] = _dedup(X[tc == j], _merge_tolerance(batch[i][0]))
             diags[i]["retries"] += int(len(found[i]) != expected)
         pending = [i for i in pending if len(found[i]) != expected]
         if not pending:
@@ -582,7 +601,8 @@ def solve_warm(family: DeformationFamily, P, starts, expected: int):
     chart is tested once, on the finished grid's ``_point_set``."""
     P = np.asarray(P, dtype=np.complex128)
     shape, starts = (len(P), expected), np.reshape(starts, (-1, family.nunk))
-    X, conv = _newton_family(family, np.repeat(P, expected, axis=0), starts)
+    P_rows = np.repeat(P, expected, axis=0)
+    X, conv = _newton(lambda Y: family.system(P_rows, Y), starts, iters=14, tol=1e-14)
     X = X.reshape(*shape, family.nunk)
     return X, conv.reshape(shape).all(axis=1) & _distinct(X, _merge_tolerance(P[:, : family.nunk]))
 
@@ -622,14 +642,33 @@ def track_circle(family: DeformationFamily, P, firsts, expected: int, rng: np.ra
     fresh solve ``firsts[c]`` (p, rows, counters) at P[c, 0], whose count
     is required.
 
-    All circles advance in lockstep, one ``solve_anchored`` per angle step
-    continuing each circle's previous solutions by Newton; a circle whose
-    step fails is solved fresh at that angle, as its first sample was.
+    A sample needs only its set of rows, not a path to it.  All circles
+    advance in lockstep along the chain of every ``samples //
+    _CHAIN_ANGLES``-th sample, one ``solve_anchored`` per chain step
+    continuing each circle's previous chain rows; then every other sample
+    of every circle is solved in one ``solve_anchored`` batch, Newton
+    starting from the rows of its nearest chain sample counted cyclically
+    (the set at angle 2 pi is the set at 0).  A sample that fails, on the
+    chain or off it, is solved fresh, as the first samples were.  Below
+    2 * ``_CHAIN_ANGLES`` samples the chain is every sample.
     """
-    X = np.empty((*P.shape[:2], expected, family.nunk), dtype=np.complex128)
+    circles, samples = P.shape[:2]
+    X = np.empty((circles, samples, expected, family.nunk), dtype=np.complex128)
     X[:, 0] = _require_count(firsts, expected)
     stats = Counter(solve_stats(firsts))
-    for j in range(1, P.shape[1]):
-        X[:, j], fresh = solve_anchored(family, P[:, j], X[:, j - 1], expected, rng)
+    stride = max(1, samples // _CHAIN_ANGLES)
+    chain = np.arange(0, samples, stride)
+    for a, b in zip(chain, chain[1:]):
+        X[:, b], fresh = solve_anchored(family, P[:, b], X[:, a], expected, rng)
+        stats.update(fresh)
+    fill = np.flatnonzero(np.arange(samples) % stride)
+    if len(fill):
+        # angle 2 pi (index samples) is chain sample 0; a tie goes to the earlier sample
+        near = chain[np.abs(fill[:, None] - np.append(chain, samples)).argmin(axis=1) % len(chain)]
+        rows = (circles * len(fill), expected, family.nunk)  # explicit: expected may be 0
+        Xf, fresh = solve_anchored(
+            family, P[:, fill].reshape(rows[0], -1), X[:, near].reshape(rows), expected, rng
+        )
+        X[:, fill] = Xf.reshape(circles, len(fill), *rows[1:])
         stats.update(fresh)
     return X, dict(stats)

@@ -23,6 +23,7 @@ their caller, ``pipeline.analyze``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -166,9 +167,19 @@ def im_lambda_basis(inst: ProblemInstance, alg: QuotientAlgebra):
 
 
 def _congruence(B, G):
-    """B G B^T in exact arithmetic, as (B G) B^T; B and G are lists of rows."""
-    BG = [[sum(b * g for b, g in zip(row, col)) for col in zip(*G)] for row in B]
-    return [[sum(x * y for x, y in zip(row, b)) for b in B] for row in BG]
+    """B G B^T in exact arithmetic; B and G (square) are lists of rows of
+    Fractions or ints.
+
+    Both are scaled once to integers by the lcm of their denominators, the
+    products are summed as Python ints over the nonzero entries of B, and
+    each entry is divided once by the scale."""
+    dB = math.lcm(*(v.denominator for row in B for v in row))
+    dG = math.lcm(*(v.denominator for row in G for v in row))
+    Bi = [[(j, v.numerator * (dB // v.denominator)) for j, v in enumerate(row) if v] for row in B]
+    Gi = [[v.numerator * (dG // v.denominator) for v in row] for row in G]
+    BG = [[sum(b * Gi[j][l] for j, b in row) for l in range(len(Gi))] for row in Bi]
+    scale = dB * dB * dG
+    return [[Fraction(sum(bg[j] * b for j, b in col), scale) for col in Bi] for bg in BG]
 
 
 def restricted_rank(gram_exact, subspace_rows):

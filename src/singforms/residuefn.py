@@ -187,8 +187,10 @@ def make_sampler(inst, cfg, seed, expected, fresh=()):
     direction, and the circle grids of ``expected`` rows per sample.  The
     circles' first samples r u and the targets ``fresh`` (p, rng) are solved
     in one ``critpts.solve_fresh`` batch, and ``track_circle`` continues the
-    circles, raising if a first sample found another count; the further
-    targets' fresh solves are kept as they are."""
+    circles along a chain of 16 angles and solves every other sample from
+    its nearest chain sample in one batch, raising if a first sample found
+    another count; the further targets' fresh solves are kept as they
+    are."""
     rng = np.random.default_rng(seed)
     direction = critpts.generic_direction(rng, inst.n + inst.k)
     family = DeformationFamily(inst)

@@ -8,16 +8,20 @@ the implicit function theorem with plain polynomial evaluation
 are shared by the test modules, as are three helpers that only tests call:
 the classical map-germ form ``elkh`` (``make_sampler`` and ``gram_qa`` on a
 k = 0 instance), the bridge map of Example 2 and ``mult_operator_rank``.
+Two references keep the plain form of an optimized routine: ``congruence``
+over Fractions and ``track_circle_by_steps``, continuation one angle step
+at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from singforms import ratlinalg
+from singforms import critpts, ratlinalg
 from singforms.icis import ProblemInstance, algebra, minor
 from singforms.localalg import QuotientAlgebra
 from singforms.polyring import Poly, parse
@@ -108,6 +112,26 @@ def mult_operator_rank(alg: QuotientAlgebra, p: Poly) -> int:
     if alg.colength == 0:
         return 0
     return ratlinalg.rank(alg.multiplication_matrix(p))
+
+
+def congruence(B, G):
+    """B G B^T over Fractions, as (B G) B^T: the plain reference for
+    ``quadforms._congruence``; B and G are lists of rows."""
+    BG = [[sum(b * g for b, g in zip(row, col)) for col in zip(*G)] for row in B]
+    return [[sum(x * y for x, y in zip(row, b)) for b in B] for row in BG]
+
+
+def track_circle_by_steps(family, P, firsts, expected, rng):
+    """``critpts.track_circle``'s (rows, solve_stats) by continuation one
+    angle step at a time: all circles in lockstep, one
+    ``critpts.solve_anchored`` per step from the previous sample's rows."""
+    X = np.empty((*P.shape[:2], expected, family.nunk), dtype=np.complex128)
+    X[:, 0] = critpts._require_count(firsts, expected)
+    stats = Counter(critpts.solve_stats(firsts))
+    for j in range(1, P.shape[1]):
+        X[:, j], fresh = critpts.solve_anchored(family, P[:, j], X[:, j - 1], expected, rng)
+        stats.update(fresh)
+    return X, dict(stats)
 
 
 def monomials_below(nvars, degree):

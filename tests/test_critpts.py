@@ -27,7 +27,14 @@ from singforms.polyring import Poly, parse
 from singforms.quadforms import qomega_numeric
 from singforms.residuefn import LimitConfig, make_sampler
 
-from oracles import cusp, eval_at, ex1, ex1_closed_form, fd_restricted_jacobian
+from oracles import (
+    cusp,
+    eval_at,
+    ex1,
+    ex1_closed_form,
+    fd_restricted_jacobian,
+    track_circle_by_steps,
+)
 
 VS2 = ["x1", "x2"]
 
@@ -208,7 +215,7 @@ def test_start_points_are_simple_zeros_of_start_system(family, paths):
     h = critpts._Homotopy(fam, [(_point(fam), np.random.default_rng(6))])
     P = h.starts
     assert P.shape == (paths, h.family.nunk)
-    G, dG, _ = h.eval(P, 0.0, h.target)
+    G, dG, _ = h.rows(h.target)(P, 0.0)
     assert np.abs(G).max() < 1e-12
     assert np.linalg.cond(dG).max() < 1e8
     dist = np.abs(P[:, None] - P[None]).max(axis=2) + np.eye(paths)
@@ -217,7 +224,7 @@ def test_start_points_are_simple_zeros_of_start_system(family, paths):
 
 @pytest.mark.parametrize("family,paths", BEZOUT)
 def test_homotopy_derivatives_match_central_differences(family, paths):
-    """dH/dx and dH/ds from ``eval`` against central differences of H at
+    """dH/dx and dH/ds from ``rows`` against central differences of H at
     seeded complex points, one s per row."""
     fam = family()
     h = critpts._Homotopy(fam, [(_point(fam, 0.7 - 0.4j), np.random.default_rng(6))])
@@ -227,9 +234,9 @@ def test_homotopy_derivatives_match_central_differences(family, paths):
     v = rng.standard_normal(nu) + 1j * rng.standard_normal(nu)
     s, eps = np.array([0.1, 0.5, 0.9]), 1e-6
     one = np.zeros(3, dtype=int)  # every row on the one target
-    H, J, Hs = h.eval(X, s, one)
-    fd_x = (h.eval(X + eps * v, s, one)[0] - h.eval(X - eps * v, s, one)[0]) / (2 * eps)
-    fd_s = (h.eval(X, s + eps, one)[0] - h.eval(X, s - eps, one)[0]) / (2 * eps)
+    H, J, Hs = h.rows(one)(X, s)
+    fd_x = (h.rows(one)(X + eps * v, s)[0] - h.rows(one)(X - eps * v, s)[0]) / (2 * eps)
+    fd_s = (h.rows(one)(X, s + eps)[0] - h.rows(one)(X, s - eps)[0]) / (2 * eps)
     assert np.allclose(J @ v, fd_x, rtol=1e-6, atol=1e-6 * np.abs(H).max())
     assert np.allclose(Hs, fd_s, rtol=1e-6, atol=1e-6 * np.abs(H).max())
 
@@ -248,7 +255,7 @@ def test_k0_start_system_is_total_degree():
     X = np.array(list(itertools.product(*roots)))
     assert np.array_equal(h.starts, X)
     s = np.linspace(0.0, 0.9, len(X))
-    H, J, Hs = h.eval(X, s, h.target)
+    H, J, Hs = h.rows(h.target)(X, s)
     f, JF = fam.system(p, X)
     c = (1.0 - s)[:, None]
     gG = gamma * (X ** (d - 1) * X - b)
@@ -266,10 +273,13 @@ class _StallingHomotopy:
     def __init__(self, r):
         self.r = r
 
-    def eval(self, X, s, tgt):
-        s = np.broadcast_to(np.asarray(s, dtype=float), (len(X),))[:, None]
-        J = np.where(s > 0.5, -1.0, 1.0)[:, :, None]
-        return X - self.r * s**2, J, -2 * self.r * s * np.ones_like(X)
+    def rows(self, tgt):
+        def at(X, s):
+            s = np.broadcast_to(np.asarray(s, dtype=float), (len(X),))[:, None]
+            J = np.where(s > 0.5, -1.0, 1.0)[:, :, None]
+            return X - self.r * s**2, J, -2 * self.r * s * np.ones_like(X)
+
+        return at
 
     def scale(self, X):
         return np.ones(X.shape)
@@ -290,10 +300,13 @@ class _PolishFailingHomotopy(_StallingHomotopy):
     reaches s = 1 at x = r, whose residual passes the corrector but not the
     polish."""
 
-    def eval(self, X, s, tgt):
-        s = np.broadcast_to(np.asarray(s, dtype=float), (len(X),))[:, None]
-        J = np.where(s < 1.0, 1.0, 0.0)[:, :, None]
-        return X - self.r * s + 1e-12 * (s == 1.0), J, -self.r * np.ones_like(X)
+    def rows(self, tgt):
+        def at(X, s):
+            s = np.broadcast_to(np.asarray(s, dtype=float), (len(X),))[:, None]
+            J = np.where(s < 1.0, 1.0, 0.0)[:, :, None]
+            return X - self.r * s + 1e-12 * (s == 1.0), J, -self.r * np.ones_like(X)
+
+        return at
 
 
 @pytest.mark.parametrize("r,status", [(1.0, "polish_failed"), (99.0, "polish_failed"), (101.0, "diverged")])
@@ -1029,3 +1042,56 @@ def test_lockstep_failed_step_falls_back_alone(monkeypatch, inner):
     assert np.array_equal(X[failed, :5], want[failed, :5])
     got_set, want_set = _grid(fam, P[failed], X[failed]), _grid(fam, P[failed], want[failed])
     assert np.max(np.abs(got_set.X - want_set.X)) < 1e-12
+
+
+@pytest.mark.parametrize("radii", [(1e-2, 5e-3), (1e-2, 5e-3, 2.5e-3)])
+@pytest.mark.parametrize("name,expected", [("cusp", 4), ("ex1_n3", 6)])
+def test_chain_and_fill_match_step_by_step(name, expected, radii):
+    """At 64 samples (a chain of 16 angles, every fourth sample, and 48
+    fill samples per circle) each sample's sorted rows are those of
+    continuing every circle one angle step at a time, with the same solver
+    counters."""
+    fam = _corpus_family(name)
+    firsts, rng = _firsts(fam, radii, expected, 1)
+    P = np.array([circle(p, 64) for p, _, _ in firsts])
+    X, stats = track_circle(fam, P, firsts, expected, rng)
+    Y, want_stats = track_circle_by_steps(fam, P, firsts, expected, rng)
+    assert X.shape == Y.shape == (len(radii), 64, expected, fam.nunk)
+    points = P.reshape(-1, fam.nunk)
+    got, want = _grid(fam, points, X), _grid(fam, points, Y)
+    assert np.array_equal(got.p, want.p)
+    assert np.max(np.abs(got.X - want.X)) < 1e-12
+    assert stats == want_stats == critpts.solve_stats(firsts)
+
+
+def test_failed_fill_sample_is_solved_fresh_alone(monkeypatch):
+    """A fill sample of the inner circle that fails its warm tests is solved
+    fresh alone, in one ``solve_fresh`` call; every other row is bitwise
+    the unpatched grid's, and the failed sample's set is its set."""
+    fam = _corpus_family("cusp")
+    firsts, _ = _firsts(fam, (1e-2, 5e-3), 4, 1)
+    P = np.array([circle(p, 64) for p, _, _ in firsts])
+    want, _ = track_circle(fam, P, firsts, 4, np.random.default_rng(2))
+    bad = 5  # between the chain samples 4 and 8
+    warm, solve_fresh = critpts.solve_warm, critpts.solve_fresh
+    fresh = []
+
+    def fail_at_bad_p(family, Q, starts, expected):
+        X, ok = warm(family, Q, starts, expected)
+        return X, ok & (Q != P[1, bad]).any(axis=1)
+
+    def recording(family, targets, expected):
+        targets = list(targets)
+        fresh.append([p for p, _ in targets])
+        return solve_fresh(family, targets, expected)
+
+    monkeypatch.setattr(critpts, "solve_warm", fail_at_bad_p)
+    monkeypatch.setattr(critpts, "solve_fresh", recording)
+    X, stats = track_circle(fam, P, firsts, 4, np.random.default_rng(2))
+    assert len(fresh) == 1 and np.array_equal(fresh[0], [P[1, bad]])
+    assert stats["fresh_solves"] == 3
+    others = np.ones(P.shape[:2], dtype=bool)
+    others[1, bad] = False
+    assert np.array_equal(X[others], want[others])
+    at = P[1, bad : bad + 1]
+    assert np.max(np.abs(_grid(fam, at, X[1, bad]).X - _grid(fam, at, want[1, bad]).X)) < 1e-12

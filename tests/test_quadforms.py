@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singforms.icis import ProblemInstance, algebra, tau_prime
 from singforms.polyring import Poly, parse
 from singforms.quadforms import (
     FormGenerator,
     GramForm,
+    _congruence,
     gram_qa,
     gram_qomega,
     im_lambda_basis,
@@ -19,7 +22,7 @@ from singforms.quadforms import (
 )
 from singforms.residuefn import LimitConfig, make_sampler
 
-from oracles import cusp, elkh, example2_bridge_map, ex1, mult_operator_rank
+from oracles import congruence, cusp, elkh, example2_bridge_map, ex1, mult_operator_rank
 
 VS2 = ["x1", "x2"]
 VS3 = ["x1", "x2", "x3"]
@@ -365,3 +368,30 @@ def test_signature_congruence_matches_eigenvalues(ex1_n2_ctx, cusp_ctx):
         num_sig = int(np.sum(ev > 1e-9 * scale)) - int(np.sum(ev < -1e-9 * scale))
         num_rank = int(np.sum(np.abs(ev) > 1e-9 * scale))
         assert (rank, sig) == (num_rank, num_sig)
+
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def _congruence_inputs(draw):
+    """(B, G): up to four rows B over a d x d matrix G, d in 0..4, with
+    zero entries, zero rows and an empty B among the draws."""
+    d = draw(st.integers(0, 4))
+    entry = st.one_of(st.just(Fraction(0)), _RATIONALS)
+    B = draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=4))
+    if draw(st.booleans()):
+        B.insert(draw(st.integers(0, len(B))), [Fraction(0)] * d)
+    G = draw(st.lists(st.lists(_RATIONALS, min_size=d, max_size=d), min_size=d, max_size=d))
+    return B, G
+
+
+@given(_congruence_inputs())
+@settings(max_examples=80, deadline=None)
+def test_integer_congruence_matches_fraction_congruence(data):
+    """``_congruence`` on integers gives the Fraction matrix of the plain
+    (B G) B^T, entry for entry."""
+    B, G = data
+    got = _congruence(B, G)
+    assert got == congruence(B, G)
+    assert all(isinstance(v, Fraction) for row in got for v in row)

@@ -188,9 +188,15 @@ def test_empty_grid_gives_zero_limits():
     assert qomega_numeric([FormGenerator(Poly.one(2), (0, 1))], s).tolist() == [[0j]]
 
 
-def test_base_sampler_makes_one_warm_batch_per_angle_step(monkeypatch):
-    """Both circles advance in lockstep: samples - 1 warm batches of two
-    samples each, none for a single circle."""
+@pytest.mark.parametrize(
+    "samples,batches",
+    [(32, [2] * 15 + [2 * (32 - 16)]), (18, [2] * 17)],
+    ids=["fill", "chain_only"],
+)
+def test_base_sampler_makes_chain_batches_then_one_fill_batch(monkeypatch, samples, batches):
+    """Both circles advance in lockstep along a chain of 16 angles: 15 warm
+    batches of two samples, then one batch of every other sample of both
+    circles.  Below 32 samples the chain is every sample, with no fill."""
     warm, calls = critpts.solve_warm, []
 
     def counting(family, P, starts, expected):
@@ -198,9 +204,8 @@ def test_base_sampler_makes_one_warm_batch_per_angle_step(monkeypatch):
         return warm(family, P, starts, expected)
 
     monkeypatch.setattr(critpts, "solve_warm", counting)
-    cfg = LimitConfig(samples=32)
-    make_sampler(ex1(2, (1, 2)), cfg, 42, 4)
-    assert calls == [2] * (cfg.samples - 1)
+    make_sampler(ex1(2, (1, 2)), LimitConfig(samples=samples), 42, 4)
+    assert calls == batches
 
 
 def test_sampler_makes_one_point_set_per_grid(monkeypatch):
