@@ -23,11 +23,12 @@ so that a path to infinity keeps its steps until |x| > ``_DIVERGENCE``; a
 path that ends otherwise without converging is diverged when |x| > 1e2.  An
 analysis solves the first sample of both circles and the
 count-certification runs in one batch, and ``solve_family_at`` is the
-one-target case.  Points closer than ``_merge_tolerance(p)`` are one point;
-the targets of a batch that find another count than ``expected`` retry
-together, up to ``_MAX_RETRIES`` times, with a new gamma and start system
-each, and a solve returns the rows it found, whatever their count: a caller
-that needs the count requires it with ``_require_count``.
+one-target case.  A point within ``_merge_tolerance(p)`` of an earlier one
+is dropped (``_distinct``, one rule for fresh and warm rows); the targets
+of a batch that find another count than ``expected`` retry together, up to
+``_MAX_RETRIES`` times, with a new gamma and start system each, and a solve
+returns the rows it found, whatever their count: a caller that needs the
+count requires it with ``_require_count``.
 
 ``solve_warm`` runs one batched Newton (``_newton``) over the samples of a
 grid, each from its own nearby solutions; a sample passes when every row
@@ -420,11 +421,12 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
     One evaluation of ``h.rows`` serves all paths of a round, so a batch
     takes as many rounds as its slowest path.  Each path keeps its own s and
     step ds: an accepted step grows ds by 1.7 up to 0.1, a failed corrector
-    shrinks it by 0.4, a singular predictor halves it.  Each path also keeps
-    (dH/dx, dH/ds) at its current point for its Euler predictor: from the
-    corrector's last evaluation, at the point ``_newton`` returns, after an
-    accepted step, and unchanged after a rejected one, so a round evaluates
-    H only in its corrector.  The corrector accepts a row when every |H_e| <
+    shrinks it by 0.4 (again while ds >= 1 - s, since a step onto s = 1
+    from the same point would fail again bit for bit), a singular predictor
+    halves it.  Each path also keeps (dH/dx, dH/ds) at its current point for
+    its Euler predictor: from the corrector's last evaluation, at the point
+    ``_newton`` returns, after an accepted step, and unchanged after a
+    rejected one, so a round evaluates H only in its corrector.  The corrector accepts a row when every |H_e| <
     1e-11 * ``h.scale`` at the predicted point, a test relative to the size
     of the terms of H_e: on a path to infinity an absolute test is below
     their rounding error, so no step would pass and the step would walk
@@ -467,6 +469,9 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
         if not ok.all():
             rej = act[~ok]
             ds[rej] *= 0.4
+            # a step that still reaches s = 1 would repeat the rejected one bit for bit
+            while len(again := rej[ds[rej] >= 1.0 - s[rej]]):
+                ds[again] *= 0.4
             fail(rej[ds[rej] < 1e-12], "stalled")
         act = np.flatnonzero((status == "tracking") & (s < 1.0))
     # polish on the target system
@@ -480,23 +485,16 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
     return X, status
 
 
-def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
-    """Drop rows within tol (max-norm) of an earlier kept row; a cluster keeps its first."""
-    points = np.asarray(points)
-    close = np.abs(points[:, None] - points[None]).max(axis=2) < tol
-    keep = np.ones(len(points), dtype=bool)
-    for j in np.flatnonzero(close.sum(axis=0) > 1):  # close to some other row
-        keep[j] = not (close[:j, j] & keep[:j]).any()
-    return points[keep]
-
-
-def _distinct(Xs: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Per sample Xs[i] (shape (samples, m, nu)): no two rows within tol[i]
-    (max-norm), i.e. ``_dedup`` keeps all m of them."""
+def _distinct(Xs: np.ndarray, tol) -> np.ndarray:
+    """Per sample Xs[i] (shape (samples, m, nu)), the mask of its rows with
+    no earlier row of the sample within tol[i] (max-norm), built one
+    coordinate at a time: one m x m slice per sample is held."""
     m = Xs.shape[1]
-    dist = np.abs(Xs[:, :, None] - Xs[:, None]).max(axis=3, initial=0.0)
-    dist[:, np.arange(m), np.arange(m)] = np.inf
-    return dist.min(axis=(1, 2), initial=np.inf) >= tol
+    close = np.tri(m, m, -1, dtype=bool)  # [j, i]: i is earlier than j
+    tol = np.reshape(tol, (-1, 1, 1))
+    for z in np.moveaxis(Xs, -1, 0):
+        close = close & (np.abs(z[:, :, None] - z[:, None]) < tol)
+    return ~close.any(axis=2)
 
 
 def _point_set(family, P, Xs, diagnostics=None):
@@ -533,10 +531,11 @@ def solve_fresh(family: DeformationFamily, targets, expected: int) -> list:
     counters), whatever the count of the rows.
 
     ``targets`` is read as ``_Homotopy`` reads it.  After tracking, each
-    target is deduplicated and counted on its own; the targets whose count
-    is not ``expected`` retry together in a new batch with a fresh gamma and
-    start system from their own rng, up to ``_MAX_RETRIES`` times, and keep
-    the rows of their last attempt.  No chart is tested here.
+    target keeps its converged rows that ``_distinct`` keeps and is
+    counted; the targets whose count is not ``expected`` retry together in
+    a new batch with a fresh gamma and start system from their own rng, up
+    to ``_MAX_RETRIES`` times, and keep the rows of their last attempt.  No
+    chart is tested here.
     """
     if expected == 0:
         return [(p, np.zeros((0, family.nunk)), dict.fromkeys(_COUNTERS, 0)) for p, _ in targets]
@@ -555,7 +554,8 @@ def solve_fresh(family: DeformationFamily, targets, expected: int) -> list:
             diags[i]["paths_tracked"] += int(mine.sum())
             diags[i]["paths_diverged"] += int((mine & diverged).sum())
             diags[i]["path_failures"] += int((mine & ~conv & ~diverged).sum())
-            found[i] = _dedup(X[tc == j], _merge_tolerance(batch[i][0]))
+            rows = X[tc == j]
+            found[i] = rows[_distinct(rows[None], _merge_tolerance(batch[i][0]))[0]]
             diags[i]["retries"] += int(len(found[i]) != expected)
         pending = [i for i in pending if len(found[i]) != expected]
         if not pending:
@@ -604,7 +604,8 @@ def solve_warm(family: DeformationFamily, P, starts, expected: int):
     P_rows = np.repeat(P, expected, axis=0)
     X, conv = _newton(lambda Y: family.system(P_rows, Y), starts, iters=14, tol=1e-14)
     X = X.reshape(*shape, family.nunk)
-    return X, conv.reshape(shape).all(axis=1) & _distinct(X, _merge_tolerance(P[:, : family.nunk]))
+    distinct = _distinct(X, _merge_tolerance(P[:, : family.nunk])).all(axis=1)
+    return X, conv.reshape(shape).all(axis=1) & distinct
 
 
 def solve_anchored(family: DeformationFamily, P, starts, expected: int, rng):

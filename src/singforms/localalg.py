@@ -10,7 +10,9 @@ Canonical normal forms do not come from Mora division (that only yields weak
 normal forms up to a unit).  Instead, once the truncation degree N with
 m^N contained in the ideal is known, the quotient is modelled exactly as
 Q[x]/(I + m^N), and classes are reduced by the ``ratlinalg.rref`` rows of
-the truncated monomial multiples of the generators.
+the truncated monomial multiples of the generators.  Many pairs of basis
+monomials share their product, so ``QuotientAlgebra.products`` keeps one
+normal form per distinct product.
 """
 
 from __future__ import annotations
@@ -220,7 +222,6 @@ class QuotientAlgebra:
         self.basis = sorted(std, key=order_key, reverse=True)
         self.N = (max(sum(m) for m in self.basis) + 1) if self.basis else 0
         self._index = {m: i for i, m in enumerate(self.basis)}
-        self._product_cache = {}
 
     def _truncate(self, p: Poly):
         return {m: c for m, c in p.terms.items() if sum(m) < self.N}
@@ -272,15 +273,17 @@ class QuotientAlgebra:
                     out[self._index[m2]] -= c * c2
         return out
 
-    def basis_product(self, i: int, j: int):
-        """Coordinates of the product of basis classes i and j (cached)."""
-        key = (i, j) if i <= j else (j, i)
-        got = self._product_cache.get(key)
-        if got is None:
-            mono = tuple(a + b for a, b in zip(self.basis[key[0]], self.basis[key[1]]))
-            got = self.normal_form(Poly.monomial(mono))
-            self._product_cache[key] = got
-        return got
+    @functools.cached_property
+    def products(self):
+        """(index, monomials, forms): one normal form per distinct product of
+        two basis monomials, ``index[a][b] = index[b][a]`` the row of the
+        product of basis[a] and basis[b]; rows follow each product's first
+        pair a <= b in ``itertools.combinations_with_replacement`` order."""
+        rows, index = {}, [[0] * len(self.basis) for _ in self.basis]
+        for a, b in itertools.combinations_with_replacement(range(len(self.basis)), 2):
+            mono = tuple(x + y for x, y in zip(self.basis[a], self.basis[b]))
+            index[a][b] = index[b][a] = rows.setdefault(mono, len(rows))
+        return index, list(rows), [self.normal_form(Poly.monomial(m)) for m in rows]
 
     def multiplication_matrix(self, p: Poly):
         """Matrix of multiplication by p on the quotient, columns over basis."""

@@ -2,10 +2,11 @@
 
 ``gram_qa`` assembles Q(phi, psi) = R(phi psi) over the monomial basis of the
 quotient algebra from the vector r = (R(e_c))_c of R on the basis (one
-batched limit) and the structure constants of the algebra: the entry at
-(a, b) is sum_c r_c times the c-th coordinate of e_a e_b.  Only the nu
-entries of r are rationalized, the exact Gram is the same contraction over
-those rationals, and exact mode is authoritative for ranks and signatures.
+batched limit).  Its entry at (a, b) is R(x^(alpha_a + alpha_b)), so the
+Gram is a moment matrix, as for the Eisenbud-Levine-Khimshiashvili form:
+one value per distinct product, read off at every pair.  Only the nu
+entries of r are rationalized, and exact mode is authoritative for ranks
+and signatures.
 ``lambda_map`` sends an (n-k)-form h dx_L to sgn(K, L) h Delta_K
 where K is the complementary column block of the Jacobian of f, realizing
 (df_1 ^ .. ^ df_k ^ eta) / (dx_1 ^ .. ^ dx_n); the form on the module is the
@@ -87,30 +88,26 @@ def gram_qa(
 ) -> GramForm:
     """Gram matrix [R(e_a e_b)] over the monomial basis of the algebra.
 
-    R vanishes on the ideal, so R(e_a e_b) = sum_c r_c P_c[a][b] with
-    r_c = R(e_c) (``sampler.basis_values``) and P_c[a][b] the c-th
-    coordinate of ``alg.basis_product(a, b)``.  The numeric Gram contracts
-    the real parts of r, the exact Gram the rationalized r_c; when some r_c
-    does not rationalize, the pairs whose product touches it are the failed
-    entries and there is no exact Gram.
+    R vanishes on the ideal, so the entry is sum_c r_c NF_c with r_c =
+    R(e_c) (``sampler.basis_values``) and NF the normal form of the pair's
+    row of ``alg.products``: one value per row, over the real parts of r
+    and over the rationalized r_c.  When some r_c does not rationalize,
+    the pairs a <= b whose product touches it are the failed entries and
+    there is no exact Gram.
     """
     dim = len(alg.basis)
     labels = [Poly.monomial(m).to_string([f"x{i+1}" for i in range(inst.n)]) for m in alg.basis]
     r = sampler.basis_values(alg.basis)
     rats = [sampler.rational(v) for v in r]
-    P = [[alg.basis_product(a, b) for b in range(dim)] for a in range(dim)]
-    numeric = np.array(P, dtype=float).reshape(dim, dim, dim) @ r.real
-    failed = [
-        (a, b)
-        for a in range(dim)
-        for b in range(a, dim)
-        if any(p and q is None for p, q in zip(P[a][b], rats))
-    ]
+    index, _, forms = alg.products
+    index_array = np.array(index, dtype=np.intp).reshape(dim, dim)
+    numeric = (np.array(forms, dtype=float).reshape(len(forms), dim) @ r.real)[index_array]
+    touched = [any(p and q is None for p, q in zip(nf, rats)) for nf in forms]
+    failed = [(a, b) for a in range(dim) for b in range(a, dim) if touched[index[a][b]]]
     exact = None
     if want_exact and not failed:
-        exact = [
-            [sum((q * p for p, q in zip(pc, rats) if p), Fraction(0)) for pc in row] for row in P
-        ]
+        values = [sum((q * p for p, q in zip(nf, rats) if p), Fraction(0)) for nf in forms]
+        exact = [[values[i] for i in row] for row in index]
     return GramForm(
         labels=labels,
         numeric=numeric,

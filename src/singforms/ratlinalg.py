@@ -3,7 +3,8 @@
 One sparse elimination, ``echelon``, runs on rows {column: value} over Q or
 mod p: ``rref`` back-substitutes it for the quotient algebra's normal forms
 and the image of Lambda, and the module-dimension rank eliminates thousands
-of integer rows mod p.  Symmetric matrices are diagonalized by congruence.
+of integer rows mod p.  The rank and signature of a symmetric matrix come
+from diagonalizing it by congruence.
 """
 
 from __future__ import annotations
@@ -68,73 +69,48 @@ def rank(rows) -> int:
     return len(echelon({c: v for c, v in enumerate(row) if v} for row in rows))
 
 
-def congruence_diagonalize(sym):
-    """Diagonalize a symmetric rational matrix by congruence.
+def rank_signature_exact(sym):
+    """(rank, signature) of a symmetric rational matrix, exactly.
 
-    Returns (diag, basis) with basis^T * M * basis diagonal; ``diag`` lists the
-    diagonal entries.  Zero diagonal entries with a nonzero off-diagonal mate
-    are repaired by the symmetric row+column addition trick (valid away from
-    characteristic 2).
+    The matrix is diagonalized by congruence, each operation applied to a
+    row and to its column alike.  A zero pivot is swapped with a nonzero
+    diagonal entry further down; when there is none, a nonzero off-diagonal
+    entry m[r][c] is repaired by adding row and column c to r, which makes
+    m[r][r] = 2 m[r][c] != 0 (valid away from characteristic 2).
     """
     n = len(sym)
     m = [list(row) for row in sym]
-    for i in range(n):
-        if any(m[i][j] != m[j][i] for j in range(n)):
-            raise ValueError("matrix is not symmetric")
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(n)):
+        raise ValueError("matrix is not symmetric")
 
-    def col_op(dst, src, f):
-        # column_dst += f * column_src, mirrored on rows; basis column update
-        for r in range(n):
-            m[r][dst] += f * m[r][src]
-        for c in range(n):
-            m[dst][c] += f * m[src][c]
-        for r in range(n):
-            basis[r][dst] += f * basis[r][src]
+    def add(dst, src, f):
+        for row in m:
+            row[dst] += f * row[src]
+        m[dst] = [a + f * b for a, b in zip(m[dst], m[src])]
 
-    def col_swap(a, b):
-        for r in range(n):
-            m[r][a], m[r][b] = m[r][b], m[r][a]
-        for c in range(n):
-            m[a][c], m[b][c] = m[b][c], m[a][c]
-        for r in range(n):
-            basis[r][a], basis[r][b] = basis[r][b], basis[r][a]
+    def swap(a, b):
+        m[a], m[b] = m[b], m[a]
+        for row in m:
+            row[a], row[b] = row[b], row[a]
 
     for i in range(n):
         if m[i][i] == 0:
-            # look for a nonzero diagonal further down
             j = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
             if j is not None:
-                col_swap(i, j)
+                swap(i, j)
             else:
-                pair = next(
-                    (
-                        (r, c)
-                        for r in range(i, n)
-                        for c in range(r + 1, n)
-                        if m[r][c] != 0
-                    ),
-                    None,
-                )
-                if pair is None:
-                    break  # remaining block is zero
-                r, c = pair
-                col_op(r, c, Fraction(1))  # makes m[r][r] = 2*m[r][c] != 0
+                pairs = ((r, c) for r in range(i, n) for c in range(r + 1, n) if m[r][c] != 0)
+                r, c = next(pairs, (None, None))
+                if r is None:
+                    break  # the remaining block is zero
+                add(r, c, 1)
                 if r != i:
-                    col_swap(i, r)
-        piv = m[i][i]
+                    swap(i, r)
         for j in range(i + 1, n):
             if m[i][j] != 0:
-                col_op(j, i, -m[i][j] / piv)
-    return [m[i][i] for i in range(n)], basis
-
-
-def rank_signature_exact(sym):
-    """(rank, signature) of a symmetric rational matrix, exactly."""
-    diag, _ = congruence_diagonalize(sym)
-    rk = sum(1 for d in diag if d != 0)
-    sig = sum(1 for d in diag if d > 0) - sum(1 for d in diag if d < 0)
-    return rk, sig
+                add(j, i, -Fraction(m[i][j]) / m[i][i])
+    diag = [m[i][i] for i in range(n)]
+    return sum(d != 0 for d in diag), sum(d > 0 for d in diag) - sum(d < 0 for d in diag)
 
 
 def numeric_rank_bounds(mat: np.ndarray, threshold: float = 1e-8):

@@ -16,11 +16,11 @@ the vector r = (R(e_c))_c over the basis monomials of the algebra;
 ``basis_values`` takes that one limit and keeps it, and only its entries
 are rationalized (``rational``, a continued-fraction reconstruction).
 Ideal vanishing checks R on ideal generators times monomials and on the
-differences e_a e_b - NF(e_a e_b) on which ``Q^A`` relies.  Class
-invariance confirms each twist's critical points, the base grid's with the
-first multiplier shifted, in one Newton batch on the same family, the twist
-carried on the rows of P, and compares the twisted grid's basis vector with
-r.
+differences x^m - NF(x^m), one per distinct product x^m = e_a e_b of basis
+monomials, on which ``Q^A`` relies.  Class invariance confirms each twist's
+critical points, the base grid's with the first multiplier shifted, in one
+Newton batch on the same family, the twist carried on the rows of P, and
+compares the twisted grid's basis vector with r.
 
 ``make_sampler`` solves the grids of an analysis, on its one family, and
 builds the one sampler that holds them; the verification suites take it,
@@ -93,6 +93,8 @@ class ResidueSampler:
     the analysis's fresh solves, ``fresh`` the fresh solves (p, rows, solver
     counters) of ``make_sampler``'s further targets, whatever their counts:
     their caller requires the count and tests the chart.
+    ``max_probe_deviation`` is the largest ``limit`` deviation, twisted
+    grids' included.
     """
 
     def __init__(self, family, direction, expected, cfg, grid, stats, fresh=()):
@@ -219,9 +221,8 @@ class ProbeReport:
 def verify_ideal_vanishing(inst, alg, sampler: ResidueSampler, seed=0) -> ProbeReport:
     """|R(p)| below tolerance for every probe p of the ideal: each ideal
     generator g times ``_MULTIPLIERS`` random monomials h of degree <= 2,
-    and every product of basis classes less its normal form,
-    e_a e_b - NF(e_a e_b), over the ``alg.basis_product`` coordinates that
-    ``Q^A`` is built from."""
+    and x^m - NF(x^m) over the ``alg.products`` that ``Q^A`` is built from
+    (none where it is 0), named after the first pair a <= b of x^m."""
     from .icis import build_ideal
     from .localalg import monomials_below
 
@@ -234,11 +235,13 @@ def verify_ideal_vanishing(inst, alg, sampler: ResidueSampler, seed=0) -> ProbeR
             probes.append(Poly.monomial(h) * g)
             labels.append(f"prop1 g{gi} h{h}")
             names.append(f"g{gi}*x^{h}")
-    basis = alg.basis
-    for a, b in itertools.combinations_with_replacement(range(len(basis)), 2):
-        terms = {m: -c for m, c in zip(basis, alg.basis_product(a, b))}
-        prod = tuple(x + y for x, y in zip(basis[a], basis[b]))
-        terms[prod] = terms.get(prod, 0) + 1
+    index, monomials, forms = alg.products
+    firsts = {}  # row -> its first pair, in row order
+    for a, b in itertools.combinations_with_replacement(range(len(alg.basis)), 2):
+        firsts.setdefault(index[a][b], (a, b))
+    for (a, b), mono, nf in zip(firsts.values(), monomials, forms):
+        terms = {m: -c for m, c in zip(alg.basis, nf)}
+        terms[mono] = terms.get(mono, 0) + 1
         p = Poly(terms, inst.n)
         if not p.is_zero():
             probes.append(p)
@@ -261,7 +264,8 @@ def verify_class_invariance(inst, alg, sampler: ResidueSampler, seed=0) -> Probe
     f_1 - eps_1 in place of f_1, so its critical points are exactly the base
     grid's with lambda_1 shifted by h(x).  One ``critpts.solve_warm`` batch
     on the base family, the twist on the rows of P, confirms them, and the
-    twisted grid's R over the basis of ``alg`` is compared with the base's.
+    twisted grid's R over the basis of ``alg`` is compared with the base's;
+    its circle means join ``sampler.max_probe_deviation``.
     A failed sample raises CountMismatchError: a fresh solve at the same p
     would end at the same exact zeros, so none is made.
     """
@@ -284,7 +288,9 @@ def verify_class_invariance(inst, alg, sampler: ResidueSampler, seed=0) -> Probe
             raise critpts.CountMismatchError(message, sampler.stats)
         grid = _grid(family, P, Xv, sampler.stats)
         twisted = ResidueSampler(family, sampler.direction, expected, cfg, grid, sampler.stats)
-        for m, b, val in zip(alg.basis, base, twisted.basis_values(alg.basis)):
+        values = twisted.basis_values(alg.basis)
+        sampler.max_probe_deviation = max(sampler.max_probe_deviation, twisted.max_probe_deviation)
+        for m, b, val in zip(alg.basis, base, values):
             dev = abs(val - b)
             worst = max(worst, dev)
             entries.append((f"variant{v} {Poly.monomial(m)!r}", dev))

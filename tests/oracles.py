@@ -8,9 +8,10 @@ the implicit function theorem with plain polynomial evaluation
 are shared by the test modules, as are three helpers that only tests call:
 the classical map-germ form ``elkh`` (``make_sampler`` and ``gram_qa`` on a
 k = 0 instance), the bridge map of Example 2 and ``mult_operator_rank``.
-Two references keep the plain form of an optimized routine: ``congruence``
-over Fractions and ``track_circle_by_steps``, continuation one angle step
-at a time.
+Four references keep the plain form of an optimized routine: ``dedup`` (a
+pairwise loop), ``gram_by_pairs`` (``Q^A`` from every pair's normal form),
+``congruence`` (over Fractions) and ``track_circle_by_steps`` (continuation
+one angle step at a time).
 """
 
 from __future__ import annotations
@@ -112,6 +113,41 @@ def mult_operator_rank(alg: QuotientAlgebra, p: Poly) -> int:
     if alg.colength == 0:
         return 0
     return ratlinalg.rank(alg.multiplication_matrix(p))
+
+
+def dedup(Xs, tol):
+    """Per sample Xs[i], the mask of rows with no earlier row of the sample
+    within tol[i] (max-norm), by a plain pairwise loop: the reference for
+    ``critpts._distinct``."""
+    keep = np.ones(Xs.shape[:2], dtype=bool)
+    for s, (X, t) in enumerate(zip(Xs, tol)):
+        for j in range(len(X)):
+            keep[s, j] = all(np.abs(X[i] - X[j]).max() >= t for i in range(j))
+    return keep
+
+
+def gram_by_pairs(alg: QuotientAlgebra, r, rats):
+    """``quadforms.gram_qa``'s (numeric, exact, failed_entries) by the
+    structure-constant contraction, pair by pair: P[a][b] is the normal form
+    of e_a e_b, the numeric Gram sum_c r_c P_c over the real parts of r, and
+    the exact one over the rationals ``rats`` (None where r_c does not
+    rationalize; then the pairs a <= b whose P touches it fail)."""
+    dim = len(alg.basis)
+    P = [
+        [alg.normal_form(Poly.monomial(tuple(x + y for x, y in zip(u, v)))) for v in alg.basis]
+        for u in alg.basis
+    ]
+    numeric = np.array(P, dtype=float).reshape(dim, dim, dim) @ np.real(r)
+    failed = [
+        (a, b)
+        for a in range(dim)
+        for b in range(a, dim)
+        if any(p and q is None for p, q in zip(P[a][b], rats))
+    ]
+    if failed:
+        return numeric, None, failed
+    exact = [[sum((q * p for p, q in zip(pc, rats) if p), Fraction(0)) for pc in row] for row in P]
+    return numeric, exact, failed
 
 
 def congruence(B, G):

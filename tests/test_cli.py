@@ -264,7 +264,7 @@ def test_count_mismatch_is_a_solver_failure(tmp_path, monkeypatch):
     """A fresh solve that never finds the expected count exits 2 with its
     solver counters and without a traceback.  Every fresh solve of the
     smooth line loses its one point, on the first try and on each retry."""
-    monkeypatch.setattr(critpts, "_dedup", lambda points, tol: points[:0])
+    monkeypatch.setattr(critpts, "_distinct", lambda Xs, tol: np.zeros(Xs.shape[:2], dtype=bool))
     path = tmp_path / "smooth.txt"
     path.write_text(SMOOTH)
     code, out, err = run_cli(["analyze", str(path)])

@@ -29,6 +29,7 @@ from singforms.residuefn import LimitConfig, make_sampler
 
 from oracles import (
     cusp,
+    dedup,
     eval_at,
     ex1,
     ex1_closed_form,
@@ -319,6 +320,44 @@ def test_failed_polish_classified_by_size(r, status):
     assert abs(X[0, 0] - r) < 1e-9 * r
 
 
+class _SingularAtOneHomotopy(_StallingHomotopy):
+    """H = x - r s, plus 1e-3 with a zero Jacobian at s = 1: a corrector
+    below s = 1 converges at once, and every step onto s = 1 fails, so the
+    path stalls just short of it.  ``rounds`` records the s of each
+    evaluation batch's first call: the start, then each round's corrector."""
+
+    def __init__(self, r):
+        super().__init__(r)
+        self.rounds = []
+
+    def rows(self, tgt):
+        def at(X, s):
+            if not calls and len(X):
+                self.rounds.append(float(np.ravel(s)[0]))
+            calls.append(1)
+            s = np.broadcast_to(np.asarray(s, dtype=float), (len(X),))[:, None]
+            J = np.where(s < 1.0, 1.0, 0.0)[:, :, None]
+            return X - self.r * s + 1e-3 * (s == 1.0), J, -self.r * np.ones_like(X)
+
+        calls = []
+        return at
+
+
+def test_rejected_step_onto_one_is_not_repeated():
+    """After a rejected step onto s = 1, the next step from the same s is
+    shorter: no (s, step) is tried twice, and the path still stalls."""
+    h = _SingularAtOneHomotopy(1.0)
+    X, got = critpts._track(h, np.zeros((1, 1), dtype=complex), np.zeros(1, dtype=int))
+    assert got.tolist() == ["stalled"]
+    assert abs(X[0, 0] - 1.0) < 1e-6
+    s, tried = 0.0, []
+    for s_new in h.rounds[1:]:  # steps below s = 1 are accepted, steps onto it rejected
+        tried.append((s, s_new))
+        s = s_new if s_new < 1.0 else s
+    assert sum(s_new == 1.0 for _, s_new in tried) > 10
+    assert len(set(tried)) == len(tried)
+
+
 # ---- batched tracking and Newton ----------------------------------------------
 
 def test_batched_track_matches_single_paths():
@@ -435,12 +474,13 @@ def test_stacked_eval_matches_exact_evaluation():
 
 
 def test_dedup_keeps_first_of_chain():
-    """a ~ b and b ~ c but not a ~ c: b is dropped as close to the kept a,
-    and c stays because b was not kept."""
+    """a ~ b and b ~ c but not a ~ c: b and c each lie within tol of an
+    earlier row, so only a is kept; a duplicate is dropped."""
     a, b, c = [0.0, 1.0], [0.6, 1.0], [1.2, 1.0]
-    kept = critpts._dedup(np.array([a, b, c], dtype=complex), 1.0)
-    assert np.array_equal(kept, np.array([a, c], dtype=complex))
-    assert len(critpts._dedup(np.array([a, a, b], dtype=complex), 0.1)) == 2
+    keep = critpts._distinct(np.array([[a, b, c]], dtype=complex), 1.0)
+    assert keep.tolist() == [[True, False, False]]
+    keep = critpts._distinct(np.array([[a, a, b]], dtype=complex), 0.1)
+    assert keep.tolist() == [[True, False, True]]
 
 
 _PART = st.integers(0, 2)
@@ -449,25 +489,24 @@ _PART = st.integers(0, 2)
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_distinct_matches_dedup(data):
-    """The batched distinctness test keeps a sample exactly when ``_dedup``
-    keeps all its rows.  Entries on a small integer grid and integer
+    """The batched distinctness mask equals the plain pairwise loop of
+    ``oracles.dedup``.  Entries on a small integer grid and integer
     tolerances make distances equal to the tolerance common."""
     s, m, nu = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (0, 5), (1, 3)))
     parts = data.draw(st.lists(st.tuples(_PART, _PART), min_size=s * m * nu, max_size=s * m * nu))
     Xs = (np.reshape(parts, (-1, 2)) @ [1, 1j]).reshape(s, m, nu)
     tols = st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=s, max_size=s)
     tol = np.array(data.draw(tols))
-    want = [len(critpts._dedup(X, t)) == m for X, t in zip(Xs, tol)]
-    assert critpts._distinct(Xs, tol).tolist() == want
+    assert critpts._distinct(Xs, tol).tolist() == dedup(Xs, tol).tolist()
 
 
 def test_distinct_at_the_tolerance():
-    """Rows exactly tol apart are distinct, as for ``_dedup``; closer ones are not."""
+    """Rows exactly tol apart are distinct; closer ones are not."""
     X = np.array([[[0.0, 0.0], [0.5, 0.25j]], [[1.0, 0.0], [1.0, 0.5]]])
     tol = np.array([0.5, 0.5])
-    assert critpts._distinct(X, tol).tolist() == [True, True]
-    assert [len(critpts._dedup(x, 0.5)) for x in X] == [2, 2]
-    assert critpts._distinct(X, tol + 2.0**-20).tolist() == [False, False]
+    assert critpts._distinct(X, tol).tolist() == [[True, True], [True, True]]
+    assert dedup(X, tol).tolist() == [[True, True], [True, True]]
+    assert critpts._distinct(X, tol + 2.0**-20).tolist() == [[True, False], [True, False]]
 
 
 # ---- batched fresh solves ---------------------------------------------------
@@ -503,18 +542,20 @@ def test_failing_target_retries_and_fails_alone(monkeypatch):
     others find their count on the first batch."""
     fam = DeformationFamily(ex1(2, (1, 2)))
     bad_t = 2e-2
-    dedup, track = critpts._dedup, critpts._track
+    distinct, track = critpts._distinct, critpts._track
     batches = []
 
-    def drop_one_at_bad_t(points, tol):  # the merge tolerance at |p| = bad_t
-        kept = dedup(points, tol)
-        return kept[:-1] if np.isclose(tol, critpts._merge_tolerance([bad_t]), rtol=1e-9, atol=0) else kept
+    def drop_one_at_bad_t(Xs, tol):  # the merge tolerance at |p| = bad_t
+        keep = distinct(Xs, tol)
+        if np.isclose(tol, critpts._merge_tolerance([bad_t]), rtol=1e-9, atol=0):
+            keep[0, np.flatnonzero(keep[0])[-1]] = False
+        return keep
 
     def recording(h, starts, tgt):
         batches.append(np.linalg.norm(h.p, axis=1).tolist())
         return track(h, starts, tgt)
 
-    monkeypatch.setattr(critpts, "_dedup", drop_one_at_bad_t)
+    monkeypatch.setattr(critpts, "_distinct", drop_one_at_bad_t)
     monkeypatch.setattr(critpts, "_track", recording)
     ts = [1e-2, bad_t, 5e-3]
     got = critpts.solve_fresh(fam, _count_runs(fam, np.random.default_rng(3), ts), 4)

@@ -223,9 +223,40 @@ def test_generators_alone_span_the_truncated_ideal(gens, nvars):
     q = QuotientAlgebra(gens, nvars)
     ref = QuotientAlgebra(list(reversed(gens)) + q.std_basis, nvars)
     assert (q.basis, q.N, q._rows) == (ref.basis, ref.N, ref._rows)
-    for i in range(len(q.basis)):
-        for j in range(i, len(q.basis)):
-            assert q.basis_product(i, j) == ref.basis_product(i, j)
+    assert q.products == ref.products
+
+
+@pytest.mark.parametrize(
+    "gens,nvars",
+    [(build_ideal(inst), inst.n) for _, inst in _PREMISE],
+    ids=[name for name, _ in _PREMISE],
+)
+def test_products_hold_each_pairs_normal_form(gens, nvars):
+    """``index`` is symmetric, its rows are the distinct products in the
+    order of their first pair a <= b, and each pair's row is the normal
+    form of x^(alpha_a + alpha_b)."""
+    q = QuotientAlgebra(gens, nvars)
+    index, monomials, forms = q.products
+    firsts = []
+    for a, b in itertools.product(range(len(q.basis)), repeat=2):
+        row = index[a][b]
+        assert row == index[b][a]
+        mono = tuple(x + y for x, y in zip(q.basis[a], q.basis[b]))
+        assert monomials[row] == mono
+        assert forms[row] == q.normal_form(Poly.monomial(mono))
+        if a <= b and row == len(firsts):
+            firsts.append(mono)
+    assert firsts == monomials == list(dict.fromkeys(monomials))
+    assert len(forms) == len(monomials)
+
+
+def test_brieskorn_pham_345_pairs_share_175_products():
+    """x^3 + y^4 + z^5: the 666 pairs a <= b of the 36 basis monomials have
+    175 distinct products."""
+    alg = algebra(brieskorn_pham(3, 4, 5))
+    pairs = len(alg.basis) * (len(alg.basis) + 1) // 2
+    index, monomials, forms = alg.products
+    assert (pairs, len(monomials), len(forms)) == (666, 175, 175)
 
 
 class _UnitSampler:

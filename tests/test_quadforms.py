@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singforms.corpus import CORPUS
 from singforms.icis import ProblemInstance, algebra, tau_prime
 from singforms.polyring import Poly, parse
 from singforms.quadforms import (
@@ -22,7 +23,15 @@ from singforms.quadforms import (
 )
 from singforms.residuefn import LimitConfig, make_sampler
 
-from oracles import congruence, cusp, elkh, example2_bridge_map, ex1, mult_operator_rank
+from oracles import (
+    congruence,
+    cusp,
+    elkh,
+    example2_bridge_map,
+    ex1,
+    gram_by_pairs,
+    mult_operator_rank,
+)
 
 VS2 = ["x1", "x2"]
 VS3 = ["x1", "x2", "x3"]
@@ -73,6 +82,46 @@ def test_gram_qa_ex1_n2(ex1_n2_ctx):
     assert qa.exact == [[Fraction(v) for v in row] for row in want]
     assert qa.rank_signature() == (4, 0)
     assert qa.max_numeric_exact_dev < 1e-10
+
+
+class _FixedSampler:
+    """R with the given distinct values r on the basis; r_c rationalizes
+    exactly, except at the basis indices in ``unrational``."""
+
+    def __init__(self, r, unrational=()):
+        self.r, self.unrational = np.asarray(r, dtype=complex), set(unrational)
+
+    def basis_values(self, basis):
+        return self.r
+
+    def rational(self, value):
+        i = int(np.flatnonzero(self.r == value)[0])
+        return None if i in self.unrational else Fraction(value.real)
+
+
+_MOMENT_CASES = [ex1(2, (1, 2)), ex1(3, (1, 2, 4)), cusp()] + [
+    CORPUS[name].instance() for name in ("ex2_n3", "four_lines", "elkh_z3")
+]
+
+
+@pytest.mark.parametrize(
+    "inst", _MOMENT_CASES, ids=["ex1_n2", "ex1_n3", "cusp", "ex2_n3", "four_lines", "elkh_z3"]
+)
+def test_moment_matrix_matches_pairwise_contraction(inst):
+    """The Gram read off one value per product equals the contraction of
+    every pair's normal form: numeric, exact and the failed entries, also
+    when some r_c do not rationalize."""
+    alg = algebra(inst)
+    nu = alg.colength
+    rng = np.random.default_rng(nu)
+    r = (rng.permutation(256)[:nu] - 128) / 16 + 1j * rng.integers(-4, 4, nu) / 2**40
+    for unrational in ([], [nu - 1], [0, nu // 2]):
+        qa = gram_qa(inst, alg, _FixedSampler(r, unrational))
+        rats = [None if i in unrational else Fraction(v.real) for i, v in enumerate(r)]
+        numeric, exact, failed = gram_by_pairs(alg, r, rats)
+        assert np.array_equal(qa.numeric, numeric)
+        assert (qa.exact, qa.failed_entries) == (exact, failed)
+        assert (exact is None) == bool(unrational)
 
 
 def test_gram_qa_identity_pattern(ex1_n2_ctx):

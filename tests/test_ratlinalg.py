@@ -46,26 +46,21 @@ def _congruence(a, p):
     ]
 
 
-@given(sym_matrices())
-@settings(max_examples=50, deadline=None)
-def test_congruence_diagonalize(m):
-    diag, basis = ratlinalg.congruence_diagonalize(m)
-    n = len(m)
-    # basis^T m basis must be the claimed diagonal
-    out = [
-        [
-            sum(
-                basis[r][i] * m[r][s] * basis[s][j]
-                for r in range(n)
-                for s in range(n)
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    for i in range(n):
-        for j in range(n):
-            assert out[i][j] == (diag[i] if i == j else 0)
+@pytest.mark.parametrize(
+    "m,want",
+    [
+        ([[0, 1], [1, 0]], (2, 0)),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], (3, 1)),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], (0, 0)),
+        ([[0, 0, 0], [0, 0, 2], [0, 2, 0]], (2, 0)),
+    ],
+    ids=["hyperbolic_plane", "antidiagonal_3", "zero", "zero_row_then_pair"],
+)
+def test_rank_signature_zero_diagonal(m, want):
+    """A zero diagonal with nonzero off-diagonal entries goes through the
+    repair step (add row and column c to r); a zero block stops early."""
+    m = [[Fraction(v) for v in row] for row in m]
+    assert ratlinalg.rank_signature_exact(m) == want
 
 
 @given(sym_matrices())

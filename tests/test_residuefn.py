@@ -13,6 +13,7 @@ from singforms.quadforms import FormGenerator, gram_qa, qomega_numeric
 from singforms.residuefn import (
     LimitConfig,
     NonConvergentError,
+    ResidueSampler,
     make_sampler,
     verify_class_invariance,
     verify_ideal_vanishing,
@@ -247,16 +248,15 @@ def test_ideal_vanishing_ex1(ex1_n2_sampler):
     assert rep.max_deviation < 1e-8
     gens = [name for name, _ in rep.entries if name.startswith("g")]
     assert len(gens) == 2 * 10  # two generators, ten multipliers each
-    # one product probe e_a e_b - NF(e_a e_b) per pair whose product monomial
-    # is not itself a basis monomial
+    # one probe x^m - NF(x^m) per distinct product x^m = e_a e_b that is not
+    # itself a basis monomial, named after its first pair a <= b
     products = [name for name, _ in rep.entries if name.startswith("e")]
-    basis = set(alg.basis)
-    nonstd = [
-        (a, b)
-        for a, b in itertools.combinations_with_replacement(range(len(alg.basis)), 2)
-        if tuple(x + y for x, y in zip(alg.basis[a], alg.basis[b])) not in basis
-    ]
+    firsts = {}
+    for a, b in itertools.combinations_with_replacement(range(len(alg.basis)), 2):
+        firsts.setdefault(tuple(x + y for x, y in zip(alg.basis[a], alg.basis[b])), (a, b))
+    nonstd = [ab for m, ab in firsts.items() if m not in alg.basis]
     assert products == [f"e{a}*e{b}-NF" for a, b in nonstd]
+    assert len(products) == 5  # x1^2, x1 x2, x1 x2^2, x2^3, x2^4
 
 
 def test_ideal_vanishing_cusp():
@@ -273,16 +273,12 @@ def test_ideal_vanishing_catches_a_wrong_structure_constant(monkeypatch, ex1_n2_
     inst = ex1(2, (1, 2))
     alg = algebra(inst)
     c = alg.basis.index((0, 2))  # R(x2^2) = -1/2, so a wrong x2^2 coordinate shows
-    good = alg.basis_product
-
-    def corrupted(i, j):
-        coords = list(good(i, j))
-        if (min(i, j), max(i, j)) == (0, c):
-            coords[c] += 1
-        return coords
+    index, monomials, forms = alg.products
+    forms = [list(nf) for nf in forms]
+    forms[index[0][c]][c] += 1
 
     want = gram_qa(inst, alg, ex1_n2_sampler).exact
-    monkeypatch.setattr(alg, "basis_product", corrupted)
+    monkeypatch.setattr(alg, "products", (index, monomials, forms))
     assert gram_qa(inst, alg, ex1_n2_sampler).exact != want
     rep = verify_ideal_vanishing(inst, alg, ex1_n2_sampler, 42)
     assert not rep.ok
@@ -320,6 +316,27 @@ def test_class_invariance_suite(monkeypatch):
     assert rep.ok
     assert rep.max_deviation < 1e-8
     assert len(rep.entries) == 2 * 4  # two variants, four basis monomials
+
+
+def test_circle_mean_stability_sees_the_twisted_grids(monkeypatch):
+    """The reported circle-mean stability covers every limit of the
+    analysis, the five twisted grids' included: on the cusp at seed 42 one
+    of them has the largest deviation."""
+    made = []
+
+    class Recording(ResidueSampler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(residuefn, "ResidueSampler", Recording)
+    res = analyze(cusp(), AnalysisConfig())
+    base, *twisted = made
+    assert len(twisted) == residuefn._VARIANTS
+    worst = max(t.max_probe_deviation for t in twisted)
+    assert base.max_probe_deviation >= worst > 0
+    (check,) = [c for c in res.checks if c.name == "circle_mean_stability"]
+    assert check.detail == f"max_rel_dev={base.max_probe_deviation:.3e}"
 
 
 def test_class_invariance_cusp_cold_start():
