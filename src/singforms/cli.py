@@ -3,14 +3,13 @@
 ``singforms analyze FILE`` runs the full pipeline on one problem file and
 prints a structured-text report (exit 0 iff all checks pass, 1 on bad input,
 malformed or unknown flags or bad limit flags, 2 on solver or limit failures,
-including a module dimension that does not stabilize and a standard basis
-that exceeds its pair or coefficient budget, 3 on non-isolated input).  Bad
-limit flags are radii that are not finite, positive and strictly decreasing
-(at least two), an odd ``--samples`` or one below 16, a ``--tol-match`` that
-is not finite and positive, and a ``--max-den`` below 1.  An ``--out`` path
-that cannot be opened for writing (say, in a missing directory) is an input
-error too, found before the analysis runs.  Every exit-1 case prints
-``input error: ...`` on stderr and nothing on stdout.
+including a standard basis that exceeds its pair or coefficient budget, 3 on
+non-isolated input).  Bad limit flags are radii that are not finite, positive
+and strictly decreasing (at least two), an odd ``--samples`` or one below 16,
+a ``--tol-match`` that is not finite and positive, and a ``--max-den`` below
+1.  An ``--out`` path that cannot be opened for writing (say, in a missing
+directory) is an input error too, found before the analysis runs.  Every
+exit-1 case prints ``input error: ...`` on stderr and nothing on stdout.
 ``singforms verify-corpus`` runs the built-in instances against their
 expected values and the property checks.
 
@@ -35,7 +34,7 @@ from fractions import Fraction
 
 from .corpus import CORPUS
 from .critpts import CountMismatchError
-from .icis import OmegaDimInconclusive, ProblemInstance
+from .icis import ProblemInstance
 from .localalg import BudgetExceeded
 from .pipeline import AnalysisConfig, AnalysisResult, NonIsolatedError, analyze
 from .polyring import Poly, PolyParseError, parse, to_string
@@ -210,7 +209,7 @@ def cmd_analyze(args) -> int:
     except NonIsolatedError as exc:
         print(f"non-isolated input: {exc}", file=sys.stderr)
         return EXIT_NON_ISOLATED
-    except (OmegaDimInconclusive, BudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"solver/limit failure: {exc}", file=sys.stderr)
         print(f"diag {exc.diag}", file=sys.stderr)
         return EXIT_SOLVER
@@ -274,7 +273,6 @@ def cmd_verify_corpus(args) -> int:
             NonIsolatedError,
             CountMismatchError,
             NonConvergentError,
-            OmegaDimInconclusive,
             BudgetExceeded,
         ) as exc:
             print(f"{name}: pipeline failure: {exc}")

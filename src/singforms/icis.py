@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
 
 from . import ratlinalg
-from .localalg import INFINITE, QuotientAlgebra, monomials_below
+from .localalg import INFINITE, QuotientAlgebra, monomials_below, truncated_multiples
 from .polyring import Poly, det
 
 
@@ -116,12 +115,6 @@ def tau_prime(inst: ProblemInstance) -> int:
     return q.colength
 
 
-class OmegaDimInconclusive(RuntimeError):
-    """Raised when the module dimension fails to stabilize below D_max."""
-
-    diag = "omega_dim: inconclusive"
-
-
 def _wedge_with_subset(coeffs, T, n):
     """Coefficients of (sum_j coeffs[j] dx_j) wedge dx_T over ascending subsets."""
     out = {}
@@ -158,51 +151,27 @@ def omega_module_generators(inst: ProblemInstance):
     return subsets, gens
 
 
-def omega_module_dim(inst: ProblemInstance, d_max: int = 12) -> int:
-    """Dimension of Omega^{n-k} / (f_i Omega, df_i ^ Omega, omega ^ Omega).
+def omega_module_dim(inst: ProblemInstance) -> int:
+    """Dimension of M = Omega^{n-k} / (f_i Omega, df_i ^ Omega, omega ^ Omega).
 
-    Computed by degree truncation.  With N the relation module and m the
-    maximal ideal, ``dim_at(D)`` is dim Omega / (N + m^D Omega), as
-    O / m^D = C[x] / m^D.  Equal values at D and D + 1 give
-    m^D Omega in N + m * m^D Omega, so m^D Omega in N by Nakayama: the first
-    repeated value is the dimension, and ``d_max`` only caps the cost.
+    The minor ideal I annihilates M.  For a (k+1)-subset C and an
+    (n-k)-form eta, df_1 ^ ... ^ df_k ^ omega ^ eta has degree n + 1, so it
+    is 0.  Contracting it by d/dx_c for each c in C leaves +-m_C eta plus
+    terms that each keep an uncontracted factor df_i or omega, so m_C eta is
+    a relation (the argument behind Saito's de Rham lemma), as f_i eta is.
+    Hence m^N M = 0 for the truncation degree N of the algebra (m^N in I),
+    and dim M = dim Omega / (R + m^N Omega), with R the relation module: one
+    rank of R's truncated multiples, with subset-major columns.
 
-    Each generator is scaled once to integer coefficients (the rank does not
-    change); its shifts by monomials beta are sparse rows {column: int} with
-    subset-major columns.  Each D is ranked afresh, so an instance that
-    stabilizes early never builds rows of the cap's degree.  The rank is
-    taken modulo two fixed 31-bit primes (exact fallback on disagreement),
-    which can only underestimate the rank, i.e. overestimate the dimension.
+    The rank is taken modulo two fixed 31-bit primes (exact fallback on
+    disagreement), which can only underestimate the rank, i.e. overestimate
+    the dimension.  A non-isolated instance raises ValueError.
     """
+    alg = algebra(inst)
+    if not alg.finite:
+        raise ValueError("the module dimension needs finite nu: input is not isolated")
     subsets, gens = omega_module_generators(inst)
-    s_index = {S: i for i, S in enumerate(subsets)}
-    int_gens = []  # [(subset index, mono, degree, integer coefficient)] per gen
-    for gen in gens:
-        terms = [(s_index[S], m, c) for S, p in gen.items() for m, c in p.terms.items()]
-        if terms:
-            scale = lcm(*(c.denominator for *_, c in terms))
-            int_gens.append([(si, m, sum(m), int(c * scale)) for si, m, c in terms])
-
-    def dim_at(D: int) -> int:
-        monos = monomials_below(inst.n, D)
-        m_index = {m: i for i, m in enumerate(monos)}
-        rows = [
-            {
-                si * len(monos) + m_index[tuple(map(sum, zip(beta, mono)))]: c
-                for si, mono, deg, c in terms
-                if sum(beta) + deg < D
-            }
-            for terms in int_gens
-            for beta in monomials_below(inst.n, D - min(t[2] for t in terms))
-        ]
-        return len(subsets) * len(monos) - ratlinalg.int_rank(rows)
-
-    prev = None
-    for D in range(2, d_max + 1):
-        cur = dim_at(D)
-        if prev is not None and cur == prev:
-            return cur
-        prev = cur
-    raise OmegaDimInconclusive(
-        f"module dimension did not stabilize by D_max={d_max}"
-    )
+    monos = monomials_below(inst.n, alg.N)
+    column = {key: i for i, key in enumerate(itertools.product(subsets, monos))}
+    rows = list(truncated_multiples(gens, inst.n, alg.N, column))
+    return len(column) - ratlinalg.int_rank(rows)

@@ -10,7 +10,8 @@ Canonical normal forms do not come from Mora division (that only yields weak
 normal forms up to a unit).  Instead, once the truncation degree N with
 m^N contained in the ideal is known, the quotient is modelled exactly as
 Q[x]/(I + m^N), and classes are reduced by the ``ratlinalg.rref`` rows of
-the truncated monomial multiples of the generators.  Many pairs of basis
+the truncated monomial multiples of the generators (``truncated_multiples``,
+which also builds the module-dimension rows of ``icis``).  Many pairs of basis
 monomials share their product, so ``QuotientAlgebra.products`` keeps one
 normal form per distinct product.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from . import ratlinalg
@@ -194,6 +196,30 @@ def monomials_below(nvars: int, degree: int):
     return out
 
 
+def truncated_multiples(gens, nvars: int, D: int, column):
+    """Sparse integer rows {column: int} spanning the image of the module
+    generated by ``gens`` inside (Q[x]/m^D)^components.
+
+    Each generator is a map {component: Poly}, scaled once to integer
+    coefficients; its rows are its shifts by the monomials x^beta, truncated
+    below degree D, with ``column[(component, monomial)]`` the column of a
+    term.  Shifts whose every term reaches degree D are skipped.
+    """
+    for gen in gens:
+        terms = [(s, m, c) for s, p in gen.items() for m, c in p.terms.items()]
+        if not terms:
+            continue
+        scale = math.lcm(*(c.denominator for *_, c in terms))
+        terms = [(s, m, sum(m), int(c * scale)) for s, m, c in terms]
+        for beta in monomials_below(nvars, D - min(t[2] for t in terms)):
+            shift = sum(beta)
+            yield {
+                column[s, tuple(map(sum, zip(beta, m)))]: c
+                for s, m, d, c in terms
+                if shift + d < D
+            }
+
+
 class QuotientAlgebra:
     """Exact finite-dimensional model of a local quotient algebra O/I.
 
@@ -236,14 +262,9 @@ class QuotientAlgebra:
         and each row maps its pivot to a tail on standard monomials only.
         """
         monos = sorted(monomials_below(self.nvars, self.N), key=order_key, reverse=True)
-        col = {m: i for i, m in enumerate(monos)}
-        multiples = (
-            self._truncate(_mono_mul_poly(beta, Fraction(1), g))
-            for g in self.generators
-            if not g.is_zero()
-            for beta in monomials_below(self.nvars, self.N - int(g.order()))
-        )
-        pivots = ratlinalg.rref({col[m]: c for m, c in v.items()} for v in multiples)
+        col = {(0, m): i for i, m in enumerate(monos)}
+        gens = [{0: g} for g in self.generators]
+        pivots = ratlinalg.rref(truncated_multiples(gens, self.nvars, self.N, col))
         rows = {
             monos[c]: {monos[cc]: v for cc, v in row.items() if cc != c}
             for c, row in pivots.items()

@@ -8,10 +8,11 @@ the implicit function theorem with plain polynomial evaluation
 are shared by the test modules, as are three helpers that only tests call:
 the classical map-germ form ``elkh`` (``make_sampler`` and ``gram_qa`` on a
 k = 0 instance), the bridge map of Example 2 and ``mult_operator_rank``.
-Four references keep the plain form of an optimized routine: ``dedup`` (a
+Five references keep the plain form of an optimized routine: ``dedup`` (a
 pairwise loop), ``gram_by_pairs`` (``Q^A`` from every pair's normal form),
-``congruence`` (over Fractions) and ``track_circle_by_steps`` (continuation
-one angle step at a time).
+``congruence`` (over Fractions), ``track_circle_by_steps`` (continuation
+one angle step at a time) and ``module_dim_by_stabilization`` (the module
+dimension without the algebra's truncation degree).
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from singforms import critpts, ratlinalg
-from singforms.icis import ProblemInstance, algebra, minor
+from singforms.icis import ProblemInstance, algebra, minor, omega_module_generators
 from singforms.localalg import QuotientAlgebra
 from singforms.polyring import Poly, parse
 from singforms.quadforms import gram_qa
@@ -168,6 +170,44 @@ def track_circle_by_steps(family, P, firsts, expected, rng):
         X[:, j], fresh = critpts.solve_anchored(family, P[:, j], X[:, j - 1], expected, rng)
         stats.update(fresh)
     return X, dict(stats)
+
+
+def module_dim_by_stabilization(inst: ProblemInstance, d_max: int) -> int:
+    """``icis.omega_module_dim`` without the truncation degree N of the
+    algebra: dim_at(D) = dim Omega / (R + m^D Omega) for D = 2, 3, ... until
+    two consecutive values agree.  Then m^D Omega lies in R + m^(D+1) Omega,
+    so in R by Nakayama, and the repeated value is the dimension.  Raises
+    AssertionError when no value repeats by ``d_max``."""
+    subsets, gens = omega_module_generators(inst)
+    s_index = {S: i for i, S in enumerate(subsets)}
+    int_gens = []  # [(subset index, mono, degree, integer coefficient)] per gen
+    for gen in gens:
+        terms = [(s_index[S], m, c) for S, p in gen.items() for m, c in p.terms.items()]
+        if terms:
+            scale = lcm(*(c.denominator for *_, c in terms))
+            int_gens.append([(si, m, sum(m), int(c * scale)) for si, m, c in terms])
+
+    def dim_at(D):
+        monos = monomials_below(inst.n, D)
+        m_index = {m: i for i, m in enumerate(monos)}
+        rows = [
+            {
+                si * len(monos) + m_index[tuple(map(sum, zip(beta, mono)))]: c
+                for si, mono, deg, c in terms
+                if sum(beta) + deg < D
+            }
+            for terms in int_gens
+            for beta in monomials_below(inst.n, D - min(t[2] for t in terms))
+        ]
+        return len(subsets) * len(monos) - ratlinalg.int_rank(rows)
+
+    prev = None
+    for D in range(2, d_max + 1):
+        cur = dim_at(D)
+        if cur == prev:
+            return cur
+        prev = cur
+    raise AssertionError(f"module dimension did not stabilize by d_max={d_max}")
 
 
 def monomials_below(nvars, degree):

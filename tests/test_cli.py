@@ -44,16 +44,11 @@ f: x1^2
 omega: 1, 0
 """
 
-# Brieskorn-Pham (2, 5, 9): nu = 64 is finite, but the module dimension does
-# not stabilize below the truncation cap
-OMEGA_DIM_INCONCLUSIVE = """
-variables: x, y, z
-f: x^2 + y^5 + z^9
-omega: 1, 0, 0
-"""
-
 # one normal form of the minor ideal grows its coefficients past 4,000 bits
-# within 270 reduction steps, each step slower than the last
+# within 270 reduction steps, each step slower than the last.  The ideal is
+# most likely not isolated: the exact truncated dimensions of Q[x]/(I + m^D)
+# grow by one per degree from D = 9 to 14, as a curve's do, so exit 3 would
+# be the right answer, and the budget ends the analysis before Mora says so
 COEFF_RUNAWAY = """
 variables: x, y, z
 f: x^3 + x*y^3 + y*z^3 + z^5
@@ -213,17 +208,6 @@ def test_analyze_unrationalized_gram_entries(tmp_path):
     code, out, _ = run_cli(["analyze", str(path), "--max-den", "1"])
     assert code == EXIT_OK
     assert any(line.startswith("gram_qa_unrationalized: ") for line in out.splitlines())
-
-
-def test_analyze_omega_dim_inconclusive(tmp_path):
-    """A module dimension that does not stabilize is a solver failure."""
-    path = tmp_path / "bp259.txt"
-    path.write_text(OMEGA_DIM_INCONCLUSIVE)
-    code, out, err = run_cli(["analyze", str(path)])
-    assert code == EXIT_SOLVER
-    assert out == ""
-    assert "did not stabilize" in err
-    assert "diag omega_dim: inconclusive" in err
 
 
 def test_pair_budget_exceeded_is_a_solver_failure(tmp_path, monkeypatch):

@@ -8,19 +8,19 @@ import pytest
 from singforms import quadforms, ratlinalg
 from singforms.corpus import CORPUS
 from singforms.icis import (
-    OmegaDimInconclusive,
     ProblemInstance,
     algebra,
     block_minor,
     build_ideal,
     minor,
     omega_module_dim,
+    omega_module_generators,
     tau_prime,
 )
-from singforms.localalg import INFINITE, QuotientAlgebra
+from singforms.localalg import INFINITE, QuotientAlgebra, monomials_below, truncated_multiples
 from singforms.polyring import Poly, parse
 
-from oracles import cusp, ex1, macaulay_quotient_dim
+from oracles import cusp, ex1, macaulay_quotient_dim, module_dim_by_stabilization
 
 VS2 = ["x1", "x2"]
 VS3 = ["x1", "x2", "x3"]
@@ -117,13 +117,25 @@ def test_tau_prime_values():
     assert tau_prime(k0) == 0
 
 
+def _item1(n, k, f, omega):
+    vs = ["x", "y", "z"][:n]
+    return ProblemInstance(n, k, [parse(p, vs) for p in f], [parse(p, vs) for p in omega])
+
+
+# the two ICIS inputs of ROADMAP item 1: nu = 2 and nu = 8
+ITEM1 = [
+    ("item1_node", _item1(2, 1, ["x^2 - y^2 + y^3"], ["0", "1"])),
+    ("item1_k2", _item1(3, 2, ["x^2 + y^2 + z^3", "x*y + z^2"], ["0", "0", "1"])),
+]
+
+
 def test_omega_module_dim_matches_nu():
     for inst in [
         ex1(2, (1, 2)),
         cusp(),
         ProblemInstance(2, 1, [parse("x1", VS2)], [Poly.zero(2), Poly.variable(1, 2)]),
         ProblemInstance(2, 0, [], [Poly.variable(0, 2), Poly.variable(1, 2)]),
-    ]:
+    ] + [inst for _, inst in ITEM1]:
         assert omega_module_dim(inst) == algebra(inst).colength
 
 
@@ -137,24 +149,60 @@ def brieskorn_pham(a, b, c):
 
 
 SURFACES = [(2, 3, 4), (3, 4, 5), (3, 4, 8), (3, 5, 7)]
+# the module dimension of these first repeats at D = 13
+SCALE_SURFACES = [(2, 5, 9), (4, 5, 7)]
 
 
-@pytest.mark.parametrize("abc", SURFACES, ids=lambda abc: "bp_%d_%d_%d" % abc)
+@pytest.mark.parametrize(
+    "abc", SURFACES + SCALE_SURFACES, ids=lambda abc: "bp_%d_%d_%d" % abc
+)
 def test_omega_module_dim_brieskorn_pham_closed_form(abc):
     a, b, c = abc
     assert omega_module_dim(brieskorn_pham(a, b, c)) == a * (b - 1) * (c - 1)
 
 
-@pytest.mark.parametrize(
-    "abc", [(2, 5, 9), (4, 5, 7)], ids=lambda abc: "bp_%d_%d_%d" % abc
+# (name, instance, d_max of the stabilization reference)
+ISOLATED = (
+    [(name, ci.instance(), 12) for name, ci in CORPUS.items()]
+    + [("bp_%d_%d_%d" % abc, brieskorn_pham(*abc), 12) for abc in SURFACES]
+    + [("bp_%d_%d_%d" % abc, brieskorn_pham(*abc), 14) for abc in SCALE_SURFACES]
+    + [(name, inst, 12) for name, inst in ITEM1]
 )
-def test_omega_module_dim_needs_cap_above_default(abc):
-    """These stabilize only at D = 13: past the default cap, inside 14."""
-    a, b, c = abc
-    inst = brieskorn_pham(a, b, c)
-    assert omega_module_dim(inst, d_max=14) == a * (b - 1) * (c - 1)
-    with pytest.raises(OmegaDimInconclusive):
-        omega_module_dim(inst)
+
+
+@pytest.mark.parametrize(
+    "inst,d_max", [t[1:] for t in ISOLATED], ids=[t[0] for t in ISOLATED]
+)
+def test_omega_module_dim_matches_stabilization(inst, d_max):
+    """The one rank at N equals the first repeated truncated dimension."""
+    assert omega_module_dim(inst) == module_dim_by_stabilization(inst, d_max)
+
+
+def _relation_rank(gens, n, subsets, D):
+    column = {
+        key: i for i, key in enumerate(itertools.product(subsets, monomials_below(n, D)))
+    }
+    return ratlinalg.int_rank(list(truncated_multiples(gens, n, D, column)))
+
+
+@pytest.mark.parametrize("inst", [t[1] for t in ISOLATED], ids=[t[0] for t in ISOLATED])
+def test_minor_ideal_annihilates_the_module(inst):
+    """I Omega lies in R + m^(N+1) Omega: adding g dx_S for every generator
+    g of I and every subset S keeps the relations' rank at N + 1.  As m^N
+    lies in I, m^N Omega then lies in R + m^(N+1) Omega, so in R by
+    Nakayama, which is what makes one rank at N the module dimension."""
+    subsets, relations = omega_module_generators(inst)
+    D = algebra(inst).N + 1
+    ideal_forms = [{S: g} for g in build_ideal(inst) for S in subsets]
+    assert _relation_rank(relations, inst.n, subsets, D) == _relation_rank(
+        relations + ideal_forms, inst.n, subsets, D
+    )
+
+
+def test_omega_module_dim_non_isolated_raises():
+    bad = ProblemInstance(2, 1, [parse("x1^2", VS2)], [Poly.one(2), Poly.zero(2)])
+    with pytest.raises(ValueError):
+        omega_module_dim(bad)
 
 
 @pytest.mark.parametrize(
