@@ -21,14 +21,22 @@ test is relative to the size of each equation's terms, 1e-11 * max(1,
 |x|)^dx_e * max(1, |lambda|)^dl_e for an equation of bidegree (dx_e, dl_e),
 so that a path to infinity keeps its steps until |x| > ``_DIVERGENCE``; a
 path that ends otherwise without converging is diverged when |x| > 1e2.  An
-analysis solves the first sample of both circles and the
-count-certification runs in one batch, and ``solve_family_at`` is the
+analysis solves the first sample of both circles in one batch, its only
+fresh solve when every warm sample passes, and ``solve_family_at`` is the
 one-target case.  A point within ``_merge_tolerance(p)`` of an earlier one
 is dropped (``_distinct``, one rule for fresh and warm rows); the targets
 of a batch that find another count than ``expected`` retry together, up to
 ``_MAX_RETRIES`` times, with a new gamma and start system each, and a solve
 returns the rows it found, whatever their count: a caller that needs the
 count requires it with ``_require_count``.
+
+``solve_continued`` reaches new deformation points from solved sets by
+coefficient-parameter continuation (Morgan & Sommese 1989): the same
+``_track`` runs the homotopy F(x) - p(s) from each set's p to each target,
+on a path bent by a random complex vector, so that generically no path
+meets a collision of two solutions and none goes to infinity; count
+certification continues the sets of both circles' first samples to its
+targets in one batch, and requires the arrivals to be one set.
 
 ``solve_warm`` runs one batched Newton (``_newton``) over the samples of a
 grid, each from its own nearby solutions; a sample passes when every row
@@ -166,6 +174,7 @@ class DeformationFamily:
         self.bidegrees = [(max(f.degree(), 1), 0) for f in inst.f] + [
             (max(a.degree(), d, int(k == 0)), int(k > 0)) for a, d in zip(inst.A, dfdeg)
         ]
+        self._bideg = np.array(self.bidegrees, dtype=np.int64)
         # values, then the Jacobian row-major
         self._table = StackedPolys(eqs + [e.diff(v) for e in eqs for v in range(self.nunk)], self.nunk)
         # the column index sets K of the k x k minors Delta_K of df
@@ -183,7 +192,8 @@ class DeformationFamily:
         at Y = (x, lambda_1 - h(x), lambda_2, ..) plus (f_1 - eps_1) eta_j
         on the rows of A, its Jacobian J(Y) dY/dX plus eta_j df_1/dx_l +
         (f_1 - eps_1) d eta_j/dx_l there.  No caller passes a twisted p to
-        ``solve_fresh``, whose start systems use the untwisted bidegrees."""
+        ``solve_fresh`` or ``solve_continued``, whose homotopies use the
+        untwisted bidegrees."""
         nu, n, k = self.nunk, self.n, self.k
         P = np.asarray(P)
         twisted = P.shape[-1] > nu
@@ -201,6 +211,16 @@ class DeformationFamily:
         J[:, :, :n] -= J[:, :, n, None] * C[..., None, n, 1:]  # dY/dX
         F[:, k:] += F[:, :1] * lin[:, :n]
         return F, J
+
+    def term_scale(self, X):
+        """max(1, |x|)^dx_e * max(1, |lambda|)^dl_e per row of X and equation
+        e, (dx_e, dl_e) its bidegree and |.| the max-norm of the group: the
+        size of the terms of equation e, and of a homotopy's H_e, so that a
+        tolerance times it is relative to them."""
+        a = np.abs(X)
+        x = a[:, : self.n].max(axis=1, initial=1.0)[:, None]
+        lam = a[:, self.n :].max(axis=1, initial=1.0)[:, None]
+        return x ** self._bideg[:, 0] * lam ** self._bideg[:, 1]
 
     # -- chart-free Jacobian value ------------------------------------------
 
@@ -283,7 +303,7 @@ def _start_system(family: DeformationFamily, rng: np.random.Generator):
     n, k, nu = family.n, family.k, family.nunk
     gamma = np.exp(2j * np.pi * rng.random())
     b = (0.5 + rng.random(nu)) * np.exp(2j * np.pi * rng.random(nu))
-    dx, dl = np.array(family.bidegrees, dtype=np.int64).T
+    dx, dl = family._bideg.T
     lam, m = dl == 1, int(dl.sum())
 
     def cn(*shape):
@@ -314,39 +334,22 @@ def _start_system(family: DeformationFamily, rng: np.random.Generator):
 class _Homotopy:
     """H(x, s) = gamma (1-s) G(x) + s F(x) for a batch of targets (p, rng)
     of one family, F the family's system at p and G a start system of
-    ``_start_system`` drawn from rng.  The start points of all targets are
-    stacked in ``starts``, ``target`` giving each row's target, and the
-    parameters of the targets in arrays indexed by target; one table
-    evaluation serves every row, at its target's p.
-
-    ``targets`` is read in order, and each target's start system is drawn
-    before the next target is read, so targets built lazily from one rng
-    draw their own data and then their start system, target after target.
+    ``_start_system`` drawn from rng, target after target.  The start
+    points of all targets are stacked in ``starts``, ``target`` giving each
+    row's target, and the parameters of the targets in arrays indexed by
+    target; one table evaluation serves every row, at its target's p.
+    ``scale`` is the family's ``term_scale``.
     """
 
     def __init__(self, family: DeformationFamily, targets):
-        self.family, self.targets, drawn = family, [], []
-        for p, rng in targets:
-            self.targets.append((p, rng))
-            drawn.append(_start_system(family, rng))
-        *params, starts = zip(*drawn)
+        self.family, self.targets, self.scale = family, list(targets), family.term_scale
+        *params, starts = zip(*(_start_system(family, rng) for _, rng in self.targets))
         self.gamma, self.b, self.Lf, self.Mf, self.c = map(np.array, params)
         self.starts = np.concatenate(starts)
         self.target = np.repeat(np.arange(len(starts)), [len(p) for p in starts])
         self.p = np.array([p for p, _ in self.targets], dtype=np.complex128)
-        self.n, self.bideg = family.n, np.array(family.bidegrees, dtype=np.int64)
-        dx = self.bideg[:, 0]
+        dx = family._bideg[:, 0]
         self.dx1, self.gdx = np.maximum(dx - 1, 0), self.gamma[:, None] * dx
-
-    def scale(self, X):
-        """max(1, |x|)^dx_e * max(1, |lambda|)^dl_e per row of X and equation
-        e, (dx_e, dl_e) its bidegree and |.| the max-norm of the group: the
-        size of the terms of H_e, so that a tolerance times it is relative
-        to them."""
-        a = np.abs(X)
-        x = a[:, : self.n].max(axis=1, initial=1.0)[:, None]
-        lam = a[:, self.n :].max(axis=1, initial=1.0)[:, None]
-        return x ** self.bideg[:, 0] * lam ** self.bideg[:, 1]
 
     def rows(self, tgt):
         """H on rows of the targets tgt[i]: a function (X, s) -> (H, dH/dx,
@@ -368,6 +371,32 @@ class _Homotopy:
             t = 1.0 - s
             J = s[..., None] * J + t[..., None] * dG
             return t * gG + s * f, J, f - gG
+
+        return at
+
+
+class _ParameterHomotopy:
+    """H(x, s) = F(x) - p(s), p(s) = (1-s) p0 + s p1 + s(1-s) c, for a batch
+    of legs (p0, p1, c) of one family, F the family's system at p = 0: the
+    coefficient-parameter homotopy (Morgan & Sommese 1989) from the
+    solutions at p0 to those at p1, bent by c off the segment so that for a
+    generic complex c no path meets a point where two solutions collide.
+    ``p0``, ``p1`` and ``bend`` are arrays indexed by leg; ``rows`` and
+    ``scale`` are ``_Homotopy``'s for it, and its polish at s = 1 is on
+    F - p1."""
+
+    def __init__(self, family: DeformationFamily, p0, p1, bend):
+        self.family, self.scale = family, family.term_scale
+        self.p0, self.p1, self.bend = p0, p1, bend
+
+    def rows(self, tgt):
+        """H on rows of the legs tgt[i], as ``_Homotopy.rows``."""
+        p0, dp, bend = self.p0[tgt], self.p1[tgt] - self.p0[tgt], self.bend[tgt]
+
+        def at(X, s):
+            s = np.asarray(s, dtype=np.complex128)[..., None]
+            F, J = self.family.system(p0 + s * dp + s * (1.0 - s) * bend, X)
+            return F, J, -(dp + (1.0 - 2.0 * s) * bend)
 
         return at
 
@@ -414,7 +443,7 @@ def _newton(FJ, X, iters, tol):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # paths to infinity may overflow
-def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
+def _track(h, starts: np.ndarray, tgt: np.ndarray):
     """Track all start points from s = 0 to s = 1 at once, start i on the
     homotopy of target tgt[i]; returns the endpoints and a status per path
     ("converged", "diverged", "stalled", "polish_failed") in start order.
@@ -426,13 +455,14 @@ def _track(h: _Homotopy, starts: np.ndarray, tgt: np.ndarray):
     halves it.  Each path also keeps (dH/dx, dH/ds) at its current point for
     its Euler predictor: from the corrector's last evaluation, at the point
     ``_newton`` returns, after an accepted step, and unchanged after a
-    rejected one, so a round evaluates H only in its corrector.  The corrector accepts a row when every |H_e| <
-    1e-11 * ``h.scale`` at the predicted point, a test relative to the size
-    of the terms of H_e: on a path to infinity an absolute test is below
-    their rounding error, so no step would pass and the step would walk
-    down for hundreds of rounds; scaled, the path grows past |x| >
-    ``_DIVERGENCE`` and ends as diverged.  Endpoints are polished on the
-    target system H(., 1) = F - p.  A path that ends otherwise without
+    rejected one, so a round evaluates H only in its corrector.  ``h`` is a
+    ``_Homotopy`` or a ``_ParameterHomotopy``.  The corrector accepts a row
+    when every |H_e| < 1e-11 * ``h.scale`` at the predicted point, a test
+    relative to the size of the terms of H_e: on a path to infinity an
+    absolute test is below their rounding error, so no step would pass and
+    the step would walk down for hundreds of rounds; scaled, the path grows
+    past |x| > ``_DIVERGENCE`` and ends as diverged.  Endpoints are
+    polished on the target system H(., 1) = F - p.  A path that ends otherwise without
     converging (its step below 1e-12, or a failed polish) is diverged if
     |x| > 1e2, else "stalled" or "polish_failed".
     """
@@ -530,12 +560,12 @@ def solve_fresh(family: DeformationFamily, targets, expected: int) -> list:
     2-homogeneous homotopy batch; per target (p, its rows, its solver
     counters), whatever the count of the rows.
 
-    ``targets`` is read as ``_Homotopy`` reads it.  After tracking, each
-    target keeps its converged rows that ``_distinct`` keeps and is
-    counted; the targets whose count is not ``expected`` retry together in
-    a new batch with a fresh gamma and start system from their own rng, up
-    to ``_MAX_RETRIES`` times, and keep the rows of their last attempt.  No
-    chart is tested here.
+    Each target's start system is drawn from its rng in target order.
+    After tracking, each target keeps its converged rows that ``_distinct``
+    keeps and is counted; the targets whose count is not ``expected`` retry
+    together in a new batch with a fresh gamma and start system from their
+    own rng, up to ``_MAX_RETRIES`` times, and keep the rows of their last
+    attempt.  No chart is tested here.
     """
     if expected == 0:
         return [(p, np.zeros((0, family.nunk)), dict.fromkeys(_COUNTERS, 0)) for p, _ in targets]
@@ -591,6 +621,59 @@ def solve_family_at(family: DeformationFamily, p, expected: int, rng: np.random.
     ps, ok = _point_set(family, [p], rows[None], found[0][2])
     _require_chart(ok, ps.diagnostics)
     return ps
+
+
+def _same_sets(Xs: np.ndarray, tol) -> np.ndarray:
+    """Per sample Xs[i] (shape (samples, sets, m, nu)), whether the rows of
+    each of its sets are distinct and every set is its first one, within
+    tol[i]: with A the first set and B any set, ``_distinct`` keeps the m
+    rows of A and drops the m rows of B after them, and the same with B
+    first and A after it."""
+    samples, sets, m, nu = Xs.shape
+    A = np.broadcast_to(Xs[:, :1], Xs.shape)
+    pairs = np.concatenate([np.concatenate([A, Xs], axis=2), np.concatenate([Xs, A], axis=2)], axis=1)
+    keep = _distinct(pairs.reshape(samples * 2 * sets, 2 * m, nu), np.repeat(tol, 2 * sets))
+    keep = keep.reshape(samples, 2 * sets, 2 * m)
+    return keep[:, :, :m].all(axis=(1, 2)) & ~keep[:, :, m:].any(axis=(1, 2))
+
+
+def solve_continued(family: DeformationFamily, P0, X0, P1, rng: np.random.Generator):
+    """The critical points at each target P1[j], continued from every start
+    set X0[a] (the ``expected`` rows of a solution set at P0[a]) by one
+    ``_track`` batch of ``_ParameterHomotopy`` legs, every start to every
+    target; (the arrivals, shape (targets, starts, expected, n + k), and the
+    mask of the targets that pass).
+
+    A start set that holds every isolated solution at P0[a] arrives at
+    every one at a generic target, and no path goes to infinity.  A target
+    passes when all its paths converged and its arrivals are one set of
+    distinct rows (``_same_sets``, within ``_merge_tolerance(P1[j])``).
+    Each target draws a bend of size |P1[j]| from rng; the targets that fail
+    are tracked again together with new bends, up to ``_MAX_RETRIES``
+    times, and keep the arrivals of their last attempt.  No chart is tested
+    here."""
+    P0, X0, P1 = (np.asarray(a, dtype=np.complex128) for a in (P0, X0, P1))
+    starts, expected, nunk = *X0.shape[:2], family.nunk
+    X = np.zeros((len(P1), starts, expected, nunk), dtype=np.complex128)
+    ok, pending = np.zeros(len(P1), dtype=bool), np.arange(len(P1))
+    for _ in range(_MAX_RETRIES + 1):
+        # leg j * starts + a continues X0[a] from P0[a] to P1[pending[j]]
+        bend = np.array([np.linalg.norm(P1[j]) * generic_direction(rng, P1.shape[1]) for j in pending])
+        h = _ParameterHomotopy(
+            family,
+            np.tile(P0, (len(pending), 1)),
+            np.repeat(P1[pending], starts, axis=0),
+            np.repeat(bend, starts, axis=0),
+        )
+        rows = np.tile(X0.reshape(starts * expected, nunk), (len(pending), 1))
+        ends, status = _track(h, rows, np.repeat(np.arange(len(h.p1)), expected))
+        X[pending] = ends.reshape(len(pending), starts, expected, nunk)
+        conv = (status == "converged").reshape(len(pending), starts * expected).all(axis=1)
+        ok[pending] = conv & _same_sets(X[pending], _merge_tolerance(P1[pending]))
+        pending = pending[~ok[pending]]
+        if not len(pending):
+            break
+    return X, ok
 
 
 def solve_warm(family: DeformationFamily, P, starts, expected: int):

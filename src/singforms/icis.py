@@ -151,7 +151,7 @@ def omega_module_generators(inst: ProblemInstance):
     return subsets, gens
 
 
-def omega_module_dim(inst: ProblemInstance) -> int:
+def omega_module_dim(inst: ProblemInstance, alg: QuotientAlgebra | None = None) -> int:
     """Dimension of M = Omega^{n-k} / (f_i Omega, df_i ^ Omega, omega ^ Omega).
 
     The minor ideal I annihilates M.  For a (k+1)-subset C and an
@@ -165,9 +165,11 @@ def omega_module_dim(inst: ProblemInstance) -> int:
 
     The rank is taken modulo two fixed 31-bit primes (exact fallback on
     disagreement), which can only underestimate the rank, i.e. overestimate
-    the dimension.  A non-isolated instance raises ValueError.
+    the dimension.  ``alg`` is the instance's ``algebra``, built here when
+    it is not given.  A non-isolated instance raises ValueError.
     """
-    alg = algebra(inst)
+    if alg is None:
+        alg = algebra(inst)
     if not alg.finite:
         raise ValueError("the module dimension needs finite nu: input is not isolated")
     subsets, gens = omega_module_generators(inst)

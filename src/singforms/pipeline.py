@@ -23,7 +23,7 @@ from .quadforms import FormGenerator, GramForm
 from .residuefn import LimitConfig
 
 
-_COUNT_RUNS = 5  # fresh generic deformations solved by count certification
+_COUNT_RUNS = 5  # generic deformations that count certification continues to
 
 
 class NonIsolatedError(RuntimeError):
@@ -100,15 +100,9 @@ def analyze(
         raise NonIsolatedError("index_nu INFINITE: ideal has infinite colength")
     nu = alg.colength
     tau = icis.tau_prime(inst)
-    omega_dim = icis.omega_module_dim(inst)
+    omega_dim = icis.omega_module_dim(inst, alg)
 
-    # count certification: fresh generic deformations, each run's direction drawn
-    # just before its start system, solved in one batch with the circle starts
-    count_rng, m = np.random.default_rng(config.seed + 77), inst.n + inst.k
-    count_runs = (
-        (cfg.radii[0] * generic_direction(count_rng, m), count_rng) for _ in range(_COUNT_RUNS)
-    )
-    sampler = residuefn.make_sampler(inst, cfg, config.seed, expected=nu, fresh=count_runs)
+    sampler = residuefn.make_sampler(inst, cfg, config.seed, expected=nu)
     qa = quadforms.gram_qa(inst, alg, sampler, want_exact=config.exact)
     rank_qa, signature_qa = qa.rank_signature()
 
@@ -149,15 +143,21 @@ def analyze(
             "exact",
         )
 
-    # count certification: the runs that found nu rows are one point set; a
-    # run with another count or a degenerate chart fails the check
-    runs = [(p, rows) for p, rows, _ in sampler.fresh if len(rows) == nu]
-    P = np.reshape([p for p, _ in runs], (-1, m))
-    certified, chart = critpts._point_set(sampler.family, P, np.reshape([X for _, X in runs], (len(P), nu, m)))
+    # count certification: the nu points at the first sample of each circle,
+    # continued to _COUNT_RUNS generic deformations by one batch of parameter
+    # homotopies; a target passes when its arrivals from both circles are one
+    # set of nu distinct points, and the passing targets' points are one
+    # point set, whose residual and chart the check also requires
+    count_rng, m = np.random.default_rng(config.seed + 77), inst.n + inst.k
+    targets = cfg.radii[0] * np.array([generic_direction(count_rng, m) for _ in range(_COUNT_RUNS)])
+    starts = sampler.grid.X.reshape(len(cfg.radii), cfg.samples, nu, m)[:, 0]
+    P0 = np.multiply.outer(cfg.radii, sampler.direction)
+    X, passed = critpts.solve_continued(sampler.family, P0, starts, targets, count_rng)
+    certified, chart = critpts._point_set(sampler.family, targets[passed], X[passed, 0])
     worst_res = float(certified.residual.max(initial=0.0))
     check(
         "count_certification",
-        len(runs) == _COUNT_RUNS and chart.all() and worst_res < 1e-10,
+        passed.all() and chart.all() and worst_res < 1e-10,
         f"runs={_COUNT_RUNS} expected={nu} max_residual={worst_res:.3e}",
         "1e-10",
     )

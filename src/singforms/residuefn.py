@@ -89,22 +89,19 @@ class ResidueSampler:
     The circle of radius r is the points r u exp(2 pi i j / samples), u the
     unit ``direction`` in C^(k+n).  ``grid`` is the point set of every
     circle's samples, circle after circle in the order of ``cfg.radii``,
-    ``expected`` rows each.  ``stats`` holds the ``critpts.solve_stats`` of
-    the analysis's fresh solves, ``fresh`` the fresh solves (p, rows, solver
-    counters) of ``make_sampler``'s further targets, whatever their counts:
-    their caller requires the count and tests the chart.
+    ``expected`` rows each, a circle's first sample first.  ``stats`` holds
+    the ``critpts.solve_stats`` of the grid's fresh solves.
     ``max_probe_deviation`` is the largest ``limit`` deviation, twisted
     grids' included.
     """
 
-    def __init__(self, family, direction, expected, cfg, grid, stats, fresh=()):
+    def __init__(self, family, direction, expected, cfg, grid, stats):
         self.family = family
         self.direction = np.asarray(direction, dtype=np.complex128)
         self.expected = expected
         self.cfg = cfg
         self.grid = grid
         self.stats = stats
-        self.fresh = fresh
         self.max_probe_deviation = 0.0
         self._basis_values = {}
 
@@ -184,24 +181,21 @@ def _grid(family, P, X, stats):
     return grid
 
 
-def make_sampler(inst, cfg, seed, expected, fresh=()):
+def make_sampler(inst, cfg, seed, expected):
     """Standard sampler for an instance: its one family, a seeded generic
     direction, and the circle grids of ``expected`` rows per sample.  The
-    circles' first samples r u and the targets ``fresh`` (p, rng) are solved
-    in one ``critpts.solve_fresh`` batch, and ``track_circle`` continues the
-    circles along a chain of 16 angles and solves every other sample from
-    its nearest chain sample in one batch, raising if a first sample found
-    another count; the further targets' fresh solves are kept as they
-    are."""
+    circles' first samples r u are solved in one ``critpts.solve_fresh``
+    batch, the only fresh solve of a sampler whose warm samples all pass,
+    and ``track_circle`` continues the circles along a chain of 16 angles
+    and solves every other sample from its nearest chain sample in one
+    batch, raising if a first sample found another count."""
     rng = np.random.default_rng(seed)
     direction = critpts.generic_direction(rng, inst.n + inst.k)
     family = DeformationFamily(inst)
     P = _circles(direction, cfg)
-    starts = [(Pc[0], rng) for Pc in P]
-    solved = critpts.solve_fresh(family, itertools.chain(starts, fresh), expected)
-    X, stats = critpts.track_circle(family, P, solved[: len(starts)], expected, rng)
-    grid = _grid(family, P, X, stats)
-    return ResidueSampler(family, direction, expected, cfg, grid, stats, solved[len(starts) :])
+    firsts = critpts.solve_fresh(family, [(Pc[0], rng) for Pc in P], expected)
+    X, stats = critpts.track_circle(family, P, firsts, expected, rng)
+    return ResidueSampler(family, direction, expected, cfg, _grid(family, P, X, stats), stats)
 
 
 # ---------------------------------------------------------------------------

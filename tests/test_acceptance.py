@@ -8,6 +8,7 @@ import io
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from singforms import critpts, pipeline, quadforms
@@ -73,22 +74,114 @@ def test_criterion_2_count_certification(corpus_analysis, name):
     _report(f"2[{name}]", c.ok, f"{c.detail} tol=1e-10")
 
 
+def _analyze(name):
+    ci = CORPUS[name]
+    return analyze(ci.instance(), AnalysisConfig(), mode=ci.mode, variables=ci.variables)
+
+
+def _mutate_count_arrivals(monkeypatch, start, mutate):
+    """Call mutate(X, status, mine) after every count-certification batch,
+    mine the mask of the paths from the circle start ``start`` to the third
+    target, so that the change holds at every attempt; returns the list of
+    the batches' leg counts, filled as they are tracked."""
+    track, third, batches = critpts._track, [], []
+
+    def mutated(h, starts, tgt):
+        X, status = track(h, starts, tgt)
+        if isinstance(h, critpts._ParameterHomotopy):
+            batches.append(len(h.p1))
+            third[:] = third or [h.p1[2 * 2]]  # leg target * 2 + start, the first batch's
+            mutate(X, status, tgt == np.flatnonzero((h.p1 == third[0]).all(axis=1))[start])
+        return X, status
+
+    monkeypatch.setattr(critpts, "_track", mutated)
+    return batches
+
+
 def test_criterion_2_one_failed_run_fails_the_check(monkeypatch):
-    """A count-certification run that finds the wrong count fails the check
-    and nothing else."""
-    solve_fresh = critpts.solve_fresh
+    """A continued set that lacks one point at a count target, on every
+    attempt, fails the check and nothing else: the last row is dropped by
+    repeating the first, so the set holds nu - 1 distinct points."""
 
-    def third_run_fails(family, targets, expected):
-        got = solve_fresh(family, targets, expected)
-        if len(got) > 2:  # the two circle starts, then the five runs
-            p, rows, counters = got[4]
-            got[4] = (p, rows[:0], counters)  # found 0 critical points, expected 1
-        return got
+    def drop_one(X, status, mine):
+        rows = np.flatnonzero(mine)
+        X[rows[-1]] = X[rows[0]]
 
-    monkeypatch.setattr(critpts, "solve_fresh", third_run_fails)
-    ci = CORPUS["smooth_line"]
-    res = analyze(ci.instance(), AnalysisConfig(), mode=ci.mode, variables=ci.variables)
+    batches = _mutate_count_arrivals(monkeypatch, 0, drop_one)
+    res = _analyze("ex1_n2")
     assert [c.name for c in res.checks if not c.ok] == ["count_certification"]
+    assert _check(res, "count_certification").detail.startswith("runs=5 expected=4 max_residual=")
+    assert batches == [2 * pipeline._COUNT_RUNS] + [2] * critpts._MAX_RETRIES
+
+
+def test_criterion_2_disagreeing_arrivals_fail_the_check(monkeypatch):
+    """Arrivals from the two circle starts that differ in one row beyond the
+    merge tolerance, on every attempt, fail the check and nothing else,
+    though each is a set of nu distinct points."""
+
+    def move_one(X, status, mine):
+        X[np.flatnonzero(mine)[0], 0] += 1e-6  # the merge tolerance at |p| = 1e-2 is 1e-10
+
+    _mutate_count_arrivals(monkeypatch, 1, move_one)
+    res = _analyze("ex1_n2")
+    assert [c.name for c in res.checks if not c.ok] == ["count_certification"]
+
+
+def test_criterion_2_unconverged_path_fails_the_check(monkeypatch):
+    """A path to a count target that did not converge, on every attempt,
+    fails the check and nothing else, though its arrivals agree."""
+
+    def stall_one(X, status, mine):
+        status[np.flatnonzero(mine)[0]] = "stalled"
+
+    _mutate_count_arrivals(monkeypatch, 1, stall_one)
+    res = _analyze("ex1_n2")
+    assert [c.name for c in res.checks if not c.ok] == ["count_certification"]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_count_certification_makes_no_fresh_solve(monkeypatch, name):
+    """An analysis solves fresh once, the first samples r u of its two
+    circles; count certification continues their points."""
+    solve_fresh, calls = critpts.solve_fresh, []
+
+    def recording(family, targets, expected):
+        targets = list(targets)
+        calls.append([p for p, _ in targets])
+        return solve_fresh(family, targets, expected)
+
+    monkeypatch.setattr(critpts, "solve_fresh", recording)
+    res = _analyze(name)
+    assert res.all_ok
+    rng = np.random.default_rng(res.config.seed)
+    direction = critpts.generic_direction(rng, res.inst.n + res.inst.k)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], [r * direction for r in res.config.limit.radii])
+
+
+@pytest.mark.parametrize("name", ["cusp", "four_lines", "elkh_z3"])
+def test_continued_sets_match_fresh_solves(monkeypatch, name):
+    """At each count target, the arrivals from both circle starts are the
+    rows of a fresh total-degree solve there, one to one within the merge
+    tolerance."""
+    solve_continued, got = critpts.solve_continued, []
+
+    def recording(family, P0, X0, P1, rng):
+        X, ok = solve_continued(family, P0, X0, P1, rng)
+        got.append((family, P1, X, ok))
+        return X, ok
+
+    monkeypatch.setattr(critpts, "solve_continued", recording)
+    res = _analyze(name)
+    ((family, P1, X, ok),) = got
+    assert ok.all() and len(P1) == pipeline._COUNT_RUNS
+    for p, arrivals in zip(P1, X):
+        ((_, fresh, _),) = critpts.solve_fresh(family, [(p, np.random.default_rng(0))], res.nu)
+        assert len(fresh) == res.nu
+        for rows in arrivals:
+            dist = np.abs(rows[:, None] - fresh[None]).max(axis=2)
+            assert sorted(dist.argmin(axis=1)) == list(range(res.nu))
+            assert dist.min(axis=1).max() < critpts._merge_tolerance(p)
 
 
 def test_criterion_2_degenerate_run_fails_the_check(monkeypatch):

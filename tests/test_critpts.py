@@ -511,10 +511,11 @@ def test_distinct_at_the_tolerance():
 
 # ---- batched fresh solves ---------------------------------------------------
 
-def _count_runs(fam, rng, ts):
-    """Targets built lazily from one rng, as count certification builds them:
-    each target's direction is drawn just before its start system."""
-    return ((t * generic_direction(rng, fam.nunk), rng) for t in ts)
+def _seeded_targets(fam, seed, ts):
+    """One target (t u, rng) per t, each with its own rng seeded by (seed,
+    its index), which draws its direction u and then its start system."""
+    rngs = [np.random.default_rng([seed, i]) for i in range(len(ts))]
+    return [(t * generic_direction(rng, fam.nunk), rng) for t, rng in zip(ts, rngs)]
 
 
 @pytest.mark.parametrize("name", ["ex2_n3", "cusp"])
@@ -524,9 +525,9 @@ def test_batch_matches_one_target_solves(name):
     paths, and the targets differ in direction and radius."""
     fam = _corpus_family(name)
     ts = [1e-2, 5e-3, 1e-2, 2e-3j]
-    got = critpts.solve_fresh(fam, _count_runs(fam, np.random.default_rng(77), ts), 4)
-    rng = np.random.default_rng(77)
-    for (p, rows, counters), t in zip(got, ts):
+    got = critpts.solve_fresh(fam, _seeded_targets(fam, 77, ts), 4)
+    for i, ((p, rows, counters), t) in enumerate(zip(got, ts)):
+        rng = np.random.default_rng([77, i])
         want = solve_family_at(fam, t * generic_direction(rng, fam.nunk), 4, rng)
         ps = _grid(fam, [p], rows)
         assert np.array_equal(ps.p, want.p) and len(ps) == len(want) == 4
@@ -558,7 +559,7 @@ def test_failing_target_retries_and_fails_alone(monkeypatch):
     monkeypatch.setattr(critpts, "_distinct", drop_one_at_bad_t)
     monkeypatch.setattr(critpts, "_track", recording)
     ts = [1e-2, bad_t, 5e-3]
-    got = critpts.solve_fresh(fam, _count_runs(fam, np.random.default_rng(3), ts), 4)
+    got = critpts.solve_fresh(fam, _seeded_targets(fam, 3, ts), 4)
     assert [len(b) for b in batches] == [3] + [1] * critpts._MAX_RETRIES
     assert np.allclose(batches[0], ts, rtol=1e-12, atol=0)
     assert all(np.isclose(b[0], bad_t, rtol=1e-12, atol=0) for b in batches[1:])
