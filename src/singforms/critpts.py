@@ -191,9 +191,10 @@ class DeformationFamily:
         flattened.  The twisted system at (x, lambda) is the untwisted one
         at Y = (x, lambda_1 - h(x), lambda_2, ..) plus (f_1 - eps_1) eta_j
         on the rows of A, its Jacobian J(Y) dY/dX plus eta_j df_1/dx_l +
-        (f_1 - eps_1) d eta_j/dx_l there.  No caller passes a twisted p to
-        ``solve_fresh`` or ``solve_continued``, whose homotopies use the
-        untwisted bidegrees."""
+        (f_1 - eps_1) d eta_j/dx_l there.  Class invariance evaluates it at
+        the base grid's rows with lambda_1 shifted by h(x), its zeros; no
+        solver is passed a twisted p, and the homotopies use the untwisted
+        bidegrees."""
         nu, n, k = self.nunk, self.n, self.k
         P = np.asarray(P)
         twisted = P.shape[-1] > nu
@@ -242,8 +243,7 @@ class CriticalPointSet:
     """Critical points, one row per point: those at one deformation point,
     or the samples of a circle grid, one after another.
 
-    ``p`` holds the deformation point of each row, with its twist after it
-    if it has one (``DeformationFamily.system``), and ``X`` (shape
+    ``p`` holds the deformation point of each row, and ``X`` (shape
     (m, n + k)) its x-part and then its multipliers; ``residual`` is the
     max-norm of the system there, ``jtilde`` the chart-free Jacobian value
     (-1)^(n k) det J of the system Jacobian J, and ``df`` (shape (m, k, n))
@@ -687,7 +687,7 @@ def solve_warm(family: DeformationFamily, P, starts, expected: int):
     P_rows = np.repeat(P, expected, axis=0)
     X, conv = _newton(lambda Y: family.system(P_rows, Y), starts, iters=14, tol=1e-14)
     X = X.reshape(*shape, family.nunk)
-    distinct = _distinct(X, _merge_tolerance(P[:, : family.nunk])).all(axis=1)
+    distinct = _distinct(X, _merge_tolerance(P)).all(axis=1)
     return X, conv.reshape(shape).all(axis=1) & distinct
 
 

@@ -89,12 +89,6 @@ class Poly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def order(self) -> float:
-        """Minimal total degree of a term; +inf for the zero polynomial."""
-        if not self.terms:
-            return float("inf")
-        return min(sum(m) for m in self.terms)
-
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, Fraction(0))
 

@@ -17,10 +17,11 @@ the vector r = (R(e_c))_c over the basis monomials of the algebra;
 are rationalized (``rational``, a continued-fraction reconstruction).
 Ideal vanishing checks R on ideal generators times monomials and on the
 differences x^m - NF(x^m), one per distinct product x^m = e_a e_b of basis
-monomials, on which ``Q^A`` relies.  Class invariance confirms each twist's
-critical points, the base grid's with the first multiplier shifted, in one
-Newton batch on the same family, the twist carried on the rows of P, and
-compares the twisted grid's basis vector with r.
+monomials, on which ``Q^A`` relies.  A twist's critical points are the
+base grid's with the first multiplier shifted, so class invariance solves
+nothing: one limit over the base grid evaluates every twist's system on
+the same family, the twist carried on the rows of P, at the shifted rows,
+and compares each twist's basis vector with r.
 
 ``make_sampler`` solves the grids of an analysis, on its one family, and
 builds the one sampler that holds them; the verification suites take it,
@@ -48,6 +49,9 @@ _BLOCK_ROWS = 256
 # twists of the 1-form in class invariance
 _MULTIPLIERS = 10
 _VARIANTS = 5
+# max |F| of a twisted system at the base grid's shifted rows: the bound
+# Newton accepts after its iterations (``critpts._newton``, 100 * 1e-14)
+_TWIST_RESIDUAL = 1e-12
 
 
 class NonConvergentError(RuntimeError):
@@ -91,8 +95,8 @@ class ResidueSampler:
     circle's samples, circle after circle in the order of ``cfg.radii``,
     ``expected`` rows each, a circle's first sample first.  ``stats`` holds
     the ``critpts.solve_stats`` of the grid's fresh solves.
-    ``max_probe_deviation`` is the largest ``limit`` deviation, twisted
-    grids' included.
+    ``max_probe_deviation`` is the largest ``limit`` deviation, class
+    invariance's twisted columns included.
     """
 
     def __init__(self, family, direction, expected, cfg, grid, stats):
@@ -165,22 +169,6 @@ class ResidueSampler:
         return reconstruct_rational(value.real, den, tol) if abs(value.imag) < tol else None
 
 
-def _circles(direction, cfg) -> np.ndarray:
-    """The grid points, every circle's samples, shape (radii, samples, n + k)."""
-    return np.array([critpts.circle(r * direction, cfg.samples) for r in cfg.radii])
-
-
-def _grid(family, P, X, stats):
-    """The rows X (shape (..., expected, n + k)) at the grid points P (shape
-    (..., width)) as one point set, whose ``critpts._point_set`` is the
-    grid's one chart test.  A failed sample raises CountMismatchError with
-    ``stats``; a fresh solve would find the same points, so none is made."""
-    P = np.reshape(P, (-1, P.shape[-1]))
-    grid, ok = critpts._point_set(family, P, np.reshape(X, (len(P), *X.shape[-2:])))
-    critpts._require_chart(ok, stats)
-    return grid
-
-
 def make_sampler(inst, cfg, seed, expected):
     """Standard sampler for an instance: its one family, a seeded generic
     direction, and the circle grids of ``expected`` rows per sample.  The
@@ -188,14 +176,20 @@ def make_sampler(inst, cfg, seed, expected):
     batch, the only fresh solve of a sampler whose warm samples all pass,
     and ``track_circle`` continues the circles along a chain of 16 angles
     and solves every other sample from its nearest chain sample in one
-    batch, raising if a first sample found another count."""
+    batch, raising if a first sample found another count.  The finished
+    grid is one ``critpts._point_set``, its one chart test: a degenerate
+    sample raises CountMismatchError with the grid's counters, and no fresh
+    solve is made, as it would find the same points."""
     rng = np.random.default_rng(seed)
     direction = critpts.generic_direction(rng, inst.n + inst.k)
     family = DeformationFamily(inst)
-    P = _circles(direction, cfg)
+    P = np.array([critpts.circle(r * direction, cfg.samples) for r in cfg.radii])
     firsts = critpts.solve_fresh(family, [(Pc[0], rng) for Pc in P], expected)
     X, stats = critpts.track_circle(family, P, firsts, expected, rng)
-    return ResidueSampler(family, direction, expected, cfg, _grid(family, P, X, stats), stats)
+    P = P.reshape(-1, family.nunk)
+    grid, ok = critpts._point_set(family, P, X.reshape(len(P), expected, family.nunk))
+    critpts._require_chart(ok, stats)
+    return ResidueSampler(family, direction, expected, cfg, grid, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -256,40 +250,43 @@ def verify_class_invariance(inst, alg, sampler: ResidueSampler, seed=0) -> Probe
     Each of ``_VARIANTS`` twists draws the coefficients of 1, x_1..x_n in
     eta_1..eta_n and h from -2..2.  The twisted 1-form is deformed with
     f_1 - eps_1 in place of f_1, so its critical points are exactly the base
-    grid's with lambda_1 shifted by h(x).  One ``critpts.solve_warm`` batch
-    on the base family, the twist on the rows of P, confirms them, and the
-    twisted grid's R over the basis of ``alg`` is compared with the base's;
-    its circle means join ``sampler.max_probe_deviation``.
-    A failed sample raises CountMismatchError: a fresh solve at the same p
-    would end at the same exact zeros, so none is made.
+    grid's with lambda_1 shifted by h(x), and its df, hence its chart, is
+    the base's.  One ``sampler.limit`` over the base grid takes R over the
+    basis of ``alg`` for every twist: per block, the basis monomials are
+    evaluated once, and each twist's system, the twist on the rows of P,
+    gives its Jtilde at the shifted rows; its circle means join
+    ``sampler.max_probe_deviation`` in ``limit``.  A shifted row whose
+    twisted residual reaches ``_TWIST_RESIDUAL`` raises CountMismatchError
+    naming the twist: a fresh solve at the same p would end at the same
+    exact zeros, so none is made.
     """
     if inst.k < 1:
         raise ValueError("class invariance needs k >= 1")
-    n, family, cfg, expected = inst.n, sampler.family, sampler.cfg, sampler.expected
+    n, family = inst.n, sampler.family
     base = sampler.basis_values(alg.basis)
     # per variant, rows eta_1..eta_n, h and columns 1, x_1..x_n
     twists = np.random.default_rng(seed + 202).integers(-2, 3, size=(_VARIANTS, n + 1, n + 1))
-    points = _circles(sampler.direction, cfg).reshape(-1, family.nunk)
-    X = sampler.grid.X.reshape(len(points), expected, family.nunk)
-    entries, worst = [], 0.0
-    for v, C in enumerate(twists):
-        anchors = X.copy()
-        anchors[:, :, n] += C[n, 0] + X[:, :, :n] @ C[n, 1:]  # h(x)
-        P = np.hstack([points, np.tile(C.ravel(), (len(points), 1))])
-        Xv, ok = critpts.solve_warm(family, P, anchors, expected)
-        if not ok.all():
-            message = f"class invariance: variant {v} failed at {int((~ok).sum())} of {len(ok)} samples"
-            raise critpts.CountMismatchError(message, sampler.stats)
-        grid = _grid(family, P, Xv, sampler.stats)
-        twisted = ResidueSampler(family, sampler.direction, expected, cfg, grid, sampler.stats)
-        values = twisted.basis_values(alg.basis)
-        sampler.max_probe_deviation = max(sampler.max_probe_deviation, twisted.max_probe_deviation)
-        for m, b, val in zip(alg.basis, base, values):
-            dev = abs(val - b)
-            worst = max(worst, dev)
-            entries.append((f"variant{v} {Poly.monomial(m)!r}", dev))
+    monos = [Poly.monomial(m) for m in alg.basis]
+    sp = StackedPolys(monos, n)
+
+    def values(ps):
+        phi, sums = sp.eval(ps.x), []
+        for v, C in enumerate(twists):
+            X = ps.X.copy()
+            X[:, n] += C[n, 0] + ps.x @ C[n, 1:]  # lambda_1 + h(x)
+            F, J = family.system(np.hstack([ps.p, np.tile(C.ravel(), (len(ps), 1))]), X)
+            residual = np.abs(F).max(initial=0.0)
+            if residual >= _TWIST_RESIDUAL:
+                message = f"class invariance: variant {v} has residual {residual:.3e} on the base grid"
+                raise critpts.CountMismatchError(message, sampler.stats)
+            sums.append(np.sum(phi / ((-1) ** (n * inst.k) * np.linalg.det(J))[:, None], axis=0))
+        return np.concatenate(sums)
+
+    labels = [f"variant{v} {m!r}" for v in range(_VARIANTS) for m in monos]
+    devs = np.abs(sampler.limit(values, labels) - np.tile(base, _VARIANTS)).tolist()
+    worst = max(devs, default=0.0)
     return ProbeReport(
-        ok=worst < cfg.tol_match,
+        ok=worst < sampler.cfg.tol_match,
         max_deviation=worst,
-        entries=entries,
+        entries=list(zip(labels, devs)),
     )

@@ -711,7 +711,7 @@ def test_degenerate_grid_sample_raises_without_re_solve(monkeypatch):
 def test_solve_warm_makes_no_chart_test(monkeypatch):
     """A warm batch keeps only Newton's masks: it never calls
     ``jacobian_data``, whose chart test runs on the finished grid."""
-    fam, P, anchors = _twisted_cusp_grid(8)
+    fam, P, anchors = _cusp_grid(8)
     jacobian_data, calls = DeformationFamily.jacobian_data, []
 
     def recording(self, J):
@@ -726,7 +726,7 @@ def test_solve_warm_makes_no_chart_test(monkeypatch):
 
 def test_solve_warm_evaluates_the_system_only_in_newton(monkeypatch):
     """Every system evaluation of a warm batch is one of Newton's."""
-    fam, P, anchors = _twisted_cusp_grid(8)
+    fam, P, anchors = _cusp_grid(8)
     newton, system = critpts._newton, DeformationFamily.system
     depth, inside, outside = [0], [], []
 
@@ -795,16 +795,14 @@ def test_block_independence_cusp():
 
 def _solved_grids():
     """(name, family, grid): the circle grids of every corpus instance at
-    16 samples (k = 0, 1, 2), and a warm grid of the cusp with ``TWIST`` on
-    the rows of P."""
+    16 samples (k = 0, 1, 2), and the cusp's grid with ``TWIST`` on the rows
+    of P at its twisted zeros, as class invariance evaluates them."""
     for name, ci in CORPUS.items():
         inst = ci.instance()
         sampler = make_sampler(inst, LimitConfig(samples=16), 42, algebra(inst).colength)
         yield name, sampler.family, sampler.grid
     fam, P, anchors = _twisted_cusp_grid(16)
-    X, ok = solve_warm(fam, P, anchors, 4)
-    assert ok.all()
-    yield "twisted_cusp", fam, _grid(fam, P, X)
+    yield "twisted_cusp", fam, _grid(fam, P, anchors)
 
 
 def test_bordered_identity_on_every_block():

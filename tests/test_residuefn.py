@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from singforms import critpts, residuefn
+from singforms.corpus import CORPUS
 from singforms.critpts import DeformationFamily, StackedPolys, solve_family_at
 from singforms.icis import ProblemInstance, algebra, build_ideal
 from singforms.pipeline import AnalysisConfig, analyze
@@ -320,23 +321,61 @@ def test_class_invariance_suite(monkeypatch):
 
 def test_circle_mean_stability_sees_the_twisted_grids(monkeypatch):
     """The reported circle-mean stability covers every limit of the
-    analysis, the five twisted grids' included: on the cusp at seed 42 one
-    of them has the largest deviation."""
-    made = []
+    analysis, the twisted columns' included: class invariance is one
+    ``limit`` over the base grid, the last of the analysis, with
+    ``_VARIANTS * nu`` variant columns whose deviations reach
+    ``max_probe_deviation`` through ``limit`` itself, and no other sampler
+    is made."""
+    made, calls = [], []
 
     class Recording(ResidueSampler):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
 
+        def limit(self, values, labels):
+            # the call's own deviations alone, then merged as limit merges them
+            before, self.max_probe_deviation = self.max_probe_deviation, 0.0
+            out = super().limit(values, labels)
+            calls.append((list(labels), self.max_probe_deviation))
+            self.max_probe_deviation = max(before, self.max_probe_deviation)
+            return out
+
     monkeypatch.setattr(residuefn, "ResidueSampler", Recording)
     res = analyze(cusp(), AnalysisConfig())
-    base, *twisted = made
-    assert len(twisted) == residuefn._VARIANTS
-    worst = max(t.max_probe_deviation for t in twisted)
-    assert base.max_probe_deviation >= worst > 0
+    (sampler,) = made
+    twisted = [(labels, dev) for labels, dev in calls if labels[0].startswith("variant")]
+    assert len(twisted) == 1 and calls[-1] == twisted[0]
+    labels, dev = twisted[0]
+    assert len(labels) == residuefn._VARIANTS * 4
+    assert all(label.startswith("variant") for label in labels)
+    assert 0 < dev <= sampler.max_probe_deviation
     (check,) = [c for c in res.checks if c.name == "circle_mean_stability"]
-    assert check.detail == f"max_rel_dev={base.max_probe_deviation:.3e}"
+    assert check.detail == f"max_rel_dev={sampler.max_probe_deviation:.3e}"
+
+
+@pytest.mark.parametrize("name", ["cusp", "ex1_n4", "four_lines"])
+def test_twisted_jtilde_is_the_base_jtilde(name):
+    """At the base grid's points with lambda_1 shifted by h(x), every
+    twist's Jtilde equals the base grid's within 1e-12 relative: the twist
+    adds to J the row operation eta df_1^T, the column operation
+    df_1 grad h^T and a term (f_1 - eps_1) d eta that vanishes there.  This
+    is why class invariance passes, and also why it cannot see an error in
+    the twist's Jacobian terms: test_critical_system_twisted_cusp checks
+    them against a hand-written Jacobian, and
+    test_class_invariance_cusp_cold_start solves a twisted instance from
+    scratch."""
+    inst = CORPUS[name].instance()
+    sampler = make_sampler(inst, LimitConfig(samples=16), 42, algebra(inst).colength)
+    grid, n = sampler.grid, inst.n
+    twists = np.random.default_rng(42 + 202).integers(-2, 3, size=(residuefn._VARIANTS, n + 1, n + 1))
+    for C in twists:
+        X = grid.X.copy()
+        X[:, n] += C[n, 0] + grid.x @ C[n, 1:]
+        F, J = sampler.family.system(np.hstack([grid.p, np.tile(C.ravel(), (len(grid), 1))]), X)
+        assert np.abs(F).max() < residuefn._TWIST_RESIDUAL
+        jtilde = sampler.family.jacobian_data(J)[0]
+        assert (np.abs(jtilde - grid.jtilde) <= 1e-12 * np.abs(grid.jtilde)).all()
 
 
 def test_class_invariance_cusp_cold_start():
@@ -365,25 +404,25 @@ def test_one_family_per_analysis(monkeypatch):
 
 
 def test_class_invariance_failed_sample_raises_without_fresh_solve(monkeypatch):
-    """A twisted sample that fails its warm Newton batch raises
-    CountMismatchError naming the failed samples; nothing is solved fresh,
-    as a fresh solve would end at the same exact zeros."""
-    inst = cusp()
+    """A base grid row moved by 1e-6 is no zero of any twisted system:
+    class invariance raises CountMismatchError naming the variant, and
+    solves nothing, fresh or warm, as a solve at the same p would end at
+    the same exact zeros."""
+    inst, alg = cusp(), algebra(cusp())
     sampler = make_sampler(inst, LimitConfig(samples=16), 42, 4)
-    warm, solve_fresh, fresh = critpts.solve_warm, critpts.solve_fresh, []
+    sampler.basis_values(alg.basis)  # the base vector r, kept, before the row moves
+    sampler.grid.X[5, 0] += 1e-6
+    solves = []
 
-    def failing_one(family, P, starts, expected):
-        X, ok = warm(family, P, starts, expected)
-        return X, ok & (np.arange(len(ok)) != 3)
+    def recording(name):
+        def record(*args):
+            solves.append(name)
+        return record
 
-    def recording(family, targets, expected):
-        targets = list(targets)
-        fresh.extend(targets)
-        return solve_fresh(family, targets, expected)
-
-    monkeypatch.setattr(critpts, "solve_warm", failing_one)
-    monkeypatch.setattr(critpts, "solve_fresh", recording)
+    monkeypatch.setattr(critpts, "solve_fresh", recording("solve_fresh"))
+    monkeypatch.setattr(critpts, "solve_warm", recording("solve_warm"))
     with pytest.raises(critpts.CountMismatchError) as exc:
-        verify_class_invariance(inst, algebra(inst), sampler, 42)
-    assert "failed at 1 of 32 samples" in str(exc.value)
-    assert fresh == []
+        verify_class_invariance(inst, alg, sampler, 42)
+    assert str(exc.value).startswith("class invariance: variant 0 has residual")
+    assert exc.value.diagnostics is sampler.stats
+    assert solves == []
