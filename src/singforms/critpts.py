@@ -70,10 +70,9 @@ For k = 0, Jtilde is det(dA_i/dx_j)(P).
 The point p enters the system as data: it shifts the equations by -p, so
 the symbolic work is done once per instance, as one ``StackedPolys`` table
 of the system at p = 0 with its Jacobian, evaluated at one point p or at
-one p per row.  A twist of the 1-form by f_1 eta + h df_1 is row data too,
-evaluated from the same table.  A circle of deformations is a point rotated
-by exp(2 pi i j / samples): the limit in the deformation is approached
-along the ray of p.
+one p per row.  A circle of deformations is a point rotated by
+exp(2 pi i j / samples): the limit in the deformation is approached along
+the ray of p.
 """
 
 from __future__ import annotations
@@ -149,10 +148,7 @@ class DeformationFamily:
     """The multiplier systems of an instance at every deformation point p.
 
     p = (eps, alpha) has k + n complex entries: the first k deform the
-    equations (f_i - eps_i), the rest shift the 1-form (A_j - alpha_j).  A
-    twist (eta, h) of degree at most 1 replaces A_j by A_j + (f_1 - eps_1)*
-    eta_j + h * df_1/dx_j, the deformation pattern of the class-invariance
-    statement; it is data on the rows of P, as p is (``system``).
+    equations (f_i - eps_i), the rest shift the 1-form (A_j - alpha_j).
     """
 
     def __init__(self, inst):
@@ -184,34 +180,11 @@ class DeformationFamily:
 
     def system(self, P, X: np.ndarray):
         """Values (m, n+k) and Jacobian (m, n+k, n+k) of the multiplier
-        system at the rows of X; P is one point p or one per row.
-
-        A row of P may go on after its n + k entries with a twist: the
-        coefficients of 1, x_1..x_n (columns) of eta_1..eta_n, h (rows),
-        flattened.  The twisted system at (x, lambda) is the untwisted one
-        at Y = (x, lambda_1 - h(x), lambda_2, ..) plus (f_1 - eps_1) eta_j
-        on the rows of A, its Jacobian J(Y) dY/dX plus eta_j df_1/dx_l +
-        (f_1 - eps_1) d eta_j/dx_l there.  Class invariance evaluates it at
-        the base grid's rows with lambda_1 shifted by h(x), its zeros; no
-        solver is passed a twisted p, and the homotopies use the untwisted
-        bidegrees."""
-        nu, n, k = self.nunk, self.n, self.k
-        P = np.asarray(P)
-        twisted = P.shape[-1] > nu
-        if twisted:  # rows eta_1..eta_n, h and columns 1, x_1..x_n
-            C = P[..., nu:].reshape(*P.shape[:-1], n + 1, n + 1)
-            X = np.array(X, dtype=np.complex128)
-            lin = (C @ np.concatenate([np.ones((len(X), 1)), X[:, :n]], axis=1)[..., None])[..., 0]
-            X[:, n] -= lin[:, n]  # Y: lambda_1 - h(x)
-            P = P[..., :nu]
+        system at the rows of X; P is one point p or one per row, n + k
+        entries each."""
+        nu = self.nunk
         out = self._table.eval(X)
-        F, J = out[:, :nu] - P, out[:, nu:].reshape(len(X), nu, nu)
-        if not twisted:
-            return F, J
-        J[:, k:, :n] += lin[:, :n, None] * J[:, :1, :n] + F[:, :1, None] * C[..., :n, 1:]
-        J[:, :, :n] -= J[:, :, n, None] * C[..., None, n, 1:]  # dY/dX
-        F[:, k:] += F[:, :1] * lin[:, :n]
-        return F, J
+        return out[:, :nu] - P, out[:, nu:].reshape(len(X), nu, nu)
 
     def term_scale(self, X):
         """max(1, |x|)^dx_e * max(1, |lambda|)^dl_e per row of X and equation

@@ -150,8 +150,7 @@ def analyze(
     # point set, whose residual and chart the check also requires
     count_rng, m = np.random.default_rng(config.seed + 77), inst.n + inst.k
     targets = cfg.radii[0] * np.array([generic_direction(count_rng, m) for _ in range(_COUNT_RUNS)])
-    starts = sampler.grid.X.reshape(len(cfg.radii), cfg.samples, nu, m)[:, 0]
-    P0 = np.multiply.outer(cfg.radii, sampler.direction)
+    P0, starts = sampler.circle_starts()
     X, passed = critpts.solve_continued(sampler.family, P0, starts, targets, count_rng)
     certified, chart = critpts._point_set(sampler.family, targets[passed], X[passed, 0])
     worst_res = float(certified.residual.max(initial=0.0))

@@ -19,9 +19,9 @@ Ideal vanishing checks R on ideal generators times monomials and on the
 differences x^m - NF(x^m), one per distinct product x^m = e_a e_b of basis
 monomials, on which ``Q^A`` relies.  A twist's critical points are the
 base grid's with the first multiplier shifted, so class invariance solves
-nothing: one limit over the base grid evaluates every twist's system on
-the same family, the twist carried on the rows of P, at the shifted rows,
-and compares each twist's basis vector with r.
+nothing: one limit over the base grid evaluates the family's system once
+per block, builds every twist's system at the shifted rows from it
+(``_twist``), and compares each twist's basis vector with r.
 
 ``make_sampler`` solves the grids of an analysis, on its one family, and
 builds the one sampler that holds them; the verification suites take it,
@@ -108,6 +108,14 @@ class ResidueSampler:
         self.stats = stats
         self.max_probe_deviation = 0.0
         self._basis_values = {}
+
+    def circle_starts(self):
+        """(P0, X0): each circle's first sample r u, one row per radius,
+        and its rows of the grid, shape (radii, expected, n + k)."""
+        cfg = self.cfg
+        starts = self.grid.X.reshape(len(cfg.radii), cfg.samples, self.expected, self.family.nunk)[:, 0]
+        P0 = np.multiply.outer(cfg.radii, self.direction)
+        return P0, starts
 
     def limit(self, values, labels) -> np.ndarray:
         """The limits of the circle means of values, one entry per label.
@@ -244,6 +252,26 @@ def verify_ideal_vanishing(inst, alg, sampler: ResidueSampler, seed=0) -> ProbeR
     )
 
 
+def _twist(F, J, x, C):
+    """Values and Jacobian of the system twisted by C at rows Y with
+    lambda_1 shifted by h(x), from the untwisted (F, J) at the rows Y, x
+    their x-parts; F and J are not changed.
+
+    C holds the coefficients of 1, x_1..x_n (columns) of eta_1..eta_n, h
+    (rows).  The twist replaces A_j by A_j + (f_1 - eps_1) eta_j + h df_1/dx_j,
+    so the twisted system at X = (x, lambda) is the untwisted one at Y =
+    (x, lambda_1 - h(x), lambda_2, ..) plus (f_1 - eps_1) eta_j on the rows
+    of A, and its Jacobian is J(Y) dY/dX plus eta_j df_1/dx_l + (f_1 -
+    eps_1) d eta_j/dx_l there."""
+    n = x.shape[1]
+    eta = C[:n, 0] + x @ C[:n, 1:].T
+    F, J = F.copy(), J.copy()
+    J[:, -n:, :n] += eta[:, :, None] * J[:, :1, :n] + F[:, :1, None] * C[:n, 1:]
+    J[:, :, :n] -= J[:, :, n, None] * C[n, 1:]  # dY/dX
+    F[:, -n:] += F[:, :1] * eta
+    return F, J
+
+
 def verify_class_invariance(inst, alg, sampler: ResidueSampler, seed=0) -> ProbeReport:
     """R is unchanged under omega -> omega + f_1 eta + h df_1.
 
@@ -252,13 +280,13 @@ def verify_class_invariance(inst, alg, sampler: ResidueSampler, seed=0) -> Probe
     f_1 - eps_1 in place of f_1, so its critical points are exactly the base
     grid's with lambda_1 shifted by h(x), and its df, hence its chart, is
     the base's.  One ``sampler.limit`` over the base grid takes R over the
-    basis of ``alg`` for every twist: per block, the basis monomials are
-    evaluated once, and each twist's system, the twist on the rows of P,
-    gives its Jtilde at the shifted rows; its circle means join
-    ``sampler.max_probe_deviation`` in ``limit``.  A shifted row whose
-    twisted residual reaches ``_TWIST_RESIDUAL`` raises CountMismatchError
-    naming the twist: a fresh solve at the same p would end at the same
-    exact zeros, so none is made.
+    basis of ``alg`` for every twist: per block, the basis monomials and the
+    family's system are evaluated once, at the base rows, and each twist's
+    system at the shifted rows (``_twist``) gives its Jtilde; its circle
+    means join ``sampler.max_probe_deviation`` in ``limit``.  A shifted row
+    whose twisted residual reaches ``_TWIST_RESIDUAL`` raises
+    CountMismatchError naming the twist: a fresh solve at the same p would
+    end at the same exact zeros, so none is made.
     """
     if inst.k < 1:
         raise ValueError("class invariance needs k >= 1")
@@ -270,11 +298,9 @@ def verify_class_invariance(inst, alg, sampler: ResidueSampler, seed=0) -> Probe
     sp = StackedPolys(monos, n)
 
     def values(ps):
-        phi, sums = sp.eval(ps.x), []
+        phi, base_system, sums = sp.eval(ps.x), family.system(ps.p, ps.X), []
         for v, C in enumerate(twists):
-            X = ps.X.copy()
-            X[:, n] += C[n, 0] + ps.x @ C[n, 1:]  # lambda_1 + h(x)
-            F, J = family.system(np.hstack([ps.p, np.tile(C.ravel(), (len(ps), 1))]), X)
+            F, J = _twist(*base_system, ps.x, C)
             residual = np.abs(F).max(initial=0.0)
             if residual >= _TWIST_RESIDUAL:
                 message = f"class invariance: variant {v} has residual {residual:.3e} on the base grid"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singforms import critpts
+from singforms import critpts, residuefn
 from singforms.cli import parse_problem_file, problem_to_instance
 from singforms.critpts import (
     CountMismatchError,
@@ -51,25 +51,25 @@ def direction_of(inst, seed):
 TWIST = np.array([[0, 0, 1], [1, -1, 0], [0, 2, 0]])
 
 
-def _check_system(fam, vs, equations, seed, twist=()):
-    """Values and Jacobian of ``fam.system`` at seeded complex points X and
-    deformation points P, one per row of X: at each p for all rows against
-    ``equations``, the multiplier system written out by hand over the
-    unknowns ``vs`` and p = (p1, p2, ...), evaluated with ``eval_at``
-    at (x, p) and differentiated in the unknowns with ``Poly.diff``; and
-    with one p per row, where row i must match row i at P[i] alone to
-    1e-14 relative.  The entries ``twist`` follow p on every row of P."""
+def _check_system(fam, vs, equations, seed, system=None):
+    """Values and Jacobian of ``system`` (``fam.system`` by default) at
+    seeded complex points X and deformation points P, one per row of X: at
+    each p for all rows against ``equations``, the multiplier system
+    written out by hand over the unknowns ``vs`` and p = (p1, p2, ...),
+    evaluated with ``eval_at`` at (x, p) and differentiated in the unknowns
+    with ``Poly.diff``; and with one p per row, where row i must match row
+    i at P[i] alone to 1e-14 relative."""
+    system = system or fam.system
     eqs = [parse(e, vs + [f"p{i + 1}" for i in range(fam.nunk)]) for e in equations]
     assert len(eqs) == len(vs) == fam.nunk
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((4, fam.nunk)) + 1j * rng.standard_normal((4, fam.nunk))
     P = rng.standard_normal((4, fam.nunk)) + 1j * rng.standard_normal((4, fam.nunk))
-    P = np.hstack([P, np.tile(np.ravel(twist), (4, 1))])
-    per_row = fam.system(P, X)
+    per_row = system(P, X)
     for i, p in enumerate(P):
-        vals, J = fam.system(p, X)
+        vals, J = system(p, X)
         for x, v, Jx in zip(X, vals, J):
-            at = list(x) + list(p[: fam.nunk])
+            at = list(x) + list(p)
             want = np.array([eval_at(e, at) for e in eqs])
             want_J = np.array([[eval_at(e.diff(c), at) for c in range(fam.nunk)] for e in eqs])
             assert np.allclose(v, want, rtol=1e-12, atol=1e-12)
@@ -101,15 +101,24 @@ def test_critical_system_cusp():
 
 
 def test_critical_system_twisted_cusp():
-    """The twist (eta, h) = ((y, 1 - x), 2x), carried on the rows of P,
-    gives A_j + (f - eps) eta_j + h df/dx_j - alpha_j - lambda df/dx_j; with
-    one p per row, each row keeps its own -eps eta_j term."""
+    """The twist (eta, h) = ((y, 1 - x), 2x) gives A_j + (f - eps) eta_j +
+    h df/dx_j - alpha_j - lambda df/dx_j, at random points that are no
+    zeros of it: ``residuefn._twist`` builds it from the untwisted system at
+    the base rows, lambda less h(x), as class invariance does; with one p
+    per row, each row keeps its own -eps eta_j term."""
+    fam = DeformationFamily(cusp())
+
+    def twisted(P, X):
+        Y = X.copy()
+        Y[:, 2] -= 2 * X[:, 0]  # lambda - h(x)
+        return residuefn._twist(*fam.system(P, Y), X[:, :2], TWIST)
+
     fe = "(x^2 - y^3 - p1)"
-    _check_system(DeformationFamily(cusp()), ["x", "y", "l"], [
+    _check_system(fam, ["x", "y", "l"], [
         fe,
         f"1 + 4*x^2 - 2*l*x + {fe}*y - p2",
         f"-6*x*y^2 + 3*l*y^2 + {fe}*(1 - x) - p3",
-    ], seed=4, twist=TWIST)
+    ], seed=4, system=twisted)
 
 
 # ---- closed-form oracle -----------------------------------------------------
@@ -625,15 +634,6 @@ def _cusp_grid(samples):
     return fam, P, _grid(fam, P, X).X.reshape(samples, 4, 3)
 
 
-def _twisted_cusp_grid(samples):
-    """The cusp family, the points P of a circle of radius 1e-2 with
-    ``TWIST`` after p on every row and, per sample, the base points with
-    the first multiplier shifted by h(x) = 2x: the twisted zeros."""
-    fam, P, anchors = _cusp_grid(samples)
-    anchors[:, :, 2] += 2 * anchors[:, :, 0]
-    return fam, np.hstack([P, np.tile(TWIST.ravel(), (samples, 1))]), anchors
-
-
 def test_solve_anchored_matches_continuation():
     """One anchored Newton batch, from the points of a circle continuation
     moved by up to 1e-6, gives the point sets of a continuation with other
@@ -794,15 +794,24 @@ def test_block_independence_cusp():
 
 
 def _solved_grids():
-    """(name, family, grid): the circle grids of every corpus instance at
-    16 samples (k = 0, 1, 2), and the cusp's grid with ``TWIST`` on the rows
-    of P at its twisted zeros, as class invariance evaluates them."""
+    """(name, family, grid, J), J the system Jacobian at the grid's rows:
+    the circle grids of every corpus instance at 16 samples (k = 0, 1, 2),
+    and the cusp's grid twisted by ``TWIST`` as class invariance evaluates
+    it, the base rows with the first multiplier shifted by h(x) = 2x (the
+    twisted zeros) and the Jacobian that ``residuefn._twist`` builds there."""
     for name, ci in CORPUS.items():
         inst = ci.instance()
         sampler = make_sampler(inst, LimitConfig(samples=16), 42, algebra(inst).colength)
-        yield name, sampler.family, sampler.grid
-    fam, P, anchors = _twisted_cusp_grid(16)
-    yield "twisted_cusp", fam, _grid(fam, P, anchors)
+        grid = sampler.grid
+        yield name, sampler.family, grid, sampler.family.system(grid.p, grid.X)[1]
+    fam, P, anchors = _cusp_grid(16)
+    base = _grid(fam, P, anchors)
+    F, J = residuefn._twist(*fam.system(base.p, base.X), base.x, TWIST)
+    X = base.X.copy()
+    X[:, 2] += 2 * base.x[:, 0]
+    jtilde = fam.jacobian_data(J)[0]
+    grid = critpts.CriticalPointSet(base.p, X, np.abs(F).max(axis=1), jtilde, J[:, :1, :2].copy())
+    yield "twisted_cusp", fam, grid, J
 
 
 def test_bordered_identity_on_every_block():
@@ -812,8 +821,7 @@ def test_bordered_identity_on_every_block():
     both on ex1_n2, where (-1)^k is -1, and on four_lines, where (-1)^n is
     -1."""
     ks = set()
-    for name, fam, grid in _solved_grids():
-        J = fam.system(grid.p, grid.X)[1]
+    for name, fam, grid, J in _solved_grids():
         assert np.array_equal(grid.df, J[:, : fam.k, : fam.n]), name
         checked = 0
         for row, jt in zip(_block_values(J, fam.n, fam.k), grid.jtilde):
@@ -847,7 +855,7 @@ def test_lambda_product_is_the_chart_product_on_every_block():
     Each block is compared row by row, on the rows where it is a chart: a
     sum over a circle grid cancels the pairs whose limit is 0."""
     ks = set()
-    for name, fam, grid in _solved_grids():
+    for name, fam, grid, _ in _solved_grids():
         n, k = fam.n, fam.k
         gens = default_generators(fam.inst)
         kept = _KeepValues(fam)

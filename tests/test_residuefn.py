@@ -370,9 +370,7 @@ def test_twisted_jtilde_is_the_base_jtilde(name):
     grid, n = sampler.grid, inst.n
     twists = np.random.default_rng(42 + 202).integers(-2, 3, size=(residuefn._VARIANTS, n + 1, n + 1))
     for C in twists:
-        X = grid.X.copy()
-        X[:, n] += C[n, 0] + grid.x @ C[n, 1:]
-        F, J = sampler.family.system(np.hstack([grid.p, np.tile(C.ravel(), (len(grid), 1))]), X)
+        F, J = residuefn._twist(*sampler.family.system(grid.p, grid.X), grid.x, C)
         assert np.abs(F).max() < residuefn._TWIST_RESIDUAL
         jtilde = sampler.family.jacobian_data(J)[0]
         assert (np.abs(jtilde - grid.jtilde) <= 1e-12 * np.abs(grid.jtilde)).all()
@@ -390,7 +388,7 @@ def test_class_invariance_cusp_cold_start():
 
 def test_one_family_per_analysis(monkeypatch):
     """An analysis of the cusp, class invariance included, builds one
-    DeformationFamily: the twists are row data of that family."""
+    DeformationFamily: every twist's system is built from that family's."""
     init, built = DeformationFamily.__init__, []
 
     def counting(self, *args, **kwargs):
@@ -401,6 +399,29 @@ def test_one_family_per_analysis(monkeypatch):
     res = analyze(cusp(), AnalysisConfig(limit=LimitConfig(samples=16)))
     assert [c.ok for c in res.checks if c.name == "class_invariance"] == [True]
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("variants", [1, 5])
+def test_class_invariance_evaluates_the_system_once_per_block(monkeypatch, variants):
+    """Class invariance calls ``DeformationFamily.system`` once per row
+    block of the grid, at the base rows, whatever the number of twists:
+    each twist's system is built from that one evaluation."""
+    inst, alg = cusp(), algebra(cusp())
+    sampler = make_sampler(inst, LimitConfig(samples=16), 42, 4)
+    monkeypatch.setattr(residuefn, "_VARIANTS", variants)
+    monkeypatch.setattr(residuefn, "_BLOCK_ROWS", 24)
+    system, calls = DeformationFamily.system, []
+
+    def counting(self, P, X):
+        calls.append((P, X))
+        return system(self, P, X)
+
+    monkeypatch.setattr(DeformationFamily, "system", counting)
+    rep = verify_class_invariance(inst, alg, sampler, 42)
+    assert rep.ok and len(rep.entries) == variants * 4
+    assert [len(X) for _, X in calls] == [24, 24, 16] * 2  # 64 rows per circle
+    assert np.array_equal(np.concatenate([P for P, _ in calls]), sampler.grid.p)
+    assert np.array_equal(np.concatenate([X for _, X in calls]), sampler.grid.X)
 
 
 def test_class_invariance_failed_sample_raises_without_fresh_solve(monkeypatch):
