@@ -19,8 +19,12 @@ predictor reuses each path's last corrector evaluation); the gamma trick
 makes the paths independent, so a batch changes no path.  The corrector's
 test is relative to the size of each equation's terms, 1e-11 * max(1,
 |x|)^dx_e * max(1, |lambda|)^dl_e for an equation of bidegree (dx_e, dl_e),
-so that a path to infinity keeps its steps until |x| > ``_DIVERGENCE``; a
-path that ends otherwise without converging is diverged when |x| > 1e2.  An
+so that a path to infinity keeps its steps until |x| > ``_DIVERGENCE``.
+Past |x| > ``_FAR`` = 1e2 a path that still grows is in its tail: it is
+taken as a power of t = 1 - s (the endgame of Morgan, Sommese & Wampler
+1992), predicted by that power law and stepped a fraction of t, so a pole
+gains a decade of |x| a round and never steps onto s = 1; a path that ends
+otherwise without converging is diverged when |x| > ``_FAR``.  An
 analysis solves the first sample of both circles in one batch, its only
 fresh solve when every warm sample passes, and ``solve_family_at`` is the
 one-target case.  A point within ``_merge_tolerance(p)`` of an earlier one
@@ -87,6 +91,9 @@ from .polyring import Poly
 
 _CHART_TOL = 1e-12
 _DIVERGENCE = 1e8
+# past |x| > _FAR a path that ends without converging is diverged, and one
+# that still grows steps by its power law (the tail of ``_track``)
+_FAR = 1e2
 _MAX_RETRIES = 3
 # angles of a circle's continuation chain, pi/8 apart: near enough that
 # Newton from one chain sample's rows finds the next's, and every sample
@@ -415,7 +422,8 @@ def _newton(FJ, X, iters, tol):
     return X, ok
 
 
-@np.errstate(over="ignore", invalid="ignore")  # paths to infinity may overflow
+# paths to infinity may overflow, and a tail's w_i divides by x_i = 0
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _track(h, starts: np.ndarray, tgt: np.ndarray):
     """Track all start points from s = 0 to s = 1 at once, start i on the
     homotopy of target tgt[i]; returns the endpoints and a status per path
@@ -437,16 +445,29 @@ def _track(h, starts: np.ndarray, tgt: np.ndarray):
     past |x| > ``_DIVERGENCE`` and ends as diverged.  Endpoints are
     polished on the target system H(., 1) = F - p.  A path that ends otherwise without
     converging (its step below 1e-12, or a failed polish) is diverged if
-    |x| > 1e2, else "stalled" or "polish_failed".
+    |x| > ``_FAR``, else "stalled" or "polish_failed".
+
+    Past |x| > ``_FAR`` a row that still grows is in its tail.  With t =
+    1 - s and v = -dx = dx/ds the predictor's tangent, each component within
+    1e-3 of the row's largest modulus has the local exponent w_i = t v_i /
+    x_i of x_i ~ t^-w_i, and the row grows when some Re w_i > 0.05.  It
+    steps q t, q = ds / t but at most 0.9 and at most a predicted decade of
+    growth, so it never steps onto s = 1 while growing; it predicts x_i (1 -
+    q)^-w_i on those components and Euler on the others, and ds takes the
+    step, then the usual factors.  A row that stops growing leaves the tail
+    and lands as any other.  A tail step below 1e-12 stalls the row (a
+    slowly growing one would otherwise reach s + q t = 1 in rounding); it
+    is far, so diverged.
     """
     X = np.array(starts, dtype=np.complex128)
     s, ds = np.zeros(len(X)), np.full(len(X), 0.05)
+    size = np.abs(X).max(axis=1)  # |x| at each path's point
     status = np.full(len(X), "tracking", dtype="<U13")
     act = np.arange(len(X))
     _, J, Hs = h.rows(tgt)(X, s)  # the predictor's data at each path's point
 
     def fail(idx, why):
-        status[idx] = np.where(np.abs(X[idx]).max(axis=1) > 1e2, "diverged", why)
+        status[idx] = np.where(np.abs(X[idx]).max(axis=1) > _FAR, "diverged", why)
 
     while len(act):
         step = np.minimum(ds[act], 1.0 - s[act])
@@ -459,6 +480,21 @@ def _track(h, starts: np.ndarray, tgt: np.ndarray):
             act, dx, step = act[~singular], dx[~singular], step[~singular]
         s_new, H, last = s[act] + step, h.rows(tgt[act]), []
         X_pred = X[act] - step[:, None] * dx
+        far = np.flatnonzero(size[act] > _FAR)
+        if len(far):
+            # the tail: far rows that grow, x_i ~ t^-w_i in t = 1 - s
+            rows, t = act[far], 1.0 - s[act[far]]
+            x = X[rows]
+            big = np.abs(x) >= 1e-3 * size[rows, None]
+            w = np.where(big, -t[:, None] * dx[far] / x, 0.0)
+            wmax = w.real.max(axis=1)
+            grow = wmax > 0.05
+            far, rows, t, x, big, w, wmax = (a[grow] for a in (far, rows, t, x, big, w, wmax))
+            q = np.minimum(ds[rows] / t, 1.0 - 0.1 ** (1.0 / np.maximum(wmax, 1.0)))
+            step[far] = ds[rows] = q * t
+            fail(rows[q * t < 1e-12], "stalled")
+            s_new[far] = s[rows] + step[far]
+            X_pred[far] = np.where(big, x * (1.0 - q[:, None]) ** -w, x - step[far, None] * dx[far])
 
         def corrector(Y):
             last[:] = H(Y, s_new)
@@ -468,7 +504,8 @@ def _track(h, starts: np.ndarray, tgt: np.ndarray):
         acc = act[ok]
         X[acc], s[acc], J[acc], Hs[acc] = X_corr[ok], s_new[ok], last[1][ok], last[2][ok]
         ds[acc] = np.minimum(ds[acc] * 1.7, 0.1)
-        status[acc[np.abs(X[acc]).max(axis=1) > _DIVERGENCE]] = "diverged"
+        size[acc] = np.abs(X[acc]).max(axis=1)
+        status[acc[size[acc] > _DIVERGENCE]] = "diverged"
         if not ok.all():
             rej = act[~ok]
             ds[rej] *= 0.4

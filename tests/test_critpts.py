@@ -329,11 +329,10 @@ def test_failed_polish_classified_by_size(r, status):
     assert abs(X[0, 0] - r) < 1e-9 * r
 
 
-class _SingularAtOneHomotopy(_StallingHomotopy):
-    """H = x - r s, plus 1e-3 with a zero Jacobian at s = 1: a corrector
-    below s = 1 converges at once, and every step onto s = 1 fails, so the
-    path stalls just short of it.  ``rounds`` records the s of each
-    evaluation batch's first call: the start, then each round's corrector."""
+class _RecordingHomotopy(_StallingHomotopy):
+    """A one-variable H(x, s) given by ``at(X, s)`` (s one column), with
+    ``scale`` all ones; ``rounds`` records the s of each evaluation batch's
+    first call: the start, then each round's corrector."""
 
     def __init__(self, r):
         super().__init__(r)
@@ -344,12 +343,20 @@ class _SingularAtOneHomotopy(_StallingHomotopy):
             if not calls and len(X):
                 self.rounds.append(float(np.ravel(s)[0]))
             calls.append(1)
-            s = np.broadcast_to(np.asarray(s, dtype=float), (len(X),))[:, None]
-            J = np.where(s < 1.0, 1.0, 0.0)[:, :, None]
-            return X - self.r * s + 1e-3 * (s == 1.0), J, -self.r * np.ones_like(X)
+            return self.at(X, np.broadcast_to(np.asarray(s, dtype=float), (len(X),))[:, None])
 
         calls = []
         return at
+
+
+class _SingularAtOneHomotopy(_RecordingHomotopy):
+    """H = x - r s, plus 1e-3 with a zero Jacobian at s = 1: a corrector
+    below s = 1 converges at once, and every step onto s = 1 fails, so the
+    path stalls just short of it."""
+
+    def at(self, X, s):
+        J = np.where(s < 1.0, 1.0, 0.0)[:, :, None]
+        return X - self.r * s + 1e-3 * (s == 1.0), J, -self.r * np.ones_like(X)
 
 
 def test_rejected_step_onto_one_is_not_repeated():
@@ -365,6 +372,78 @@ def test_rejected_step_onto_one_is_not_repeated():
         s = s_new if s_new < 1.0 else s
     assert sum(s_new == 1.0 for _, s_new in tried) > 10
     assert len(set(tried)) == len(tried)
+
+
+class _PoleHomotopy(_RecordingHomotopy):
+    """H = (1 - s) x - r: from x = r at s = 0 the path is x = r/(1 - s), a
+    pole at s = 1, whose local exponent w = (1 - s) x'/x is 1."""
+
+    def at(self, X, s):
+        return (1.0 - s) * X - self.r, (1.0 - s)[:, :, None], -X
+
+
+def test_pole_runs_out_in_the_tail():
+    """Past |x| > _FAR a growing path steps a fraction of 1 - s along its
+    power law, a decade of |x| a round, so the pole ends diverged past
+    _DIVERGENCE within 25 rounds; by the Euler ratchet alone (step factors
+    1.7 and 0.4) it takes 40."""
+    h = _PoleHomotopy(1.0)
+    X, got = critpts._track(h, np.ones((1, 1), dtype=complex), np.zeros(1, dtype=int))
+    assert got.tolist() == ["diverged"]
+    assert abs(X[0, 0]) > critpts._DIVERGENCE
+    assert len(h.rounds) - 1 <= 25
+
+
+class _QuadraticHomotopy(_RecordingHomotopy):
+    """H = x - r s^2: x = r s^2 lands at x = r, and for r > _FAR it grows
+    past |x| = _FAR with local exponent w = 2 (1 - s)/s > 0.05."""
+
+    def at(self, X, s):
+        return X - self.r * s**2, np.ones((len(X), 1, 1)), -2.0 * self.r * s * np.ones_like(X)
+
+
+@pytest.mark.parametrize("r", [1e3, 1e5])
+def test_tail_never_blocks_a_finite_landing(r):
+    """A path that grows past |x| = _FAR on its way to a finite point is in
+    the tail while w > 0.05, steps short of s = 1 there, and lands once it
+    stops growing: it converges at x = r."""
+    h = _QuadraticHomotopy(r)
+    X, got = critpts._track(h, np.zeros((1, 1), dtype=complex), np.zeros(1, dtype=int))
+    assert got.tolist() == ["converged"]
+    assert abs(X[0, 0] - r) < 1e-9 * r
+
+
+def _track_circle_starts(fam, seed=42):
+    """The endpoints and statuses of an analysis's first fresh batch at
+    seed: the first samples of both default circles, as ``make_sampler``
+    draws them."""
+    rng = np.random.default_rng(seed)
+    u = generic_direction(rng, fam.nunk)
+    h = critpts._Homotopy(fam, [(r * u, rng) for r in LimitConfig().radii])
+    return critpts._track(h, h.starts, h.target)
+
+
+@pytest.mark.parametrize("name,converged,diverged", [("cusp", 8, 10), ("ex2_n3", 8, 22), ("four_lines", 16, 8)])
+def test_tail_keeps_the_split_of_paths(name, converged, diverged):
+    """The circle starts' fresh batch of an analysis at seed 42 converges
+    and diverges on as many paths as the Euler ratchet alone, and every
+    diverged path runs out past _DIVERGENCE."""
+    X, status = _track_circle_starts(_corpus_family(name))
+    assert Counter(status.tolist()) == {"converged": converged, "diverged": diverged}
+    assert (np.abs(X[status == "diverged"]).max(axis=1) > critpts._DIVERGENCE).all()
+
+
+def test_slow_tail_ends_diverged_before_s_rounds_to_one():
+    """On Brieskorn-Pham x^3 + y^5 + z^7, omega = dx, some paths of the
+    seed-42 circle starts grow like t^-1/4: out to |x| = 1e8 they would
+    need t = 1 - s far below double resolution.  A tail step below 1e-12
+    ends such a path as diverged; left to run, s + q t rounds to 1, the
+    landing corrector accepts a far point, and the polish fails near
+    |x| = 50."""
+    vs = ["x", "y", "z"]
+    inst = ProblemInstance(3, 1, [parse("x^3 + y^5 + z^7", vs)], [Poly.one(3), Poly.zero(3), Poly.zero(3)])
+    _, status = _track_circle_starts(DeformationFamily(inst))
+    assert Counter(status.tolist()) == {"converged": 145, "diverged": 471}
 
 
 # ---- batched tracking and Newton ----------------------------------------------
@@ -614,6 +693,25 @@ def test_fresh_solve_returns_the_rows_it_found(text, nu, found):
         critpts._require_count(got, nu)
     assert str(exc.value) == f"found {found} critical points, expected {nu}"
     assert exc.value.diagnostics is counters
+
+
+@pytest.mark.xfail(strict=True, reason="a landing step jumps to another root (ROADMAP item 5)")
+@pytest.mark.parametrize("seed", range(5))
+def test_fresh_solve_finds_the_far_zeros(seed):
+    """k = 0, A = (x1 - x1^2/1000, x2 + x2^3) has six isolated zeros, x1
+    near 0 or 1000 and x2 near 0 or +-i, and six start paths.  Every path
+    converges, but the three bound for x1 near 1000 take a landing step
+    from |x| below 20, and their corrector converges to a zero near x1 = 0
+    that another path reaches: it tests only the residual, never how far it
+    moved the row.  So the solve keeps 3 distinct rows on every attempt."""
+    vs = ["x1", "x2"]
+    A = [parse("x1", vs) - parse("x1^2", vs) * Fraction(1, 1000), parse("x2 + x2^3", vs)]
+    fam = DeformationFamily(ProblemInstance(2, 0, [], A))
+    rng = np.random.default_rng(seed)
+    p = 1e-2 * generic_direction(rng, fam.nunk)
+    ((_, rows, counters),) = critpts.solve_fresh(fam, [(p, rng)], 6)
+    assert counters["paths_diverged"] == counters["path_failures"] == 0
+    assert len(rows) == 6
 
 
 # ---- anchored solves --------------------------------------------------------
