@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import ratlinalg
-from .localalg import INFINITE, QuotientAlgebra, monomials_below, truncated_multiples
+from .localalg import QuotientAlgebra, certified_degree, monomials_below, truncated_multiples
 from .polyring import Poly, det
 
 
@@ -103,16 +103,32 @@ def tau_prime(inst: ProblemInstance) -> int:
     (k+1)-minor, expanded along the A row, lies in the ideal of k x k Jacobian
     minors, so the nu ideal lies inside this one, tau' is finite whenever nu
     is, and the ValueError is reachable only by callers skipping that check.
+    No algebra is built: the colength is one truncated rank at the ideal's
+    own certified degree.
     """
     if inst.k == 0:
         return 0
-    gens = list(inst.f)
-    for K in itertools.combinations(range(inst.n), inst.k):
-        gens.append(block_minor(inst, K))
-    q = QuotientAlgebra(gens, inst.n)
-    if q.colength == INFINITE:
+    gens = list(inst.f) + [
+        block_minor(inst, K) for K in itertools.combinations(range(inst.n), inst.k)
+    ]
+    D = certified_degree(gens, inst.n)
+    if D is None:
         raise ValueError("tau' is infinite: input is not an ICIS")
-    return q.colength
+    return truncated_colength([{0: g} for g in gens], [0], inst.n, D)
+
+
+def truncated_colength(gens, components, n: int, D: int) -> int:
+    """Dimension of (Q[x]/m^D)^components modulo the truncated multiples of
+    ``gens`` (maps {component: Poly}), with component-major columns.
+
+    The rank is taken modulo two fixed 31-bit primes (exact fallback on
+    disagreement), which can only underestimate the rank, i.e. overestimate
+    the dimension.
+    """
+    monos = monomials_below(n, D)
+    column = {key: i for i, key in enumerate(itertools.product(components, monos))}
+    rows = list(truncated_multiples(gens, n, D, column))
+    return len(column) - ratlinalg.int_rank(rows)
 
 
 def _wedge_with_subset(coeffs, T, n):
@@ -161,19 +177,14 @@ def omega_module_dim(inst: ProblemInstance, alg: QuotientAlgebra | None = None) 
     a relation (the argument behind Saito's de Rham lemma), as f_i eta is.
     Hence m^N M = 0 for the truncation degree N of the algebra (m^N in I),
     and dim M = dim Omega / (R + m^N Omega), with R the relation module: one
-    rank of R's truncated multiples, with subset-major columns.
+    ``truncated_colength`` of R, with subset-major columns.
 
-    The rank is taken modulo two fixed 31-bit primes (exact fallback on
-    disagreement), which can only underestimate the rank, i.e. overestimate
-    the dimension.  ``alg`` is the instance's ``algebra``, built here when
-    it is not given.  A non-isolated instance raises ValueError.
+    ``alg`` is the instance's ``algebra``, built here when it is not given;
+    only its certified degree is read.  A non-isolated instance raises
+    ValueError.
     """
-    if alg is None:
-        alg = algebra(inst)
-    if not alg.finite:
+    N = (alg or algebra(inst)).N
+    if N is None:
         raise ValueError("the module dimension needs finite nu: input is not isolated")
     subsets, gens = omega_module_generators(inst)
-    monos = monomials_below(inst.n, alg.N)
-    column = {key: i for i, key in enumerate(itertools.product(subsets, monos))}
-    rows = list(truncated_multiples(gens, inst.n, alg.N, column))
-    return len(column) - ratlinalg.int_rank(rows)
+    return truncated_colength(gens, subsets, inst.n, N)

@@ -1,19 +1,21 @@
-"""The local monomial order, Mora standard bases, and finite quotient algebras.
+"""The local monomial order, Mora's truncation degree, and finite quotient
+algebras.
 
 The order is anti-graded degree reverse lexicographic (smaller total degree
 is larger; ties broken by degrevlex), so 1 is the largest monomial and degree
-truncation is compatible with leading ideals.  Standard bases come from Buchberger completion driven by Mora's weak
-normal form with ecart-based reducer selection, which terminates for local
-orders.
+truncation is compatible with leading ideals.  Mora's algorithm (Buchberger
+completion driven by Mora's weak normal form with ecart-based reducer
+selection, which terminates for local orders) runs only until it certifies a
+truncation degree N with m^N contained in the ideal (``certified_degree``).
 
 Canonical normal forms do not come from Mora division (that only yields weak
-normal forms up to a unit).  Instead, once the truncation degree N with
-m^N contained in the ideal is known, the quotient is modelled exactly as
-Q[x]/(I + m^N), and classes are reduced by the ``ratlinalg.rref`` rows of
-the truncated monomial multiples of the generators (``truncated_multiples``,
-which also builds the module-dimension rows of ``icis``).  Many pairs of basis
-monomials share their product, so ``QuotientAlgebra.products`` keeps one
-normal form per distinct product.
+normal forms up to a unit).  Instead the quotient is modelled exactly as
+Q[x]/(I + m^N): one ``ratlinalg.rref`` of the truncated monomial multiples of
+the generators (``truncated_multiples``, which also builds the truncated
+ranks of ``icis``) gives the basis (its non-pivot columns) and the rows that
+reduce every other monomial.  Many pairs of basis monomials share their
+product, so ``QuotientAlgebra.products`` keeps one normal form per distinct
+product.
 """
 
 from __future__ import annotations
@@ -128,25 +130,26 @@ class BudgetExceeded(RuntimeError):
         self.diag = diag
 
 
-def standard_basis(gens, max_pairs: int = 20000):
-    """Standard basis of the ideal generated by ``gens`` in the local ring;
-    empty for the zero ideal, whose colength is infinite."""
-    G = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        G.append(_monic(g))
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    processed = 0
-    while pairs:
-        # deterministic selection: smallest lcm degree first
-        def lcm_deg(pr):
-            a = leading_monomial(G[pr[0]])
-            b = leading_monomial(G[pr[1]])
-            return sum(max(x, y) for x, y in zip(a, b))
+def certified_degree(gens, nvars: int, max_pairs: int = 20000):
+    """Truncation degree D with m^D inside the ideal of ``gens`` in the local
+    ring, or None when the colength is infinite.
 
-        pairs.sort(key=lambda pr: (lcm_deg(pr), pr))
-        i, j = pairs.pop(0)
+    Mora's completion stops at its first certificate: a pure power of every
+    variable among its leading monomials.  D is 1 + the largest degree of a
+    monomial none of them divides, so each monomial of degree D leads a
+    multiple of an element whose other terms lie in m^D, below it in the
+    order, or in m^(D+1): m^D lies in I + m^(D+1), hence in I (Nakayama).
+    When the pairs run out first, the elements are a standard basis and the
+    colength is infinite.
+    """
+    G = [_monic(g) for g in gens if not g.is_zero()]
+    leads = [leading_monomial(g) for g in G]
+    # deterministic selection: smallest lcm degree first, then by index
+    pairs = [(_lcm_degree(leads[i], leads[j]), i, j) for j in range(len(G)) for i in range(j)]
+    processed = 0
+    while (D := _degree_bound(leads, nvars)) is None and pairs:
+        pairs.sort()
+        _, i, j = pairs.pop(0)
         processed += 1
         if processed > max_pairs:
             raise BudgetExceeded(
@@ -155,33 +158,23 @@ def standard_basis(gens, max_pairs: int = 20000):
         h = mora_normal_form(_spoly(G[i], G[j]), G)
         if not h.is_zero():
             G.append(_monic(h))
-            new = len(G) - 1
-            pairs.extend((k, new) for k in range(new))
-    return G
+            leads.append(leading_monomial(h))
+            pairs += [(_lcm_degree(leads[k], leads[-1]), k, len(G) - 1) for k in range(len(G) - 1)]
+    return D
 
 
-def minimal_lead_gens(std):
-    """Minimal monomial generators of the leading ideal of a standard basis."""
-    lms = sorted({leading_monomial(g) for g in std}, key=lambda m: sum(m))
-    mins = []
-    for m in lms:
-        if not any(_divides(g, m) for g in mins):
-            mins.append(m)
-    return mins
+def _lcm_degree(a, b) -> int:
+    return sum(map(max, a, b))
 
 
-def _pure_power_bounds(lead_mins, nvars):
-    """Per-variable degree d_i with x_i^{d_i} in the leading ideal, or None."""
-    bounds = []
-    for i in range(nvars):
-        best = None
-        for m in lead_mins:
-            if all(e == 0 for j, e in enumerate(m) if j != i):
-                best = m[i] if best is None else min(best, m[i])
-        if best is None:
-            return None
-        bounds.append(best)
-    return bounds
+def _degree_bound(leads, nvars: int):
+    """1 + the largest degree of a monomial no lead divides; None while some
+    variable has no pure power among the leads."""
+    powers = [min((m[i] for m in leads if sum(m) == m[i]), default=None) for i in range(nvars)]
+    if None in powers:
+        return None
+    box = itertools.product(*map(range, powers))
+    return max((sum(b) + 1 for b in box if not any(_divides(m, b) for m in leads)), default=0)
 
 
 def monomials_below(nvars: int, degree: int):
@@ -223,39 +216,21 @@ def truncated_multiples(gens, nvars: int, D: int, column):
 class QuotientAlgebra:
     """Exact finite-dimensional model of a local quotient algebra O/I.
 
-    ``basis`` is the ordered list of standard monomials (order-descending, so
-    1 comes first); ``N`` is the truncation degree with m^N contained in I.
+    ``N`` is the certified truncation degree with m^N contained in I (None
+    for infinite colength), so O/I is Q[x]/(I + m^N).  ``basis`` is the
+    ordered list of standard monomials (order-descending, so 1 comes first);
     ``normal_form`` returns canonical coordinates over ``basis``.
     """
 
     def __init__(self, generators, nvars: int):
         self.generators = list(generators)
         self.nvars = nvars
-        self.std_basis = standard_basis(self.generators)
-        self.leading_ideal = minimal_lead_gens(self.std_basis)
-        bounds = _pure_power_bounds(self.leading_ideal, nvars)
-        self.finite = bounds is not None
-        if not self.finite:
-            self.basis = None
-            self.N = None
-            self._index = None
-            return
-        std = [
-            m
-            for m in itertools.product(*[range(b) for b in bounds])
-            if not any(_divides(g, m) for g in self.leading_ideal)
-        ]
-        self.basis = sorted(std, key=order_key, reverse=True)
-        self.N = (max(sum(m) for m in self.basis) + 1) if self.basis else 0
-        self._index = {m: i for i, m in enumerate(self.basis)}
-
-    def _truncate(self, p: Poly):
-        return {m: c for m, c in p.terms.items() if sum(m) < self.N}
+        self.N = certified_degree(self.generators, nvars)
 
     @functools.cached_property
     def _rows(self):
         """Reduced echelon rows of the ideal image inside Q[x]/m^N, built on
-        the first normal form.
+        first use.
 
         Columns follow the local order, so each row's pivot is its leading
         monomial, the pivots are the non-standard monomials of degree < N,
@@ -265,31 +240,39 @@ class QuotientAlgebra:
         col = {(0, m): i for i, m in enumerate(monos)}
         gens = [{0: g} for g in self.generators]
         pivots = ratlinalg.rref(truncated_multiples(gens, self.nvars, self.N, col))
-        rows = {
+        return {
             monos[c]: {monos[cc]: v for cc, v in row.items() if cc != c}
             for c, row in pivots.items()
         }
-        if set(rows) != {m for m in monos if m not in self._index}:
-            raise AssertionError(
-                "truncated ideal pivots disagree with the leading ideal"
-            )
-        return rows
+
+    @functools.cached_property
+    def basis(self):
+        """The monomials of degree < N that lead no row; None for infinite
+        colength."""
+        if self.N is None:
+            return None
+        monos = monomials_below(self.nvars, self.N)
+        return sorted((m for m in monos if m not in self._rows), key=order_key, reverse=True)
+
+    @functools.cached_property
+    def _index(self):
+        return {m: i for i, m in enumerate(self.basis)}
 
     # -- public API -------------------------------------------------------
 
     @property
     def colength(self):
-        return len(self.basis) if self.finite else INFINITE
+        return INFINITE if self.N is None else len(self.basis)
 
     def normal_form(self, p: Poly):
         """Exact coordinates of the class of p over ``basis``."""
-        if not self.finite:
+        if self.N is None:
             raise ValueError("normal form needs finite colength")
         out = [Fraction(0)] * len(self.basis)
-        for m, c in self._truncate(p).items():
+        for m, c in p.terms.items():
             if m in self._index:
                 out[self._index[m]] += c
-            else:
+            elif sum(m) < self.N:  # a pivot; m^N lies in the ideal
                 for m2, c2 in self._rows[m].items():
                     out[self._index[m2]] -= c * c2
         return out
@@ -308,9 +291,5 @@ class QuotientAlgebra:
 
     def multiplication_matrix(self, p: Poly):
         """Matrix of multiplication by p on the quotient, columns over basis."""
-        cols = []
-        for m in self.basis:
-            cols.append(self.normal_form(p * Poly.monomial(m)))
-        # transpose into row-major matrix
-        n = len(self.basis)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        cols = [self.normal_form(p * Poly.monomial(m)) for m in self.basis]
+        return [list(row) for row in zip(*cols)]

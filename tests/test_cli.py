@@ -214,12 +214,13 @@ def test_pair_budget_exceeded_is_a_solver_failure(tmp_path, monkeypatch):
     """A standard basis past its pair budget exits 2 without a traceback.
 
     No small input is known to exhaust the default budget, so the budget is
-    shrunk to zero pairs.
+    shrunk to zero pairs.  The quadric ex1_n2 needs one pair: its generators'
+    leads x1^2 and x1*x2 hold no power of x2.
     """
     monkeypatch.setattr(
         localalg,
-        "standard_basis",
-        partial(localalg.standard_basis, max_pairs=0),
+        "certified_degree",
+        partial(localalg.certified_degree, max_pairs=0),
     )
     path = tmp_path / "ex1.txt"
     path.write_text(EX1_N2)
@@ -227,9 +228,9 @@ def test_pair_budget_exceeded_is_a_solver_failure(tmp_path, monkeypatch):
     assert (code, out) == (EXIT_SOLVER, "")
     assert "standard basis exceeded 0 pairs" in err
     assert "diag standard_basis: pair budget exceeded" in err
-    code, out, _ = run_cli(["verify-corpus", "--only", "smooth_line"])
+    code, out, _ = run_cli(["verify-corpus", "--only", "ex1_n2"])
     assert code == EXIT_SOLVER
-    assert "smooth_line: pipeline failure: " in out
+    assert "ex1_n2: pipeline failure: " in out
     assert "corpus: FAILURES" in out
 
 

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from singforms import quadforms, ratlinalg
+from singforms import localalg, quadforms, ratlinalg
 from singforms.corpus import CORPUS
 from singforms.icis import (
     ProblemInstance,
@@ -16,8 +16,9 @@ from singforms.icis import (
     omega_module_dim,
     omega_module_generators,
     tau_prime,
+    truncated_colength,
 )
-from singforms.localalg import INFINITE, QuotientAlgebra, monomials_below, truncated_multiples
+from singforms.localalg import INFINITE, QuotientAlgebra
 from singforms.polyring import Poly, parse
 
 from oracles import cusp, ex1, macaulay_quotient_dim, module_dim_by_stabilization
@@ -127,6 +128,11 @@ ITEM1 = [
     ("item1_node", _item1(2, 1, ["x^2 - y^2 + y^3"], ["0", "1"])),
     ("item1_k2", _item1(3, 2, ["x^2 + y^2 + z^3", "x*y + z^2"], ["0", "0", "1"])),
 ]
+# item 1's third input, a map germ: nu = 12
+ITEM1_ELKH = _item1(2, 0, [], ["x^5 + x*y^2", "y^4 - x^2*y"])
+# Mora's coefficients pass the 256-bit budget before its standard basis is
+# complete; its leads hold a pure power of every variable long before that
+HARD4 = _item1(3, 1, ["x^2 + y^3 + z^4 + x*y*z"], ["1 + y", "x", "z^2"])
 
 
 def test_omega_module_dim_matches_nu():
@@ -137,6 +143,16 @@ def test_omega_module_dim_matches_nu():
         ProblemInstance(2, 0, [], [Poly.variable(0, 2), Poly.variable(1, 2)]),
     ] + [inst for _, inst in ITEM1]:
         assert omega_module_dim(inst) == algebra(inst).colength
+
+
+def test_certified_degree_before_the_standard_basis_is_complete():
+    """hard4: Mora stops at D = 8, past the smallest truncation degree 6
+    (m^6 lies in the ideal), and every dimension follows from D."""
+    alg = algebra(HARD4)
+    assert (alg.colength, alg.N, max(sum(m) for m in alg.basis) + 1) == (12, 8, 6)
+    assert (tau_prime(HARD4), omega_module_dim(HARD4, alg)) == (6, 12)
+    gens = build_ideal(HARD4)
+    assert macaulay_quotient_dim(gens, 3, 8) == macaulay_quotient_dim(gens, 3, 9) == 12
 
 
 def brieskorn_pham(a, b, c):
@@ -178,13 +194,6 @@ def test_omega_module_dim_matches_stabilization(inst, d_max):
     assert omega_module_dim(inst) == module_dim_by_stabilization(inst, d_max)
 
 
-def _relation_rank(gens, n, subsets, D):
-    column = {
-        key: i for i, key in enumerate(itertools.product(subsets, monomials_below(n, D)))
-    }
-    return ratlinalg.int_rank(list(truncated_multiples(gens, n, D, column)))
-
-
 @pytest.mark.parametrize("inst", [t[1] for t in ISOLATED], ids=[t[0] for t in ISOLATED])
 def test_minor_ideal_annihilates_the_module(inst):
     """I Omega lies in R + m^(N+1) Omega: adding g dx_S for every generator
@@ -194,8 +203,8 @@ def test_minor_ideal_annihilates_the_module(inst):
     subsets, relations = omega_module_generators(inst)
     D = algebra(inst).N + 1
     ideal_forms = [{S: g} for g in build_ideal(inst) for S in subsets]
-    assert _relation_rank(relations, inst.n, subsets, D) == _relation_rank(
-        relations + ideal_forms, inst.n, subsets, D
+    assert truncated_colength(relations, subsets, inst.n, D) == truncated_colength(
+        relations + ideal_forms, subsets, inst.n, D
     )
 
 
@@ -266,12 +275,29 @@ _PREMISE = [(name, ci.instance()) for name, ci in CORPUS.items()] + [
 )
 def test_generators_alone_span_the_truncated_ideal(gens, nvars):
     """The normal-form rows come from the generators' monomial multiples
-    only: the standard basis, added in front of the reversed generators,
-    changes no row and no product."""
+    only: the S-polynomials of every pair and a unit multiple of every
+    generator, added in front of the reversed generators, change no row and
+    no product."""
     q = QuotientAlgebra(gens, nvars)
-    ref = QuotientAlgebra(list(reversed(gens)) + q.std_basis, nvars)
+    unit = Poly.one(nvars) + sum((Poly.variable(i, nvars) for i in range(nvars)), Poly.zero(nvars))
+    nonzero = [g for g in gens if not g.is_zero()]
+    extra = [localalg._spoly(a, b) for a, b in itertools.combinations(nonzero, 2)]
+    extra = [p for p in extra if not p.is_zero()] + [unit * g for g in gens]
+    ref = QuotientAlgebra(extra + list(reversed(gens)), nvars)
     assert (q.basis, q.N, q._rows) == (ref.basis, ref.N, ref._rows)
     assert q.products == ref.products
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [inst for _, inst in _PREMISE + ITEM1] + [ITEM1_ELKH],
+    ids=[name for name, _ in _PREMISE + ITEM1] + ["item1_elkh"],
+)
+def test_certified_degree_is_the_smallest_truncation_degree(inst):
+    """Mora's first certificate D is 1 + the largest degree of a basis
+    monomial on these inputs; hard4 shows it can be larger."""
+    alg = algebra(inst)
+    assert alg.N == max(sum(m) for m in alg.basis) + 1
 
 
 @pytest.mark.parametrize(
@@ -319,14 +345,16 @@ class _UnitSampler:
 
 
 def test_normal_form_rows_are_built_once_on_first_use(monkeypatch):
-    """tau' reads only the colength, so it eliminates nothing; an algebra
-    builds its rows in one rref, on the first of gram_qa's normal forms."""
+    """tau' builds no algebra and the module dimension reads only its
+    certified degree, so neither runs an rref; an algebra builds its basis
+    and rows in one rref, on the first of gram_qa's normal forms."""
     calls = []
     rref = ratlinalg.rref
     monkeypatch.setattr(ratlinalg, "rref", lambda rows: calls.append(1) or rref(rows))
     insts = [cusp(), CORPUS["four_lines"].instance(), brieskorn_pham(3, 4, 5)]
     for inst in insts:
         tau_prime(inst)
+        omega_module_dim(inst)
     assert calls == []
     for inst in insts:
         alg = algebra(inst)

@@ -9,11 +9,11 @@ from singforms.localalg import (
     INFINITE,
     BudgetExceeded,
     QuotientAlgebra,
+    certified_degree,
     ecart,
     leading_monomial,
     mora_normal_form,
     order_key,
-    standard_basis,
 )
 from singforms.polyring import Poly, parse
 
@@ -52,25 +52,32 @@ def test_leading_monomial_and_ecart():
     assert leading_monomial(P("x + x^2")) == (1, 0)
 
 
-# ---- standard bases ---------------------------------------------------------
+# ---- the certified truncation degree -----------------------------------------
 
 def test_std_basis_trivial():
-    G = standard_basis([P("x"), P("y")])
-    assert sorted(leading_monomial(g) for g in G) == [(0, 1), (1, 0)]
+    # the leads x and y are pure powers already: m lies in the ideal
+    assert certified_degree([P("x"), P("y")], 2) == 1
 
 
 def test_std_basis_cusp_leading_ideal():
-    # x^2 is the local leading term of x^2 - y^3
+    # x^2 is the local leading term of x^2 - y^3; with y^2 the generators'
+    # leads are pure powers, so no pair is needed
+    assert certified_degree([P("x^2 - y^3"), P("3*y^2")], 2, max_pairs=0) == 3
     q = QuotientAlgebra([P("x^2 - y^3"), P("3*y^2")], 2)
-    assert set(q.leading_ideal) == {(2, 0), (0, 2)}
+    assert set(q._rows) == {(2, 0), (0, 2)}  # the pivots below N
     assert q.colength == 4
     assert q.basis == [(0, 0), (1, 0), (0, 1), (1, 1)]
     assert q.N == 3
 
 
 def test_std_basis_ex1_n2():
+    # the leads x1^2 and x1*x2 miss a power of x2: the pair of the two
+    # generators gives x2^3, the leading ideal's third generator
+    with pytest.raises(BudgetExceeded):
+        certified_degree(ex1_gens(2), 2, max_pairs=0)
+    assert certified_degree(ex1_gens(2), 2, max_pairs=1) == 3
     q = QuotientAlgebra(ex1_gens(2), 2)
-    assert set(q.leading_ideal) == {(2, 0), (1, 1), (0, 3)}
+    assert set(q._rows) == {(2, 0), (1, 1)}
     assert q.colength == 4
     assert q.N == 3
 
@@ -89,7 +96,8 @@ def test_colength_infinite_detected():
 
 
 def test_zero_ideal_has_infinite_colength():
-    assert standard_basis([Poly.zero(2), Poly.zero(2)]) == []
+    assert certified_degree([Poly.zero(2), Poly.zero(2)], 2) is None
+    assert certified_degree([], 2) is None
     assert QuotientAlgebra([Poly.zero(2)], 2).colength == INFINITE
 
 
@@ -185,8 +193,9 @@ def test_algebra_accessors():
 
 
 def test_mora_normal_form_membership():
-    gens = [P("x^2 - y^3"), P("3*y^2")]
-    G = standard_basis(gens)
+    # a standard basis: the S-polynomial of its two elements is -y^5, which
+    # y^2 reduces to 0
+    G = [P("x^2 - y^3"), P("y^2")]
     # y^3 = y * y^2 lies in the ideal; weak normal form must vanish
     assert mora_normal_form(P("y^3"), G).is_zero()
     assert mora_normal_form(P("x^2"), G).is_zero()
